@@ -419,3 +419,135 @@ func TestScanDestinations(t *testing.T) {
 		t.Error("unsupported destination should error")
 	}
 }
+
+// The paper's Q3 restricted to one colour, the colour a placeholder:
+// the bound argument must restrict the divisor exactly as the literal
+// does, so the statement is detected as a division (not run as nested
+// iteration) and returns the literal form's rows.
+func TestParametrisedNotExistsDetected(t *testing.T) {
+	const pattern = `SELECT DISTINCT s#
+FROM supplies AS s1
+WHERE NOT EXISTS (
+  SELECT * FROM parts AS p2
+  WHERE p2.color = %s AND NOT EXISTS (
+    SELECT * FROM supplies AS s2
+    WHERE s2.p# = p2.p# AND s2.s# = s1.s#))`
+	db := openSuppliers()
+	ctx := context.Background()
+	drain := func(rows *Rows, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var got []string
+		for rows.Next() {
+			var s string
+			if err := rows.Scan(&s); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, s)
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(got)
+		return fmt.Sprint(got)
+	}
+	stmt, err := db.Prepare(fmt.Sprintf(pattern, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for color, want := range map[string]string{"blue": "[s2 s3]", "red": "[s1 s3]", "green": "[s3 s4]"} {
+		got := drain(stmt.Query(ctx, color))
+		literal := drain(db.Query(ctx, fmt.Sprintf(pattern, "'"+color+"'")))
+		if got != want || literal != want {
+			t.Errorf("%s: parametrised %s, literal %s, want %s", color, got, literal, want)
+		}
+		ex, err := db.Explain(ctx, fmt.Sprintf(pattern, "?"), color)
+		if err != nil || !ex.Detected {
+			t.Errorf("%s: Explain of the parametrised Q3: detected=%v err=%v", color, ex.Detected, err)
+		}
+	}
+}
+
+// Register racing a streaming correlated NOT EXISTS — the reproducer
+// of the catalog data race (run under -race in CI). The subquery binds
+// again for every outer tuple while the cursor streams; it must read
+// the catalog snapshot its query was bound against, neither racing
+// Register nor mixing the old supplies with the new parts.
+func TestRegisterRacesCorrelatedNotExists(t *testing.T) {
+	db := openSuppliers(WithoutDetection())
+	const q3 = `SELECT DISTINCT s#, color
+FROM supplies AS s1, parts AS p1
+WHERE NOT EXISTS (
+  SELECT * FROM parts AS p2
+  WHERE p2.color = p1.color AND NOT EXISTS (
+    SELECT * FROM supplies AS s2
+    WHERE s2.p# = p2.p# AND s2.s# = s1.s#))`
+	rows, err := db.Query(context.Background(), q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.MustRegister("parts", MustNewRelation([]string{"p#", "color"}, [][]any{{"p5", fmt.Sprint("c", i)}}))
+			db.MustRegister(fmt.Sprint("t", i%4), MustNewRelation([]string{"x"}, [][]any{{i}}))
+		}
+	}()
+	got := collect(t, rows)
+	close(stop)
+	wg.Wait()
+	if fmt.Sprint(got) != fmt.Sprint(q1Rows) {
+		t.Errorf("Q3 streamed across Register = %v, want the bind-time answer %v", got, q1Rows)
+	}
+}
+
+// Eight goroutines run one prepared statement over the same aliased
+// tables at once: every bind takes rename views of the same registered
+// relations, which must be read-only on the source (run under -race).
+func TestStmtQueryConcurrentOnAliasedTable(t *testing.T) {
+	db := openLarge(t)
+	stmt, err := db.Prepare(apiQ1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() (int, error) {
+		rows, err := stmt.Query(context.Background())
+		if err != nil {
+			return 0, err
+		}
+		defer rows.Close()
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		return n, rows.Err()
+	}
+	want, err := count()
+	if err != nil || want == 0 {
+		t.Fatalf("reference run: %d rows, err %v", want, err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if n, err := count(); err != nil || n != want {
+					t.Errorf("concurrent Stmt.Query: %d rows (want %d), err %v", n, want, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -767,6 +767,49 @@ func BenchmarkQueryLimitOne(b *testing.B) {
 	}
 }
 
+// BenchmarkStmtQueryBind runs a prepared, aliased DIVIDE BY through
+// Stmt.Query to the last row, at the two dataset sizes of the
+// layered benchmark (bench/: embed_small, embed_large). It is the
+// committed Go benchmark that crosses the bind layer: every call
+// binds both table references again, so a bind whose cost grows with
+// the tables — the per-reference copy that rename views removed —
+// shows here as allocated bytes, not only in bench/'s numbers.
+func BenchmarkStmtQueryBind(b *testing.B) {
+	for _, size := range []struct{ suppliers, parts, avg int }{
+		{2000, 40, 20},
+		{10000, 200, 40},
+	} {
+		b.Run(fmt.Sprintf("%dx%d", size.suppliers, size.parts), func(b *testing.B) {
+			supplies, parts := datagen.SuppliersParts{
+				Suppliers: size.suppliers, Parts: size.parts, Colors: 8, AvgSupplied: size.avg, Seed: 1,
+			}.Generate()
+			db := Open()
+			db.MustRegister("supplies", MustNewRelation(supplies.Schema().Attrs(), supplies.Rows()))
+			db.MustRegister("parts", MustNewRelation(parts.Schema().Attrs(), parts.Rows()))
+			stmt, err := db.Prepare(`SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p#`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rows, err := stmt.Query(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for rows.Next() {
+				}
+				if err := rows.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if err := rows.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBatchVsTuple pairs the tuple-at-a-time Volcano path with
 // the vectorized batch path per operator class: the streaming trio
 // (scan, filter, project) where the per-Next interface overhead

@@ -3,7 +3,6 @@ package divlaws
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"divlaws/internal/exec"
 	"divlaws/internal/laws"
@@ -122,11 +121,12 @@ func WithDataDependentRules() Option { return func(c *config) { c.dataDependent 
 // detection, law-based optimization, parallelization, and the
 // streaming Volcano execution engine.
 //
-// A DB is safe for concurrent use: Register takes a write lock,
-// queries a read lock, and registered relations are immutable.
-// Construct with Open; the zero DB is not usable.
+// A DB is safe for concurrent use: the catalog is copy-on-write, so
+// Register never disturbs a query that is planning or running — each
+// query binds against the catalog snapshot of the moment it started
+// — and registered relations are immutable. Construct with Open; the
+// zero DB is not usable.
 type DB struct {
-	mu    sync.RWMutex
 	inner *sql.DB
 	cfg   config
 }
@@ -182,9 +182,11 @@ func (db *DB) MemoryLimit() int64 {
 }
 
 // Register adds (or replaces) a named table. The relation's contents
-// are referenced, not copied; relations are immutable, so later
-// Register calls with the same name replace the table without
-// affecting queries already running against the old contents.
+// are referenced, not copied — queries scan them in place and rename
+// them through zero-copy views — which is sound because a Relation
+// is immutable. Later Register calls with the same name replace the
+// table without affecting queries already running: those keep the
+// catalog snapshot they were bound against, subqueries included.
 func (db *DB) Register(name string, r *Relation) error {
 	if name == "" {
 		return fmt.Errorf("divlaws: empty table name")
@@ -192,8 +194,6 @@ func (db *DB) Register(name string, r *Relation) error {
 	if r == nil || r.rel == nil {
 		return fmt.Errorf("divlaws: Register %q with nil relation", name)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	db.inner.Register(name, r.rel)
 	return nil
 }
@@ -207,8 +207,6 @@ func (db *DB) MustRegister(name string, r *Relation) {
 
 // Table returns the registered relation with the given name.
 func (db *DB) Table(name string) (*Relation, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	rel, ok := db.inner.Table(name)
 	if !ok {
 		return nil, false
@@ -278,8 +276,6 @@ func (db *DB) Explain(ctx context.Context, text string, args ...any) (Explanatio
 	if err != nil {
 		return Explanation{}, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	ex, err := db.inner.ExplainQuery(bound, sql.ExplainOptions{
 		Detect:             db.cfg.detect,
 		Optimize:           db.cfg.optimize,
@@ -366,8 +362,6 @@ func (db *DB) plan(q *sql.Query, args []any) (plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	var node plan.Node
 	if db.cfg.detect {
 		node, _, err = db.inner.PlanQueryWithDetection(bound)

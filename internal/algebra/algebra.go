@@ -200,24 +200,19 @@ func LeftOuterJoin(r, s *relation.Relation) *relation.Relation {
 	return out
 }
 
-// Rename returns r with attribute from renamed to to.
+// Rename returns r with attribute from renamed to to. ρ changes no
+// tuple, so the result is an O(1) schema-only view sharing r's storage
+// (relation.WithSchema), not a copy.
 func Rename(r *relation.Relation, from, to string) *relation.Relation {
-	out := relation.New(r.Schema().Rename(from, to))
-	for _, t := range r.Tuples() {
-		out.InsertOwned(t)
-	}
-	return out
+	return r.WithSchema(r.Schema().Rename(from, to))
 }
 
 // RenameAll returns r with its schema replaced by the given attribute
 // names (same arity), used to qualify operands apart before products.
+// Like Rename it is an O(1) view, whatever r's cardinality.
 func RenameAll(r *relation.Relation, attrs ...string) *relation.Relation {
 	if len(attrs) != r.Schema().Len() {
 		panic(fmt.Sprintf("algebra: RenameAll arity %d vs schema %v", len(attrs), r.Schema()))
 	}
-	out := relation.New(schema.New(attrs...))
-	for _, t := range r.Tuples() {
-		out.InsertOwned(t)
-	}
-	return out
+	return r.WithSchema(schema.New(attrs...))
 }

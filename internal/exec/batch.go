@@ -433,29 +433,35 @@ func (f *FilterBatch) Schema() schema.Schema { return f.Input.Schema() }
 // ProjectBatch is the batch-native projection with streaming dedup:
 // the same first-seen TupleIndex semantics as ProjectIter (exact
 // under hash collisions), with the per-tuple interface overhead
-// hoisted to the batch boundary.
+// hoisted to the batch boundary — and the same full-width cases: a
+// permutation fills the output batch without an index, the identity
+// hands the child's batch on as it is.
 type ProjectBatch struct {
 	Label string
 	Input BatchIterator
 	Attrs []string
 	Stats *Stats
 
-	pos    []int
-	out    schema.Schema
-	seen   *relation.TupleIndex
-	ob     *relation.Batch
-	budget int64
+	pos      []int
+	out      schema.Schema
+	open     bool
+	seen     *relation.TupleIndex // nil for a full-width projection
+	identity bool
+	ob       *relation.Batch
+	budget   int64
 }
 
 // OpenBatch implements BatchIterator.
 func (p *ProjectBatch) OpenBatch(ctx context.Context) error {
 	p.out, p.pos = p.Input.Schema().Project(p.Attrs)
-	p.seen = new(relation.TupleIndex)
+	p.seen, p.identity = projectDedup(p.pos, p.Input.Schema().Len())
+	p.open = true
 	return p.Input.OpenBatch(ctx)
 }
 
 // SetRowBudget implements rowBudgeter: each child pull is armed with
-// the hint (dedup only shrinks batches, so the child's bound is ours).
+// the hint (a projection emits at most as many rows as it reads, so
+// the child's bound is ours).
 func (p *ProjectBatch) SetRowBudget(n int64) {
 	if n < 0 {
 		n = 0
@@ -465,7 +471,7 @@ func (p *ProjectBatch) SetRowBudget(n int64) {
 
 // NextBatch implements BatchIterator.
 func (p *ProjectBatch) NextBatch() (*relation.Batch, error) {
-	if p.seen == nil {
+	if !p.open {
 		return nil, errNotOpen("ProjectBatch")
 	}
 	for {
@@ -477,12 +483,18 @@ func (p *ProjectBatch) NextBatch() (*relation.Batch, error) {
 		if in == nil {
 			return nil, nil
 		}
+		if p.identity {
+			p.Stats.count(p.Label, int64(in.Len()))
+			return in, nil
+		}
 		if p.ob == nil {
 			p.ob = relation.GetBatch(in.Len())
 		}
 		p.ob.Reset()
 		for _, t := range in.Tuples() {
-			if id, created := p.seen.IDProj(t, p.pos); created {
+			if p.seen == nil {
+				p.ob.Append(t.Project(p.pos))
+			} else if id, created := p.seen.IDProj(t, p.pos); created {
 				p.ob.Append(p.seen.Key(id))
 			}
 		}
@@ -495,7 +507,7 @@ func (p *ProjectBatch) NextBatch() (*relation.Batch, error) {
 
 // Close implements BatchIterator.
 func (p *ProjectBatch) Close() error {
-	p.seen = nil
+	p.open, p.seen = false, nil
 	p.budget = 0
 	relation.PutBatch(p.ob)
 	p.ob = nil

@@ -97,22 +97,20 @@ func sameSeq(a, b []string) bool {
 // probe-side operators batched in PR 7 (joins, set ops, products,
 // merge division) — plus mixed trees crossing build/probe region
 // boundaries (division over a join, set ops feeding divisions).
-func equivPlans(rng *rand.Rand) []struct {
+func equivPlans(rng *rand.Rand) []equivPlan {
+	return equivPlansGen(rng, randRelation)
+}
+
+type equivPlan struct {
 	name    string
 	node    plan.Node
 	ordered bool
-} {
-	return equivPlansGen(rng, randRelation)
 }
 
 // equivPlansGen is equivPlans over an arbitrary relation generator,
 // so the sweeps can run the same matrix with string-keyed inputs
 // (randWideRelation) against the wide hash kernels.
-func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *relation.Relation) []struct {
-	name    string
-	node    plan.Node
-	ordered bool
-} {
+func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *relation.Relation) []equivPlan {
 	r1 := plan.NewScan("r1", gen(rng, []string{"a", "b"}, 5+rng.Intn(60), 6))
 	r2 := plan.NewScan("r2", gen(rng, []string{"b"}, 1+rng.Intn(4), 6))
 	r2g := plan.NewScan("r2g", gen(rng, []string{"b", "c"}, 1+rng.Intn(8), 6))
@@ -122,11 +120,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	div := &plan.Divide{Dividend: r1, Divisor: r2}
 	join := &plan.Join{Left: r1, Right: r2g}
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
-	return []struct {
-		name    string
-		node    plan.Node
-		ordered bool
-	}{
+	return append(projectShapes(rng, r1, r2g), []equivPlan{
 		{"scan", r1, false},
 		{"filter", &plan.Select{Input: r1, Pred: p}, false},
 		{"project", &plan.Project{Input: r1, Attrs: []string{"a"}}, false},
@@ -173,6 +167,84 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		{"project-over-semijoin", &plan.Project{
 			Input: &plan.SemiJoin{Left: r1, Right: r2g}, Attrs: []string{"a"},
 		}, false},
+	}...)
+}
+
+// projectShapes is the projection corner of the matrix. A Project
+// that keeps every column of its input runs without a dedup index —
+// the identity forwards its child's batches, a permutation only
+// reorders columns — so each appears over a scan, over a division
+// quotient, under Limit and under Sort; the narrowing projections
+// beside them prove dedup still runs where it must. ordered here
+// means "emits in a defined order": the order of the scan, of the
+// first-seen dedup, or of the sort — which is also the order of the
+// reference plan.Eval, so TestProjectShapesMatchOracle compares
+// these by sequence.
+func projectShapes(rng *rand.Rand, r1, r2g plan.Node) []equivPlan {
+	ab, ba := []string{"a", "b"}, []string{"b", "a"}
+	quotient := &plan.GreatDivide{Dividend: r1, Divisor: r2g} // over (a, c)
+	keys := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
+	n := int64(rng.Intn(12))
+	return []equivPlan{
+		{"project-identity", &plan.Project{Input: r1, Attrs: ab}, true},
+		{"project-permute", &plan.Project{Input: r1, Attrs: ba}, true},
+		{"project-identity-over-quotient", &plan.Project{Input: quotient, Attrs: []string{"a", "c"}}, false},
+		{"project-permute-over-quotient", &plan.Project{Input: quotient, Attrs: []string{"c", "a"}}, false},
+		{"limit-over-project-identity", &plan.Limit{Input: &plan.Project{Input: r1, Attrs: ab}, N: n}, true},
+		{"limit-over-project-permute", &plan.Limit{Input: &plan.Project{Input: r1, Attrs: ba}, N: n}, true},
+		{"sort-over-project-identity", &plan.Sort{Input: &plan.Project{Input: r1, Attrs: ab}, Keys: keys}, true},
+		{"sort-over-project-permute", &plan.Sort{Input: &plan.Project{Input: r1, Attrs: ba}, Keys: keys}, true},
+		{"project-narrow", &plan.Project{Input: r1, Attrs: []string{"b"}}, true},
+		{"project-narrow-over-permute", &plan.Project{
+			Input: &plan.Project{Input: r1, Attrs: ba}, Attrs: []string{"a"},
+		}, true},
+		{"limit-over-project-narrow", &plan.Limit{Input: &plan.Project{Input: r1, Attrs: []string{"a"}}, N: n}, true},
+	}
+}
+
+// TestProjectShapesMatchOracle checks the projection shapes against
+// the independent reference evaluator (plan.Eval: algebra.Project,
+// which always dedups) rather than against the other execution
+// path, since both paths share the no-dedup decision: tuple and
+// forced-batch compiles x batch sizes 1/7/64 x both drain styles,
+// with full hashes and with 3-bit hashes.
+func TestProjectShapesMatchOracle(t *testing.T) {
+	for _, mask := range []uint64{0, 0x7} {
+		restore := hashkey.SetMaskForTesting(mask)
+		rng := rand.New(rand.NewSource(67))
+		for trial := 0; trial < 12; trial++ {
+			gen := randRelation
+			if trial%2 == 1 {
+				gen = randWideRelation
+			}
+			r1 := plan.NewScan("r1", gen(rng, []string{"a", "b"}, 5+rng.Intn(150), 6))
+			r2g := plan.NewScan("r2g", gen(rng, []string{"b", "c"}, 1+rng.Intn(8), 6))
+			for _, c := range projectShapes(rng, r1, r2g) {
+				want := seqKeys(plan.Eval(c.node).Tuples())
+				check := func(got []string, via string) {
+					t.Helper()
+					same := sameSeq(got, want)
+					if !c.ordered {
+						same = sortedKeys(append([]string(nil), got...)) == sortedKeys(append([]string(nil), want...))
+					}
+					if !same {
+						t.Fatalf("mask %d trial %d %s (%s): diverges from plan.Eval\ngot  %v\nwant %v",
+							mask, trial, c.name, via, got, want)
+					}
+				}
+				check(seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff}))), "tuple path")
+				for _, size := range []int{1, 7, 64} {
+					opts := CompileOptions{Batch: BatchForce, BatchSize: size}
+					check(seqKeys(drainSeq(t, CompileWith(c.node, nil, opts))), "batch path, Next")
+					b, ok := CompileWith(c.node, nil, opts).(BatchIterator)
+					if !ok {
+						t.Fatalf("%s: forced batch compile is not a BatchIterator", c.name)
+					}
+					check(seqKeys(drainBatchSeq(t, b)), "batch path, NextBatch")
+				}
+			}
+		}
+		restore()
 	}
 }
 
@@ -264,6 +336,47 @@ func TestBatchStatsParity(t *testing.T) {
 	for label, n := range want {
 		if got[label] != n {
 			t.Errorf("stats[%q] = %d on the batch path, %d on the tuple path", label, got[label], n)
+		}
+	}
+}
+
+// TestProjectFullWidthStatsParity: a projection that skips its dedup
+// index still counts every row it passes on under its own label, on
+// both paths — the plan keeps its nodes, only the copies go.
+func TestProjectFullWidthStatsParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	rel := randRelation(rng, []string{"a", "b"}, 150, 40)
+	r1 := plan.NewScan("r1", rel)
+	r2g := plan.NewScan("r2g", randRelation(rng, []string{"b", "c"}, 6, 4))
+	quotient := &plan.GreatDivide{Dividend: r1, Divisor: r2g}
+	for _, c := range []struct {
+		name string
+		node plan.Node
+		rows int64
+	}{
+		{"identity over scan", &plan.Project{Input: r1, Attrs: []string{"a", "b"}}, int64(rel.Len())},
+		{"permutation over scan", &plan.Project{Input: r1, Attrs: []string{"b", "a"}}, int64(rel.Len())},
+		{"identity over quotient", &plan.Project{Input: quotient, Attrs: []string{"a", "c"}}, int64(plan.Eval(quotient).Len())},
+		{"permutation over quotient", &plan.Project{Input: quotient, Attrs: []string{"c", "a"}}, int64(plan.Eval(quotient).Len())},
+	} {
+		tupleStats := NewStats()
+		drainSeq(t, CompileWith(c.node, tupleStats, CompileOptions{Batch: BatchOff}))
+		want := tupleStats.Snapshot()
+		if want["root/project"] != c.rows {
+			t.Errorf("%s: tuple path counted %d rows under root/project, want %d", c.name, want["root/project"], c.rows)
+		}
+		for _, size := range []int{1, 7, 64} {
+			batchStats := NewStats()
+			drainSeq(t, CompileWith(c.node, batchStats, CompileOptions{Batch: BatchForce, BatchSize: size}))
+			got := batchStats.Snapshot()
+			if len(got) != len(want) {
+				t.Fatalf("%s size %d: label sets diverge:\nbatch %v\ntuple %v", c.name, size, got, want)
+			}
+			for label, n := range want {
+				if got[label] != n {
+					t.Errorf("%s size %d: stats[%q] = %d on the batch path, %d on the tuple path", c.name, size, label, got[label], n)
+				}
+			}
 		}
 	}
 }
@@ -438,6 +551,27 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 			}
 			if n := stats.Get("root.0/scan(r)"); n != 1 {
 				t.Errorf("size %d: scan emitted %d rows under LIMIT 1, want exactly 1", size, n)
+			}
+		}
+	})
+
+	t.Run("LimitOneOverFullWidthProjectReadsOneRow", func(t *testing.T) {
+		// The identity projection forwards its child's batches, so it
+		// must forward the row budget too; the permutation likewise.
+		for _, attrs := range [][]string{{"a", "b"}, {"b", "a"}} {
+			node := &plan.Limit{Input: &plan.Project{Input: scan, Attrs: attrs}, N: 1}
+			for _, opts := range []CompileOptions{
+				{Batch: BatchOff},
+				{Batch: BatchForce, BatchSize: 1}, {Batch: BatchForce, BatchSize: 7}, {Batch: BatchForce},
+			} {
+				stats := NewStats()
+				if out := drainSeq(t, CompileWith(node, stats, opts)); len(out) != 1 {
+					t.Fatalf("%v %+v: LIMIT 1 returned %d tuples", attrs, opts, len(out))
+				}
+				if scanned, projected := stats.Get("root.0.0/scan(r)"), stats.Get("root.0/project"); scanned != 1 || projected != 1 {
+					t.Errorf("%v %+v: scan emitted %d rows and project %d under LIMIT 1, want exactly 1 each",
+						attrs, opts, scanned, projected)
+				}
 			}
 		}
 	})

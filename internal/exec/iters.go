@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"divlaws/internal/algebra"
@@ -98,26 +99,46 @@ func (f *FilterIter) Schema() schema.Schema { return f.Input.Schema() }
 // ProjectIter projects attributes and eliminates duplicates with a
 // streaming hash set (set semantics). The projection is only
 // materialized for tuples that survive the dedup.
+//
+// A projection onto all of its input's columns cannot merge two
+// distinct tuples, and every iterator's output is a set (see
+// HashSetOpIter), so Open drops the hash set for it: a permutation
+// only projects, the identity forwards the child's tuple untouched.
+// Both still count their rows under Label.
 type ProjectIter struct {
-	Label string
-	Input Iterator
-	Attrs []string
-	Stats *Stats
-	pos   []int
-	out   schema.Schema
-	seen  *relation.TupleIndex
+	Label    string
+	Input    Iterator
+	Attrs    []string
+	Stats    *Stats
+	pos      []int
+	out      schema.Schema
+	open     bool
+	seen     *relation.TupleIndex // nil for a full-width projection
+	identity bool
+}
+
+// projectDedup returns what a projection onto source positions pos of
+// an n-column input needs: a dedup index, or nil when it keeps every
+// column (positions are distinct, so that is a permutation), and then
+// whether it also keeps them in place.
+func projectDedup(pos []int, n int) (seen *relation.TupleIndex, identity bool) {
+	if len(pos) != n {
+		return new(relation.TupleIndex), false
+	}
+	return nil, slices.IsSorted(pos)
 }
 
 // Open implements Iterator.
 func (p *ProjectIter) Open(ctx context.Context) error {
 	p.out, p.pos = p.Input.Schema().Project(p.Attrs)
-	p.seen = new(relation.TupleIndex)
+	p.seen, p.identity = projectDedup(p.pos, p.Input.Schema().Len())
+	p.open = true
 	return p.Input.Open(ctx)
 }
 
 // Next implements Iterator.
 func (p *ProjectIter) Next() (relation.Tuple, bool, error) {
-	if p.seen == nil {
+	if !p.open {
 		return nil, false, errNotOpen("ProjectIter")
 	}
 	for {
@@ -125,17 +146,24 @@ func (p *ProjectIter) Next() (relation.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		id, created := p.seen.IDProj(t, p.pos)
-		if !created {
-			continue
+		switch {
+		case p.identity:
+		case p.seen == nil:
+			t = t.Project(p.pos)
+		default:
+			id, created := p.seen.IDProj(t, p.pos)
+			if !created {
+				continue
+			}
+			t = p.seen.Key(id)
 		}
 		p.Stats.count(p.Label, 1)
-		return p.seen.Key(id), true, nil
+		return t, true, nil
 	}
 }
 
 // Close implements Iterator.
-func (p *ProjectIter) Close() error { p.seen = nil; return p.Input.Close() }
+func (p *ProjectIter) Close() error { p.open, p.seen = false, nil; return p.Input.Close() }
 
 // Schema implements Iterator.
 func (p *ProjectIter) Schema() schema.Schema {

@@ -3,8 +3,17 @@
 // elimination on insert, canonical ordering, and set-level equality.
 //
 // Every operator in the paper (Appendix A) has set semantics, so the
-// Relation type dedups tuples via an injective byte key and all
+// Relation type dedups tuples on insert — a 64-bit hash table whose
+// candidates are verified against the stored tuples — and all
 // comparisons between relations are order-insensitive.
+//
+// Immutability contract: a relation is built single-threaded and is
+// read-only from the moment it is shared — registered in a catalog,
+// handed to a plan, or viewed with WithSchema. Everything that lets
+// queries run concurrently without copying (scans window the tuple
+// slice, rename views share slice and table, catalog snapshots hand
+// the same *Relation to every query) rests on it, so it is stated
+// here once.
 //
 // The package also carries the engine's row-shaped performance
 // primitives: Batch (the reused slab the batch execution path
@@ -169,6 +178,7 @@ type Relation struct {
 	sch    schema.Schema
 	tuples []Tuple
 	seen   hashkey.Table
+	shared bool // a WithSchema view still borrowing seen; see unshare
 }
 
 // New returns an empty relation with the given schema.
@@ -178,6 +188,34 @@ func New(sch schema.Schema) *Relation {
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() schema.Schema { return r.sch }
+
+// WithSchema returns r under another schema of the same arity — the
+// rename operator ρ, which changes no tuple — in O(1): the view
+// shares r's tuple slice and dedup table instead of re-inserting
+// every tuple. Creating a view reads r and writes nothing to it, so
+// concurrent binds may view one registered relation at once.
+//
+// The two stay independent sets. The view copies on its first insert
+// (it keeps the tuples and rebuilds a private table). An insert into
+// r afterwards appends beyond the view's length-capped slice, and
+// what it adds to the table they still share points past that
+// length, which the view's probes skip.
+func (r *Relation) WithSchema(sch schema.Schema) *Relation {
+	if sch.Len() != r.sch.Len() {
+		panic(fmt.Sprintf("relation: WithSchema %v over schema %v", sch, r.sch))
+	}
+	n := len(r.tuples)
+	return &Relation{sch: sch, tuples: r.tuples[:n:n], seen: r.seen, shared: true}
+}
+
+// unshare gives a view its own dedup table before its first insert.
+func (r *Relation) unshare() {
+	ts := r.tuples
+	r.tuples, r.seen, r.shared = nil, hashkey.Table{}, false
+	for _, t := range ts {
+		r.InsertOwned(t)
+	}
+}
 
 // Len returns the cardinality |r|.
 func (r *Relation) Len() int { return len(r.tuples) }
@@ -217,6 +255,9 @@ func (r *Relation) addIfAbsent(t Tuple) bool {
 	if len(t) != r.sch.Len() {
 		panic(fmt.Sprintf("relation: arity %d tuple into schema %v", len(t), r.sch))
 	}
+	if r.shared {
+		r.unshare()
+	}
 	p := r.seen.Probe(t.Hash64())
 	for {
 		v, ok := p.Next()
@@ -248,7 +289,8 @@ func (r *Relation) Contains(t Tuple) bool {
 		if !ok {
 			return false
 		}
-		if r.tuples[v].Equal(t) {
+		// v >= len only in a view whose source grew; see WithSchema.
+		if v < len(r.tuples) && r.tuples[v].Equal(t) {
 			return true
 		}
 	}
@@ -264,7 +306,7 @@ func (r *Relation) ContainsKey(key string) bool {
 		if !ok {
 			return false
 		}
-		if string(r.tuples[v].AppendKey(scratch[:0])) == key {
+		if v < len(r.tuples) && string(r.tuples[v].AppendKey(scratch[:0])) == key {
 			return true
 		}
 	}

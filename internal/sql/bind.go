@@ -2,8 +2,10 @@ package sql
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
+	"sync"
 
 	"divlaws/internal/algebra"
 	"divlaws/internal/plan"
@@ -21,19 +23,46 @@ import (
 // planning to this type and streams results off the compiled
 // iterator pipeline; this DB's Query remains as the thin
 // materializing compatibility path.
+//
+// A DB is safe for concurrent use. The catalog map is copy-on-write:
+// Register swaps in a new map and never changes one that is in use.
+// Every planning entry point binds against a snapshot — a DB frozen
+// on the map of that instant — and the plan's correlated subqueries,
+// which bind again while the query runs, carry the same snapshot, so
+// one query sees one catalog for its whole life.
 type DB struct {
+	mu      sync.Mutex // guards the catalog field, not the map
 	catalog map[string]*relation.Relation
 }
 
 // NewDB returns an empty database.
-func NewDB() *DB { return &DB{catalog: make(map[string]*relation.Relation)} }
+func NewDB() *DB { return &DB{catalog: map[string]*relation.Relation{}} }
 
-// Register adds (or replaces) a named table.
-func (db *DB) Register(name string, rel *relation.Relation) { db.catalog[name] = rel }
+// Register adds (or replaces) a named table. The relation is
+// referenced, not copied, and must not change afterwards (package
+// relation's immutability contract): queries scan its storage in
+// place and alias it through rename views. Queries already planned
+// keep the catalog they were bound against.
+func (db *DB) Register(name string, rel *relation.Relation) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	next := make(map[string]*relation.Relation, len(db.catalog)+1)
+	maps.Copy(next, db.catalog)
+	next[name] = rel
+	db.catalog = next
+}
+
+// snapshot returns a DB frozen on the current catalog; nothing ever
+// registers into it, so its map is read without the lock.
+func (db *DB) snapshot() *DB {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return &DB{catalog: db.catalog}
+}
 
 // Table returns a registered table.
 func (db *DB) Table(name string) (*relation.Relation, bool) {
-	r, ok := db.catalog[name]
+	r, ok := db.snapshot().catalog[name]
 	return r, ok
 }
 
@@ -60,11 +89,7 @@ func (db *DB) Plan(text string) (plan.Node, error) {
 
 // Bind translates a parsed query into a logical plan.
 func (db *DB) Bind(q *Query) (plan.Node, error) {
-	node, err := db.bindQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return node, nil
+	return db.snapshot().bindQuery(q)
 }
 
 // bindQuery lowers one query block. ORDER BY becomes a physical
@@ -240,7 +265,9 @@ func (db *DB) bindTableRef(ref TableRef) (plan.Node, error) {
 }
 
 // qualifiedScan scans a base table with attributes renamed to
-// alias.column.
+// alias.column. The rename is a schema-only view of the registered
+// relation (algebra.RenameAll), so a table reference costs the same
+// to bind at any cardinality.
 func qualifiedScan(name, alias string, rel *relation.Relation) plan.Node {
 	attrs := rel.Schema().Attrs()
 	qualified := make([]string, len(attrs))

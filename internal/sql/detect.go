@@ -52,6 +52,7 @@ import (
 // tables, disjunctions, extra tables, or partial column coverage
 // cause it to decline rather than risk a wrong rewrite.
 func (db *DB) DetectDivision(q *Query) (plan.Node, bool) {
+	db = db.snapshot()
 	node, err := db.tryDetectDivision(q)
 	if err != nil || node == nil {
 		return nil, false
@@ -391,7 +392,8 @@ func joinPair(l, r *ColumnRef, alias1, alias2 string) ([2]string, bool) {
 }
 
 // restrictionOn reports whether the expression references only the
-// given alias (qualified or unqualified columns plus literals).
+// given alias (qualified or unqualified columns plus constants: a
+// literal, or a placeholder SubstituteParams has bound).
 func restrictionOn(e Expr, alias string) bool {
 	switch x := e.(type) {
 	case *Comparison:
@@ -409,7 +411,7 @@ func operandLocal(e Expr, alias string) bool {
 	switch x := e.(type) {
 	case *ColumnRef:
 		return x.Table == "" || x.Table == alias
-	case *Literal:
+	case *Literal, *BoundArg:
 		return true
 	default:
 		return false
@@ -519,9 +521,10 @@ func (db *DB) PlanWithDetection(text string) (plan.Node, bool, error) {
 // PlanQueryWithDetection is PlanWithDetection over an already-parsed
 // (and, for prepared statements, parameter-substituted) query.
 func (db *DB) PlanQueryWithDetection(q *Query) (plan.Node, bool, error) {
+	db = db.snapshot() // detection and the fallback bind see one catalog
 	if node, ok := db.DetectDivision(q); ok {
 		return node, true, nil
 	}
-	node, err := db.Bind(q)
+	node, err := db.bindQuery(q)
 	return node, false, err
 }

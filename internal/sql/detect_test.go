@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -222,5 +223,48 @@ WHERE NOT EXISTS (
 	}
 	if _, ok := db.DetectDivision(parsed); ok {
 		t.Error("selecting the element column must be declined")
+	}
+}
+
+// A placeholder bound by SubstituteParams restricts the divisor just
+// as a literal does: the parametrised small-divide pattern must be
+// detected and must plan to the same quotient, colour by colour.
+func TestDetectSmallDivideBoundPlaceholder(t *testing.T) {
+	db := suppliersDB()
+	const pattern = `
+SELECT DISTINCT s#
+FROM supplies AS s1
+WHERE NOT EXISTS (
+  SELECT * FROM parts AS p2
+  WHERE p2.color = %s AND NOT EXISTS (
+    SELECT * FROM supplies AS s2
+    WHERE s2.p# = p2.p# AND s2.s# = s1.s#))`
+	param, err := Parse(fmt.Sprintf(pattern, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, color := range []string{"blue", "red", "green", "mauve"} {
+		bound, err := SubstituteParams(param, []value.Value{value.String(color)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, detected, err := db.PlanQueryWithDetection(bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !detected || countSmallDivides(node) != 1 {
+			t.Fatalf("color = ? (%s) not detected as a small divide:\n%s", color, plan.Format(node))
+		}
+		literal, litDetected, err := db.PlanWithDetection(fmt.Sprintf(pattern, "'"+color+"'"))
+		if err != nil || !litDetected {
+			t.Fatalf("literal form: detected=%v err=%v", litDetected, err)
+		}
+		if got, want := plan.Eval(node), plan.Eval(literal); !got.Equal(want) {
+			t.Errorf("%s: parametrised = %v, literal = %v", color, got, want)
+		}
+	}
+	// An unbound placeholder is still no restriction the detector accepts.
+	if _, ok := db.DetectDivision(param); ok {
+		t.Error("unsubstituted ? must not be detected")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // naive execution strategy for the paper's query Q3 — deliberately
 // so, since Q3 exists to be compared against the DIVIDE BY plan.
 type existsPred struct {
-	db      *DB
+	db      *DB // the catalog snapshot the enclosing query was bound against
 	sub     *Query
 	negated bool
 }

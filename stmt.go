@@ -15,7 +15,10 @@ import (
 //
 // Because binding happens per call, each execution re-plans against
 // the catalog's current contents: a table re-registered between two
-// Query calls is picked up, exactly as with DB.Query.
+// Query calls is picked up, exactly as with DB.Query. There is
+// deliberately no cached plan to invalidate: a table reference binds
+// as a zero-copy view, so bind plus optimize is well under 2% of a
+// prepared division (README, "PR 13 measured effect").
 type Stmt struct {
 	db    *DB
 	text  string
