@@ -198,7 +198,10 @@
 //
 // cmd/divserve wraps an embedded database in a streaming HTTP/JSON
 // server: newline-delimited JSON responses written row-by-row off the
-// Rows cursor (never materializing the quotient), a server-side
+// Rows cursor (never materializing the quotient; row lines are
+// appended with Rows.AppendJSON into one reused buffer, byte for byte
+// what encoding/json would write, and a NaN or infinite float — which
+// JSON cannot carry — ends the stream with an error line), a server-side
 // prepared-statement cache over Prepare, per-request deadlines mapped
 // to the query context (so an expired deadline or a vanished client
 // cancels parallel workers mid-division), a bounded admission gate

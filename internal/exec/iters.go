@@ -1098,6 +1098,8 @@ type SortIter struct {
 
 	charged int64
 	runs    []*spill.Run
+	strs    *spill.StringCache // for reading the runs during the merge
+	slab    relation.Slab      // owns the run tuples the merge emits
 	mh      *sortMerge
 	mctx    context.Context
 	pollN   int
@@ -1153,6 +1155,9 @@ func (s *SortIter) Open(ctx context.Context) error {
 	}
 	// K-way merge across the spilled runs plus the final in-memory
 	// buffer.
+	s.strs = s.Spill.NewStringCache()
+	// The last buffer may leave the budget nearly full: keep chunks small.
+	s.slab = relation.Slab{Charge: s.Spill.Charge, Release: s.Spill.Release, MaxValues: 128}
 	srcs := make([]*sortSource, 0, len(s.runs)+1)
 	for _, r := range s.runs {
 		if err := r.Rewind(); err != nil {
@@ -1165,7 +1170,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 	}
 	live := srcs[:0]
 	for _, src := range srcs {
-		t, ok, err := src.advance()
+		t, ok, err := src.advance(s.strs)
 		if err != nil {
 			return err
 		}
@@ -1217,7 +1222,10 @@ func (s *SortIter) mergeNext() (relation.Tuple, bool, error) {
 	}
 	src := s.mh.srcs[0]
 	t := src.head
-	nt, ok, err := src.advance()
+	if src.run != nil {
+		t = s.slab.Concat(t, nil) // the head is the run's scratch; the consumer keeps t
+	}
+	nt, ok, err := src.advance(s.strs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1295,6 +1303,8 @@ func (s *SortIter) Close() error {
 		r.Close() // idempotent: merged-out runs are already closed
 	}
 	s.runs, s.mh = nil, nil
+	s.strs.Close()
+	s.slab.Close()
 	s.Spill.Release(s.charged)
 	s.charged = 0
 	s.release()

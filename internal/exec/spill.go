@@ -139,8 +139,9 @@ type sortSource struct {
 	head relation.Tuple
 }
 
-// advance pulls the source's next tuple.
-func (s *sortSource) advance() (relation.Tuple, bool, error) {
+// advance pulls the source's next tuple. A run's is borrowed from the
+// run until the next advance, which is as long as it is a merge head.
+func (s *sortSource) advance(strs *spill.StringCache) (relation.Tuple, bool, error) {
 	if s.run == nil {
 		if s.pos >= len(s.rows) {
 			return nil, false, nil
@@ -149,7 +150,7 @@ func (s *sortSource) advance() (relation.Tuple, bool, error) {
 		s.pos++
 		return t, true, nil
 	}
-	t, err := s.run.Next()
+	t, err := s.run.Next(strs)
 	if err == io.EOF {
 		return nil, false, nil
 	}
@@ -224,6 +225,7 @@ type graceDivide struct {
 	bufCharged  int64
 	partitioned bool
 	parts       []*gracePart
+	strs        *spill.StringCache // for reading the partition runs; set once partitioned
 
 	results   []relation.Tuple
 	rPos      int
@@ -297,6 +299,7 @@ func (g *graceDivide) spillBuffer() error {
 	g.tr.Release(g.bufCharged)
 	g.bufCharged = 0
 	g.buf = nil
+	g.strs = g.tr.NewStringCache()
 	g.tr.AddPartitions(1)
 	return nil
 }
@@ -413,6 +416,7 @@ func (g *graceDivide) next(ctx context.Context) (relation.Tuple, bool, error) {
 
 // processPart divides one partition run against the retained divisor.
 // If its state exceeds the budget the run is split one level deeper.
+// Tuples are read borrowed: AddDividend does not retain them.
 func (g *graceDivide) processPart(ctx context.Context, p *gracePart) error {
 	if p.run.Len() == 0 {
 		return p.run.Close()
@@ -423,7 +427,7 @@ func (g *graceDivide) processPart(ctx context.Context, p *gracePart) error {
 	}
 	st, charged, err := g.feedState(ctx, func(yield func(relation.Tuple) error) error {
 		for {
-			t, err := p.run.Next()
+			t, err := p.run.Next(g.strs)
 			if err == io.EOF {
 				return nil
 			}
@@ -452,7 +456,7 @@ func (g *graceDivide) processPart(ctx context.Context, p *gracePart) error {
 // prepends the children to the worklist (depth-first keeps the
 // pending-run count small).
 func (g *graceDivide) splitPart(ctx context.Context, p *gracePart) error {
-	children, err := splitRun(ctx, g.tr, p.run, p.depth, g.every, func(t relation.Tuple) uint64 {
+	children, err := splitRun(ctx, g.tr, g.strs, p.run, p.depth, g.every, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(g.aPos)
 	})
 	p.run.Close()
@@ -468,7 +472,8 @@ func (g *graceDivide) splitPart(ctx context.Context, p *gracePart) error {
 // depth+1 using a fresh slice of the given hash. It fails when the
 // recursion depth is exhausted — at that point the partition is
 // dominated by a single key group and splitting cannot shrink it.
-func splitRun(ctx context.Context, tr *spill.Tracker, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*gracePart, error) {
+// Tuples are read borrowed: Append encodes them before the next read.
+func splitRun(ctx context.Context, tr *spill.Tracker, strs *spill.StringCache, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*gracePart, error) {
 	next := depth + 1
 	if next > maxSpillDepth {
 		return nil, fmt.Errorf("exec: partition still exceeds the memory budget after %d recursive splits (one key group is larger than the budget): %w", maxSpillDepth, spill.ErrBudget)
@@ -488,7 +493,7 @@ func splitRun(ctx context.Context, tr *spill.Tracker, run *spill.Run, depth, eve
 	}
 	n := 0
 	for {
-		t, err := run.Next()
+		t, err := run.Next(strs)
 		if err == io.EOF {
 			return children, nil
 		}
@@ -523,6 +528,7 @@ func (g *graceDivide) close() {
 	g.tr.Release(g.divCharged + g.bufCharged + g.stCharged)
 	g.divCharged, g.bufCharged, g.stCharged = 0, 0, 0
 	g.divisor, g.buf, g.results = nil, nil, nil
+	g.strs.Close()
 	closeParts(g.parts)
 	g.parts = nil
 	g.done = true
@@ -604,6 +610,7 @@ type graceJoin struct {
 
 	partitioned bool
 	parts       []*graceJoinPart
+	strs        *spill.StringCache // for reading the partition runs; set once partitioned
 
 	// streaming probe state
 	probe   *spill.Run
@@ -733,6 +740,7 @@ func (g *graceJoin) flushBuild() error {
 	g.charged, g.tableBytes = 0, 0
 	g.keyIx = relation.TupleIndex{}
 	g.rows = nil
+	g.strs = g.tr.NewStringCache()
 	g.tr.AddPartitions(1)
 	return nil
 }
@@ -767,7 +775,9 @@ func (g *graceJoin) next(ctx context.Context) (relation.Tuple, bool, error) {
 					return nil, false, err
 				}
 			}
-			t, err := g.probe.Next()
+			// Borrowed: cur is only ever concatenated, and only until
+			// the next probe read.
+			t, err := g.probe.Next(g.strs)
 			if err == io.EOF {
 				g.probe.Close()
 				g.probe = nil
@@ -816,7 +826,7 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 	}
 	n := 0
 	for {
-		stored, err := p.build.Next()
+		stored, err := p.build.Next(g.strs)
 		if err == io.EOF {
 			break
 		}
@@ -824,6 +834,7 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 			g.dropPart(p)
 			return err
 		}
+		stored = g.slab.Concat(stored, nil) // the index retains it
 		fp := stored.Footprint() + graceJoinOverhead
 		if err := g.tr.Charge(fp); err != nil {
 			g.slab.Close()
@@ -872,7 +883,7 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 // prepends the child pairs to the worklist.
 func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
 	keyPos := identityPos(g.nk)
-	builds, err := splitRun(ctx, g.tr, p.build, p.depth, g.every, func(t relation.Tuple) uint64 {
+	builds, err := splitRun(ctx, g.tr, g.strs, p.build, p.depth, g.every, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(keyPos)
 	})
 	p.build.Close()
@@ -880,7 +891,7 @@ func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
 		p.probe.Close()
 		return err
 	}
-	probes, err := splitRun(ctx, g.tr, p.probe, p.depth, g.every, func(t relation.Tuple) uint64 {
+	probes, err := splitRun(ctx, g.tr, g.strs, p.probe, p.depth, g.every, func(t relation.Tuple) uint64 {
 		return t.Hash64Proj(g.leftPos)
 	})
 	p.probe.Close()
@@ -923,6 +934,7 @@ func (g *graceJoin) close() {
 	g.charged, g.tableBytes = 0, 0
 	g.keyIx = relation.TupleIndex{}
 	g.rows, g.matches = nil, nil
+	g.strs.Close()
 	if g.probe != nil {
 		g.probe.Close()
 		g.probe = nil

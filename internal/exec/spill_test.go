@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"divlaws/internal/datagen"
+	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/spill"
@@ -82,6 +83,51 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 	}
 	if totalSpilled == 0 {
 		t.Fatal("no plan in the sweep ever spilled — the budgets are not forcing out-of-core execution")
+	}
+}
+
+// TestSpillReadModesUnderForcedCollisions runs the four consumers of
+// spilled runs — division states and repartitioning on borrowed
+// tuples, the join's borrowed probe and owned build side, the sort's
+// owned merge heads — on string-keyed inputs under 3-bit hashes, which
+// also squeeze the readers' string caches into colliding slots.
+// Each must still equal the unlimited oracle: a borrowed tuple that
+// leaked into retained state, or a cache slot trusted without
+// comparing bytes, would show here.
+func TestSpillReadModesUnderForcedCollisions(t *testing.T) {
+	defer hashkey.SetMaskForTesting(0x7)()
+	rng := rand.New(rand.NewSource(89))
+	r1 := plan.NewScan("r1", randWideRelation(rng, []string{"a", "b"}, 900, 3))
+	r2 := plan.NewScan("r2", randWideRelation(rng, []string{"b"}, 2, 3))
+	r2g := plan.NewScan("r2g", randWideRelation(rng, []string{"b", "c"}, 12, 3))
+	for _, c := range []equivPlan{
+		{"divide", &plan.Divide{Dividend: r1, Divisor: r2}, false},
+		{"greatdivide", &plan.GreatDivide{Dividend: r1, Divisor: r2g}, false},
+		{"join", &plan.Join{Left: r2g, Right: r1}, false},
+		{"sort", &plan.Sort{Input: r1, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}}, true},
+	} {
+		want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{MemoryLimit: -1})))
+		if len(want) == 0 {
+			t.Fatalf("%s: the fixture's result is empty", c.name)
+		}
+		for _, mode := range []BatchMode{BatchOff, BatchForce} {
+			tr := spill.NewTracker(8 << 10)
+			got := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: mode, Spill: tr})))
+			st := tr.Snapshot()
+			tr.Close()
+			if st.Spilled == 0 {
+				t.Fatalf("%s: the fixture did not spill", c.name)
+			}
+			if st.Used != 0 {
+				t.Errorf("%s: %d bytes still charged after Close", c.name, st.Used)
+			}
+			if !c.ordered {
+				got, want = []string{sortedKeys(got)}, []string{sortedKeys(append([]string(nil), want...))}
+			}
+			if !sameSeq(got, want) {
+				t.Fatalf("%s (batch %v): budgeted result diverges from unlimited under forced collisions", c.name, mode)
+			}
+		}
 	}
 }
 

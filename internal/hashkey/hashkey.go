@@ -158,7 +158,10 @@ func SetMaskForTesting(m uint64) (restore func()) {
 	return func() { testMask.Store(old) }
 }
 
-func adjust(h uint64) uint64 {
+// Adjust applies the test mask to h. Table does so on every probe;
+// any other hash-indexed structure that tests must be able to force
+// collisions in (the spill reader's string cache) calls it too.
+func Adjust(h uint64) uint64 {
 	if m := testMask.Load(); m != 0 {
 		return h & m
 	}
@@ -214,7 +217,7 @@ func (t *Table) alloc(c int) {
 // more candidates; Insert may then add a value under h. Probe and
 // Next allocate nothing.
 func (t *Table) Probe(h uint64) Probe {
-	tag := uint32(adjust(h))
+	tag := uint32(Adjust(h))
 	p := Probe{t: t, tag: tag}
 	if len(t.vals) > 0 {
 		p.i = uint64(tag) & uint64(len(t.vals)-1)

@@ -54,6 +54,10 @@ const slabValueBytes = 32
 type Slab struct {
 	Charge  func(int64) error
 	Release func(int64)
+	// MaxValues, when positive, caps chunk growth below the default
+	// 1024 values: for a slab filled while the budget is nearly full,
+	// where a large chunk would be refused for good.
+	MaxValues int
 
 	chunk   []value.Value
 	off     int
@@ -79,18 +83,18 @@ func (s *Slab) Alloc(n int) Tuple {
 // refill retires the live chunk and charges a fresh one, reporting
 // whether the budget allowed it.
 func (s *Slab) refill(n int) bool {
+	limit := slabMaxChunkValues
+	if s.MaxValues > 0 {
+		limit = s.MaxValues
+	}
 	c := s.nextCap
 	if c == 0 {
-		c = slabFirstChunkValues
+		c = min(slabFirstChunkValues, limit)
 	}
 	if n > c {
 		c = n
 	}
-	if next := 2 * c; next < slabMaxChunkValues {
-		s.nextCap = next
-	} else {
-		s.nextCap = slabMaxChunkValues
-	}
+	s.nextCap = min(2*c, limit)
 	bytes := int64(c) * slabValueBytes
 	if s.Charge != nil {
 		if s.backoff > 0 {

@@ -318,34 +318,43 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	// Stream: each tuple is scanned into natives, encoded, and
-	// written as its own line; the cursor pulls the next tuple only
-	// after this one is on the wire (modulo FlushRows buffering), so
-	// the server never holds more than a chunk of the quotient.
-	cols := len(rows.Columns())
-	vals := make([]any, cols)
-	ptrs := make([]any, cols)
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
-	var n int64
+	// Stream: each tuple is appended to buf as its own line and buf
+	// goes out every FlushRows lines (sooner if the lines are long), so
+	// the cursor pulls the next chunk only after this one is on the
+	// wire and the server never holds more than a chunk of the
+	// quotient. A row line is byte for byte what enc would write for
+	// Line{Row: natives}.
+	var (
+		n   int64
+		buf []byte
+	)
 	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
+		if buf, err = appendRowLine(buf, rows); err != nil {
+			// A value JSON cannot carry (NaN, ±Inf): send the rows before
+			// it, then end the stream with an error line like any other
+			// mid-stream failure.
 			s.errored.Add(1)
+			w.Write(buf)
 			enc.Encode(Line{Error: err.Error()})
+			if flusher != nil {
+				flusher.Flush()
+			}
 			return
 		}
-		if err := enc.Encode(Line{Row: vals}); err != nil {
-			// Client went away mid-stream; rows.Close (deferred)
-			// cancels the pipeline.
-			s.errored.Add(1)
-			return
-		}
-		n++
-		if flusher != nil && n%int64(s.cfg.FlushRows) == 0 {
-			flusher.Flush()
+		if n++; n%int64(s.cfg.FlushRows) == 0 || len(buf) >= maxRowChunk {
+			if _, err := w.Write(buf); err != nil {
+				// Client went away mid-stream; rows.Close (deferred)
+				// cancels the pipeline.
+				s.errored.Add(1)
+				return
+			}
+			buf = buf[:0]
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
+	w.Write(buf) // a failure here fails the trailer's write too
 	s.rowsSent.Add(n)
 	if err := rows.Err(); err != nil {
 		// Mid-stream failure (deadline expiry, pipeline error, budget
@@ -377,6 +386,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 	s.completed.Add(1)
+}
+
+// maxRowChunk bounds the bytes of row lines buffered between writes.
+const maxRowChunk = 32 << 10
+
+// appendRowLine appends the row line of the cursor's current tuple.
+func appendRowLine(buf []byte, rows *divlaws.Rows) ([]byte, error) {
+	out, err := rows.AppendJSON(append(buf, `{"row":`...))
+	if err != nil {
+		return buf, err
+	}
+	return append(out, '}', '\n'), nil
 }
 
 // parseRequest extracts a Request from either verb: a JSON body on

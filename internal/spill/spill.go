@@ -10,12 +10,42 @@
 //
 // Runs are the temp files themselves: framed sequences of tuples in
 // the engine's injective key encoding (value.AppendKey /
-// value.DecodeKey), written once and read back one or more times. All
-// runs live under a single lazily-created os.MkdirTemp directory that
+// value.DecodeKey), written once and read back one or more times:
+//
+//	frame   = uvarint(len(payload)) payload
+//	payload = uvarint(arity) value.AppendKey(v0) ... value.AppendKey(vn-1)
+//
+// The length prefix lets the reader slurp a whole frame before
+// decoding, so a torn write surfaces as a framing error rather than a
+// misparse; a length longer than the run, or an arity larger than the
+// payload has bytes, is refused before it sizes anything. All runs
+// live under a single lazily-created os.MkdirTemp directory that
 // Tracker.Close removes, so a query tears down to an empty temp
 // namespace on every exit path. I/O failures — including
-// test-injected ones via FailWriteAfter/FailReadAfter — surface as
-// errors wrapping ErrIO, never as hangs or partial results.
+// test-injected ones via FailWriteAfter/FailReadAfter — and corrupt
+// frames surface as errors wrapping ErrIO, never as hangs, panics or
+// partial results.
+//
+// Neither edge of a run costs a heap object per tuple. Append encodes
+// into the run's reusable buffer and issues one Write. Run.Next
+// returns the tuple borrowed — the run's own scratch slice, valid until
+// the next Next on that run — which is all a consumer needs that
+// copies what it keeps (the division states, repartitioning, the join
+// probe, a sort-merge head while it waits). A consumer that retains
+// the slice (the join build side, the merge when it emits) makes it
+// owned by copying it into its relation.Slab, whose append-only
+// GC-owned chunks keep it intact for as long as anyone holds it,
+// across later reads, Rewind and Close. Either way every string is an
+// ordinary, individually GC-owned Go string, so a retained value.Value
+// never pins a buffer; repeats are served from the reading operator's
+// StringCache, compared by bytes, so a hit allocates nothing.
+//
+// Charged to the tracker: the cache's slot array and the bytes of the
+// strings it pins — sized from the budget and halved until the budget
+// takes it, so a tight or full budget means a small cache or none,
+// never an error — and, by the consumer, its slab's live chunk. Not
+// charged: each open run's 32 KiB bufio buffer, its frame buffer (one
+// frame long) and its one-tuple scratch.
 package spill
 
 import (
@@ -25,9 +55,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"divlaws/internal/hashkey"
 	"divlaws/internal/relation"
 	"divlaws/internal/value"
 )
@@ -38,6 +70,17 @@ import (
 // propagate it, and the root API surfaces it as
 // divlaws.ErrMemoryBudget.
 var ErrBudget = errors.New("memory budget exceeded")
+
+// budgetError is Charge's refusal. Refusals are routine — every probe
+// of a full budget makes one — so the message is formatted only when
+// somebody reads it.
+type budgetError struct{ limit, used, requested int64 }
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("%v (limit %d bytes, %d in use, %d requested)", ErrBudget, e.limit, e.used, e.requested)
+}
+
+func (e *budgetError) Unwrap() error { return ErrBudget }
 
 // ErrIO wraps every spill-file I/O failure (create, write, read,
 // seek), including injected ones, so callers can classify disk
@@ -114,7 +157,7 @@ func (t *Tracker) Charge(n int64) error {
 	for {
 		used := t.used.Load()
 		if used+n > t.limit {
-			return fmt.Errorf("%w (limit %d bytes, %d in use, %d requested)", ErrBudget, t.limit, used, n)
+			return &budgetError{limit: t.limit, used: used, requested: n}
 		}
 		if t.used.CompareAndSwap(used, used+n) {
 			for {
@@ -251,19 +294,25 @@ func (t *Tracker) runDir() (string, error) {
 // resident footprint modest even with many runs open.
 const runBufSize = 32 << 10
 
+// maxFrame caps one tuple's frame: Append refuses to write a longer
+// one and the reader refuses to believe one.
+const maxFrame = 1 << 30
+
 // A Run is one spill file: a write-once, read-back sequence of tuples
 // in the injective key encoding. Typical life cycle: NewRun, Append
 // until done, Rewind, Next until io.EOF, Close (which deletes the
 // file). Rewind may be called again to re-read from the top. A Run is
 // not safe for concurrent use.
 type Run struct {
-	t      *Tracker
-	f      *os.File
-	w      *bufio.Writer
-	r      *bufio.Reader
-	buf    []byte
-	tuples int64
-	closed bool
+	t       *Tracker
+	f       *os.File
+	w       *bufio.Writer
+	r       *bufio.Reader
+	buf     []byte
+	scratch relation.Tuple // the borrowed tuple Next returns
+	size    int64          // bytes appended
+	tuples  int64
+	closed  bool
 }
 
 // NewRun creates a fresh spill file in the tracker's directory. It
@@ -285,14 +334,9 @@ func (t *Tracker) NewRun() (*Run, error) {
 	return &Run{t: t, f: f, w: bufio.NewWriterSize(f, runBufSize)}, nil
 }
 
-// Append writes one tuple frame:
-//
-//	uvarint(len(payload)) payload
-//	payload = uvarint(arity) value.AppendKey(v0) ... value.AppendKey(vn-1)
-//
-// The length prefix lets the reader slurp a whole frame before
-// decoding, so a torn write surfaces as a framing error rather than a
-// misparse.
+// Append writes one tuple frame (see the package comment). The payload
+// is encoded behind a reserved header into which the length prefix is
+// then written right-aligned, so the frame leaves in one Write.
 func (r *Run) Append(t relation.Tuple) error {
 	if r.closed || r.w == nil {
 		return fmt.Errorf("%w: append to closed or read-mode run", ErrIO)
@@ -300,17 +344,23 @@ func (r *Run) Append(t relation.Tuple) error {
 	if countdown(&r.t.failWrite) {
 		return fmt.Errorf("%w: injected write failure", ErrIO)
 	}
-	r.buf = binary.AppendUvarint(r.buf[:0], uint64(len(t)))
-	r.buf = t.AppendKey(r.buf)
-	var lenPrefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenPrefix[:], uint64(len(r.buf)))
-	if _, err := r.w.Write(lenPrefix[:n]); err != nil {
+	const hdr = binary.MaxVarintLen64
+	b := append(r.buf[:0], make([]byte, hdr)...)
+	b = binary.AppendUvarint(b, uint64(len(t)))
+	b = t.AppendKey(b)
+	r.buf = b
+	var prefix [hdr]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(b)-hdr))
+	frame := b[hdr-n:]
+	copy(frame, prefix[:n])
+	if len(frame) > maxFrame {
+		return fmt.Errorf("%w: %d-byte tuple is too large to spill", ErrIO, len(frame))
+	}
+	if _, err := r.w.Write(frame); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrIO, err)
 	}
-	if _, err := r.w.Write(r.buf); err != nil {
-		return fmt.Errorf("%w: write: %v", ErrIO, err)
-	}
-	r.t.spilled.Add(int64(n + len(r.buf)))
+	r.t.spilled.Add(int64(len(frame)))
+	r.size += int64(len(frame))
 	r.tuples++
 	return nil
 }
@@ -341,9 +391,81 @@ func (r *Run) Rewind() error {
 	return nil
 }
 
-// Next decodes and returns the next tuple, io.EOF after the last one,
-// or an error wrapping ErrIO on read or decode failure.
-func (r *Run) Next() (relation.Tuple, error) {
+// cacheMaxSlots caps the string cache, whose slot array (16-byte string
+// headers) otherwise takes 1/32 of the budget: 2048 slots hold a
+// partition's distinct keys on the benchmark's data.
+const cacheMaxSlots = 2048
+
+// A StringCache is a direct-mapped cache of recently decoded strings,
+// owned by one reading operator and shared by the runs it reads, so
+// that a repeated string costs a comparison, not an allocation. It is
+// not safe for concurrent use. See the package comment for what is
+// charged.
+type StringCache struct {
+	tr      *Tracker
+	slots   []string // a power of two long; nil until the first string
+	charged int64
+}
+
+// NewStringCache returns an empty cache charging t.
+func (t *Tracker) NewStringCache() *StringCache { return &StringCache{tr: t} }
+
+// Close returns the cache's charge; strings it handed out stay valid.
+// Nil-safe and idempotent.
+func (c *StringCache) Close() {
+	if c != nil {
+		c.tr.Release(c.charged)
+		c.charged, c.slots = 0, []string{}
+	}
+}
+
+// grow builds the slot array when the first string is decoded — runs
+// of numbers never pay for one — halving it until the budget takes it.
+// A refusing budget gets no slots.
+func (c *StringCache) grow() []string {
+	n := int64(cacheMaxSlots)
+	for n*16 > c.tr.limit/32 {
+		n /= 2
+	}
+	for ; n > 0; n /= 2 {
+		if c.tr.Charge(n*16) == nil {
+			c.charged += n * 16
+			return make([]string, n)
+		}
+	}
+	return []string{}
+}
+
+// intern returns string(b), the cached one when the slot b hashes to
+// holds an equal string. A miss replaces the slot's string and settles
+// the difference in pinned bytes (Charge and Release each ignore a
+// non-positive amount, so one of them acts); if the budget refuses,
+// the string is returned uncached.
+func (c *StringCache) intern(b []byte) string {
+	if c.slots == nil {
+		c.slots = c.grow()
+	}
+	if len(c.slots) == 0 {
+		return string(b)
+	}
+	slot := &c.slots[hashkey.Adjust(hashkey.Sum64(b))&uint64(len(c.slots)-1)]
+	if *slot != string(b) {
+		grow := int64(len(b) - len(*slot))
+		if c.tr.Charge(grow) != nil {
+			return string(b)
+		}
+		c.tr.Release(-grow)
+		c.charged += grow
+		*slot = string(b)
+	}
+	return *slot
+}
+
+// Next decodes the next tuple into the run's scratch and returns it
+// borrowed: valid until the next Next on this run. Strings come from
+// c. It returns io.EOF after the last tuple, or an error wrapping
+// ErrIO on a read failure or a corrupt frame.
+func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
 	if r.closed || r.r == nil {
 		return nil, fmt.Errorf("%w: read on closed or write-mode run", ErrIO)
 	}
@@ -357,31 +479,29 @@ func (r *Run) Next() (relation.Tuple, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: read frame length: %v", ErrIO, err)
 	}
-	if cap(r.buf) < int(frameLen) {
-		r.buf = make([]byte, frameLen)
+	if frameLen > maxFrame || frameLen > uint64(r.size) {
+		return nil, fmt.Errorf("%w: frame length %d in a run of %d bytes", ErrIO, frameLen, r.size)
 	}
-	r.buf = r.buf[:frameLen]
+	r.buf = slices.Grow(r.buf[:0], int(frameLen))[:frameLen]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
 		return nil, fmt.Errorf("%w: read frame: %v", ErrIO, err)
 	}
 	arity, used := binary.Uvarint(r.buf)
-	if used <= 0 {
+	// Every value is at least its kind byte.
+	if used <= 0 || arity > uint64(len(r.buf)-used) {
 		return nil, fmt.Errorf("%w: bad frame arity", ErrIO)
 	}
-	rest := r.buf[used:]
-	t := make(relation.Tuple, arity)
-	for i := range t {
-		var v value.Value
-		v, rest, err = value.DecodeKey(rest)
-		if err != nil {
+	rest, intern := r.buf[used:], c.intern
+	r.scratch = slices.Grow(r.scratch[:0], int(arity))[:arity]
+	for i := range r.scratch {
+		if r.scratch[i], rest, err = value.DecodeKey(rest, intern); err != nil {
 			return nil, fmt.Errorf("%w: decode tuple: %v", ErrIO, err)
 		}
-		t[i] = v
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes in frame", ErrIO, len(rest))
 	}
-	return t, nil
+	return r.scratch, nil
 }
 
 // Close closes and deletes the run's file. Idempotent.

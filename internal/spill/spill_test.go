@@ -83,12 +83,14 @@ func TestRunRoundTrip(t *testing.T) {
 		t.Fatalf("run len = %d, want %d", run.Len(), len(want))
 	}
 	// Two full read passes: Rewind must be repeatable.
-	for pass := 0; pass < 2; pass++ {
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	for pass, next := range []func(*StringCache) (relation.Tuple, error){run.Next, run.Next} {
 		if err := run.Rewind(); err != nil {
 			t.Fatalf("rewind pass %d: %v", pass, err)
 		}
 		for i, w := range want {
-			got, err := run.Next()
+			got, err := next(strs)
 			if err != nil {
 				t.Fatalf("pass %d next %d: %v", pass, i, err)
 			}
@@ -96,7 +98,7 @@ func TestRunRoundTrip(t *testing.T) {
 				t.Fatalf("pass %d tuple %d = %v, want %v", pass, i, got, w)
 			}
 		}
-		if _, err := run.Next(); err != io.EOF {
+		if _, err := next(strs); err != io.EOF {
 			t.Fatalf("pass %d: trailing Next = %v, want io.EOF", pass, err)
 		}
 	}
@@ -167,10 +169,12 @@ func TestFaultInjection(t *testing.T) {
 	if err := run.Rewind(); err != nil {
 		t.Fatalf("rewind: %v", err)
 	}
-	if _, err := run.Next(); !errors.Is(err, ErrIO) {
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	if _, err := run.Next(strs); !errors.Is(err, ErrIO) {
 		t.Fatalf("read: got %v, want ErrIO", err)
 	}
-	if _, err := run.Next(); err != nil {
+	if _, err := run.Next(strs); err != nil {
 		t.Fatalf("read after disarm: %v", err)
 	}
 }
@@ -191,7 +195,7 @@ func TestAppendAfterCloseAndRewindErrors(t *testing.T) {
 	if err := run.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := run.Next(); !errors.Is(err, ErrIO) {
+	if _, err := run.Next(tr.NewStringCache()); !errors.Is(err, ErrIO) {
 		t.Fatalf("next after close: got %v, want ErrIO", err)
 	}
 	if err := run.Close(); err != nil {

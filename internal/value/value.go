@@ -8,10 +8,12 @@
 package value
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"divlaws/internal/hashkey"
 )
@@ -329,9 +331,12 @@ func HashEncodedKey(h uint64, key string) uint64 {
 // exact inverse of AppendKey (modulo NaN canonicalization, which
 // AppendKey already applied), which lets spilled tuples round-trip
 // through temp files using the same injective encoding that keys the
-// engine's hash maps. A truncated or unknown-kind prefix returns an
-// error rather than a partial value.
-func DecodeKey(b []byte) (Value, []byte, error) {
+// engine's hash maps. A string payload is materialized by str, which
+// must return a string equal to its argument and not retain the bytes
+// — the spill reader's hook for reusing recently decoded strings. A
+// truncated or unknown-kind prefix returns an error rather than a
+// partial value.
+func DecodeKey(b []byte, str func([]byte) string) (Value, []byte, error) {
 	if len(b) == 0 {
 		return Value{}, b, fmt.Errorf("value: DecodeKey on empty input")
 	}
@@ -363,7 +368,7 @@ func DecodeKey(b []byte) (Value, []byte, error) {
 		if uint64(len(b)) < n {
 			return Value{}, b, fmt.Errorf("value: DecodeKey: truncated string payload (want %d bytes, have %d)", n, len(b))
 		}
-		return String(string(b[:n])), b[n:], nil
+		return String(str(b[:n])), b[n:], nil
 	default:
 		return Value{}, b, fmt.Errorf("value: DecodeKey: unknown kind %d", uint8(kind))
 	}
@@ -427,6 +432,59 @@ func (v Value) Native() any {
 	default:
 		return nil
 	}
+}
+
+// AppendJSON appends v as JSON, byte for byte what encoding/json
+// writes for Native() (floats in 'f' form except below 1e-6 or from
+// 1e21 up), without boxing it. NaN and the infinities have no JSON
+// form and are an error.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
+	switch v.kind {
+	case KindBool:
+		return strconv.AppendBool(dst, v.i != 0), nil
+	case KindInt:
+		return strconv.AppendInt(dst, v.i, 10), nil
+	case KindFloat:
+		abs := math.Abs(v.f)
+		if math.IsNaN(abs) || math.IsInf(abs, 1) {
+			return dst, fmt.Errorf("unsupported JSON value %s", v)
+		}
+		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			dst = strconv.AppendFloat(dst, v.f, 'e', -1, 64)
+			// e-09 to e-9, as encoding/json cleans it up
+			if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+				dst = append(dst[:n-2], dst[n-1])
+			}
+			return dst, nil
+		}
+		return strconv.AppendFloat(dst, v.f, 'f', -1, 64), nil
+	case KindString:
+		return appendJSONString(dst, v.s), nil
+	default:
+		return append(dst, "null"...), nil
+	}
+}
+
+// appendJSONString appends s as encoding/json quotes it. Valid UTF-8
+// with nothing to escape — the usual string — is copied between
+// quotes; anything else is left to encoding/json itself.
+func appendJSONString(dst []byte, s string) []byte {
+	clean := utf8.ValidString(s)
+	for i := 0; clean && i < len(s); i++ {
+		switch s[i] {
+		case '"', '\\', '<', '>', '&':
+			clean = false
+		case 0xe2: // U+2028 and U+2029 are escaped too
+			clean = !strings.HasPrefix(s[i:], "\u2028") && !strings.HasPrefix(s[i:], "\u2029")
+		default:
+			clean = s[i] >= ' '
+		}
+	}
+	if !clean {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(dst, q...)
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // GoString renders the value as a Go expression, for test diagnostics.

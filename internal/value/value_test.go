@@ -4,6 +4,7 @@ import (
 	"divlaws/internal/hashkey"
 
 	"bytes"
+	"encoding/json"
 	"math"
 	"sort"
 	"testing"
@@ -307,6 +308,39 @@ func TestHashEncodedKeyMatchesHashKey(t *testing.T) {
 	for n := 0; n <= len(full); n++ {
 		if HashEncodedKey(hashkey.New(), full[:n]) != HashEncodedKey(hashkey.New(), full[:n]) {
 			t.Errorf("truncated key of length %d hashes nondeterministically", n)
+		}
+	}
+}
+
+// jsonGolden is every value kind at the edges where a hand-written
+// JSON encoder and encoding/json could part ways.
+func jsonGolden() []Value {
+	return []Value{
+		Null, Bool(true), Bool(false),
+		Int(0), Int(-1), Int(math.MinInt64), Int(math.MaxInt64),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Float(-3), Float(1e15), Float(123456789.125),
+		Float(1e20), Float(1e21), Float(-1e21), Float(1.5e300), Float(math.MaxFloat64),
+		Float(1e-6), Float(1e-7), Float(-1e-7), Float(9.999999e-7), Float(1.5e-10), Float(5e-324), Float(0.1),
+		String(""), String("blue"), String(`say "hi"`), String(`back\slash`), String("tab\there\nnewline\r\b\f"),
+		String("\x00\x01\x1f\x7f"), String("<script>&amp;</script>"), String("line\u2028sep\u2029"),
+		String("café 日本 \U0001F600"), String("bad\xff\xfeutf8\xc3"), String("\xe2\x80"), String("\xed\xa0\x80"),
+	}
+}
+
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	for _, v := range jsonGolden() {
+		want, err := json.Marshal(v.Native())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := v.AppendJSON([]byte("x"))
+		if err != nil || string(got) != "x"+string(want) {
+			t.Errorf("%#v: AppendJSON = (%q, %v), encoding/json writes %q", v, got, err, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if got, err := Float(f).AppendJSON([]byte("x")); err == nil || string(got) != "x" {
+			t.Errorf("Float(%v): AppendJSON = (%q, %v), want dst unchanged and an error", f, got, err)
 		}
 	}
 }

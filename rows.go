@@ -111,6 +111,33 @@ func (r *Rows) Scan(dest ...any) error {
 	return nil
 }
 
+// AppendJSON appends the current tuple to dst as a JSON array, byte
+// for byte what encoding/json writes for the row scanned into []any,
+// without boxing a value. It is Scan for callers that serialise rows
+// (the query server's ndjson stream) and fails like Scan without a
+// preceding successful Next or after Close; a NaN or infinite float,
+// which JSON cannot carry, is an error too. On error dst is returned
+// unchanged.
+func (r *Rows) AppendJSON(dst []byte) ([]byte, error) {
+	if r.closed {
+		return dst, fmt.Errorf("divlaws: AppendJSON after Close")
+	}
+	if r.cur == nil {
+		return dst, fmt.Errorf("divlaws: AppendJSON called without a successful Next")
+	}
+	out := append(dst, '[')
+	for i, v := range r.cur {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var err error
+		if out, err = v.AppendJSON(out); err != nil {
+			return dst, fmt.Errorf("divlaws: AppendJSON column %q: %w", r.cols[i], err)
+		}
+	}
+	return append(out, ']'), nil
+}
+
 // scanValue converts one engine value into a Go destination pointer.
 func scanValue(v value.Value, dest any) error {
 	switch d := dest.(type) {
