@@ -26,7 +26,6 @@ import (
 	"divlaws/internal/optimizer"
 	"divlaws/internal/parallel"
 	"divlaws/internal/plan"
-	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/scenarios"
 	"divlaws/internal/schema"
@@ -807,86 +806,5 @@ func BenchmarkStmtQueryBind(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkBatchVsTuple pairs the tuple-at-a-time Volcano path with
-// the vectorized batch path per operator class: the streaming trio
-// (scan, filter, project) where the per-Next interface overhead
-// dominates, the blocking hash-division drains, the parallel
-// exchange, ordered operators, and — since PR 7 — the probe-side
-// operators (hash join, semijoin, set ops, product, theta join,
-// merge division), whose probe phases stream whole input batches
-// through batched hash-table lookups instead of per-tuple Next.
-func BenchmarkBatchVsTuple(b *testing.B) {
-	r1, r2 := datagen.DividePair{
-		Groups: 2000, GroupSize: 4, DivisorSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: 11,
-	}.Generate()
-	g1, g2 := datagen.GreatDividePair{
-		Groups: 2000, GroupSize: 4, DivisorGroups: 4, DivisorGroupSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: 11,
-	}.Generate()
-	r1s := plan.NewScan("r1", r1)
-	r2s := plan.NewScan("r2", r2)
-	u1, _ := datagen.DividePair{
-		Groups: 2000, GroupSize: 4, DivisorSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: 13,
-	}.Generate()
-	// Join build side: (b, c) covering half the b domain, so the
-	// probe phase mixes hits and misses.
-	jr := relation.New(schema.New("b", "c"))
-	for i := 0; i < 20; i++ {
-		jr.Insert(relation.Tuple{value.Int(int64(i)), value.Int(int64(i % 3))})
-	}
-	jrs := plan.NewScan("jr", jr)
-	// Product right side: small and schema-disjoint from r1.
-	pr := relation.New(schema.New("d"))
-	for i := 0; i < 2; i++ {
-		pr.Insert(relation.Tuple{value.Int(int64(i))})
-	}
-	classes := []struct {
-		name string
-		node plan.Node
-	}{
-		{"scan", r1s},
-		{"filter", &plan.Select{Input: r1s, Pred: pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(1000))}},
-		{"project", &plan.Project{Input: r1s, Attrs: []string{"b"}}},
-		{"pipeline", &plan.Limit{
-			Input: &plan.Project{
-				Input: &plan.Select{Input: r1s, Pred: pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(100))},
-				Attrs: []string{"a"},
-			},
-			N: 500,
-		}},
-		{"hash-divide", &plan.Divide{Dividend: r1s, Divisor: r2s}},
-		{"merge-divide", &plan.Divide{Dividend: r1s, Divisor: r2s, Algo: division.AlgoMergeSort}},
-		{"great-divide", &plan.GreatDivide{Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2)}},
-		{"parallel-divide", &plan.ParallelDivide{Dividend: r1s, Divisor: r2s, Workers: 4}},
-		{"topk", &plan.TopK{Input: r1s, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}, K: 100}},
-		{"union", plan.Union(r1s, plan.NewScan("u1", u1))},
-		{"intersect", plan.Intersect(r1s, plan.NewScan("u1", u1))},
-		{"hash-join", &plan.Join{Left: r1s, Right: jrs}},
-		{"semijoin", &plan.SemiJoin{Left: r1s, Right: jrs}},
-		{"product", &plan.Product{Left: r1s, Right: plan.NewScan("pr", pr)}},
-	}
-	for _, c := range classes {
-		for _, mode := range []struct {
-			name  string
-			batch exec.BatchMode
-		}{
-			{"tuple", exec.BatchOff},
-			{"batch", exec.BatchForce},
-		} {
-			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					it := exec.CompileWith(c.node, nil, exec.CompileOptions{Batch: mode.batch})
-					if _, err := exec.Drain(context.Background(), it); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

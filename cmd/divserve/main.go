@@ -55,9 +55,8 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallelize large divisions across this many goroutines per query (divlaws.WithWorkers)")
 		threshold = flag.Float64("parallel-threshold", optimizer.DefaultParallelThreshold,
 			"minimum estimated dividend rows before a division is parallelized")
-		batchSize = flag.Int("batch-size", 0, "vectorized batch capacity in tuples; 0 = engine default (divlaws.WithBatchSize)")
+		batchSize = flag.Int("batch-size", 0, "operator batch capacity in tuples; 0 = engine default (divlaws.WithBatchSize)")
 		exchange  = flag.Int("exchange-buffer", 0, "parallel exchange channel capacity in batches; 0 = engine default (divlaws.WithExchangeBuffer)")
-		noBatch   = flag.Bool("no-batch", false, "disable the vectorized batch path (divlaws.WithoutBatching)")
 		memLimit  = flag.Int64("memory-limit", 0, "per-query memory budget in bytes; blocking operators spill to temp files past it, 0 = unlimited (divlaws.WithMemoryLimit)")
 
 		// Admission / memory limits: at most max-inflight pipelines
@@ -97,9 +96,6 @@ func main() {
 	}
 	if *exchange > 0 {
 		opts = append(opts, divlaws.WithExchangeBuffer(*exchange))
-	}
-	if *noBatch {
-		opts = append(opts, divlaws.WithoutBatching())
 	}
 	if *memLimit > 0 {
 		opts = append(opts, divlaws.WithMemoryLimit(*memLimit))

@@ -23,11 +23,9 @@ import (
 	"time"
 
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
 	"divlaws/internal/exec"
 	"divlaws/internal/optimizer"
 	"divlaws/internal/plan"
-	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/scenarios"
 	"divlaws/internal/schema"
@@ -70,7 +68,6 @@ func main() {
 		reps     = flag.Int("reps", 3, "repetitions (minimum time, mean allocs)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		workers  = flag.Int("workers", 1, "parallelize divisions in both plan sides across this many goroutines")
-		execSw   = flag.Bool("exec", true, "append the paired tuple-vs-batch sweep over the streaming engine's operator classes")
 		spillSw  = flag.Bool("spill", true, "append the in-memory vs out-of-core sweep over the blocking operator classes")
 		memLimit = flag.Int64("memory-limit", 64<<10, "memory budget in bytes for the spill sweep's out-of-core side")
 		jsonDest = flag.String("json", "", `emit machine-readable results to this file ("-" for stdout) instead of the table`)
@@ -121,31 +118,6 @@ func main() {
 			fmt.Printf("%-12s %12v %12v %7.2fx  %d\n",
 				s.Name, lhsM.best.Round(time.Microsecond), rhsM.best.Round(time.Microsecond),
 				speedup, lhsM.rows)
-		}
-	}
-
-	if *execSw && *law == "" {
-		if *jsonDest == "" {
-			fmt.Printf("\n%-20s %12s %12s %8s  %s\n", "operator class", "tuple", "batch", "speedup", "result-rows")
-		}
-		for _, c := range execClasses(*scale, *seed, *workers) {
-			tup, bat := measureExecPair(c.node, *reps)
-			if tup.rows != bat.rows {
-				fmt.Fprintf(os.Stderr, "%s: BATCH PATH CHANGED RESULT (%d vs %d rows)\n", c.name, tup.rows, bat.rows)
-				os.Exit(1)
-			}
-			speedup := float64(tup.best) / float64(bat.best)
-			rep.Results = append(rep.Results,
-				result{Scenario: c.name, Side: "tuple", Scale: *scale, Workers: *workers,
-					NsPerOp: tup.best.Nanoseconds(), AllocsPerOp: tup.allocs, BytesPerOp: tup.bytes, Rows: tup.rows},
-				result{Scenario: c.name, Side: "batch", Scale: *scale, Workers: *workers,
-					NsPerOp: bat.best.Nanoseconds(), AllocsPerOp: bat.allocs, BytesPerOp: bat.bytes, Rows: bat.rows,
-					Speedup: speedup})
-			if *jsonDest == "" {
-				fmt.Printf("%-20s %12v %12v %7.2fx  %d\n",
-					c.name, tup.best.Round(time.Microsecond), bat.best.Round(time.Microsecond),
-					speedup, tup.rows)
-			}
 		}
 	}
 
@@ -236,71 +208,17 @@ func measure(n plan.Node, reps int) measurement {
 	return m
 }
 
-// measureExecPair is measure over the streaming engine, run as a
-// paired comparison: each rep times one tuple-path round and one
-// batch-path round back to back, so slow machine drift hits both
-// sides equally instead of biasing whichever ran last. A single
-// drain is microseconds — below single-shot timer resolution on a
-// noisy host — so each round runs enough inner drains to fill a few
-// milliseconds and reports per-drain amortized figures; unmeasured
-// warmup drains size that inner loop and absorb first-run effects
-// (cold caches, pool population).
-func measureExecPair(n plan.Node, reps int) (tup, bat measurement) {
-	offOpts := exec.CompileOptions{Batch: exec.BatchOff}
-	onOpts := exec.CompileOptions{Batch: exec.BatchForce}
-	drain := func(opts exec.CompileOptions) int64 {
-		rows, err := exec.Drain(context.Background(), exec.CompileWith(n, nil, opts))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return rows
-	}
-	start := time.Now()
-	drain(offOpts)
-	drain(onOpts)
-	warm := time.Since(start) / 2
-	iters := int(5 * time.Millisecond / (warm + 1))
-	if iters < 1 {
-		iters = 1
-	}
-	round := func(opts exec.CompileOptions, m *measurement) {
-		var rows int64
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
-		start := time.Now()
-		for j := 0; j < iters; j++ {
-			rows = drain(opts)
-		}
-		d := time.Since(start) / time.Duration(iters)
-		runtime.ReadMemStats(&ms1)
-		if d < m.best {
-			m.best = d
-		}
-		m.allocs += int64(ms1.Mallocs-ms0.Mallocs) / int64(iters)
-		m.bytes += int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters)
-		m.rows = int(rows)
-	}
-	tup = measurement{best: time.Duration(1<<62 - 1)}
-	bat = measurement{best: time.Duration(1<<62 - 1)}
-	for i := 0; i < reps; i++ {
-		round(offOpts, &tup)
-		round(onOpts, &bat)
-	}
-	tup.allocs /= int64(reps)
-	tup.bytes /= int64(reps)
-	bat.allocs /= int64(reps)
-	bat.bytes /= int64(reps)
-	return tup, bat
-}
-
 // measureSpillPair times one blocking-operator plan with an unlimited
 // budget against the same plan under budget bytes, paired per rep so
-// machine drift hits both sides equally. A final instrumented drain
-// reports how many bytes the budgeted side spilled; zero means the
-// budget never forced the operator out of core and the pair is not
-// measuring what it claims, so that is reported for the caller's
-// sanity check rather than silently dropped.
+// machine drift hits both sides equally. A single drain can be below
+// single-shot timer resolution on a noisy host, so each round runs
+// enough inner drains to fill a few milliseconds and reports per-drain
+// amortized figures; unmeasured warmup drains size that inner loop and
+// absorb first-run effects (cold caches, pool population). A final
+// instrumented drain reports how many bytes the budgeted side spilled;
+// zero means the budget never forced the operator out of core and the
+// pair is not measuring what it claims, so that is reported for the
+// caller's sanity check rather than silently dropped.
 func measureSpillPair(name string, n plan.Node, reps int, budget int64) (mem, spl measurement, spilled int64) {
 	memOpts := exec.CompileOptions{MemoryLimit: -1}
 	splOpts := exec.CompileOptions{MemoryLimit: budget}
@@ -420,116 +338,4 @@ func rejectedProbe(scale int, seed int64) string {
 		os.Exit(1)
 	}
 	return err.Error()
-}
-
-// execClasses builds one paired workload per streaming operator
-// class: the vectorized trio (scan, filter, project), the blocking
-// hash-division drains, the parallel exchange, top-k, and the
-// probe-side operators batched in PR 7 — joins, semijoins, set
-// operations, products, and the merge-sort division, whose probe
-// phases stream whole batches through batched hash-table lookups.
-func execClasses(scale int, seed int64, workers int) []struct {
-	name string
-	node plan.Node
-} {
-	groups := scale / 5
-	if groups < 10 {
-		groups = 10
-	}
-	r1, r2 := datagen.DividePair{
-		Groups: groups, GroupSize: 4, DivisorSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: seed,
-	}.Generate()
-	// String-keyed twin of (r1, r2): identical relational structure,
-	// every key a decorated identifier string — the workload class the
-	// wide-hash kernel targets.
-	s1, s2 := datagen.DividePair{
-		Groups: groups, GroupSize: 4, DivisorSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: seed, Strings: true,
-	}.Generate()
-	g1, g2 := datagen.GreatDividePair{
-		Groups: groups, GroupSize: 4, DivisorGroups: 4, DivisorGroupSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: seed,
-	}.Generate()
-	if workers < 1 {
-		workers = 1
-	}
-	pworkers := workers
-	if pworkers < 2 {
-		pworkers = 4
-	}
-	r1s := plan.NewScan("r1", r1)
-	r2s := plan.NewScan("r2", r2)
-	// Join build side: (b, c) keyed on one in-domain and one
-	// out-of-domain b value, so the probe drain dominates — mostly
-	// misses against a tiny cache-hot table, with enough matches to
-	// keep the emit path hot without the output's allocation noise
-	// swamping the probe timing.
-	jr := relation.New(schema.New("b", "c"))
-	for _, b := range []int64{0, 40} {
-		jr.Insert(relation.Tuple{value.Int(b), value.Int(b % 3)})
-	}
-	jrs := plan.NewScan("jr", jr)
-	// String-keyed join build side, mirroring jr over s1's key domain
-	// (rendered by datagen so the keys actually match s1's).
-	js := relation.New(schema.New("b", "c"))
-	for _, b := range []int64{0, 40} {
-		js.Insert(relation.Tuple{datagen.DividePair{Strings: true}.BValue(b), value.Int(b % 3)})
-	}
-	jss := plan.NewScan("js", js)
-	// Emit-heavy join build side: every in-domain b value matches 8
-	// build rows, so each probe row concatenates 8 outputs and the
-	// drain is dominated by Tuple.Concat emission, not probing.
-	je := relation.New(schema.New("b", "c"))
-	for b := int64(0); b < 40; b++ {
-		for c := int64(0); c < 8; c++ {
-			je.Insert(relation.Tuple{value.Int(b), value.Int(c)})
-		}
-	}
-	jes := plan.NewScan("je", je)
-	// Intersect build side: a small same-schema relation, so the
-	// class measures the probe drain over r1 rather than the
-	// identical-in-both-paths build of a large right input.
-	i1, _ := datagen.DividePair{
-		Groups: groups/50 + 1, GroupSize: 4, DivisorSize: 4,
-		Domain: 40, HitRate: 0.9, Seed: seed,
-	}.Generate()
-	i1s := plan.NewScan("i1", i1)
-	// Union overlap side: 95% of r1's own rows, so the second input
-	// mostly dedups away and the class times the probe drain on top of
-	// the left input's unavoidable insert phase.
-	d1 := relation.New(r1.Schema())
-	for i, t := range r1.Tuples() {
-		if i%20 != 0 {
-			d1.Insert(t)
-		}
-	}
-	d1s := plan.NewScan("d1", d1)
-	// Product right side: tiny and schema-disjoint from r1.
-	pr := relation.New(schema.New("d"))
-	for i := 0; i < 2; i++ {
-		pr.Insert(relation.Tuple{value.Int(int64(i))})
-	}
-	return []struct {
-		name string
-		node plan.Node
-	}{
-		{"exec scan", r1s},
-		{"exec filter", &plan.Select{Input: r1s, Pred: pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(int64(groups/2)))}},
-		{"exec project", &plan.Project{Input: r1s, Attrs: []string{"b"}}},
-		{"exec hash-divide", &plan.Divide{Dividend: r1s, Divisor: r2s}},
-		{"exec merge-divide", &plan.Divide{Dividend: r1s, Divisor: r2s, Algo: division.AlgoMergeSort}},
-		{"exec great-divide", &plan.GreatDivide{Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2)}},
-		{"exec parallel-divide", &plan.ParallelDivide{Dividend: r1s, Divisor: r2s, Workers: pworkers}},
-		{"exec topk", &plan.TopK{Input: r1s, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}, K: 100}},
-		{"exec union", plan.Union(r1s, d1s)},
-		{"exec intersect", plan.Intersect(r1s, i1s)},
-		{"exec diff", plan.Diff(r1s, i1s)},
-		{"exec hash-join", &plan.Join{Left: r1s, Right: jrs}},
-		{"exec semijoin", &plan.SemiJoin{Left: r1s, Right: r2s}},
-		{"exec product", &plan.Product{Left: r1s, Right: plan.NewScan("pr", pr)}},
-		{"exec hash-divide-str", &plan.Divide{Dividend: plan.NewScan("s1", s1), Divisor: plan.NewScan("s2", s2)}},
-		{"exec hash-join-str", &plan.Join{Left: plan.NewScan("s1", s1), Right: jss}},
-		{"exec join-emit", &plan.Join{Left: r1s, Right: jes}},
-	}
 }

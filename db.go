@@ -37,7 +37,6 @@ type config struct {
 	dataDependent  bool
 	exchangeBuffer int
 	batchSize      int
-	batch          exec.BatchMode
 	memoryLimit    int64
 }
 
@@ -66,16 +65,10 @@ func WithParallelThreshold(rows float64) Option {
 func WithExchangeBuffer(n int) Option { return func(c *config) { c.exchangeBuffer = n } }
 
 // WithBatchSize sets the tuple capacity of the batches flowing
-// through the vectorized execution path and the parallel exchange.
+// between operators and through the parallel exchange.
 // Larger batches amortize per-call overhead further at the cost of
 // latency to first result; n < 1 keeps the default (64 tuples).
 func WithBatchSize(n int) Option { return func(c *config) { c.batchSize = n } }
-
-// WithoutBatching disables the vectorized batch-at-a-time execution
-// path, compiling every operator tuple-at-a-time. It is primarily a
-// correctness oracle and benchmarking baseline; it also overrides the
-// DIVLAWS_FORCE_BATCH environment variable.
-func WithoutBatching() Option { return func(c *config) { c.batch = exec.BatchOff } }
 
 // WithMemoryLimit bounds, per query, the bytes of input state the
 // blocking operators may hold live in memory. Under pressure the
@@ -119,7 +112,7 @@ func WithDataDependentRules() Option { return func(c *config) { c.dataDependent 
 // relations plus the full query pipeline — SQL front end (including
 // the paper's DIVIDE BY syntax and ? placeholders), NOT EXISTS
 // detection, law-based optimization, parallelization, and the
-// streaming Volcano execution engine.
+// streaming batch execution engine.
 //
 // A DB is safe for concurrent use: the catalog is copy-on-write, so
 // Register never disturbs a query that is planning or running — each
@@ -153,8 +146,8 @@ func Open(opts ...Option) *DB {
 // label benchmark output honestly.
 func (db *DB) Workers() int { return db.cfg.workers }
 
-// BatchSize returns the effective tuple capacity of the batches used
-// by the vectorized execution path (WithBatchSize, default
+// BatchSize returns the effective tuple capacity of the batches
+// operators exchange (WithBatchSize, default
 // relation.DefaultBatchCap).
 func (db *DB) BatchSize() int {
 	if db.cfg.batchSize > 0 {
@@ -282,7 +275,6 @@ func (db *DB) Explain(ctx context.Context, text string, args ...any) (Explanatio
 		AllowDataDependent: db.cfg.dataDependent,
 		Workers:            db.cfg.workers,
 		ParallelThreshold:  db.cfg.threshold,
-		Batch:              db.cfg.batch,
 	})
 	if err != nil {
 		return Explanation{}, err
@@ -307,7 +299,6 @@ func (db *DB) queryParsed(ctx context.Context, q *sql.Query, args []any) (*Rows,
 	opts := exec.CompileOptions{
 		ExchangeBuffer: db.cfg.exchangeBuffer,
 		BatchSize:      db.cfg.batchSize,
-		Batch:          db.cfg.batch,
 		MemoryLimit:    db.cfg.memoryLimit,
 	}
 	// Build the tracker here rather than letting CompileWith own one,

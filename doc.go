@@ -8,7 +8,7 @@
 // # Embedding
 //
 // Open builds a database; Register adds relations; Query streams
-// results off the compiled Volcano pipeline through a Rows cursor:
+// results off the compiled operator pipeline through a Rows cursor:
 //
 //	db := divlaws.Open()
 //	db.MustRegister("supplies", divlaws.MustNewRelation(
@@ -122,39 +122,30 @@
 //
 // # Batch execution
 //
-// The executor is vectorized: alongside the classic tuple-at-a-time
-// Volcano surface, every scan, filter, projection, limit, rename,
-// sort, grouping, division, join, semijoin, set, and product
-// operator also implements a batch-at-a-time surface that moves
+// The executor is vectorized, and batch-at-a-time is its only operator
+// protocol: every scan, filter, projection, limit, rename, sort,
+// grouping, division, join, semijoin, set, and product operator moves
 // tuples in pooled, slab-allocated batches (64 tuples by default),
 // amortizing per-tuple interface calls and context polls across a
-// whole batch. Blocking operators drain their build side
-// batch-at-a-time and stream their probe side batch-native, so a
-// division over a join over a union runs as one contiguous batch
-// region. The compiler selects the batch path automatically for
-// every maximal subtree whose operators are all batch-capable and
-// leaves mixed subtrees on the tuple path, so no adapter cost is
-// ever paid silently; both paths produce identical results,
-// identical Stats, and identical ordering guarantees. Explain marks
-// each operator the executor will run batch-at-a-time with a [batch]
-// annotation.
+// whole batch. Blocking operators drain their build side and stream
+// their probe side a batch at a time, so a division over a join over
+// a union is one batch pipeline. The tuple-at-a-time surface exists
+// once, on the cursor at the root of the plan that Rows.Next reads.
 //
-// LIMIT keeps its exact consumption discipline on the batch path: a
-// limit (or fused top-k) arms a row budget on its input, producers
-// emit partial batches sized to what the consumer still needs, and a
-// LIMIT 1 over a batched scan reads exactly one row — batching never
-// drains past what the query consumes.
+// LIMIT keeps an exact consumption discipline: a limit (or fused
+// top-k) arms a row budget on its input, producers emit partial
+// batches sized to what the consumer still needs, and a LIMIT 1 over
+// a scan reads exactly one row — batching never drains past what the
+// query consumes. Without a LIMIT, the root cursor reads ahead by at
+// most one batch of the root operator's output: a consumer that calls
+// Rows.Next once and then Rows.Close has made the plan produce one
+// batch (up to WithBatchSize rows, and the input those rows needed),
+// not one row.
 //
 // WithBatchSize tunes the batch capacity (which is also the emission
 // batch size of parallel exchange workers, so worker batches flow
-// through the exchange without being re-tuplified);
-// WithoutBatching pins an embedded database to the pure
-// tuple-at-a-time path — the correctness oracle the batch path is
-// tested against. Setting DIVLAWS_FORCE_BATCH=1 in the environment
-// forces the batch path onto every batch-capable operator (inserting
-// adapters over tuple-only subtrees), which CI uses to run the whole
-// test suite batch-first; an explicit WithoutBatching still wins over
-// the environment, so oracles hold everywhere.
+// through the exchange without being copied). Results, Stats and
+// ordering guarantees do not depend on it.
 //
 // # Memory budgets and out-of-core execution
 //

@@ -2,51 +2,22 @@ package exec
 
 import (
 	"context"
+	"slices"
 
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
+	"divlaws/internal/spill"
 )
 
-// BatchIterator is the batch-at-a-time physical operator interface,
-// the fast path beside Iterator: operators exchange slabs of up to
-// CompileOptions.BatchSize tuples instead of single tuples, so the
-// per-call interface overhead — and the cooperative context polls —
-// are amortized across a whole batch.
-//
-// Protocol: OpenBatch before the first NextBatch; NextBatch returns
-// nil at end of stream; the returned batch is owned by the operator
-// and valid only until the next NextBatch or Close (the tuples inside
-// are immutable and may be retained). Close is idempotent.
-//
-// Several operators implement both interfaces over one shared cursor
-// (ScanIter, the blocking emitters, the parallel exchanges), so a
-// consumer may drain them tuple-at-a-time or batch-at-a-time — but
-// must not interleave arbitrary Next and NextBatch calls beyond
-// "Next a few, then batch-drain the rest", which the shared cursor
-// keeps exact.
-type BatchIterator interface {
-	// OpenBatch prepares the operator under the given context, exactly
-	// as Iterator.Open does; dual-mode operators treat Open and
-	// OpenBatch as the same call.
-	OpenBatch(ctx context.Context) error
-	// NextBatch produces the next batch, nil at end of stream. The
-	// batch is reused: it is valid only until the next call.
-	NextBatch() (*relation.Batch, error)
-	// Close releases resources; idempotent.
-	Close() error
-	// Schema describes the produced tuples.
-	Schema() schema.Schema
-}
-
-// rowBudgeter is the optional row-budget hint of the batch path: a
-// bounded consumer (LimitBatch, a fused top-k) arms its child with the
-// number of rows it still needs before each NextBatch pull, and a
-// budget-aware child emits a batch no larger than that instead of
-// draining a full slab past the limit. The budget is a cap, not a
-// promise — smaller batches stay legal — and it persists until
-// re-armed, so an operator that re-pulls (a selective filter) keeps
-// its own child bounded. A hint of n <= 0 clears the budget.
+// rowBudgeter is the optional row-budget hint: a bounded consumer
+// (LimitBatch, a fused top-k) arms its child with the number of rows
+// it still needs before each NextBatch pull, and a budget-aware child
+// emits a batch no larger than that instead of draining a full slab
+// past the limit. The budget is a cap, not a promise — smaller batches
+// stay legal — and it persists until re-armed, so an operator that
+// re-pulls (a selective filter) keeps its own child bounded. A hint of
+// n <= 0 clears the budget.
 type rowBudgeter interface {
 	SetRowBudget(n int64)
 }
@@ -143,171 +114,40 @@ func (w *windowBatcher) release() {
 	w.budget = 0
 }
 
-// batchFeed pulls probe-side input a batch at a time from a child
-// that may or may not expose the batch surface: batch-capable
-// children stream their own batches through (budget hint forwarded),
-// tuple-only children are accumulated into a pooled slab. It is the
-// probe-side twin of drainEvery's build-side batch upgrade, letting
-// one NextBatch implementation serve both child kinds without an
-// adapter seam.
-type batchFeed struct {
-	child Iterator
-	// size caps accumulated fallback batches; 0 means
-	// relation.DefaultBatchCap.
-	size int
-
-	bi      BatchIterator
-	checked bool
-	acc     *relation.Batch
+// pull serves child's next tuple window under a row budget (0 for
+// none), nil at end of stream; the slice is valid only until the
+// child's next NextBatch. It is the probe-side counterpart of
+// drainEvery.
+func pull(child BatchIterator, budget int64) ([]relation.Tuple, error) {
+	setRowBudget(child, budget)
+	b, err := child.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	return b.Tuples(), nil
 }
 
-// next serves the child's next non-empty tuple window, nil at end of
-// stream. budget > 0 caps the window (and is forwarded to
-// batch-capable children); the returned slice is valid only until the
-// following next call.
-func (f *batchFeed) next(budget int64) ([]relation.Tuple, error) {
-	if !f.checked {
-		f.checked = true
-		f.bi, _ = f.child.(BatchIterator)
-	}
-	if f.bi != nil {
-		setRowBudget(f.bi, budget)
-		b, err := f.bi.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		return b.Tuples(), nil
-	}
-	bound := int64(f.size)
-	if bound <= 0 {
-		bound = relation.DefaultBatchCap
-	}
-	if budget > 0 && budget < bound {
-		bound = budget
-	}
-	if f.acc == nil {
-		f.acc = relation.GetBatch(f.size)
-	}
-	f.acc.Reset()
-	for int64(f.acc.Len()) < bound {
-		t, ok, err := f.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		f.acc.Append(t)
-	}
-	if f.acc.Len() == 0 {
-		return nil, nil
-	}
-	return f.acc.Tuples(), nil
-}
-
-// release returns the fallback slab to the free-list and resets the
-// type check; called from Close.
-func (f *batchFeed) release() {
-	relation.PutBatch(f.acc)
-	f.acc = nil
-	f.bi, f.checked = nil, false
-}
-
-// ToBatch adapts a tuple-at-a-time Iterator to the batch protocol by
-// accumulating BatchSize tuples per NextBatch. It is the boundary
-// adapter the compiler inserts when a batch-capable operator sits
-// above a tuple-only subtree (forced-batch mode); the plain tuple
-// path never pays for it.
-type ToBatch struct {
-	Input Iterator
-	// BatchSize caps the accumulated batches; 0 means
-	// relation.DefaultBatchCap.
-	BatchSize int
-
-	out    *relation.Batch
-	open   bool
-	budget int64
-}
-
-// OpenBatch implements BatchIterator.
-func (a *ToBatch) OpenBatch(ctx context.Context) error {
-	a.open = true
-	return a.Input.Open(ctx)
-}
-
-// SetRowBudget implements rowBudgeter: accumulation stops at the
-// budget, so the tuple-only subtree below is not over-pulled either.
-func (a *ToBatch) SetRowBudget(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	a.budget = n
-}
-
-// NextBatch implements BatchIterator.
-func (a *ToBatch) NextBatch() (*relation.Batch, error) {
-	if !a.open {
-		return nil, errNotOpen("ToBatch")
-	}
-	if a.out == nil {
-		a.out = relation.GetBatch(a.BatchSize)
-	}
-	a.out.Reset()
-	for !a.out.Full() {
-		if a.budget > 0 && int64(a.out.Len()) >= a.budget {
-			break
-		}
-		t, ok, err := a.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		a.out.Append(t)
-	}
-	if a.out.Len() == 0 {
-		return nil, nil
-	}
-	return a.out, nil
-}
-
-// Close implements BatchIterator.
-func (a *ToBatch) Close() error {
-	a.open = false
-	a.budget = 0
-	relation.PutBatch(a.out)
-	a.out = nil
-	return a.Input.Close()
-}
-
-// Schema implements BatchIterator.
-func (a *ToBatch) Schema() schema.Schema { return a.Input.Schema() }
-
-// FromBatch adapts a BatchIterator to the tuple protocol: Next serves
-// tuples out of the current batch and pulls the next one on demand.
-// It also passes the batch protocol straight through, so a blocking
-// drain above it consumes whole batches without re-tuplifying (any
-// partially Next-consumed batch is served as a remainder window
-// first).
+// FromBatch is the root cursor, the engine's one tuple-at-a-time
+// surface: CompileWith places it over the root operator, and Next
+// serves tuples out of the current batch, pulling the next one on
+// demand — so a consumer that stops early has read ahead at most one
+// batch of the root operator's output. Closing it also closes the
+// spill tracker CompileWith built for the plan, if any.
 type FromBatch struct {
 	Input BatchIterator
 
-	windowBatcher
+	tr  *spill.Tracker // compile-owned budget tracker; nil when the caller owns it
 	cur []relation.Tuple
 	pos int
 }
 
-// Open implements Iterator.
+// Open prepares the plan under ctx; see BatchIterator.Open.
 func (f *FromBatch) Open(ctx context.Context) error {
 	f.cur, f.pos = nil, 0
-	return f.Input.OpenBatch(ctx)
+	return f.Input.Open(ctx)
 }
 
-// OpenBatch implements BatchIterator.
-func (f *FromBatch) OpenBatch(ctx context.Context) error { return f.Open(ctx) }
-
-// Next implements Iterator.
+// Next produces the next tuple. ok is false at end of stream.
 func (f *FromBatch) Next() (relation.Tuple, bool, error) {
 	for f.pos >= len(f.cur) {
 		b, err := f.Input.NextBatch()
@@ -324,42 +164,23 @@ func (f *FromBatch) Next() (relation.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// SetRowBudget implements rowBudgeter: the hint bounds remainder
-// windows and flows through to the child.
-func (f *FromBatch) SetRowBudget(n int64) {
-	f.windowBatcher.SetRowBudget(n)
-	setRowBudget(f.Input, n)
-}
-
-// NextBatch implements BatchIterator: the remainder of a partially
-// consumed batch first (budget-capped windows), then the child's
-// batches untouched.
-func (f *FromBatch) NextBatch() (*relation.Batch, error) {
-	if f.pos < len(f.cur) {
-		b := f.window(f.cur, &f.pos)
-		if f.pos >= len(f.cur) {
-			f.cur, f.pos = nil, 0
-		}
-		return b, nil
-	}
-	f.cur, f.pos = nil, 0
-	return f.Input.NextBatch()
-}
-
-// Close implements Iterator.
+// Close tears down the plan first, then removes the owned tracker's
+// spill directory. It is idempotent.
 func (f *FromBatch) Close() error {
 	f.cur, f.pos = nil, 0
-	f.release()
-	return f.Input.Close()
+	err := f.Input.Close()
+	if cerr := f.tr.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
-// Schema implements Iterator.
+// Schema describes the produced tuples.
 func (f *FromBatch) Schema() schema.Schema { return f.Input.Schema() }
 
-// FilterBatch is the batch-native predicate filter: each input batch
-// is filtered into a reused output batch, with per-batch (not
-// per-tuple) interface costs. Empty results keep pulling, so
-// consumers never see zero-length batches.
+// FilterBatch is the predicate filter, fully pipelined: each input
+// batch is filtered into a reused output batch. Empty results keep
+// pulling, so consumers never see zero-length batches.
 type FilterBatch struct {
 	Label string
 	Input BatchIterator
@@ -371,10 +192,10 @@ type FilterBatch struct {
 	budget int64
 }
 
-// OpenBatch implements BatchIterator.
-func (f *FilterBatch) OpenBatch(ctx context.Context) error {
+// Open implements BatchIterator.
+func (f *FilterBatch) Open(ctx context.Context) error {
 	f.open = true
-	return f.Input.OpenBatch(ctx)
+	return f.Input.Open(ctx)
 }
 
 // SetRowBudget implements rowBudgeter: each child pull is armed with
@@ -430,12 +251,16 @@ func (f *FilterBatch) Close() error {
 // Schema implements BatchIterator.
 func (f *FilterBatch) Schema() schema.Schema { return f.Input.Schema() }
 
-// ProjectBatch is the batch-native projection with streaming dedup:
-// the same first-seen TupleIndex semantics as ProjectIter (exact
-// under hash collisions), with the per-tuple interface overhead
-// hoisted to the batch boundary — and the same full-width cases: a
-// permutation fills the output batch without an index, the identity
-// hands the child's batch on as it is.
+// ProjectBatch projects attributes and eliminates duplicates with a
+// streaming hash set (set semantics, first-seen TupleIndex order, exact
+// under hash collisions). The projection is only materialized for
+// tuples that survive the dedup.
+//
+// A projection onto all of its input's columns cannot merge two
+// distinct tuples, and every operator's output is a set (see
+// HashSetOpIter), so Open drops the hash set for it: a permutation
+// fills the output batch without an index, the identity hands the
+// child's batch on as it is. Both still count their rows under Label.
 type ProjectBatch struct {
 	Label string
 	Input BatchIterator
@@ -451,12 +276,23 @@ type ProjectBatch struct {
 	budget   int64
 }
 
-// OpenBatch implements BatchIterator.
-func (p *ProjectBatch) OpenBatch(ctx context.Context) error {
+// projectDedup returns what a projection onto source positions pos of
+// an n-column input needs: a dedup index, or nil when it keeps every
+// column (positions are distinct, so that is a permutation), and then
+// whether it also keeps them in place.
+func projectDedup(pos []int, n int) (seen *relation.TupleIndex, identity bool) {
+	if len(pos) != n {
+		return new(relation.TupleIndex), false
+	}
+	return nil, slices.IsSorted(pos)
+}
+
+// Open implements BatchIterator.
+func (p *ProjectBatch) Open(ctx context.Context) error {
 	p.out, p.pos = p.Input.Schema().Project(p.Attrs)
 	p.seen, p.identity = projectDedup(p.pos, p.Input.Schema().Len())
 	p.open = true
-	return p.Input.OpenBatch(ctx)
+	return p.Input.Open(ctx)
 }
 
 // SetRowBudget implements rowBudgeter: each child pull is armed with
@@ -522,15 +358,18 @@ func (p *ProjectBatch) Schema() schema.Schema {
 	return p.out
 }
 
-// LimitBatch is the batch-native LIMIT with the same early-exit
-// contract as LimitIter: the child is closed the moment the n-th
-// tuple surfaces (cancelling streaming subtrees such as parallel
-// exchanges mid-stream), the final batch is truncated to the bound,
-// and a limit of zero never opens the child at all. Before every pull
-// it arms the child with the remaining row budget (see rowBudgeter),
-// so a budget-aware subtree produces exactly the rows the limit still
-// needs instead of draining a full slab past it — batch-path LIMIT 1
-// reads one row, as the tuple path does.
+// LimitBatch passes through the first N tuples of its input and ends
+// the stream, closing the child the moment the N-th tuple surfaces —
+// not when the parent eventually calls Close — so blocking and
+// streaming subtrees stop working immediately. Over a parallel
+// exchange this is the early-exit pushdown: reaching the limit cancels
+// the exchange and every partition worker mid-stream, and the rest of
+// the quotient is never computed. The final batch is truncated to the
+// bound, and a limit of zero never opens the child at all. Before
+// every pull it arms the child with the remaining row budget (see
+// rowBudgeter), so a budget-aware subtree produces exactly the rows
+// the limit still needs instead of draining a full slab past it —
+// LIMIT 1 reads one row.
 type LimitBatch struct {
 	Label string
 	Input BatchIterator
@@ -540,17 +379,17 @@ type LimitBatch struct {
 	windowBatcher
 	seen    int64
 	opened  bool
-	stopped bool
-	stopErr error
+	stopped bool  // child released early, before Close
+	stopErr error // error from the early child Close, reported once
 }
 
-// OpenBatch implements BatchIterator.
-func (l *LimitBatch) OpenBatch(ctx context.Context) error {
+// Open implements BatchIterator.
+func (l *LimitBatch) Open(ctx context.Context) error {
 	l.seen = 0
 	l.stopped = l.N <= 0
 	l.stopErr = nil
 	if !l.stopped {
-		if err := l.Input.OpenBatch(ctx); err != nil {
+		if err := l.Input.Open(ctx); err != nil {
 			return err
 		}
 	}
@@ -585,9 +424,10 @@ func (l *LimitBatch) NextBatch() (*relation.Batch, error) {
 	if l.seen < l.N {
 		return l.adopt(ts), nil
 	}
-	// Limit reached: release the subtree now, exactly like LimitIter —
-	// a teardown error surfaces on the next call, never in place of
-	// the batch the consumer asked for. Closing the child recycles the
+	// Limit reached: release the subtree now. Close is idempotent, so
+	// the parent's eventual Close stays harmless. A teardown error
+	// surfaces on the next call (or from Close), never in place of the
+	// batch the consumer asked for. Closing the child recycles the
 	// slab behind ts, so the final batch is copied, not adopted.
 	if l.wb == nil {
 		l.wb = relation.GetBatch(len(ts))
@@ -622,8 +462,8 @@ type RenameBatch struct {
 	From, To string
 }
 
-// OpenBatch implements BatchIterator.
-func (r *RenameBatch) OpenBatch(ctx context.Context) error { return r.Input.OpenBatch(ctx) }
+// Open implements BatchIterator.
+func (r *RenameBatch) Open(ctx context.Context) error { return r.Input.Open(ctx) }
 
 // SetRowBudget implements rowBudgeter; the hint flows through.
 func (r *RenameBatch) SetRowBudget(n int64) { setRowBudget(r.Input, n) }
@@ -636,30 +476,3 @@ func (r *RenameBatch) Close() error { return r.Input.Close() }
 
 // Schema implements BatchIterator.
 func (r *RenameBatch) Schema() schema.Schema { return r.Input.Schema().Rename(r.From, r.To) }
-
-// drainBatches is the batch twin of drain: it consumes whole batches
-// from a batch-capable child, with the cooperative context poll
-// hoisted from per-tuple bookkeeping to batch boundaries (still at
-// least every `every` tuples).
-func drainBatches(ctx context.Context, child BatchIterator, every int, sink func([]relation.Tuple)) error {
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	n := 0
-	for {
-		b, err := child.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		sink(b.Tuples())
-		if n += b.Len(); n >= every {
-			n = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-}

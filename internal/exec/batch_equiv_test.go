@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -11,19 +13,33 @@ import (
 	"divlaws/internal/plan"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
+	"divlaws/internal/value"
 )
 
-// These tests pin the tentpole invariant: the vectorized batch path
-// is an exact drop-in for the tuple path. Every plan is compiled
-// twice — BatchOff (the tuple-at-a-time oracle) and BatchForce — and
-// compared tuple-for-tuple: ordered plans by sequence, unordered by
-// multiset-free set equality. Both drain styles are exercised: the
-// Iterator surface (Next, through FromBatch where the root is
-// batch-only) and the raw BatchIterator surface (NextBatch).
+// These tests pin the executor to the reference evaluator: every plan
+// shape is compiled across batch sizes chosen to hit window boundaries
+// and compared with plan.Eval, which shares no code with this package
+// — Sort/TopK-rooted plans by exact sequence, a bare Limit by row
+// count plus membership in the unlimited result, everything else by
+// set equality. Both surfaces are exercised: the root cursor (Next)
+// and the raw operator protocol beneath it (NextBatch).
 
-// drainSeq collects the full output sequence through the Iterator
-// surface.
-func drainSeq(t *testing.T, it Iterator) []relation.Tuple {
+// drainSeq collects the full output sequence through the root cursor.
+func drainSeq(t *testing.T, it *FromBatch) []relation.Tuple {
+	t.Helper()
+	out, err := drainSeqErr(context.Background(), it)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	return out
+}
+
+// drainBatchSeq collects the full output sequence of the root operator
+// through NextBatch, copying each batch before the next call (the
+// ownership contract: a batch is valid only until the producer's next
+// call).
+func drainBatchSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(context.Background()); err != nil {
 		t.Fatalf("Open: %v", err)
@@ -31,29 +47,7 @@ func drainSeq(t *testing.T, it Iterator) []relation.Tuple {
 	defer it.Close()
 	var out []relation.Tuple
 	for {
-		tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, tup)
-	}
-}
-
-// drainBatchSeq collects the full output sequence through NextBatch,
-// copying each batch before the next call (the ownership contract:
-// a batch is valid only until the producer's next call).
-func drainBatchSeq(t *testing.T, b BatchIterator) []relation.Tuple {
-	t.Helper()
-	if err := b.OpenBatch(context.Background()); err != nil {
-		t.Fatalf("OpenBatch: %v", err)
-	}
-	defer b.Close()
-	var out []relation.Tuple
-	for {
-		batch, err := b.NextBatch()
+		batch, err := it.Input.NextBatch()
 		if err != nil {
 			t.Fatalf("NextBatch: %v", err)
 		}
@@ -92,19 +86,54 @@ func sameSeq(a, b []string) bool {
 	return true
 }
 
-// equivPlans is the operator-pair matrix: one entry per physical
-// operator with a batch counterpart or batch drain — including the
-// probe-side operators batched in PR 7 (joins, set ops, products,
-// merge division) — plus mixed trees crossing build/probe region
-// boundaries (division over a join, set ops feeding divisions).
+// equivPlans is the operator matrix: one entry per physical operator,
+// plus mixed trees crossing build/probe boundaries (division over a
+// join, set ops feeding divisions).
 func equivPlans(rng *rand.Rand) []equivPlan {
 	return equivPlansGen(rng, randRelation)
 }
 
 type equivPlan struct {
-	name    string
-	node    plan.Node
+	name string
+	node plan.Node
+	// ordered plans emit in a defined order — that of a sort, a scan or
+	// a first-seen dedup — which is also plan.Eval's.
 	ordered bool
+}
+
+// diverges compares an execution's output with the reference
+// evaluator by the rule the plan's shape calls for, returning a
+// description of the first difference ("" when they agree).
+func (c equivPlan) diverges(out []relation.Tuple) string {
+	got := seqKeys(out)
+	lim, bare := c.node.(*plan.Limit)
+	switch {
+	case c.ordered:
+		if want := seqKeys(plan.Eval(c.node).Tuples()); !sameSeq(got, want) {
+			return fmt.Sprintf("sequence diverges from plan.Eval\ngot  %v\nwant %v", got, want)
+		}
+	case bare:
+		// Which N rows an unordered input yields is the executor's
+		// choice: any N distinct rows of the unlimited result are right.
+		in := map[string]bool{}
+		for _, k := range seqKeys(plan.Eval(lim.Input).Tuples()) {
+			in[k] = true
+		}
+		if want := min(int(lim.N), len(in)); len(got) != want {
+			return fmt.Sprintf("LIMIT %d of %d rows returned %d, want %d", lim.N, len(in), len(got), want)
+		}
+		for _, k := range got {
+			if !in[k] {
+				return fmt.Sprintf("row %s is repeated or not in the unlimited result", k)
+			}
+			delete(in, k)
+		}
+	default:
+		if want := seqKeys(plan.Eval(c.node).Tuples()); sortedKeys(got) != sortedKeys(want) {
+			return fmt.Sprintf("set diverges from plan.Eval\ngot  %v\nwant %v", got, want)
+		}
+	}
+	return ""
 }
 
 // equivPlansGen is equivPlans over an arbitrary relation generator,
@@ -141,7 +170,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 			Input: &plan.Project{Input: &plan.Select{Input: div, Pred: p}, Attrs: []string{"a"}},
 			N:     int64(1 + rng.Intn(6)),
 		}, false},
-		// The probe-side operators batched in PR 7.
+		// The probe-side operators.
 		{"union", plan.Union(r1, u), false},
 		{"intersect", plan.Intersect(r1, u), false},
 		{"diff", plan.Diff(r1, u), false},
@@ -202,12 +231,26 @@ func projectShapes(rng *rand.Rand, r1, r2g plan.Node) []equivPlan {
 	}
 }
 
+// checkBothSurfaces runs the plan at batch sizes 1/7/64 through the
+// root cursor and through the raw NextBatch surface, failing on the
+// first divergence from the reference evaluator.
+func (c equivPlan) checkBothSurfaces(t *testing.T, where string) {
+	t.Helper()
+	for _, size := range []int{1, 7, 64} {
+		opts := CompileOptions{BatchSize: size}
+		if d := c.diverges(drainSeq(t, CompileWith(c.node, nil, opts))); d != "" {
+			t.Fatalf("%s %s (size %d, Next): %s", where, c.name, size, d)
+		}
+		if d := c.diverges(drainBatchSeq(t, CompileWith(c.node, nil, opts))); d != "" {
+			t.Fatalf("%s %s (size %d, NextBatch): %s", where, c.name, size, d)
+		}
+	}
+}
+
 // TestProjectShapesMatchOracle checks the projection shapes against
-// the independent reference evaluator (plan.Eval: algebra.Project,
-// which always dedups) rather than against the other execution
-// path, since both paths share the no-dedup decision: tuple and
-// forced-batch compiles x batch sizes 1/7/64 x both drain styles,
-// with full hashes and with 3-bit hashes.
+// the reference evaluator (algebra.Project, which always dedups):
+// batch sizes 1/7/64 x both surfaces, with full hashes and with 3-bit
+// hashes.
 func TestProjectShapesMatchOracle(t *testing.T) {
 	for _, mask := range []uint64{0, 0x7} {
 		restore := hashkey.SetMaskForTesting(mask)
@@ -220,71 +263,29 @@ func TestProjectShapesMatchOracle(t *testing.T) {
 			r1 := plan.NewScan("r1", gen(rng, []string{"a", "b"}, 5+rng.Intn(150), 6))
 			r2g := plan.NewScan("r2g", gen(rng, []string{"b", "c"}, 1+rng.Intn(8), 6))
 			for _, c := range projectShapes(rng, r1, r2g) {
-				want := seqKeys(plan.Eval(c.node).Tuples())
-				check := func(got []string, via string) {
-					t.Helper()
-					same := sameSeq(got, want)
-					if !c.ordered {
-						same = sortedKeys(append([]string(nil), got...)) == sortedKeys(append([]string(nil), want...))
-					}
-					if !same {
-						t.Fatalf("mask %d trial %d %s (%s): diverges from plan.Eval\ngot  %v\nwant %v",
-							mask, trial, c.name, via, got, want)
-					}
-				}
-				check(seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff}))), "tuple path")
-				for _, size := range []int{1, 7, 64} {
-					opts := CompileOptions{Batch: BatchForce, BatchSize: size}
-					check(seqKeys(drainSeq(t, CompileWith(c.node, nil, opts))), "batch path, Next")
-					b, ok := CompileWith(c.node, nil, opts).(BatchIterator)
-					if !ok {
-						t.Fatalf("%s: forced batch compile is not a BatchIterator", c.name)
-					}
-					check(seqKeys(drainBatchSeq(t, b)), "batch path, NextBatch")
-				}
+				c.checkBothSurfaces(t, fmt.Sprintf("mask %d trial %d", mask, trial))
 			}
 		}
 		restore()
 	}
 }
 
-// TestBatchMatchesTuplePath is the per-operator-pair equivalence
-// sweep: for every plan shape, the forced batch path must produce
-// exactly what the tuple path produces — the same sequence for
-// ordered plans, the same set otherwise — through both drain styles,
-// across batch sizes chosen to hit window boundaries (1, a prime
-// smaller than most outputs, and the default).
+// TestBatchMatchesTuplePath is the per-operator equivalence sweep:
+// for every plan shape the executor must produce what plan.Eval
+// produces, on both surfaces, across batch sizes chosen to hit window
+// boundaries (1, a prime smaller than most outputs, and the default).
 func TestBatchMatchesTuplePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		for _, c := range equivPlans(rng) {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff})))
-			for _, size := range []int{1, 7, 0} {
-				opts := CompileOptions{Batch: BatchForce, BatchSize: size}
-				got := seqKeys(drainSeq(t, CompileWith(c.node, nil, opts)))
-				check := func(got []string, via string) {
-					t.Helper()
-					if c.ordered && !sameSeq(got, want) {
-						t.Fatalf("trial %d %s (size %d, %s): sequence diverges\ngot  %v\nwant %v",
-							trial, c.name, size, via, got, want)
-					}
-					if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-						t.Fatalf("trial %d %s (size %d, %s): set diverges\ngot  %v\nwant %v",
-							trial, c.name, size, via, got, want)
-					}
-				}
-				check(got, "Next")
-				if b, ok := CompileWith(c.node, nil, opts).(BatchIterator); ok {
-					check(seqKeys(drainBatchSeq(t, b)), "NextBatch")
-				}
-			}
+			c.checkBothSurfaces(t, fmt.Sprintf("trial %d", trial))
 		}
 	}
 }
 
 // TestBatchMatchesTupleUnderForcedCollisions repeats the sweep with
-// 3-bit hashes, so every hash-table probe in the batch drains and the
-// batch projection dedup runs its collision-verification logic.
+// 3-bit hashes, so every hash-table probe in the drains and the
+// projection dedup runs its collision-verification logic.
 func TestBatchMatchesTupleUnderForcedCollisions(t *testing.T) {
 	restore := hashkey.SetMaskForTesting(0x7)
 	defer restore()
@@ -297,52 +298,67 @@ func TestBatchMatchesTupleUnderForcedCollisions(t *testing.T) {
 			plans = equivPlansGen(rng, randWideRelation)
 		}
 		for _, c := range plans {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchOff})))
-			got := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: BatchForce, BatchSize: 3})))
-			if c.ordered && !sameSeq(got, want) {
-				t.Fatalf("trial %d %s: sequence diverges under collisions\ngot  %v\nwant %v",
-					trial, c.name, got, want)
-			}
-			if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-				t.Fatalf("trial %d %s: set diverges under collisions\ngot  %v\nwant %v",
-					trial, c.name, got, want)
+			for _, size := range []int{1, 7, 64} {
+				if d := c.diverges(drainSeq(t, CompileWith(c.node, nil, CompileOptions{BatchSize: size}))); d != "" {
+					t.Fatalf("trial %d %s (size %d) under collisions: %s", trial, c.name, size, d)
+				}
 			}
 		}
 	}
 }
 
-// TestBatchStatsParity: both paths label operators identically, so a
-// compiled plan reports the same per-operator tuple counts whichever
-// path ran it.
+// statsAcrossSizes drains node at batch sizes 1/7/64 and fails unless
+// every run leaves the same per-operator counts, which it returns:
+// operators are labelled by plan position and count rows, not
+// batches, so the batch size must not show in Stats.
+func statsAcrossSizes(t *testing.T, name string, node plan.Node) map[string]int64 {
+	t.Helper()
+	var want map[string]int64
+	for _, size := range []int{1, 7, 64} {
+		stats := NewStats()
+		drainSeq(t, CompileWith(node, stats, CompileOptions{BatchSize: size}))
+		got := stats.Snapshot()
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Fatalf("%s: stats at batch size %d diverge from size 1:\ngot  %v\nwant %v", name, size, got, want)
+		}
+	}
+	return want
+}
+
+// TestBatchStatsParity: a fully drained plan reports the same
+// per-operator tuple counts whatever the batch size.
 func TestBatchStatsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	r1 := plan.NewScan("r1", randRelation(rng, []string{"a", "b"}, 50, 6))
 	r2 := plan.NewScan("r2", randRelation(rng, []string{"b"}, 3, 6))
+	div := &plan.Divide{Dividend: r1, Divisor: r2}
 	node := &plan.Project{
 		Input: &plan.Select{
-			Input: &plan.Divide{Dividend: r1, Divisor: r2},
+			Input: div,
 			Pred:  pred.Compare(pred.Attr("a"), pred.Ge, pred.ConstInt(0)),
 		},
 		Attrs: []string{"a"},
 	}
-	tupleStats, batchStats := NewStats(), NewStats()
-	drainSeq(t, CompileWith(node, tupleStats, CompileOptions{Batch: BatchOff}))
-	drainSeq(t, CompileWith(node, batchStats, CompileOptions{Batch: BatchForce}))
-	want := tupleStats.Snapshot()
-	got := batchStats.Snapshot()
-	if len(got) != len(want) {
-		t.Fatalf("label sets diverge:\nbatch %v\ntuple %v", got, want)
-	}
-	for label, n := range want {
-		if got[label] != n {
-			t.Errorf("stats[%q] = %d on the batch path, %d on the tuple path", label, got[label], n)
+	got := statsAcrossSizes(t, "project-over-filter-over-divide", node)
+	quotient := int64(plan.Eval(div).Len())
+	for label, want := range map[string]int64{
+		"root.0.0.0/scan(r1)": int64(r1.Rel.Len()),
+		"root.0.0.1/scan(r2)": int64(r2.Rel.Len()),
+		"root.0.0/hashdivide": quotient,
+		"root.0/filter":       quotient,
+		"root/project":        quotient,
+	} {
+		if got[label] != want {
+			t.Errorf("stats[%q] = %d, want %d (all: %v)", label, got[label], want, got)
 		}
 	}
 }
 
 // TestProjectFullWidthStatsParity: a projection that skips its dedup
-// index still counts every row it passes on under its own label, on
-// both paths — the plan keeps its nodes, only the copies go.
+// index still counts every row it passes on under its own label — the
+// plan keeps its nodes, only the copies go.
 func TestProjectFullWidthStatsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rel := randRelation(rng, []string{"a", "b"}, 150, 40)
@@ -359,84 +375,24 @@ func TestProjectFullWidthStatsParity(t *testing.T) {
 		{"identity over quotient", &plan.Project{Input: quotient, Attrs: []string{"a", "c"}}, int64(plan.Eval(quotient).Len())},
 		{"permutation over quotient", &plan.Project{Input: quotient, Attrs: []string{"c", "a"}}, int64(plan.Eval(quotient).Len())},
 	} {
-		tupleStats := NewStats()
-		drainSeq(t, CompileWith(c.node, tupleStats, CompileOptions{Batch: BatchOff}))
-		want := tupleStats.Snapshot()
-		if want["root/project"] != c.rows {
-			t.Errorf("%s: tuple path counted %d rows under root/project, want %d", c.name, want["root/project"], c.rows)
+		if got := statsAcrossSizes(t, c.name, c.node)["root/project"]; got != c.rows {
+			t.Errorf("%s: counted %d rows under root/project, want %d", c.name, got, c.rows)
 		}
-		for _, size := range []int{1, 7, 64} {
-			batchStats := NewStats()
-			drainSeq(t, CompileWith(c.node, batchStats, CompileOptions{Batch: BatchForce, BatchSize: size}))
-			got := batchStats.Snapshot()
-			if len(got) != len(want) {
-				t.Fatalf("%s size %d: label sets diverge:\nbatch %v\ntuple %v", c.name, size, got, want)
-			}
-			for label, n := range want {
-				if got[label] != n {
-					t.Errorf("%s size %d: stats[%q] = %d on the batch path, %d on the tuple path", c.name, size, label, got[label], n)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchMixedNextThenBatch pins the dual-mode shared-cursor
-// contract: consuming a few tuples via Next and then switching to
-// NextBatch continues from the same cursor without loss or repeats.
-func TestBatchMixedNextThenBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	rel := randRelation(rng, []string{"a", "b"}, 100, 25)
-	node := plan.NewScan("r", rel)
-	want := seqKeys(drainSeq(t, CompileWith(node, nil, CompileOptions{Batch: BatchOff})))
-
-	it := CompileWith(node, nil, CompileOptions{Batch: BatchForce, BatchSize: 8})
-	b, ok := it.(BatchIterator)
-	if !ok {
-		t.Fatalf("forced batch compile of a scan is %T, want a dual-mode BatchIterator", it)
-	}
-	if err := it.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var got []string
-	for i := 0; i < 5; i++ {
-		tup, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("Next %d = (%t, %v)", i, ok, err)
-		}
-		got = append(got, tup.Key())
-	}
-	for {
-		batch, err := b.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch == nil {
-			break
-		}
-		got = append(got, seqKeys(batch.Tuples())...)
-	}
-	if !sameSeq(got, want) {
-		t.Fatalf("mixed Next/NextBatch lost or repeated tuples:\ngot  %v\nwant %v", got, want)
 	}
 }
 
 // TestBatchGoroutineLeaks mirrors TestExchangeGoroutineLeaks for the
-// batch surface: the exchange workers behind a parallel division
+// operator protocol: the exchange workers behind a parallel division
 // must die on every teardown path when the consumer drives NextBatch
-// instead of Next.
+// directly instead of the root cursor.
 func TestBatchGoroutineLeaks(t *testing.T) {
 	node, _ := streamFixture()
-	opts := CompileOptions{ExchangeBuffer: 2, Batch: BatchForce}
+	opts := CompileOptions{ExchangeBuffer: 2}
 
 	openBatchRoot := func(t *testing.T, ctx context.Context) BatchIterator {
 		t.Helper()
-		b, ok := CompileWith(node, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of a parallel divide must be a BatchIterator")
-		}
-		if err := b.OpenBatch(ctx); err != nil {
+		b := compile(node, nil, "root", opts)
+		if err := b.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
 		return b
@@ -479,17 +435,14 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 	})
 
 	t.Run("JoinOverExchangeCloseMidStream", func(t *testing.T) {
-		// A hash join probing a batch exchange natively: Close after the
-		// first probe batch must kill the workers even though the join's
-		// feed still holds a retained exchange window.
+		// A hash join probing an exchange: Close after the first probe
+		// batch must kill the workers even though the join still holds
+		// a retained exchange window.
 		baseline := runtime.NumGoroutine()
 		rng := rand.New(rand.NewSource(61))
 		join := &plan.Join{Left: node, Right: plan.NewScan("w", randRelation(rng, []string{"a", "c"}, 120, 50))}
-		b, ok := CompileWith(join, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of join-over-parallel must be a BatchIterator")
-		}
-		if err := b.OpenBatch(context.Background()); err != nil {
+		b := compile(join, nil, "root", opts)
+		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if batch, err := b.NextBatch(); err != nil || batch == nil {
@@ -502,16 +455,13 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 	})
 
 	t.Run("LimitOverBatchExchange", func(t *testing.T) {
-		// The LIMIT early-exit above a batch exchange: the limit closes
+		// The LIMIT early-exit above an exchange: the limit closes
 		// the subtree after the first batch; no workers may survive,
 		// and the served batch must stay intact past the child Close.
 		baseline := runtime.NumGoroutine()
 		lim := &plan.Limit{Input: node, N: 1}
-		b, ok := CompileWith(lim, nil, opts).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of limit-over-parallel must be a BatchIterator")
-		}
-		if err := b.OpenBatch(context.Background()); err != nil {
+		b := compile(lim, nil, "root", opts)
+		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		batch, err := b.NextBatch()
@@ -531,21 +481,21 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 	})
 }
 
-// TestBatchLimitNoOvershoot pins the row-budget protocol: LIMIT on
-// the batch path must not drain a full slab past the limit. Before
-// PR 7, LIMIT 1 over a 64-tuple batch scan pulled all 64 rows and
-// truncated after the fact; with budgets threaded through NextBatch,
-// the child serves a partial window and stops at row N — the same
-// consumption the tuple-path LimitIter has always had.
+// TestBatchLimitNoOvershoot pins the row-budget protocol: LIMIT must
+// not drain a full slab past the limit. Before PR 7, LIMIT 1 over a
+// 64-tuple batch scan pulled all 64 rows and truncated after the fact;
+// with budgets threaded through NextBatch, the child serves a partial
+// window and stops at row N.
 func TestBatchLimitNoOvershoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	scan := plan.NewScan("r", randRelation(rng, []string{"a", "b"}, 200, 50))
+	rel := randRelation(rng, []string{"a", "b"}, 200, 50)
+	scan := plan.NewScan("r", rel)
 
 	t.Run("LimitOneReadsOneRow", func(t *testing.T) {
 		for _, size := range []int{1, 7, 0} {
 			stats := NewStats()
 			out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 1}, stats,
-				CompileOptions{Batch: BatchForce, BatchSize: size}))
+				CompileOptions{BatchSize: size}))
 			if len(out) != 1 {
 				t.Fatalf("size %d: LIMIT 1 returned %d tuples", size, len(out))
 			}
@@ -560,17 +510,14 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 		// must forward the row budget too; the permutation likewise.
 		for _, attrs := range [][]string{{"a", "b"}, {"b", "a"}} {
 			node := &plan.Limit{Input: &plan.Project{Input: scan, Attrs: attrs}, N: 1}
-			for _, opts := range []CompileOptions{
-				{Batch: BatchOff},
-				{Batch: BatchForce, BatchSize: 1}, {Batch: BatchForce, BatchSize: 7}, {Batch: BatchForce},
-			} {
+			for _, size := range []int{1, 7, 0} {
 				stats := NewStats()
-				if out := drainSeq(t, CompileWith(node, stats, opts)); len(out) != 1 {
-					t.Fatalf("%v %+v: LIMIT 1 returned %d tuples", attrs, opts, len(out))
+				if out := drainSeq(t, CompileWith(node, stats, CompileOptions{BatchSize: size})); len(out) != 1 {
+					t.Fatalf("%v size %d: LIMIT 1 returned %d tuples", attrs, size, len(out))
 				}
 				if scanned, projected := stats.Get("root.0.0/scan(r)"), stats.Get("root.0/project"); scanned != 1 || projected != 1 {
-					t.Errorf("%v %+v: scan emitted %d rows and project %d under LIMIT 1, want exactly 1 each",
-						attrs, opts, scanned, projected)
+					t.Errorf("%v size %d: scan emitted %d rows and project %d under LIMIT 1, want exactly 1 each",
+						attrs, size, scanned, projected)
 				}
 			}
 		}
@@ -578,8 +525,7 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 
 	t.Run("LimitNOverScanReadsNRows", func(t *testing.T) {
 		stats := NewStats()
-		out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 5}, stats,
-			CompileOptions{Batch: BatchForce}))
+		out := drainSeq(t, CompileWith(&plan.Limit{Input: scan, N: 5}, stats, CompileOptions{}))
 		if len(out) != 5 {
 			t.Fatalf("LIMIT 5 returned %d tuples", len(out))
 		}
@@ -589,23 +535,26 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 	})
 
 	t.Run("StatsMatchTuplePathUnderLimitOne", func(t *testing.T) {
-		// With a budget of 1 every window is one row, so child
-		// consumption matches the tuple path exactly — even through a
-		// selective filter, where larger budgets may legitimately
-		// overscan inside the final window.
+		// With a budget of 1 every window is one row, so the scan stops
+		// at the first row the filter passes — what a tuple-at-a-time
+		// executor reads — at every batch size, even through a selective
+		// filter, where larger budgets may legitimately overscan inside
+		// the final window.
 		p := pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(30))
 		node := &plan.Limit{Input: &plan.Select{Input: scan, Pred: p}, N: 1}
-		tupleStats := NewStats()
-		drainSeq(t, CompileWith(node, tupleStats, CompileOptions{Batch: BatchOff}))
+		firstHit := int64(1)
+		for _, tup := range rel.Tuples() {
+			if p.Eval(tup, rel.Schema()) {
+				break
+			}
+			firstHit++
+		}
+		want := map[string]int64{"root.0.0/scan(r)": firstHit, "root.0/filter": 1, "root/limit": 1}
 		for _, size := range []int{1, 7, 0} {
-			batchStats := NewStats()
-			drainSeq(t, CompileWith(node, batchStats, CompileOptions{Batch: BatchForce, BatchSize: size}))
-			want, got := tupleStats.Snapshot(), batchStats.Snapshot()
-			for label, n := range want {
-				if got[label] != n {
-					t.Errorf("size %d: stats[%q] = %d on the batch path, %d on the tuple path",
-						size, label, got[label], n)
-				}
+			stats := NewStats()
+			drainSeq(t, CompileWith(node, stats, CompileOptions{BatchSize: size}))
+			if got := stats.Snapshot(); !maps.Equal(got, want) {
+				t.Errorf("size %d: stats = %v, want %v", size, got, want)
 			}
 		}
 	})
@@ -614,12 +563,7 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 		// The raw NextBatch surface under LIMIT 1: one single-tuple
 		// batch, then end of stream — not a truncated 64-row slab.
 		stats := NewStats()
-		b, ok := CompileWith(&plan.Limit{Input: scan, N: 1}, stats,
-			CompileOptions{Batch: BatchForce}).(BatchIterator)
-		if !ok {
-			t.Fatal("forced batch compile of a limit must be a BatchIterator")
-		}
-		out := drainBatchSeq(t, b)
+		out := drainBatchSeq(t, CompileWith(&plan.Limit{Input: scan, N: 1}, stats, CompileOptions{}))
 		if len(out) != 1 {
 			t.Fatalf("NextBatch drain of LIMIT 1 yielded %d tuples", len(out))
 		}
@@ -627,4 +571,48 @@ func TestBatchLimitNoOvershoot(t *testing.T) {
 			t.Errorf("scan emitted %d rows under batch-drained LIMIT 1, want exactly 1", n)
 		}
 	})
+}
+
+// TestRootCursorReadAhead pins what the root cursor costs an early
+// exit: Next pulls one batch of the root operator's output, so a plan
+// rooted at a streaming join reads its probe side ahead by at most one
+// batch (every probe row here has exactly one partner, so one probe
+// batch fills one output batch), while a LIMIT on top still bounds the
+// pull to the rows it needs through the row budget.
+func TestRootCursorReadAhead(t *testing.T) {
+	probe := relation.New(schema.New("a", "b"))
+	for i := int64(0); i < 1000; i++ {
+		probe.Insert(relation.Tuple{value.Int(i), value.Int(i % 8)})
+	}
+	build := relation.New(schema.New("b", "c"))
+	for i := int64(0); i < 8; i++ {
+		build.Insert(relation.Tuple{value.Int(i), value.Int(-i)})
+	}
+	join := &plan.Join{Left: plan.NewScan("probe", probe), Right: plan.NewScan("build", build)}
+	opts := CompileOptions{BatchSize: 64}
+
+	baseline := runtime.NumGoroutine()
+	stats := NewStats()
+	it := CompileWith(join, stats, opts)
+	if err := it.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := it.Next(); err != nil || !ok {
+		t.Fatalf("Next = (%t, %v)", ok, err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := stats.Get("root.0/scan(probe)"); n < 1 || n > 64 {
+		t.Errorf("one Next over a join read %d probe rows, want between 1 and one batch (64)", n)
+	}
+	waitGoroutines(t, baseline)
+
+	stats = NewStats()
+	if out := drainSeq(t, CompileWith(&plan.Limit{Input: join, N: 1}, stats, opts)); len(out) != 1 {
+		t.Fatalf("LIMIT 1 returned %d tuples", len(out))
+	}
+	if n := stats.Get("root.0.0/scan(probe)"); n != 1 {
+		t.Errorf("LIMIT 1 over a join read %d probe rows, want exactly 1", n)
+	}
 }

@@ -81,8 +81,8 @@ func TestRunPropagatesCancellation(t *testing.T) {
 // ctx.Err() on every tuple of a blocking drain versus polling once
 // per DefaultCheckEvery tuples (the shipped design). The batched variant is
 // indistinguishable from no check at all, which is why the engine
-// batches instead of threading a per-Next context check through
-// every iterator.
+// batches instead of threading a per-tuple context check through
+// every operator.
 func BenchmarkCancellationOverhead(b *testing.B) {
 	n := 64 * 1024
 	rows := make([][]int64, 0, n)
@@ -91,8 +91,9 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 	}
 	rel := relation.Ints([]string{"a", "b"}, rows)
 	ctx := context.Background()
-
-	b.Run("none", func(b *testing.B) {
+	// scan drains the relation through NextBatch, calling perTuple (if
+	// any) on every row.
+	scan := func(b *testing.B, perTuple func() error) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			it := &ScanIter{Label: "scan", Rel: rel}
@@ -100,39 +101,26 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			for {
-				_, ok, err := it.Next()
+				batch, err := it.NextBatch()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if !ok {
+				if batch == nil {
 					break
+				}
+				for range batch.Tuples() {
+					if perTuple != nil {
+						if err := perTuple(); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
 			}
 			it.Close()
 		}
-	})
-	b.Run("per-tuple", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it := &ScanIter{Label: "scan", Rel: rel}
-			if err := it.Open(ctx); err != nil {
-				b.Fatal(err)
-			}
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			it.Close()
-		}
-	})
+	}
+	b.Run("none", func(b *testing.B) { scan(b, nil) })
+	b.Run("per-tuple", func(b *testing.B) { scan(b, ctx.Err) })
 	b.Run("batched", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -140,7 +128,7 @@ func BenchmarkCancellationOverhead(b *testing.B) {
 			if err := it.Open(ctx); err != nil {
 				b.Fatal(err)
 			}
-			if err := drain(ctx, it, func(relation.Tuple) {}); err != nil {
+			if err := drainEvery(ctx, it, 0, func(relation.Tuple) error { return nil }); err != nil {
 				b.Fatal(err)
 			}
 			it.Close()

@@ -29,66 +29,66 @@ func TestIteratorCloseSafety(t *testing.T) {
 	bOnly.Insert(relation.Tuple{value.Int(1)})
 	bc.Insert(relation.Tuple{value.Int(1), value.Int(2)})
 
-	scan := func(r *relation.Relation) Iterator { return &ScanIter{Label: "scan", Rel: r} }
+	scan := func(r *relation.Relation) BatchIterator { return &ScanIter{Label: "scan", Rel: r} }
 
 	cases := []struct {
 		name string
-		mk   func() Iterator
+		mk   func() BatchIterator
 	}{
-		{"ScanIter", func() Iterator { return scan(ab) }},
-		{"FilterIter", func() Iterator {
-			return &FilterIter{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
+		{"ScanIter", func() BatchIterator { return scan(ab) }},
+		{"FilterIter", func() BatchIterator {
+			return &FilterBatch{Label: "f", Input: scan(ab), Pred: pred.Literal(true)}
 		}},
-		{"ProjectIter", func() Iterator {
-			return &ProjectIter{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
+		{"ProjectIter", func() BatchIterator {
+			return &ProjectBatch{Label: "p", Input: scan(ab), Attrs: []string{"a"}}
 		}},
-		{"UnionIter", func() Iterator {
+		{"UnionIter", func() BatchIterator {
 			return &UnionIter{Label: "u", Left: scan(ab), Right: scan(ab2)}
 		}},
-		{"HashSetOpIter", func() Iterator {
+		{"HashSetOpIter", func() BatchIterator {
 			return &HashSetOpIter{Label: "s", Left: scan(ab), Right: scan(ab2), Keep: true}
 		}},
-		{"ProductIter", func() Iterator {
+		{"ProductIter", func() BatchIterator {
 			return &ProductIter{Label: "x", Left: scan(ab), Right: scan(cd)}
 		}},
-		{"HashJoinIter", func() Iterator {
+		{"HashJoinIter", func() BatchIterator {
 			return &HashJoinIter{Label: "j", Left: scan(ab), Right: scan(bc)}
 		}},
-		{"SemiJoinIter", func() Iterator {
+		{"SemiJoinIter", func() BatchIterator {
 			return &SemiJoinIter{Label: "sj", Left: scan(ab), Right: scan(bc), Keep: true}
 		}},
-		{"ThetaJoinIter", func() Iterator {
+		{"ThetaJoinIter", func() BatchIterator {
 			return &ThetaJoinIter{Label: "tj", Left: scan(ab), Right: scan(cd), Pred: pred.Literal(true)}
 		}},
-		{"HashDivideIter", func() Iterator {
+		{"HashDivideIter", func() BatchIterator {
 			return &HashDivideIter{Label: "hd", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
-		{"MergeGroupDivideIter", func() Iterator {
+		{"MergeGroupDivideIter", func() BatchIterator {
 			return &MergeGroupDivideIter{Label: "md", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
-		{"GreatDivideIter", func() Iterator {
+		{"GreatDivideIter", func() BatchIterator {
 			return &GreatDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
 		}},
-		{"ParallelDivideIter", func() Iterator {
+		{"ParallelDivideIter", func() BatchIterator {
 			return &ParallelDivideIter{Label: "pd", Dividend: scan(ab), Divisor: scan(bOnly), Workers: 2}
 		}},
-		{"ParallelGreatDivideIter", func() Iterator {
+		{"ParallelGreatDivideIter", func() BatchIterator {
 			return &ParallelGreatDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
 		}},
-		{"GroupIter", func() Iterator {
+		{"GroupIter", func() BatchIterator {
 			return &GroupIter{Label: "g", Input: scan(ab), By: []string{"a"}}
 		}},
-		{"LimitIter", func() Iterator {
-			return &LimitIter{Label: "l", Input: scan(ab), N: 2}
+		{"LimitIter", func() BatchIterator {
+			return &LimitBatch{Label: "l", Input: scan(ab), N: 2}
 		}},
-		{"LimitIterZero", func() Iterator {
-			return &LimitIter{Label: "l0", Input: scan(ab), N: 0}
+		{"LimitIterZero", func() BatchIterator {
+			return &LimitBatch{Label: "l0", Input: scan(ab), N: 0}
 		}},
-		{"SortIter", func() Iterator {
+		{"SortIter", func() BatchIterator {
 			return &SortIter{Label: "so", Input: scan(ab)}
 		}},
-		{"RenameIter", func() Iterator {
-			return &RenameIter{Input: scan(ab), From: "a", To: "z"}
+		{"RenameIter", func() BatchIterator {
+			return &RenameBatch{Input: scan(ab), From: "a", To: "z"}
 		}},
 	}
 
@@ -110,11 +110,11 @@ func TestIteratorCloseSafety(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 			for {
-				_, ok, err := it.Next()
+				b, err := it.NextBatch()
 				if err != nil {
-					t.Fatalf("Next: %v", err)
+					t.Fatalf("NextBatch: %v", err)
 				}
-				if !ok {
+				if b == nil {
 					break
 				}
 			}
@@ -125,10 +125,10 @@ func TestIteratorCloseSafety(t *testing.T) {
 				t.Errorf("Close twice: %v", err)
 			}
 
-			// Next after Close must not panic; it may report an error
-			// or end-of-stream, but never a tuple.
-			if tup, ok, _ := it.Next(); ok {
-				t.Errorf("Next after Close produced a tuple: %v", tup)
+			// NextBatch after Close must not panic; it may report an
+			// error or end-of-stream, but never a batch.
+			if b, _ := it.NextBatch(); b != nil {
+				t.Errorf("NextBatch after Close produced a batch: %v", b.Tuples())
 			}
 		})
 	}

@@ -2,39 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"os"
-	"sync"
 
 	"divlaws/internal/division"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/spill"
 )
-
-// BatchMode selects how the compiler uses the batch-at-a-time fast
-// path.
-type BatchMode int
-
-const (
-	// BatchAuto (the zero value) selects the batch path for every
-	// maximal subtree whose operators are all batch-capable, leaving
-	// mixed subtrees on the tuple path — no adapter cost anywhere.
-	BatchAuto BatchMode = iota
-	// BatchOff compiles everything tuple-at-a-time; the correctness
-	// oracle for equivalence tests.
-	BatchOff
-	// BatchForce compiles every batch-capable operator onto the batch
-	// path, inserting ToBatch adapters over tuple-only children. Used
-	// by the CI leg that runs the whole suite batch-first.
-	BatchForce
-)
-
-// forceBatchEnv reports whether DIVLAWS_FORCE_BATCH=1 is set; it
-// upgrades BatchAuto to BatchForce (an explicit BatchOff still wins,
-// so equivalence oracles hold even under the forced-batch CI leg).
-var forceBatchEnv = sync.OnceValue(func() bool {
-	return os.Getenv("DIVLAWS_FORCE_BATCH") == "1"
-})
 
 // CompileOptions tunes physical operator construction. It unifies the
 // engine's sizing knobs — emission batch size, context-poll interval,
@@ -46,7 +19,7 @@ type CompileOptions struct {
 	// DefaultExchangeBuffer. It governs backpressure: how far workers
 	// may run ahead of the consumer.
 	ExchangeBuffer int
-	// BatchSize is the tuple capacity of batch-path batches and the
+	// BatchSize is the tuple capacity of operator batches and the
 	// emission batch size of parallel exchange workers; 0 means
 	// relation.DefaultBatchCap (== parallel.EmitBatchSize). It governs
 	// amortization: how many tuples share one interface call.
@@ -55,9 +28,6 @@ type CompileOptions struct {
 	// drains and parallel worker feeds, in tuples; 0 means
 	// DefaultCheckEvery. It governs cancellation latency.
 	CheckEvery int
-	// Batch selects the batch-path policy; the zero value is
-	// BatchAuto.
-	Batch BatchMode
 	// MemoryLimit bounds the bytes of input state the plan's blocking
 	// operators may hold live, in bytes. 0 defers to the
 	// DIVLAWS_FORCE_SPILL environment override (unlimited when that is
@@ -67,7 +37,7 @@ type CompileOptions struct {
 	MemoryLimit int64
 	// Spill is the budget tracker shared by the plan's operators.
 	// Usually nil: CompileWith builds one from MemoryLimit and ties its
-	// lifetime (including temp-file cleanup) to the root iterator's
+	// lifetime (including temp-file cleanup) to the root cursor's
 	// Close. A caller that needs to read spill counters after the query
 	// passes its own tracker and owns its Close.
 	Spill *spill.Tracker
@@ -87,267 +57,28 @@ func (o CompileOptions) EffectiveMemoryLimit() int64 {
 	return forceSpillEnv()
 }
 
-// mode resolves the effective batch policy, including the
-// DIVLAWS_FORCE_BATCH environment upgrade of Auto to Force.
-func (o CompileOptions) mode() BatchMode {
-	if o.Batch == BatchAuto && forceBatchEnv() {
-		return BatchForce
-	}
-	return o.Batch
-}
-
-// Compile lowers a logical plan to a physical iterator tree with
-// default options. Every operator is labelled by its position so
-// Stats exposes per-operator tuple counts. stats may be nil.
-func Compile(n plan.Node, stats *Stats) Iterator {
+// Compile lowers a logical plan to a physical operator tree with
+// default options, under the root cursor that serves it tuple by
+// tuple. Every operator is labelled by its position so Stats exposes
+// per-operator tuple counts. stats may be nil.
+func Compile(n plan.Node, stats *Stats) *FromBatch {
 	return CompileWith(n, stats, CompileOptions{})
 }
 
 // CompileWith is Compile with explicit options.
-func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) Iterator {
-	owned := false
+func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
+	var owned *spill.Tracker
 	if opts.Spill == nil {
 		if lim := opts.EffectiveMemoryLimit(); lim > 0 {
-			opts.Spill = spill.NewTracker(lim)
-			owned = opts.Spill != nil
+			owned = spill.NewTracker(lim)
+			opts.Spill = owned
 		}
 	}
-	it := compile(n, stats, "root", opts)
-	if owned {
-		it = ownTracker(it, opts.Spill)
-	}
-	return it
+	return &FromBatch{Input: compile(n, stats, "root", opts), tr: owned}
 }
 
-// batchCapable reports whether one plan node has a batch-native (or
-// dual-mode) physical operator. Since the probe-side operators (joins,
-// set ops, products, merge division) grew NextBatch, every plan node
-// qualifies — the switch stays explicit so a future tuple-only node
-// fails safe.
-func batchCapable(n plan.Node) bool {
-	switch n.(type) {
-	case *plan.Scan, *plan.Select, *plan.Project, *plan.Limit, *plan.Rename,
-		*plan.GreatDivide, *plan.Sort, *plan.TopK, *plan.Group,
-		*plan.ParallelDivide, *plan.ParallelGreatDivide,
-		*plan.Divide, *plan.Set, *plan.Product, *plan.Join,
-		*plan.ThetaJoin, *plan.SemiJoin, *plan.AntiSemiJoin:
-		return true
-	default:
-		return false
-	}
-}
-
-// autoBatchable reports whether compiling n on the batch path needs
-// no adapter (and no per-tuple probe accumulation) anywhere:
-// streaming operators require a batchable child, while blocking
-// emitters (sorts, divisions, groupings, exchanges) are batch sources
-// regardless of their children — the children are drained during
-// Open, not composed into the emitting pipeline. The probe-side
-// operators sit in between: their build side is an Open-time drain
-// (batch-upgraded when possible, never an adapter), but their probe
-// side streams, so they join the batch path only when the probe child
-// does. Merge-sort division is a batch source: its probe is the
-// compiler-inserted SortIter.
-func autoBatchable(n plan.Node) bool {
-	if !batchCapable(n) {
-		return false
-	}
-	switch t := n.(type) {
-	case *plan.Select:
-		return autoBatchable(t.Input)
-	case *plan.Project:
-		return autoBatchable(t.Input)
-	case *plan.Limit:
-		return autoBatchable(t.Input)
-	case *plan.Rename:
-		return autoBatchable(t.Input)
-	case *plan.Set:
-		if t.Op == plan.UnionOp {
-			// Both sides stream through a union.
-			return autoBatchable(t.Left) && autoBatchable(t.Right)
-		}
-		return autoBatchable(t.Left)
-	case *plan.Product:
-		return autoBatchable(t.Left)
-	case *plan.Join:
-		return autoBatchable(t.Left)
-	case *plan.ThetaJoin:
-		return autoBatchable(t.Left)
-	case *plan.SemiJoin:
-		return autoBatchable(t.Left)
-	case *plan.AntiSemiJoin:
-		return autoBatchable(t.Left)
-	}
-	return true
-}
-
-// onBatchPath reports whether the given options compile n's root onto
-// the batch path.
-func onBatchPath(n plan.Node, opts CompileOptions) bool {
-	switch opts.mode() {
-	case BatchAuto:
-		return autoBatchable(n)
-	case BatchForce:
-		return batchCapable(n)
-	}
-	return false
-}
-
-// BatchNodes returns the set of plan nodes the given options would
-// execute batch-at-a-time, by replaying the compiler's selection
-// rule over the tree. Explain uses it to annotate plans with
-// [batch].
-func BatchNodes(n plan.Node, opts CompileOptions) map[plan.Node]bool {
-	out := make(map[plan.Node]bool)
-	markBatch(n, opts, out)
-	return out
-}
-
-// markBatch mirrors compile: enter the batch pipeline where the root
-// qualifies, recurse tuple-wise otherwise.
-func markBatch(n plan.Node, opts CompileOptions, out map[plan.Node]bool) {
-	if onBatchPath(n, opts) {
-		markBatchPipeline(n, opts, out)
-		return
-	}
-	for _, c := range n.Children() {
-		markBatch(c, opts, out)
-	}
-}
-
-// markBatchPipeline mirrors compileBatch: streaming operators extend
-// the pipeline through batchable children — for the probe-side
-// operators that is the probe (left, or both union sides) child,
-// while build children restart the selection (they are drained at
-// Open, a separate region) — and emitters restart it below
-// themselves.
-func markBatchPipeline(n plan.Node, opts CompileOptions, out map[plan.Node]bool) {
-	out[n] = true
-	probeThrough := func(probe plan.Node, builds ...plan.Node) {
-		if onBatchPath(probe, opts) {
-			markBatchPipeline(probe, opts, out)
-		} else {
-			// Forced mode only: the probe feed accumulates the tuple
-			// compilation of the child.
-			markBatch(probe, opts, out)
-		}
-		for _, b := range builds {
-			markBatch(b, opts, out)
-		}
-	}
-	switch t := n.(type) {
-	case *plan.Select, *plan.Project, *plan.Limit, *plan.Rename:
-		probeThrough(n.Children()[0])
-	case *plan.Set:
-		if t.Op == plan.UnionOp {
-			probeThrough(t.Left)
-			probeThrough(t.Right)
-		} else {
-			probeThrough(t.Left, t.Right)
-		}
-	case *plan.Product:
-		probeThrough(t.Left, t.Right)
-	case *plan.Join:
-		probeThrough(t.Left, t.Right)
-	case *plan.ThetaJoin:
-		probeThrough(t.Left, t.Right)
-	case *plan.SemiJoin:
-		probeThrough(t.Left, t.Right)
-	case *plan.AntiSemiJoin:
-		probeThrough(t.Left, t.Right)
-	default:
-		for _, c := range n.Children() {
-			markBatch(c, opts, out)
-		}
-	}
-}
-
-// compile dispatches between the batch and tuple paths, then lowers
-// the node. Dual-mode operators satisfy both interfaces, so choosing
-// the batch path never forces an adapter above it: consumers that
-// want tuples call Next, batch drains call NextBatch.
-func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Iterator {
-	if onBatchPath(n, opts) {
-		return asIterator(compileBatch(n, stats, label, opts))
-	}
-	it := compileNode(n, stats, label, opts)
-	if opts.mode() == BatchOff {
-		it = tupleOnly{it}
-	}
-	return it
-}
-
-// tupleOnly hides the batch surface of a dual-mode operator. Drains
-// discover NextBatch by type assertion at runtime, so without this
-// wrapper an explicit BatchOff compile would still be batch-drained
-// wherever a dual-mode operator sits under a drain — leaving the
-// correctness oracle and benchmark baseline partially vectorized.
-// Wrapping every node of a BatchOff tree keeps it pure Volcano.
-type tupleOnly struct{ Iterator }
-
-// asIterator exposes a batch pipeline to a tuple consumer: dual-mode
-// operators pass through, pure batch operators get a FromBatch.
-func asIterator(b BatchIterator) Iterator {
-	if it, ok := b.(Iterator); ok {
-		return it
-	}
-	return &FromBatch{Input: b}
-}
-
-// compileBatch lowers a batch-path subtree rooted at a batch-capable
-// node. Streaming operators get their batch-native forms; blocking
-// emitters reuse the dual-mode lowering of compileNode.
-func compileBatch(n plan.Node, stats *Stats, label string, opts CompileOptions) BatchIterator {
-	switch t := n.(type) {
-	case *plan.Select:
-		return &FilterBatch{
-			Label: label + "/filter",
-			Input: compileBatchChild(t.Input, stats, label+".0", opts),
-			Pred:  t.Pred,
-			Stats: stats,
-		}
-	case *plan.Project:
-		return &ProjectBatch{
-			Label: label + "/project",
-			Input: compileBatchChild(t.Input, stats, label+".0", opts),
-			Attrs: t.Attrs,
-			Stats: stats,
-		}
-	case *plan.Limit:
-		return &LimitBatch{
-			Label:         label + "/limit",
-			Input:         compileBatchChild(t.Input, stats, label+".0", opts),
-			N:             t.N,
-			Stats:         stats,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
-	case *plan.Rename:
-		return &RenameBatch{
-			Input: compileBatchChild(t.Input, stats, label+".0", opts),
-			From:  t.From,
-			To:    t.To,
-		}
-	default:
-		// Blocking emitters and scans are dual-mode; their tuple
-		// lowering IS the batch lowering.
-		return compileNode(n, stats, label, opts).(BatchIterator)
-	}
-}
-
-// compileBatchChild compiles a batch operator's input: the batch
-// pipeline continues through qualifying children; otherwise (forced
-// mode over a tuple-only subtree) a ToBatch adapter bridges the gap.
-func compileBatchChild(n plan.Node, stats *Stats, label string, opts CompileOptions) BatchIterator {
-	if onBatchPath(n, opts) {
-		return compileBatch(n, stats, label, opts)
-	}
-	return &ToBatch{Input: compile(n, stats, label, opts), BatchSize: opts.BatchSize}
-}
-
-// compileNode lowers one plan node tuple-wise (producing dual-mode
-// operators where they exist), recursing through compile so batchable
-// subtrees below tuple-only operators still take the batch path.
-func compileNode(n plan.Node, stats *Stats, label string, opts CompileOptions) Iterator {
+// compile lowers one plan node and, recursively, its inputs.
+func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) BatchIterator {
 	switch t := n.(type) {
 	case *plan.Scan:
 		return &ScanIter{
@@ -357,25 +88,26 @@ func compileNode(n plan.Node, stats *Stats, label string, opts CompileOptions) I
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Select:
-		return &FilterIter{
+		return &FilterBatch{
 			Label: label + "/filter",
 			Input: compile(t.Input, stats, label+".0", opts),
 			Pred:  t.Pred,
 			Stats: stats,
 		}
 	case *plan.Project:
-		return &ProjectIter{
+		return &ProjectBatch{
 			Label: label + "/project",
 			Input: compile(t.Input, stats, label+".0", opts),
 			Attrs: t.Attrs,
 			Stats: stats,
 		}
 	case *plan.Limit:
-		return &LimitIter{
-			Label: label + "/limit",
-			Input: compile(t.Input, stats, label+".0", opts),
-			N:     t.N,
-			Stats: stats,
+		return &LimitBatch{
+			Label:         label + "/limit",
+			Input:         compile(t.Input, stats, label+".0", opts),
+			N:             t.N,
+			Stats:         stats,
+			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Sort:
 		pos, desc := resolveSortKeys(t.Input.Schema(), t.Keys)
@@ -586,7 +318,7 @@ func compileNode(n plan.Node, stats *Stats, label string, opts CompileOptions) I
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Rename:
-		return &RenameIter{
+		return &RenameBatch{
 			Input: compile(t.Input, stats, label+".0", opts),
 			From:  t.From,
 			To:    t.To,

@@ -10,10 +10,10 @@ import (
 
 func TestCloseIdempotent(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
-	iters := []Iterator{
+	iters := []BatchIterator{
 		&ScanIter{Rel: r},
-		&FilterIter{Input: &ScanIter{Rel: r}, Pred: truePred{}},
-		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&FilterBatch{Input: &ScanIter{Rel: r}, Pred: truePred{}},
+		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&SortIter{Input: &ScanIter{Rel: r}},
 	}
 	for _, it := range iters {
@@ -50,7 +50,7 @@ func TestProductIterEmptyRight(t *testing.T) {
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, [][]int64{{1}, {2}})},
 		Right: &ScanIter{Rel: relation.Ints([]string{"b"}, nil)},
 	}
-	out, err := Run(context.Background(), p)
+	out, err := Run(context.Background(), &FromBatch{Input: p})
 	if err != nil || !out.Empty() {
 		t.Errorf("product with empty right = %v, %v", out, err)
 	}
@@ -76,7 +76,7 @@ func TestDivideItersRejectBadSchemasAtOpen(t *testing.T) {
 func TestDivideItersNotOpen(t *testing.T) {
 	r1 := &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})}
 	r2 := &ScanIter{Rel: relation.Ints([]string{"b"}, [][]int64{{1}})}
-	for _, it := range []Iterator{
+	for _, it := range []BatchIterator{
 		&HashDivideIter{Dividend: r1, Divisor: r2},
 		&MergeGroupDivideIter{Dividend: r1, Divisor: r2},
 		&GreatDivideIter{
@@ -87,8 +87,8 @@ func TestDivideItersNotOpen(t *testing.T) {
 		&GroupIter{Input: r1, By: []string{"a"}},
 		&ThetaJoinIter{Left: r1, Right: r2, Pred: truePred{}},
 	} {
-		if _, _, err := it.Next(); err == nil {
-			t.Errorf("%T.Next before Open should error", it)
+		if _, err := it.NextBatch(); err == nil {
+			t.Errorf("%T.NextBatch before Open should error", it)
 		}
 	}
 }
@@ -98,10 +98,10 @@ func TestRunPropagatesOpenError(t *testing.T) {
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, nil)},
 		Right: &ScanIter{Rel: relation.Ints([]string{"z"}, nil)},
 	}
-	if _, err := Run(context.Background(), op); err == nil {
+	if _, err := Run(context.Background(), &FromBatch{Input: op}); err == nil {
 		t.Error("Run must surface Open errors")
 	}
-	if _, err := Drain(context.Background(), op); err == nil {
+	if _, err := Drain(context.Background(), &FromBatch{Input: op}); err == nil {
 		t.Error("Drain must surface Open errors")
 	}
 }

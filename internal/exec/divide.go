@@ -12,13 +12,12 @@ import (
 )
 
 // ThetaJoinIter is a nested-loop join with an arbitrary predicate
-// over the concatenated schemas (which must be disjoint). It is
-// dual-mode: NextBatch filters whole batches of the inner product
-// into a pooled output batch, the predicate evaluated per tuple but
-// all interface costs per batch.
+// over the concatenated schemas (which must be disjoint): NextBatch
+// filters whole batches of the inner product into a pooled output
+// batch.
 type ThetaJoinIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Pred        pred.Predicate
 	Stats       *Stats
 	// Every is the cooperative ctx-poll interval of the inner build
@@ -29,16 +28,13 @@ type ThetaJoinIter struct {
 	out   schema.Schema
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (j *ThetaJoinIter) Open(ctx context.Context) error {
 	j.inner = &ProductIter{Label: j.Label + ".product", Left: j.Left, Right: j.Right, Stats: nil, Every: j.Every,
 		windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
 	j.out = j.Left.Schema().Concat(j.Right.Schema())
 	return j.inner.Open(ctx)
 }
-
-// OpenBatch implements BatchIterator.
-func (j *ThetaJoinIter) OpenBatch(ctx context.Context) error { return j.Open(ctx) }
 
 // NextBatch implements BatchIterator: each inner product batch is
 // filtered through the predicate into a pooled output batch. The
@@ -70,24 +66,7 @@ func (j *ThetaJoinIter) NextBatch() (*relation.Batch, error) {
 	}
 }
 
-// Next implements Iterator.
-func (j *ThetaJoinIter) Next() (relation.Tuple, bool, error) {
-	if j.inner == nil {
-		return nil, false, errNotOpen("ThetaJoinIter")
-	}
-	for {
-		t, ok, err := j.inner.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if j.Pred.Eval(t, j.out) {
-			j.Stats.count(j.Label, 1)
-			return t, true, nil
-		}
-	}
-}
-
-// Close implements Iterator. It is a no-op before Open (the inner
+// Close implements BatchIterator. It is a no-op before Open (the inner
 // product, and with it the children, only exist after Open).
 func (j *ThetaJoinIter) Close() error {
 	j.release()
@@ -99,7 +78,7 @@ func (j *ThetaJoinIter) Close() error {
 	return inner.Close()
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (j *ThetaJoinIter) Schema() schema.Schema {
 	if j.out.Len() == 0 {
 		j.out = j.Left.Schema().Concat(j.Right.Schema())
@@ -111,13 +90,11 @@ func (j *ThetaJoinIter) Schema() schema.Schema {
 // the divisor is streamed into a bit-numbering table on Open, the
 // dividend consumed in one pass straight off its child iterator —
 // neither input is materialized into an intermediate relation — and
-// qualifying quotient groups emitted afterwards. It is blocking on
-// the dividend but needs no sorted inputs. It is dual-mode: the
-// quotient is emitted per tuple or per zero-copy batch over one
-// shared cursor, and batch-capable children are drained in batches.
+// qualifying quotient groups emitted afterwards in zero-copy windows.
+// It is blocking on the dividend but needs no sorted inputs.
 type HashDivideIter struct {
 	Label             string
-	Dividend, Divisor Iterator
+	Dividend, Divisor BatchIterator
 	Stats             *Stats
 	// Every is the cooperative ctx-poll interval of the build drains,
 	// in tuples; 0 means DefaultCheckEvery.
@@ -135,7 +112,7 @@ type HashDivideIter struct {
 	gctx    context.Context
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (h *HashDivideIter) Open(ctx context.Context) error {
 	dividendSch, divisorSch := h.Dividend.Schema(), h.Divisor.Schema()
 	st, err := division.NewDivideState(dividendSch, divisorSch)
@@ -156,10 +133,10 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 		g := newGraceDivide(h.Spill, dividendSch.Positions(split.A.Attrs()), h.Every,
 			func() (divSpillState, error) { return division.NewDivideState(dividendSch, divisorSch) })
 		h.grace, h.gctx = g, ctx
-		if err := drainEveryErr(ctx, h.Divisor, h.Every, g.addDivisor); err != nil {
+		if err := drainEvery(ctx, h.Divisor, h.Every, g.addDivisor); err != nil {
 			return err
 		}
-		if err := drainEveryErr(ctx, h.Dividend, h.Every, func(t relation.Tuple) error {
+		if err := drainEvery(ctx, h.Dividend, h.Every, func(t relation.Tuple) error {
 			return g.addDividend(ctx, t)
 		}); err != nil {
 			return err
@@ -170,40 +147,16 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 		h.opened = true
 		return nil
 	}
-	if err := drainEvery(ctx, h.Divisor, h.Every, st.AddDivisor); err != nil {
+	if err := drainEvery(ctx, h.Divisor, h.Every, func(t relation.Tuple) error { st.AddDivisor(t); return nil }); err != nil {
 		return err
 	}
-	if err := drainEvery(ctx, h.Dividend, h.Every, st.AddDividend); err != nil {
+	if err := drainEvery(ctx, h.Dividend, h.Every, func(t relation.Tuple) error { st.AddDividend(t); return nil }); err != nil {
 		return err
 	}
 	h.results = st.Result().Tuples()
 	h.pos = 0
 	h.opened = true
 	return nil
-}
-
-// OpenBatch implements BatchIterator.
-func (h *HashDivideIter) OpenBatch(ctx context.Context) error { return h.Open(ctx) }
-
-// Next implements Iterator.
-func (h *HashDivideIter) Next() (relation.Tuple, bool, error) {
-	if !h.opened {
-		return nil, false, errNotOpen("HashDivideIter")
-	}
-	if h.grace != nil {
-		t, ok, err := h.grace.next(h.gctx)
-		if ok {
-			h.Stats.count(h.Label, 1)
-		}
-		return t, ok, err
-	}
-	if h.pos >= len(h.results) {
-		return nil, false, nil
-	}
-	t := h.results[h.pos]
-	h.pos++
-	h.Stats.count(h.Label, 1)
-	return t, true, nil
 }
 
 // NextBatch implements BatchIterator.
@@ -221,7 +174,7 @@ func (h *HashDivideIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (h *HashDivideIter) Close() error {
 	h.results, h.opened = nil, false
 	if h.grace != nil {
@@ -237,7 +190,7 @@ func (h *HashDivideIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator. It is derived from the children's
+// Schema implements BatchIterator. It is derived from the children's
 // schemas so parents may call it before Open.
 func (h *HashDivideIter) Schema() schema.Schema {
 	if h.out.Len() == 0 {
@@ -255,13 +208,12 @@ func (h *HashDivideIter) Schema() schema.Schema {
 // attributes A and emits each qualifying quotient as soon as its
 // group ends, holding only the divisor table and the current group's
 // progress in memory. This is the operator shape that makes Law 1's
-// pipeline parallelism possible. It is dual-mode: NextBatch consumes
-// the sorted dividend a batch at a time, runs the same group machinery
-// over the whole batch, and emits finished quotients into a pooled
-// output batch — the group-in-progress state is shared with Next.
+// pipeline parallelism possible: NextBatch consumes the sorted
+// dividend a batch at a time, runs the group machinery over the whole
+// batch, and emits finished quotients into a pooled output batch.
 type MergeGroupDivideIter struct {
 	Label             string
-	Dividend, Divisor Iterator
+	Dividend, Divisor BatchIterator
 	Stats             *Stats
 	// Every is the cooperative ctx-poll interval of the divisor drain,
 	// in tuples; 0 means DefaultCheckEvery.
@@ -280,12 +232,11 @@ type MergeGroupDivideIter struct {
 	srcDone bool
 	opened  bool
 
-	srcFeed batchFeed
-	div     []relation.Tuple
-	dPos    int
+	div  []relation.Tuple
+	dPos int
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (m *MergeGroupDivideIter) Open(ctx context.Context) error {
 	split, err := division.SmallSplit(m.Dividend.Schema(), m.Divisor.Schema())
 	if err != nil {
@@ -299,8 +250,9 @@ func (m *MergeGroupDivideIter) Open(ctx context.Context) error {
 		return err
 	}
 	m.divisor.Reset()
-	if err := drainEvery(ctx, m.Divisor, m.Every, func(t relation.Tuple) {
+	if err := drainEvery(ctx, m.Divisor, m.Every, func(t relation.Tuple) error {
 		m.divisor.IDProj(t, bOrder)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -312,19 +264,15 @@ func (m *MergeGroupDivideIter) Open(ctx context.Context) error {
 	m.curA, m.curBits, m.curSeen = nil, nil, 0
 	m.srcDone = false
 	m.opened = true
-	m.srcFeed = batchFeed{child: m.Dividend, size: m.BatchSize}
 	m.div, m.dPos = nil, 0
 	return nil
 }
-
-// OpenBatch implements BatchIterator.
-func (m *MergeGroupDivideIter) OpenBatch(ctx context.Context) error { return m.Open(ctx) }
 
 // NextBatch implements BatchIterator: the sorted dividend flows in a
 // batch at a time, the group machinery runs over whole batches, and
 // each qualifying quotient lands in a pooled output batch the moment
 // its group ends. An armed row budget bounds the output batch (the
-// dividend feed is unbounded: group sizes are unknown ahead of time).
+// dividend pulls are unbounded: group sizes are unknown ahead of time).
 func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 	if !m.opened {
 		return nil, errNotOpen("MergeGroupDivideIter")
@@ -344,7 +292,7 @@ func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 			break
 		}
 		if m.dPos >= len(m.div) {
-			ts, err := m.srcFeed.next(0)
+			ts, err := pull(m.Dividend, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -377,50 +325,6 @@ func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 	return out, nil
 }
 
-// Next implements Iterator.
-func (m *MergeGroupDivideIter) Next() (relation.Tuple, bool, error) {
-	if !m.opened {
-		return nil, false, errNotOpen("MergeGroupDivideIter")
-	}
-	for {
-		if m.srcDone {
-			// Flush the final group, once.
-			if m.curA != nil {
-				q, qualifies := m.finishGroup()
-				m.curA = nil
-				if qualifies {
-					m.Stats.count(m.Label, 1)
-					return q, true, nil
-				}
-			}
-			return nil, false, nil
-		}
-		t, ok, err := m.Dividend.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			m.srcDone = true
-			continue
-		}
-		at := t.Project(m.aPos)
-		if m.curA == nil {
-			m.startGroup(at)
-		} else if at.Compare(m.curA) != 0 {
-			// Group boundary: finish current, stash the tuple.
-			q, qualifies := m.finishGroup()
-			m.startGroup(at)
-			m.absorb(t)
-			if qualifies {
-				m.Stats.count(m.Label, 1)
-				return q, true, nil
-			}
-			continue
-		}
-		m.absorb(t)
-	}
-}
-
 func (m *MergeGroupDivideIter) startGroup(a relation.Tuple) {
 	m.curA = a
 	// Reuse the bitmap across groups; it is fixed-size per Open.
@@ -446,13 +350,12 @@ func (m *MergeGroupDivideIter) finishGroup() (relation.Tuple, bool) {
 	return m.curA, m.curSeen == m.nDivisor
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (m *MergeGroupDivideIter) Close() error {
 	m.divisor.Reset()
 	m.opened = false
 	m.div, m.dPos = nil, 0
 	m.release()
-	m.srcFeed.release()
 	err1 := m.Dividend.Close()
 	err2 := m.Divisor.Close()
 	if err1 != nil {
@@ -461,7 +364,7 @@ func (m *MergeGroupDivideIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator. It is derived from the children's
+// Schema implements BatchIterator. It is derived from the children's
 // schemas so parents may call it before Open.
 func (m *MergeGroupDivideIter) Schema() schema.Schema {
 	if m.out.Len() == 0 {
@@ -477,12 +380,10 @@ func (m *MergeGroupDivideIter) Schema() schema.Schema {
 // GreatDivideIter is the physical set-containment-division operator:
 // blocking on both inputs, hash-based counting. Both inputs are
 // consumed straight off the child iterators into the counting state,
-// which absorbs duplicates itself — no intermediate relations. It is
-// dual-mode like HashDivideIter: per-tuple or per-batch emission over
-// one shared cursor, batch drains of batch-capable children.
+// which absorbs duplicates itself — no intermediate relations.
 type GreatDivideIter struct {
 	Label             string
-	Dividend, Divisor Iterator
+	Dividend, Divisor BatchIterator
 	Stats             *Stats
 	// Every is the cooperative ctx-poll interval of the build drains,
 	// in tuples; 0 means DefaultCheckEvery.
@@ -501,7 +402,7 @@ type GreatDivideIter struct {
 	gctx    context.Context
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (g *GreatDivideIter) Open(ctx context.Context) error {
 	dividendSch, divisorSch := g.Dividend.Schema(), g.Divisor.Schema()
 	st, err := division.NewGreatDivideState(dividendSch, divisorSch)
@@ -522,10 +423,10 @@ func (g *GreatDivideIter) Open(ctx context.Context) error {
 		gd := newGraceDivide(g.Spill, dividendSch.Positions(split.A.Attrs()), g.Every,
 			func() (divSpillState, error) { return division.NewGreatDivideState(dividendSch, divisorSch) })
 		g.grace, g.gctx = gd, ctx
-		if err := drainEveryErr(ctx, g.Divisor, g.Every, gd.addDivisor); err != nil {
+		if err := drainEvery(ctx, g.Divisor, g.Every, gd.addDivisor); err != nil {
 			return err
 		}
-		if err := drainEveryErr(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
+		if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
 			return gd.addDividend(ctx, t)
 		}); err != nil {
 			return err
@@ -536,40 +437,16 @@ func (g *GreatDivideIter) Open(ctx context.Context) error {
 		g.opened = true
 		return nil
 	}
-	if err := drainEvery(ctx, g.Divisor, g.Every, st.AddDivisor); err != nil {
+	if err := drainEvery(ctx, g.Divisor, g.Every, func(t relation.Tuple) error { st.AddDivisor(t); return nil }); err != nil {
 		return err
 	}
-	if err := drainEvery(ctx, g.Dividend, g.Every, st.AddDividend); err != nil {
+	if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error { st.AddDividend(t); return nil }); err != nil {
 		return err
 	}
 	g.results = st.Result().Tuples()
 	g.pos = 0
 	g.opened = true
 	return nil
-}
-
-// OpenBatch implements BatchIterator.
-func (g *GreatDivideIter) OpenBatch(ctx context.Context) error { return g.Open(ctx) }
-
-// Next implements Iterator.
-func (g *GreatDivideIter) Next() (relation.Tuple, bool, error) {
-	if !g.opened {
-		return nil, false, errNotOpen("GreatDivideIter")
-	}
-	if g.grace != nil {
-		t, ok, err := g.grace.next(g.gctx)
-		if ok {
-			g.Stats.count(g.Label, 1)
-		}
-		return t, ok, err
-	}
-	if g.pos >= len(g.results) {
-		return nil, false, nil
-	}
-	t := g.results[g.pos]
-	g.pos++
-	g.Stats.count(g.Label, 1)
-	return t, true, nil
 }
 
 // NextBatch implements BatchIterator.
@@ -587,7 +464,7 @@ func (g *GreatDivideIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (g *GreatDivideIter) Close() error {
 	g.results, g.opened = nil, false
 	if g.grace != nil {
@@ -603,7 +480,7 @@ func (g *GreatDivideIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator. It is derived from the children's
+// Schema implements BatchIterator. It is derived from the children's
 // schemas so parents may call it before Open.
 func (g *GreatDivideIter) Schema() schema.Schema {
 	if g.out.Len() == 0 {

@@ -1,7 +1,12 @@
-// Package exec is a Volcano-style physical execution engine: every
-// operator is an Iterator with Open/Next/Close, tuples flow through
-// pipelines without materializing intermediate relations unless an
-// operator is inherently blocking.
+// Package exec is the physical execution engine: every operator is a
+// BatchIterator with Open/NextBatch/Close, exchanging reused
+// relation.Batch slabs of up to CompileOptions.BatchSize tuples, so
+// per-call interface overhead and the cooperative context polls are
+// amortized across a whole batch, and tuples flow through pipelines
+// without materializing intermediate relations unless an operator is
+// inherently blocking. The tuple-at-a-time surface (Open/Next/Close)
+// exists exactly once, on the FromBatch cursor CompileWith places over
+// the root operator.
 //
 // The engine exists to make the paper's execution-level arguments
 // measurable: hash-division consumes its dividend in one pass
@@ -23,20 +28,12 @@
 // is deliberately batched rather than per-tuple: a ctx.Err() call per
 // tuple costs a mutex acquisition in the hot loop, while the batched
 // check is amortized to noise (see BenchmarkCancellationOverhead for
-// the measurement that picked this design over per-Next checks).
+// the measurement that picked this design over per-tuple checks).
 //
-// # Batch execution
+// # Kernels
 //
-// Beside the tuple-at-a-time Iterator protocol sits BatchIterator,
-// the batch-at-a-time fast path: operators exchange reused
-// relation.Batch slabs so per-tuple interface calls and context
-// bookkeeping are amortized across a whole batch. CompileWith selects
-// it automatically for every fully batch-capable subtree; the tuple
-// path remains intact as the correctness oracle (see the equivalence
-// tests) and for the operators that stay tuple-only.
-//
-// Two per-row costs are attacked on top of that protocol, each with
-// the structure measurement picked. Set-op and semijoin batch probes
+// Two per-row costs are attacked on top of the batch protocol, each
+// with the structure measurement picked. Set-op and semijoin probes
 // hash each incoming batch in one pass through the wide hash kernel
 // (relation.Hash64ProjBatch over hashkey's word-at-a-time string
 // mixer) and then walk the table with precomputed hashes; the hash
@@ -62,18 +59,25 @@ import (
 	"divlaws/internal/schema"
 )
 
-// Iterator is the physical operator interface.
-type Iterator interface {
+// BatchIterator is the physical operator interface: operators
+// exchange slabs of up to CompileOptions.BatchSize tuples.
+//
+// Protocol: Open before the first NextBatch; NextBatch returns nil at
+// end of stream and never an empty batch; the returned batch is owned
+// by the operator and valid only until the next NextBatch or Close
+// (the tuples inside are immutable and may be retained). Close is
+// idempotent and safe to call before Open or mid-stream (after a
+// context cancellation, for example).
+type BatchIterator interface {
 	// Open prepares the operator (allocating hash tables, opening
-	// children) under the given context. It must be called before
-	// Next. Blocking operators honor ctx cancellation while they
-	// consume their children; the context must stay valid until
-	// Close.
+	// children) under the given context. Blocking operators honor ctx
+	// cancellation while they consume their children; the context must
+	// stay valid until Close.
 	Open(ctx context.Context) error
-	// Next produces the next tuple. ok is false at end of stream.
-	Next() (t relation.Tuple, ok bool, err error)
-	// Close releases resources. Close is idempotent and safe to call
-	// mid-stream (after a context cancellation, for example).
+	// NextBatch produces the next batch, nil at end of stream. The
+	// batch is reused: it is valid only until the next call.
+	NextBatch() (*relation.Batch, error)
+	// Close releases resources; idempotent.
 	Close() error
 	// Schema describes the produced tuples.
 	Schema() schema.Schema
@@ -84,39 +88,27 @@ type Iterator interface {
 // query via CompileOptions.CheckEvery.
 const DefaultCheckEvery = 1024
 
-// drain consumes child into sink with the default poll interval. It
-// is the shared inner loop of every blocking operator.
-func drain(ctx context.Context, child Iterator, sink func(relation.Tuple)) error {
-	return drainEvery(ctx, child, 0, sink)
-}
-
-// drainEvery consumes child into sink, polling ctx at least every
-// `every` tuples (DefaultCheckEvery when every <= 0). When the child
-// is batch-capable, it drains whole batches instead — the per-tuple
-// Next calls and context bookkeeping collapse to one indexed loop and
-// one counter update per batch.
-func drainEvery(ctx context.Context, child Iterator, every int, sink func(relation.Tuple)) error {
-	if b, ok := child.(BatchIterator); ok {
-		return drainBatches(ctx, b, every, func(ts []relation.Tuple) {
-			for _, t := range ts {
-				sink(t)
-			}
-		})
-	}
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
+// drainEvery consumes child into sink a batch at a time, stopping at
+// the sink's first error and polling ctx at batch boundaries, at least
+// every `every` tuples (DefaultCheckEvery when every <= 0). It is the
+// shared inner loop of every blocking operator.
+func drainEvery(ctx context.Context, child BatchIterator, every int, sink func(relation.Tuple) error) error {
+	every = effEvery(every)
 	n := 0
 	for {
-		t, ok, err := child.Next()
+		b, err := child.NextBatch()
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if b == nil {
 			return nil
 		}
-		sink(t)
-		if n++; n >= every {
+		for _, t := range b.Tuples() {
+			if err := sink(t); err != nil {
+				return err
+			}
+		}
+		if n += b.Len(); n >= every {
 			n = 0
 			if err := ctx.Err(); err != nil {
 				return err
@@ -190,32 +182,32 @@ func (s *Stats) Total() int64 {
 	return t
 }
 
-// Run drains the iterator into a set-semantics relation.
-func Run(ctx context.Context, it Iterator) (*relation.Relation, error) {
+// Run drains a compiled plan into a set-semantics relation.
+func Run(ctx context.Context, it *FromBatch) (*relation.Relation, error) {
 	if err := it.Open(ctx); err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	out := relation.New(it.Schema())
-	if err := drain(ctx, it, func(t relation.Tuple) { out.Insert(t) }); err != nil {
+	if err := drainEvery(ctx, it.Input, 0, func(t relation.Tuple) error { out.Insert(t); return nil }); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Drain consumes the iterator, returning only the tuple count; used
+// Drain consumes a compiled plan, returning only the tuple count; used
 // by benchmarks that do not need the result.
-func Drain(ctx context.Context, it Iterator) (int64, error) {
+func Drain(ctx context.Context, it *FromBatch) (int64, error) {
 	if err := it.Open(ctx); err != nil {
 		return 0, err
 	}
 	defer it.Close()
 	var n int64
-	if err := drain(ctx, it, func(relation.Tuple) { n++ }); err != nil {
+	if err := drainEvery(ctx, it.Input, 0, func(relation.Tuple) error { n++; return nil }); err != nil {
 		return n, err
 	}
 	return n, nil
 }
 
 // errNotOpen guards against protocol misuse.
-func errNotOpen(op string) error { return fmt.Errorf("exec: %s.Next before Open", op) }
+func errNotOpen(op string) error { return fmt.Errorf("exec: %s.NextBatch before Open", op) }

@@ -172,15 +172,15 @@ func TestMergeGroupDividePipelines(t *testing.T) {
 
 func TestIteratorProtocolErrors(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
-	iters := []Iterator{
+	iters := []BatchIterator{
 		&ScanIter{Rel: r},
-		&ProjectIter{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
+		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&UnionIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 		&HashSetOpIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
 	}
 	for _, it := range iters {
-		if _, _, err := it.Next(); err == nil {
-			t.Errorf("%T.Next before Open should error", it)
+		if _, err := it.NextBatch(); err == nil {
+			t.Errorf("%T.NextBatch before Open should error", it)
 		}
 	}
 }
@@ -192,7 +192,7 @@ func TestUnionIterAlignsColumns(t *testing.T) {
 		Left:  &ScanIter{Rel: l},
 		Right: &ScanIter{Rel: r},
 	}
-	out, err := Run(context.Background(), u)
+	out, err := Run(context.Background(), &FromBatch{Input: u})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestHashJoinDegeneratesToProduct(t *testing.T) {
 	l := relation.Ints([]string{"a"}, [][]int64{{1}, {2}})
 	r := relation.Ints([]string{"b"}, [][]int64{{10}})
 	j := &HashJoinIter{Left: &ScanIter{Rel: l}, Right: &ScanIter{Rel: r}}
-	out, err := Run(context.Background(), j)
+	out, err := Run(context.Background(), &FromBatch{Input: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestHashJoinDegeneratesToProduct(t *testing.T) {
 
 func TestDrain(t *testing.T) {
 	r := relation.Ints([]string{"a"}, [][]int64{{1}, {2}, {3}})
-	n, err := Drain(context.Background(), &ScanIter{Rel: r})
+	n, err := Drain(context.Background(), &FromBatch{Input: &ScanIter{Rel: r}})
 	if err != nil || n != 3 {
 		t.Errorf("Drain = %d, %v", n, err)
 	}
@@ -253,32 +253,15 @@ func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
 	s.count("x", 1) // must not panic
 	r := relation.Ints([]string{"a"}, [][]int64{{1}})
-	if _, err := Run(context.Background(), &ScanIter{Rel: r, Stats: nil}); err != nil {
+	if _, err := Run(context.Background(), &FromBatch{Input: &ScanIter{Rel: r, Stats: nil}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSortIterByPos(t *testing.T) {
 	r := relation.Ints([]string{"a", "b"}, [][]int64{{2, 1}, {1, 9}, {1, 3}})
-	s := &SortIter{Input: &ScanIter{Rel: r}, ByPos: []int{0}}
-	if err := s.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	var got []relation.Tuple
-	for {
-		tp, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, tp)
-	}
+	got := drainAll(t, &SortIter{Input: &ScanIter{Rel: r}, ByPos: []int{0}})
 	if len(got) != 3 || got[0][0].AsInt() != 1 || got[2][0].AsInt() != 2 {
 		t.Errorf("sorted order wrong: %v", got)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

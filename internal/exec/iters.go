@@ -5,19 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"divlaws/internal/algebra"
-	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/spill"
 )
 
-// ScanIter streams a materialized relation. It is dual-mode: Next
-// and NextBatch share one cursor, the batches being zero-copy windows
-// over the relation's tuple slice.
+// ScanIter streams a materialized relation in zero-copy windows over
+// its tuple slice.
 type ScanIter struct {
 	Label string
 	Rel   *relation.Relation
@@ -27,25 +24,8 @@ type ScanIter struct {
 	open bool
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (s *ScanIter) Open(ctx context.Context) error { s.pos, s.open = 0, true; return nil }
-
-// OpenBatch implements BatchIterator.
-func (s *ScanIter) OpenBatch(ctx context.Context) error { return s.Open(ctx) }
-
-// Next implements Iterator.
-func (s *ScanIter) Next() (relation.Tuple, bool, error) {
-	if !s.open {
-		return nil, false, errNotOpen("ScanIter")
-	}
-	if s.pos >= s.Rel.Len() {
-		return nil, false, nil
-	}
-	t := s.Rel.Tuples()[s.pos]
-	s.pos++
-	s.Stats.count(s.Label, 1)
-	return t, true, nil
-}
 
 // NextBatch implements BatchIterator.
 func (s *ScanIter) NextBatch() (*relation.Batch, error) {
@@ -59,143 +39,28 @@ func (s *ScanIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (s *ScanIter) Close() error { s.open = false; s.release(); return nil }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (s *ScanIter) Schema() schema.Schema { return s.Rel.Schema() }
 
-// FilterIter applies a predicate, fully pipelined.
-type FilterIter struct {
-	Label string
-	Input Iterator
-	Pred  pred.Predicate
-	Stats *Stats
-}
-
-// Open implements Iterator.
-func (f *FilterIter) Open(ctx context.Context) error { return f.Input.Open(ctx) }
-
-// Next implements Iterator.
-func (f *FilterIter) Next() (relation.Tuple, bool, error) {
-	for {
-		t, ok, err := f.Input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.Pred.Eval(t, f.Input.Schema()) {
-			f.Stats.count(f.Label, 1)
-			return t, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
-func (f *FilterIter) Close() error { return f.Input.Close() }
-
-// Schema implements Iterator.
-func (f *FilterIter) Schema() schema.Schema { return f.Input.Schema() }
-
-// ProjectIter projects attributes and eliminates duplicates with a
-// streaming hash set (set semantics). The projection is only
-// materialized for tuples that survive the dedup.
-//
-// A projection onto all of its input's columns cannot merge two
-// distinct tuples, and every iterator's output is a set (see
-// HashSetOpIter), so Open drops the hash set for it: a permutation
-// only projects, the identity forwards the child's tuple untouched.
-// Both still count their rows under Label.
-type ProjectIter struct {
-	Label    string
-	Input    Iterator
-	Attrs    []string
-	Stats    *Stats
-	pos      []int
-	out      schema.Schema
-	open     bool
-	seen     *relation.TupleIndex // nil for a full-width projection
-	identity bool
-}
-
-// projectDedup returns what a projection onto source positions pos of
-// an n-column input needs: a dedup index, or nil when it keeps every
-// column (positions are distinct, so that is a permutation), and then
-// whether it also keeps them in place.
-func projectDedup(pos []int, n int) (seen *relation.TupleIndex, identity bool) {
-	if len(pos) != n {
-		return new(relation.TupleIndex), false
-	}
-	return nil, slices.IsSorted(pos)
-}
-
-// Open implements Iterator.
-func (p *ProjectIter) Open(ctx context.Context) error {
-	p.out, p.pos = p.Input.Schema().Project(p.Attrs)
-	p.seen, p.identity = projectDedup(p.pos, p.Input.Schema().Len())
-	p.open = true
-	return p.Input.Open(ctx)
-}
-
-// Next implements Iterator.
-func (p *ProjectIter) Next() (relation.Tuple, bool, error) {
-	if !p.open {
-		return nil, false, errNotOpen("ProjectIter")
-	}
-	for {
-		t, ok, err := p.Input.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		switch {
-		case p.identity:
-		case p.seen == nil:
-			t = t.Project(p.pos)
-		default:
-			id, created := p.seen.IDProj(t, p.pos)
-			if !created {
-				continue
-			}
-			t = p.seen.Key(id)
-		}
-		p.Stats.count(p.Label, 1)
-		return t, true, nil
-	}
-}
-
-// Close implements Iterator.
-func (p *ProjectIter) Close() error { p.open, p.seen = false, nil; return p.Input.Close() }
-
-// Schema implements Iterator.
-func (p *ProjectIter) Schema() schema.Schema {
-	if p.out.Len() == 0 {
-		p.out, p.pos = p.Input.Schema().Project(p.Attrs)
-	}
-	return p.out
-}
-
-// UnionIter streams left then right, deduplicating. It is dual-mode:
-// NextBatch dedups whole child batches into a pooled output batch
-// (batch-capable children stream their own batches through, tuple-only
-// children are accumulated), sharing the seen-set and side cursor with
-// Next.
+// UnionIter streams left then right, deduplicating whole child
+// batches into a pooled output batch.
 type UnionIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Stats       *Stats
 	windowBatcher
-	seen      *relation.TupleIndex
-	onRight   bool
-	rightPos  []int
-	leftFeed  batchFeed
-	rightFeed batchFeed
+	seen     *relation.TupleIndex
+	onRight  bool
+	rightPos []int
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (u *UnionIter) Open(ctx context.Context) error {
 	u.seen = new(relation.TupleIndex)
 	u.onRight = false
-	u.leftFeed = batchFeed{child: u.Left, size: u.BatchSize}
-	u.rightFeed = batchFeed{child: u.Right, size: u.BatchSize}
 	if !u.Left.Schema().EqualSet(u.Right.Schema()) {
 		return schemaErr("Union", u.Left.Schema(), u.Right.Schema())
 	}
@@ -206,13 +71,10 @@ func (u *UnionIter) Open(ctx context.Context) error {
 	return u.Right.Open(ctx)
 }
 
-// OpenBatch implements BatchIterator.
-func (u *UnionIter) OpenBatch(ctx context.Context) error { return u.Open(ctx) }
-
 // NextBatch implements BatchIterator: whole child batches are probed
-// against the shared seen-set, survivors emitted into a pooled output
-// batch. The armed row budget flows to the child feeds (dedup only
-// shrinks batches, so the child's bound is ours).
+// against the seen-set, survivors emitted into a pooled output batch.
+// The armed row budget flows to the children (dedup only shrinks
+// batches, so the child's bound is ours).
 func (u *UnionIter) NextBatch() (*relation.Batch, error) {
 	if u.seen == nil {
 		return nil, errNotOpen("UnionIter")
@@ -221,7 +83,7 @@ func (u *UnionIter) NextBatch() (*relation.Batch, error) {
 		var ts []relation.Tuple
 		var err error
 		if !u.onRight {
-			ts, err = u.leftFeed.next(u.budget)
+			ts, err = pull(u.Left, u.budget)
 			if err != nil {
 				return nil, err
 			}
@@ -230,7 +92,7 @@ func (u *UnionIter) NextBatch() (*relation.Batch, error) {
 				continue
 			}
 		} else {
-			ts, err = u.rightFeed.next(u.budget)
+			ts, err = pull(u.Right, u.budget)
 			if err != nil || ts == nil {
 				return nil, err
 			}
@@ -256,46 +118,10 @@ func (u *UnionIter) NextBatch() (*relation.Batch, error) {
 	}
 }
 
-// Next implements Iterator.
-func (u *UnionIter) Next() (relation.Tuple, bool, error) {
-	if u.seen == nil {
-		return nil, false, errNotOpen("UnionIter")
-	}
-	for {
-		if !u.onRight {
-			t, ok, err := u.Left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				u.onRight = true
-				continue
-			}
-			if _, created := u.seen.ID(t); !created {
-				continue
-			}
-			u.Stats.count(u.Label, 1)
-			return t, true, nil
-		}
-		t, ok, err := u.Right.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		id, created := u.seen.IDProj(t, u.rightPos)
-		if !created {
-			continue
-		}
-		u.Stats.count(u.Label, 1)
-		return u.seen.Key(id), true, nil
-	}
-}
-
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (u *UnionIter) Close() error {
 	u.seen = nil
 	u.release()
-	u.leftFeed.release()
-	u.rightFeed.release()
 	err1 := u.Left.Close()
 	err2 := u.Right.Close()
 	if err1 != nil {
@@ -304,23 +130,23 @@ func (u *UnionIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (u *UnionIter) Schema() schema.Schema { return u.Left.Schema() }
 
 // HashSetOpIter implements intersection and difference by building a
-// hash set over the right input, then streaming the left. It is
-// dual-mode: NextBatch probes a whole left batch against the build
-// set at once (relation.TupleIndex.LookupBatch) and emits survivors
-// into a pooled output batch, sharing the build set with Next.
+// hash set over the right input, then streaming the left: NextBatch
+// probes a whole left batch against the build set at once
+// (relation.TupleIndex.LookupBatch) and emits survivors into a pooled
+// output batch.
 //
-// Every iterator's output is a set (the operators whose construction
+// Every operator's output is a set (the operators whose construction
 // could create duplicates — Project, Union, the divisions — dedup
 // internally), so the streamed left input is distinct and both
 // results, being subsets of it, need no output dedup — like
 // ProductIter, the emit path trusts that invariant.
 type HashSetOpIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Keep        bool // true: intersect (keep hits); false: diff (keep misses)
 	Stats       *Stats
 	// Every is the cooperative ctx-poll interval of the build drain, in
@@ -328,11 +154,10 @@ type HashSetOpIter struct {
 	Every int
 	windowBatcher
 	rightKeys *relation.TupleIndex
-	leftFeed  batchFeed
 	ids       []int
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (h *HashSetOpIter) Open(ctx context.Context) error {
 	if !h.Left.Schema().EqualSet(h.Right.Schema()) {
 		return schemaErr("set operator", h.Left.Schema(), h.Right.Schema())
@@ -345,28 +170,22 @@ func (h *HashSetOpIter) Open(ctx context.Context) error {
 	}
 	pos := h.Right.Schema().Positions(h.Left.Schema().Attrs())
 	h.rightKeys = new(relation.TupleIndex)
-	if err := drainEvery(ctx, h.Right, h.Every, func(t relation.Tuple) {
+	return drainEvery(ctx, h.Right, h.Every, func(t relation.Tuple) error {
 		h.rightKeys.IDProj(t, pos)
-	}); err != nil {
-		return err
-	}
-	h.leftFeed = batchFeed{child: h.Left, size: h.BatchSize}
-	return nil
+		return nil
+	})
 }
-
-// OpenBatch implements BatchIterator.
-func (h *HashSetOpIter) OpenBatch(ctx context.Context) error { return h.Open(ctx) }
 
 // NextBatch implements BatchIterator: the whole probe batch is hashed
 // against the build set in one pass, survivors emitted into a pooled
-// output batch. The armed row budget flows to the probe feed (the
+// output batch. The armed row budget flows to the probe side (the
 // probe phase only shrinks batches).
 func (h *HashSetOpIter) NextBatch() (*relation.Batch, error) {
 	if h.rightKeys == nil {
 		return nil, errNotOpen("HashSetOpIter")
 	}
 	for {
-		ts, err := h.leftFeed.next(h.budget)
+		ts, err := pull(h.Left, h.budget)
 		if err != nil || ts == nil {
 			return nil, err
 		}
@@ -384,30 +203,10 @@ func (h *HashSetOpIter) NextBatch() (*relation.Batch, error) {
 	}
 }
 
-// Next implements Iterator.
-func (h *HashSetOpIter) Next() (relation.Tuple, bool, error) {
-	if h.rightKeys == nil {
-		return nil, false, errNotOpen("HashSetOpIter")
-	}
-	for {
-		t, ok, err := h.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		hit := h.rightKeys.Lookup(t) >= 0
-		if hit != h.Keep {
-			continue
-		}
-		h.Stats.count(h.Label, 1)
-		return t, true, nil
-	}
-}
-
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (h *HashSetOpIter) Close() error {
 	h.rightKeys, h.ids = nil, nil
 	h.release()
-	h.leftFeed.release()
 	err1 := h.Left.Close()
 	err2 := h.Right.Close()
 	if err1 != nil {
@@ -416,34 +215,32 @@ func (h *HashSetOpIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (h *HashSetOpIter) Schema() schema.Schema { return h.Left.Schema() }
 
 // ProductIter is a blocking nested-loop Cartesian product: the right
-// input is materialized, the left streamed. It is dual-mode: NextBatch
-// pulls the probe (left) side a batch at a time and fills a pooled
-// output batch with concatenations, sharing the (cur, idx) inner-loop
-// cursor with Next — an armed row budget bounds both the output batch
+// input is materialized, the left streamed: NextBatch pulls the probe
+// (left) side a batch at a time and fills a pooled output batch with
+// concatenations — an armed row budget bounds both the output batch
 // and how much probe input is pulled.
 type ProductIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Stats       *Stats
 	// Every is the cooperative ctx-poll interval of the build drain, in
 	// tuples; 0 means DefaultCheckEvery.
 	Every int
 	windowBatcher
-	right    []relation.Tuple
-	cur      relation.Tuple
-	idx      int
-	done     bool
-	leftFeed batchFeed
-	probe    []relation.Tuple
-	pPos     int
-	slab     relation.Slab // emit allocator; output tuples are sliced from it
+	right []relation.Tuple
+	cur   relation.Tuple
+	idx   int
+	done  bool
+	probe []relation.Tuple
+	pPos  int
+	slab  relation.Slab // emit allocator; output tuples are sliced from it
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (p *ProductIter) Open(ctx context.Context) error {
 	if err := p.Left.Open(ctx); err != nil {
 		return err
@@ -452,19 +249,16 @@ func (p *ProductIter) Open(ctx context.Context) error {
 		return err
 	}
 	p.right = nil
-	if err := drainEvery(ctx, p.Right, p.Every, func(t relation.Tuple) {
+	if err := drainEvery(ctx, p.Right, p.Every, func(t relation.Tuple) error {
 		p.right = append(p.right, t)
+		return nil
 	}); err != nil {
 		return err
 	}
 	p.cur, p.idx, p.done = nil, 0, false
-	p.leftFeed = batchFeed{child: p.Left, size: p.BatchSize}
 	p.probe, p.pPos = nil, 0
 	return nil
 }
-
-// OpenBatch implements BatchIterator.
-func (p *ProductIter) OpenBatch(ctx context.Context) error { return p.Open(ctx) }
 
 // NextBatch implements BatchIterator.
 func (p *ProductIter) NextBatch() (*relation.Batch, error) {
@@ -472,8 +266,10 @@ func (p *ProductIter) NextBatch() (*relation.Batch, error) {
 		return nil, nil
 	}
 	if len(p.right) == 0 {
-		// Mirror Next: one probe pull decides emptiness, then done.
-		if _, err := p.leftFeed.next(1); err != nil {
+		// Empty product. One probe row is still pulled first, so a
+		// probe-side error surfaces and Stats count what they always
+		// have for this shape.
+		if _, err := pull(p.Left, 1); err != nil {
 			return nil, err
 		}
 		p.done = true
@@ -484,14 +280,14 @@ func (p *ProductIter) NextBatch() (*relation.Batch, error) {
 	for out.Len() < bound {
 		if p.cur == nil || p.idx >= len(p.right) {
 			if p.pPos >= len(p.probe) {
-				// The probe feed is pulled with just the rows the output
+				// The probe side is pulled with just the rows the output
 				// still needs: every probe tuple expands by len(right).
 				var fb int64
 				if p.budget > 0 {
 					need := int64(bound - out.Len())
 					fb = (need + int64(len(p.right)) - 1) / int64(len(p.right))
 				}
-				ts, err := p.leftFeed.next(fb)
+				ts, err := pull(p.Left, fb)
 				if err != nil {
 					return nil, err
 				}
@@ -517,42 +313,11 @@ func (p *ProductIter) NextBatch() (*relation.Batch, error) {
 	return out, nil
 }
 
-// Next implements Iterator.
-func (p *ProductIter) Next() (relation.Tuple, bool, error) {
-	if p.done {
-		return nil, false, nil
-	}
-	for {
-		if p.cur == nil || p.idx >= len(p.right) {
-			t, ok, err := p.Left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				p.done = true
-				p.slab.Close()
-				return nil, false, nil
-			}
-			p.cur, p.idx = t, 0
-		}
-		if len(p.right) == 0 {
-			p.done = true
-			p.slab.Close()
-			return nil, false, nil
-		}
-		out := p.slab.Concat(p.cur, p.right[p.idx])
-		p.idx++
-		p.Stats.count(p.Label, 1)
-		return out, true, nil
-	}
-}
-
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (p *ProductIter) Close() error {
 	p.slab.Close()
 	p.right, p.probe, p.pPos = nil, nil, 0
 	p.release()
-	p.leftFeed.release()
 	err1 := p.Left.Close()
 	err2 := p.Right.Close()
 	if err1 != nil {
@@ -561,26 +326,24 @@ func (p *ProductIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (p *ProductIter) Schema() schema.Schema {
 	return p.Left.Schema().Concat(p.Right.Schema())
 }
 
 // HashJoinIter is a natural hash join: build on the right input's
-// common-attribute key, probe with the left. It is dual-mode: the
-// build side is drained batch-at-a-time when the child allows it, and
-// NextBatch streams whole probe batches from the left feed, probing
-// each row at its cursor advance and emitting concatenated matches
-// into a pooled output batch — the pending-match cursor is shared
-// with Next.
+// common-attribute key, probe with the left: NextBatch streams whole
+// probe batches from the left child, probing each row at its cursor
+// advance and emitting concatenated matches into a pooled output
+// batch.
 //
-// The output needs no dedup: iterator outputs are sets, so left
+// The output needs no dedup: operator outputs are sets, so left
 // tuples are distinct and each build key's extras are distinct
 // (key+extra is the whole right tuple), making every concatenation
 // distinct — the same invariant ProductIter's emit path trusts.
 type HashJoinIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Stats       *Stats
 	// Every is the cooperative ctx-poll interval of the build drain, in
 	// tuples; 0 means DefaultCheckEvery.
@@ -603,7 +366,6 @@ type HashJoinIter struct {
 	mIdx        int
 	isProduct   bool
 	prod        *ProductIter
-	leftFeed    batchFeed
 	probe       []relation.Tuple
 	pPos        int
 	grace       *graceJoin
@@ -612,7 +374,7 @@ type HashJoinIter struct {
 	slab        relation.Slab // emit allocator; output tuples are sliced from it
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (j *HashJoinIter) Open(ctx context.Context) error {
 	common := j.Left.Schema().Intersect(j.Right.Schema())
 	if common.Len() == 0 {
@@ -643,16 +405,16 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 		g.slab.Charge, g.slab.Release = j.Spill.Charge, j.Spill.Release
 		j.grace = g
 		j.gctx = ctx
-		if err := drainEveryErr(ctx, j.Right, j.Every, func(t relation.Tuple) error {
+		if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) error {
 			return g.addBuild(t, rightPos, j.extraPos)
 		}); err != nil {
 			return err
 		}
 		if g.partitioned {
 			// The build side spilled: partition the probe side the same
-			// way and join the pairs lazily on Next.
+			// way and join the pairs lazily on NextBatch.
 			j.graceStream = true
-			if err := drainEveryErr(ctx, j.Left, j.Every, g.addProbe); err != nil {
+			if err := drainEvery(ctx, j.Left, j.Every, g.addProbe); err != nil {
 				return err
 			}
 			j.cur, j.matches, j.mIdx = nil, nil, 0
@@ -663,29 +425,25 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 		j.keyIx = &g.keyIx
 		j.rows = g.rows
 		j.cur, j.matches, j.mIdx = nil, nil, 0
-		j.leftFeed = batchFeed{child: j.Left, size: j.BatchSize}
 		j.probe, j.pPos = nil, 0
 		return nil
 	}
 	j.keyIx = new(relation.TupleIndex)
 	j.rows = nil
-	if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) {
+	if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) error {
 		id, created := j.keyIx.IDProj(t, rightPos)
 		if created {
 			j.rows = append(j.rows, nil)
 		}
 		j.rows[id] = append(j.rows[id], t.Project(j.extraPos))
+		return nil
 	}); err != nil {
 		return err
 	}
 	j.cur, j.matches, j.mIdx = nil, nil, 0
-	j.leftFeed = batchFeed{child: j.Left, size: j.BatchSize}
 	j.probe, j.pPos = nil, 0
 	return nil
 }
-
-// OpenBatch implements BatchIterator.
-func (j *HashJoinIter) OpenBatch(ctx context.Context) error { return j.Open(ctx) }
 
 // SetRowBudget implements rowBudgeter; the degenerate product carries
 // its own budget.
@@ -743,7 +501,7 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 			if j.budget > 0 {
 				fb = int64(bound - out.Len())
 			}
-			ts, err := j.leftFeed.next(fb)
+			ts, err := pull(j.Left, fb)
 			if err != nil {
 				return nil, err
 			}
@@ -782,53 +540,7 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 	return out, nil
 }
 
-// Next implements Iterator.
-func (j *HashJoinIter) Next() (relation.Tuple, bool, error) {
-	if j.isProduct {
-		return j.prod.Next()
-	}
-	if j.graceStream {
-		t, ok, err := j.grace.next(j.gctx)
-		if ok {
-			j.Stats.count(j.Label, 1)
-		}
-		return t, ok, err
-	}
-	if j.keyIx == nil {
-		return nil, false, errNotOpen("HashJoinIter")
-	}
-	for {
-		if j.mIdx >= len(j.matches) {
-			t, ok, err := j.Left.Next()
-			if err != nil || !ok {
-				if err == nil {
-					// Clean exhaustion: release the emit slab's and the
-					// build index's budget charges early (emitted tuples
-					// stay valid; Close handles the error paths).
-					j.slab.Close()
-					if j.grace != nil {
-						j.grace.close()
-					}
-				}
-				return nil, false, err
-			}
-			j.cur = t
-			if id := j.keyIx.LookupProj(t, j.leftPos); id >= 0 {
-				j.matches = j.rows[id]
-			} else {
-				j.matches = nil
-			}
-			j.mIdx = 0
-			continue
-		}
-		out := j.slab.Concat(j.cur, j.matches[j.mIdx])
-		j.mIdx++
-		j.Stats.count(j.Label, 1)
-		return out, true, nil
-	}
-}
-
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (j *HashJoinIter) Close() error {
 	if j.isProduct {
 		return j.prod.Close()
@@ -841,7 +553,6 @@ func (j *HashJoinIter) Close() error {
 	j.keyIx, j.rows = nil, nil
 	j.probe, j.pPos = nil, 0
 	j.release()
-	j.leftFeed.release()
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {
@@ -850,7 +561,7 @@ func (j *HashJoinIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (j *HashJoinIter) Schema() schema.Schema {
 	if j.out.Len() == 0 {
 		common := j.Left.Schema().Intersect(j.Right.Schema())
@@ -864,7 +575,7 @@ func (j *HashJoinIter) Schema() schema.Schema {
 // anti-semi-join.
 type SemiJoinIter struct {
 	Label       string
-	Left, Right Iterator
+	Left, Right BatchIterator
 	Keep        bool
 	Stats       *Stats
 	// Every is the cooperative ctx-poll interval of the build drain, in
@@ -875,11 +586,10 @@ type SemiJoinIter struct {
 	leftPos    []int
 	degenerate bool // no common attributes
 	rightAny   bool
-	leftFeed   batchFeed
 	ids        []int
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (s *SemiJoinIter) Open(ctx context.Context) error {
 	common := s.Left.Schema().Intersect(s.Right.Schema())
 	if err := s.Left.Open(ctx); err != nil {
@@ -889,37 +599,34 @@ func (s *SemiJoinIter) Open(ctx context.Context) error {
 		return err
 	}
 	s.keys = new(relation.TupleIndex)
-	s.leftFeed = batchFeed{child: s.Left, size: s.BatchSize}
 	if common.Len() == 0 {
 		s.degenerate = true
-		_, ok, err := s.Right.Next()
+		ts, err := pull(s.Right, 1)
 		if err != nil {
 			return err
 		}
-		s.rightAny = ok
+		s.rightAny = ts != nil
 		return nil
 	}
 	s.degenerate = false
 	s.leftPos = s.Left.Schema().Positions(common.Attrs())
 	rightPos := s.Right.Schema().Positions(common.Attrs())
-	return drainEvery(ctx, s.Right, s.Every, func(t relation.Tuple) {
+	return drainEvery(ctx, s.Right, s.Every, func(t relation.Tuple) error {
 		s.keys.IDProj(t, rightPos)
+		return nil
 	})
 }
 
-// OpenBatch implements BatchIterator.
-func (s *SemiJoinIter) OpenBatch(ctx context.Context) error { return s.Open(ctx) }
-
 // NextBatch implements BatchIterator: a whole probe batch is hashed
 // against the build keys in one pass, survivors emitted into a pooled
-// output batch. The armed row budget flows to the probe feed (a
+// output batch. The armed row budget flows to the probe side (a
 // semi-join only shrinks batches).
 func (s *SemiJoinIter) NextBatch() (*relation.Batch, error) {
 	if s.keys == nil {
 		return nil, errNotOpen("SemiJoinIter")
 	}
 	for {
-		ts, err := s.leftFeed.next(s.budget)
+		ts, err := pull(s.Left, s.budget)
 		if err != nil || ts == nil {
 			return nil, err
 		}
@@ -945,34 +652,10 @@ func (s *SemiJoinIter) NextBatch() (*relation.Batch, error) {
 	}
 }
 
-// Next implements Iterator.
-func (s *SemiJoinIter) Next() (relation.Tuple, bool, error) {
-	if s.keys == nil {
-		return nil, false, errNotOpen("SemiJoinIter")
-	}
-	for {
-		t, ok, err := s.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		var hit bool
-		if s.degenerate {
-			hit = s.rightAny
-		} else {
-			hit = s.keys.LookupProj(t, s.leftPos) >= 0
-		}
-		if hit == s.Keep {
-			s.Stats.count(s.Label, 1)
-			return t, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (s *SemiJoinIter) Close() error {
 	s.keys, s.ids = nil, nil
 	s.release()
-	s.leftFeed.release()
 	err1 := s.Left.Close()
 	err2 := s.Right.Close()
 	if err1 != nil {
@@ -981,15 +664,14 @@ func (s *SemiJoinIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (s *SemiJoinIter) Schema() schema.Schema { return s.Left.Schema() }
 
 // GroupIter is the blocking grouping operator; it materializes its
-// input and delegates to algebra.Group. It is dual-mode: the grouped
-// result is emitted per tuple or per batch over one shared cursor.
+// input and delegates to algebra.Group.
 type GroupIter struct {
 	Label string
-	Input Iterator
+	Input BatchIterator
 	By    []string
 	Aggs  []algebra.AggSpec
 	Stats *Stats
@@ -1002,14 +684,15 @@ type GroupIter struct {
 	outSc schema.Schema
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (g *GroupIter) Open(ctx context.Context) error {
 	if err := g.Input.Open(ctx); err != nil {
 		return err
 	}
 	in := relation.New(g.Input.Schema())
-	if err := drainEvery(ctx, g.Input, g.Every, func(t relation.Tuple) {
+	if err := drainEvery(ctx, g.Input, g.Every, func(t relation.Tuple) error {
 		in.InsertOwned(t)
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -1018,23 +701,6 @@ func (g *GroupIter) Open(ctx context.Context) error {
 	g.outSc = out.Schema()
 	g.pos = 0
 	return nil
-}
-
-// OpenBatch implements BatchIterator.
-func (g *GroupIter) OpenBatch(ctx context.Context) error { return g.Open(ctx) }
-
-// Next implements Iterator.
-func (g *GroupIter) Next() (relation.Tuple, bool, error) {
-	if g.outSc.Len() == 0 && g.rows == nil {
-		return nil, false, errNotOpen("GroupIter")
-	}
-	if g.pos >= len(g.rows) {
-		return nil, false, nil
-	}
-	t := g.rows[g.pos]
-	g.pos++
-	g.Stats.count(g.Label, 1)
-	return t, true, nil
 }
 
 // NextBatch implements BatchIterator.
@@ -1049,10 +715,10 @@ func (g *GroupIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (g *GroupIter) Close() error { g.rows = nil; g.release(); return g.Input.Close() }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (g *GroupIter) Schema() schema.Schema {
 	if g.outSc.Len() > 0 {
 		return g.outSc
@@ -1068,17 +734,17 @@ func (g *GroupIter) Schema() schema.Schema {
 // materializes its input, sorts with the reusable keyed tuple
 // comparator (relation.KeyedCompare — per-key ASC/DESC, canonical
 // tie-break), and emits in order. It implements plan.Sort and feeds
-// the merge-group division. It is dual-mode: the sorted run is
-// emitted per tuple or per zero-copy batch over one shared cursor.
+// the merge-group division; the sorted run is emitted in zero-copy
+// windows.
 //
 // Under a memory budget (Spill != nil) it degrades to an external
 // merge sort: the buffer is charged against the tracker, flushed to a
 // sorted temp-file run whenever it would exceed the budget, and the
-// runs are k-way merged on Next. KeyedCompare's canonical tie-break
+// runs are k-way merged on NextBatch. KeyedCompare's canonical tie-break
 // makes the merged order identical to the in-memory sort's.
 type SortIter struct {
 	Label string
-	Input Iterator
+	Input BatchIterator
 	// ByPos optionally sorts by specific column positions first.
 	ByPos []int
 	// Desc optionally inverts the matching ByPos key; nil means all
@@ -1105,7 +771,7 @@ type SortIter struct {
 	pollN   int
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (s *SortIter) Open(ctx context.Context) error {
 	if err := s.Input.Open(ctx); err != nil {
 		return err
@@ -1114,8 +780,9 @@ func (s *SortIter) Open(ctx context.Context) error {
 	s.open = true
 	cmp := relation.KeyedCompare(s.ByPos, s.Desc)
 	if s.Spill == nil {
-		if err := drainEvery(ctx, s.Input, s.Every, func(t relation.Tuple) {
+		if err := drainEvery(ctx, s.Input, s.Every, func(t relation.Tuple) error {
 			s.rows = append(s.rows, t)
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -1123,7 +790,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 		s.pos = 0
 		return nil
 	}
-	if err := drainEveryErr(ctx, s.Input, s.Every, func(t relation.Tuple) error {
+	if err := drainEvery(ctx, s.Input, s.Every, func(t relation.Tuple) error {
 		fp := t.Footprint()
 		err := s.Spill.Charge(fp)
 		if err == nil {
@@ -1241,30 +908,6 @@ func (s *SortIter) mergeNext() (relation.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// OpenBatch implements BatchIterator.
-func (s *SortIter) OpenBatch(ctx context.Context) error { return s.Open(ctx) }
-
-// Next implements Iterator.
-func (s *SortIter) Next() (relation.Tuple, bool, error) {
-	if !s.open {
-		return nil, false, errNotOpen("SortIter")
-	}
-	if s.mh != nil {
-		t, ok, err := s.mergeNext()
-		if ok {
-			s.Stats.count(s.Label, 1)
-		}
-		return t, ok, err
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	t := s.rows[s.pos]
-	s.pos++
-	s.Stats.count(s.Label, 1)
-	return t, true, nil
-}
-
 // NextBatch implements BatchIterator.
 func (s *SortIter) NextBatch() (*relation.Batch, error) {
 	if !s.open {
@@ -1296,7 +939,7 @@ func (s *SortIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (s *SortIter) Close() error {
 	s.rows, s.open = nil, false
 	for _, r := range s.runs {
@@ -1311,26 +954,8 @@ func (s *SortIter) Close() error {
 	return s.Input.Close()
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (s *SortIter) Schema() schema.Schema { return s.Input.Schema() }
-
-// RenameIter relabels attributes without touching tuples.
-type RenameIter struct {
-	Input    Iterator
-	From, To string
-}
-
-// Open implements Iterator.
-func (r *RenameIter) Open(ctx context.Context) error { return r.Input.Open(ctx) }
-
-// Next implements Iterator.
-func (r *RenameIter) Next() (relation.Tuple, bool, error) { return r.Input.Next() }
-
-// Close implements Iterator.
-func (r *RenameIter) Close() error { return r.Input.Close() }
-
-// Schema implements Iterator.
-func (r *RenameIter) Schema() schema.Schema { return r.Input.Schema().Rename(r.From, r.To) }
 
 func schemaErr(op string, a, b schema.Schema) error {
 	return fmt.Errorf("exec: %s over incompatible schemas %v and %v", op, a, b)

@@ -38,7 +38,7 @@ type exchange struct {
 	done   chan struct{}
 	err    error
 
-	cur []relation.Tuple // batch being consumed
+	cur []relation.Tuple // worker batch partly served under a row budget
 	pos int
 }
 
@@ -73,30 +73,13 @@ func startExchange(ctx context.Context, buffer int, run func(ctx context.Context
 	return ex
 }
 
-// next pulls one tuple off the exchange; ok is false at end of
-// stream, in which case err reports how the workers finished.
-func (ex *exchange) next() (t relation.Tuple, ok bool, err error) {
-	for ex.pos >= len(ex.cur) {
-		batch, ok := <-ex.ch
-		if !ok {
-			<-ex.done
-			return nil, false, ex.err
-		}
-		ex.cur, ex.pos = batch, 0
-	}
-	t = ex.cur[ex.pos]
-	ex.pos++
-	return t, true, nil
-}
-
-// nextBatch pulls one worker batch off the exchange untouched — the
-// batch pass-through of the batch execution path: the workers' tuple
-// slices flow to the consumer without re-tuplifying. A batch
-// partially consumed by next is served as its remainder first. A
+// nextBatch pulls one worker batch off the exchange untouched: the
+// workers' tuple slices flow to the consumer without copying. A
 // positive limit (the consumer's row budget) caps the served window,
-// keeping the rest of the worker batch as the remainder cursor — a
-// bounded consumer sees exactly the rows it asked for. nil tuples
-// mark end of stream, with err reporting how the workers finished.
+// keeping the rest of the worker batch as the remainder cursor, served
+// first on the next call — a bounded consumer sees exactly the rows it
+// asked for. nil tuples mark end of stream, with err reporting how the
+// workers finished.
 func (ex *exchange) nextBatch(limit int) ([]relation.Tuple, error) {
 	if ex.pos >= len(ex.cur) {
 		ex.cur, ex.pos = nil, 0
@@ -145,7 +128,7 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 	}
 	return startExchange(ctx, buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
 		// Partitions emit their (tiny, ≤k) runs concurrently; the mutex
-		// guards the map, not the hot tuple path.
+		// guards the map, not the hot per-tuple loop.
 		var mu sync.Mutex
 		runs := make(map[int][]relation.Tuple)
 		err := stream(exCtx, bound, func(part int, batch []relation.Tuple) error {
@@ -182,7 +165,7 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 // under c2, which the partitioning establishes by construction), and
 // launches one goroutine per partition; each worker runs the
 // streaming division.DivideState over its partition and emits its
-// finished quotient tuples into a bounded channel. Next pulls from
+// finished quotient tuples into a bounded channel. NextBatch pulls from
 // the channel, so the first row surfaces as soon as the first
 // partition resolves — the pipeline above never waits for the
 // slowest worker — and Close (or context cancellation) tears the
@@ -191,7 +174,7 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 // early exit leaves them below the full quotient sizes.
 type ParallelDivideIter struct {
 	Label             string
-	Dividend, Divisor Iterator
+	Dividend, Divisor BatchIterator
 	// Algo is the per-partition algorithm; empty means hash-division.
 	Algo division.Algorithm
 	// Workers is the partition/goroutine count; 0 means GOMAXPROCS.
@@ -202,8 +185,8 @@ type ParallelDivideIter struct {
 	// TopKN, when positive, switches the exchange to its order-aware
 	// top-k form: every partition worker keeps an O(TopKN) heap over
 	// the TopKPos/TopKDesc keys and the consumer k-way merges the
-	// per-partition runs, so Next serves the global top TopKN in key
-	// order without the quotient ever materializing.
+	// per-partition runs, so NextBatch serves the global top TopKN in
+	// key order without the quotient ever materializing.
 	TopKN    int64
 	TopKPos  []int
 	TopKDesc []bool
@@ -235,7 +218,7 @@ func (p *ParallelDivideIter) tuning() parallel.Tuning {
 	return parallel.Tuning{BatchSize: p.BatchSize, CheckEvery: p.Every}
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (p *ParallelDivideIter) Open(ctx context.Context) error {
 	split, err := division.SmallSplit(p.Dividend.Schema(), p.Divisor.Schema())
 	if err != nil {
@@ -295,7 +278,7 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 	if err := p.Divisor.Open(ctx); err != nil {
 		return err
 	}
-	if err := drainEveryErr(ctx, p.Divisor, p.Every, g.addDivisor); err != nil {
+	if err := drainEvery(ctx, p.Divisor, p.Every, g.addDivisor); err != nil {
 		return err
 	}
 	if err := p.Dividend.Open(ctx); err != nil {
@@ -338,7 +321,7 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 		parts = nil
 		return g.addDividend(ctx, t)
 	}}
-	if err := drainEveryErr(ctx, p.Dividend, p.Every, hp.add); err != nil {
+	if err := drainEvery(ctx, p.Dividend, p.Every, hp.add); err != nil {
 		return err
 	}
 	if err := hp.flush(); err != nil {
@@ -387,38 +370,6 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (p *ParallelDivideIter) OpenBatch(ctx context.Context) error { return p.Open(ctx) }
-
-// Next implements Iterator.
-func (p *ParallelDivideIter) Next() (relation.Tuple, bool, error) {
-	if p.fbTopK {
-		if p.fPos >= len(p.fallback) {
-			return nil, false, nil
-		}
-		t := p.fallback[p.fPos]
-		p.fPos++
-		p.Stats.count(p.Label, 1)
-		return t, true, nil
-	}
-	if p.fb {
-		t, ok, err := p.grace.next(p.gctx)
-		if ok {
-			p.Stats.count(p.Label, 1)
-		}
-		return t, ok, err
-	}
-	if p.ex == nil {
-		return nil, false, errNotOpen("ParallelDivideIter")
-	}
-	t, ok, err := p.ex.next()
-	if !ok {
-		return nil, false, err
-	}
-	p.Stats.count(p.Label, 1)
-	return t, true, nil
-}
-
 // NextBatch implements BatchIterator: the workers' emission batches
 // flow through untouched, capped by any armed row budget.
 func (p *ParallelDivideIter) NextBatch() (*relation.Batch, error) {
@@ -443,7 +394,7 @@ func (p *ParallelDivideIter) NextBatch() (*relation.Batch, error) {
 	return p.adopt(ts), nil
 }
 
-// Close implements Iterator. It cancels the exchange and blocks until
+// Close implements BatchIterator. It cancels the exchange and blocks until
 // every partition worker has exited, so mid-stream teardown leaves no
 // goroutines behind.
 func (p *ParallelDivideIter) Close() error {
@@ -467,7 +418,7 @@ func (p *ParallelDivideIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator. It is derived from the children's
+// Schema implements BatchIterator. It is derived from the children's
 // schemas so parents may call it before Open.
 func (p *ParallelDivideIter) Schema() schema.Schema {
 	if p.out.Len() == 0 {
@@ -489,7 +440,7 @@ func (p *ParallelDivideIter) Schema() schema.Schema {
 // ParallelDivideIter for the exchange mechanics.
 type ParallelGreatDivideIter struct {
 	Label             string
-	Dividend, Divisor Iterator
+	Dividend, Divisor BatchIterator
 	Algo              division.Algorithm
 	Workers           int
 	// Buffer is the exchange channel capacity; 0 means
@@ -528,7 +479,7 @@ func (g *ParallelGreatDivideIter) tuning() parallel.Tuning {
 	return parallel.Tuning{BatchSize: g.BatchSize, CheckEvery: g.Every}
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (g *ParallelGreatDivideIter) Open(ctx context.Context) error {
 	split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
 	if err != nil {
@@ -630,7 +581,7 @@ func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split divisi
 		return err
 	}
 	dividend := relation.New(dividendSch)
-	if err := drainEveryErr(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
+	if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
 		if g.fb {
 			return gd.addDividend(ctx, t)
 		}
@@ -705,7 +656,7 @@ func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split divisi
 		parts = nil
 		return gd.addDivisor(t)
 	}}
-	if err := drainEveryErr(ctx, g.Divisor, g.Every, hp.add); err != nil {
+	if err := drainEvery(ctx, g.Divisor, g.Every, hp.add); err != nil {
 		return err
 	}
 	if err := hp.flush(); err != nil {
@@ -750,38 +701,6 @@ func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split divisi
 	return nil
 }
 
-// OpenBatch implements BatchIterator.
-func (g *ParallelGreatDivideIter) OpenBatch(ctx context.Context) error { return g.Open(ctx) }
-
-// Next implements Iterator.
-func (g *ParallelGreatDivideIter) Next() (relation.Tuple, bool, error) {
-	if g.fbTopK {
-		if g.fPos >= len(g.fallback) {
-			return nil, false, nil
-		}
-		t := g.fallback[g.fPos]
-		g.fPos++
-		g.Stats.count(g.Label, 1)
-		return t, true, nil
-	}
-	if g.fb {
-		t, ok, err := g.grace.next(g.gctx)
-		if ok {
-			g.Stats.count(g.Label, 1)
-		}
-		return t, ok, err
-	}
-	if g.ex == nil {
-		return nil, false, errNotOpen("ParallelGreatDivideIter")
-	}
-	t, ok, err := g.ex.next()
-	if !ok {
-		return nil, false, err
-	}
-	g.Stats.count(g.Label, 1)
-	return t, true, nil
-}
-
 // NextBatch implements BatchIterator: the workers' emission batches
 // flow through untouched, capped by any armed row budget.
 func (g *ParallelGreatDivideIter) NextBatch() (*relation.Batch, error) {
@@ -806,7 +725,7 @@ func (g *ParallelGreatDivideIter) NextBatch() (*relation.Batch, error) {
 	return g.adopt(ts), nil
 }
 
-// Close implements Iterator; see ParallelDivideIter.Close.
+// Close implements BatchIterator; see ParallelDivideIter.Close.
 func (g *ParallelGreatDivideIter) Close() error {
 	if g.ex != nil {
 		g.ex.stop()
@@ -828,7 +747,7 @@ func (g *ParallelGreatDivideIter) Close() error {
 	return err2
 }
 
-// Schema implements Iterator. It is derived from the children's
+// Schema implements BatchIterator. It is derived from the children's
 // schemas so parents may call it before Open.
 func (g *ParallelGreatDivideIter) Schema() schema.Schema {
 	if g.out.Len() == 0 {
@@ -841,15 +760,14 @@ func (g *ParallelGreatDivideIter) Schema() schema.Schema {
 	return g.out
 }
 
-// drainChild opens a child iterator and materializes it, honoring
-// ctx cancellation via the shared drain loop (batch drains for
-// batch-capable children).
-func drainChild(ctx context.Context, it Iterator, every int) (*relation.Relation, error) {
+// drainChild opens a child operator and materializes it, honoring
+// ctx cancellation via the shared drain loop.
+func drainChild(ctx context.Context, it BatchIterator, every int) (*relation.Relation, error) {
 	if err := it.Open(ctx); err != nil {
 		return nil, err
 	}
 	out := relation.New(it.Schema())
-	if err := drainEvery(ctx, it, every, func(t relation.Tuple) { out.InsertOwned(t) }); err != nil {
+	if err := drainEvery(ctx, it, every, func(t relation.Tuple) error { out.InsertOwned(t); return nil }); err != nil {
 		return nil, err
 	}
 	return out, nil

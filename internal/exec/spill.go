@@ -14,10 +14,10 @@ import (
 )
 
 // This file holds the out-of-core machinery shared by the blocking
-// operators: budget-aware drains, the external-sort merge used by
-// SortIter, the recursive grace-hash partitioner used by the division
-// and join operators, and the wrappers that tie a compile-owned
-// spill.Tracker's lifetime to the root iterator's Close.
+// operators: the external-sort merge used by SortIter and the
+// recursive grace-hash partitioner used by the division and join
+// operators. (A compile-owned spill.Tracker's lifetime is tied to the
+// root cursor's Close; see FromBatch.)
 //
 // Budget model: only the operators whose live state grows with input
 // size charge the tracker — SortIter's sort buffer, the two hash
@@ -77,58 +77,6 @@ var forceSpillEnv = sync.OnceValue(func() int64 {
 	}
 	return 64 << 10
 })
-
-// drainEveryErr is drainEvery with an erroring sink: the drain stops
-// at the sink's first error and returns it. Like drainEvery it
-// upgrades batch-capable children to whole-batch pulls and polls ctx
-// at least every `every` tuples.
-func drainEveryErr(ctx context.Context, child Iterator, every int, sink func(relation.Tuple) error) error {
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	if bc, ok := child.(BatchIterator); ok {
-		n := 0
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				return nil
-			}
-			for _, t := range b.Tuples() {
-				if err := sink(t); err != nil {
-					return err
-				}
-			}
-			if n += b.Len(); n >= every {
-				n = 0
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	n := 0
-	for {
-		t, ok, err := child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := sink(t); err != nil {
-			return err
-		}
-		if n++; n >= every {
-			n = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-}
 
 // sortSource is one input of the external-merge heap: either a spilled
 // run on disk or the final in-memory sorted buffer.
@@ -941,50 +889,4 @@ func (g *graceJoin) close() {
 	}
 	g.closePartRuns(g.parts)
 	g.parts = nil
-}
-
-// trackerCloser ties a compile-owned spill.Tracker's lifetime to the
-// root iterator: Close tears down the plan first, then removes the
-// spill directory. It deliberately hides the batch surface — use
-// dualTrackerCloser for batch-capable roots.
-type trackerCloser struct {
-	Iterator
-	tr *spill.Tracker
-}
-
-func (c trackerCloser) Close() error {
-	err := c.Iterator.Close()
-	if cerr := c.tr.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// dualTrackerCloser is trackerCloser for dual-mode roots, preserving
-// the BatchIterator fast path alongside the tuple surface.
-type dualTrackerCloser struct {
-	Iterator
-	batch BatchIterator
-	tr    *spill.Tracker
-}
-
-func (c dualTrackerCloser) OpenBatch(ctx context.Context) error { return c.batch.OpenBatch(ctx) }
-
-func (c dualTrackerCloser) NextBatch() (*relation.Batch, error) { return c.batch.NextBatch() }
-
-func (c dualTrackerCloser) Close() error {
-	err := c.Iterator.Close()
-	if cerr := c.tr.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// ownTracker wraps the root iterator so closing it also closes the
-// tracker, preserving batch capability when the root has it.
-func ownTracker(it Iterator, tr *spill.Tracker) Iterator {
-	if bc, ok := it.(BatchIterator); ok {
-		return dualTrackerCloser{Iterator: it, batch: bc, tr: tr}
-	}
-	return trackerCloser{Iterator: it, tr: tr}
 }

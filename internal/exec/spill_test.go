@@ -17,17 +17,17 @@ import (
 
 // These tests pin the out-of-core invariant: execution under a memory
 // budget is an exact drop-in for unlimited execution. Every plan
-// shape from the batch-equivalence matrix is compiled against the
-// unlimited tuple-path oracle and against budgets small enough to
-// force sorts into external merge runs and the hash operators into
-// grace partitioning — and compared tuple-for-tuple, on both the
-// tuple and batch surfaces. Teardown hygiene (no leaked run files, no
+// shape from the equivalence matrix is compiled under budgets small
+// enough to force sorts into external merge runs and the hash
+// operators into grace partitioning, and compared with the reference
+// evaluator by the same rules as the unlimited sweep (see
+// equivPlan.diverges). Teardown hygiene (no leaked run files, no
 // leaked goroutines) and fault injection (spill write/read failures
 // surfacing as query errors) ride the same fixtures.
 
 // drainSeqErr is drainSeq without the t.Fatal on pipeline errors,
 // for paths where an error is the expected outcome.
-func drainSeqErr(ctx context.Context, it Iterator) ([]relation.Tuple, error) {
+func drainSeqErr(ctx context.Context, it *FromBatch) ([]relation.Tuple, error) {
 	if err := it.Open(ctx); err != nil {
 		it.Close()
 		return nil, err
@@ -48,34 +48,26 @@ func drainSeqErr(ctx context.Context, it Iterator) ([]relation.Tuple, error) {
 
 // TestSpillMatchesUnlimited is the equivalence sweep: every plan
 // shape, drained under budgets that force out-of-core execution, must
-// produce exactly what the unlimited oracle produces — the same
-// sequence for ordered plans (external merge preserves the canonical
-// tie-broken sort order), the same set otherwise — on both the tuple
-// and forced-batch paths.
+// produce what the reference evaluator produces — the same sequence
+// for ordered plans (external merge preserves the canonical tie-broken
+// sort order), the same set otherwise — at a batch size that splits
+// the outputs and at the default.
 func TestSpillMatchesUnlimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	var totalSpilled int64
 	for trial := 0; trial < 10; trial++ {
 		for _, c := range equivPlans(rng) {
-			want := seqKeys(drainSeq(t, CompileWith(c.node, nil,
-				CompileOptions{Batch: BatchOff, MemoryLimit: -1})))
 			for _, budget := range []int64{4 << 10, 32 << 10} {
-				for _, mode := range []BatchMode{BatchOff, BatchForce} {
+				for _, size := range []int{7, 0} {
 					tr := spill.NewTracker(budget)
-					got := seqKeys(drainSeq(t, CompileWith(c.node, nil,
-						CompileOptions{Batch: mode, Spill: tr})))
+					out := drainSeq(t, CompileWith(c.node, nil, CompileOptions{BatchSize: size, Spill: tr}))
 					totalSpilled += tr.Snapshot().Spilled
 					if n := tr.LiveRuns(); n != 0 {
 						t.Errorf("trial %d %s (budget %d): %d run files leaked", trial, c.name, budget, n)
 					}
 					tr.Close()
-					if c.ordered && !sameSeq(got, want) {
-						t.Fatalf("trial %d %s (budget %d, batch %v): sequence diverges\ngot  %v\nwant %v",
-							trial, c.name, budget, mode, got, want)
-					}
-					if !c.ordered && sortedKeys(append([]string(nil), got...)) != sortedKeys(append([]string(nil), want...)) {
-						t.Fatalf("trial %d %s (budget %d, batch %v): set diverges\ngot  %v\nwant %v",
-							trial, c.name, budget, mode, got, want)
+					if d := c.diverges(out); d != "" {
+						t.Fatalf("trial %d %s (budget %d, size %d): %s", trial, c.name, budget, size, d)
 					}
 				}
 			}
@@ -91,7 +83,7 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 // tuples, the join's borrowed probe and owned build side, the sort's
 // owned merge heads — on string-keyed inputs under 3-bit hashes, which
 // also squeeze the readers' string caches into colliding slots.
-// Each must still equal the unlimited oracle: a borrowed tuple that
+// Each must still equal the reference evaluator: a borrowed tuple that
 // leaked into retained state, or a cache slot trusted without
 // comparing bytes, would show here.
 func TestSpillReadModesUnderForcedCollisions(t *testing.T) {
@@ -106,13 +98,12 @@ func TestSpillReadModesUnderForcedCollisions(t *testing.T) {
 		{"join", &plan.Join{Left: r2g, Right: r1}, false},
 		{"sort", &plan.Sort{Input: r1, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}}, true},
 	} {
-		want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{MemoryLimit: -1})))
-		if len(want) == 0 {
+		if plan.Eval(c.node).Empty() {
 			t.Fatalf("%s: the fixture's result is empty", c.name)
 		}
-		for _, mode := range []BatchMode{BatchOff, BatchForce} {
+		for _, size := range []int{7, 0} {
 			tr := spill.NewTracker(8 << 10)
-			got := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Batch: mode, Spill: tr})))
+			out := drainSeq(t, CompileWith(c.node, nil, CompileOptions{BatchSize: size, Spill: tr}))
 			st := tr.Snapshot()
 			tr.Close()
 			if st.Spilled == 0 {
@@ -121,11 +112,8 @@ func TestSpillReadModesUnderForcedCollisions(t *testing.T) {
 			if st.Used != 0 {
 				t.Errorf("%s: %d bytes still charged after Close", c.name, st.Used)
 			}
-			if !c.ordered {
-				got, want = []string{sortedKeys(got)}, []string{sortedKeys(append([]string(nil), want...))}
-			}
-			if !sameSeq(got, want) {
-				t.Fatalf("%s (batch %v): budgeted result diverges from unlimited under forced collisions", c.name, mode)
+			if d := c.diverges(out); d != "" {
+				t.Fatalf("%s (size %d): budgeted result under forced collisions: %s", c.name, size, d)
 			}
 		}
 	}
@@ -157,24 +145,16 @@ func TestSpillAcceptanceOneMegabyte(t *testing.T) {
 		t.Fatalf("fixture working set %d bytes, need > %d", working, 10*budget)
 	}
 	r1s := plan.NewScan("r1", r1)
-	for _, c := range []struct {
-		name    string
-		node    plan.Node
-		ordered bool
-	}{
+	for _, c := range []equivPlan{
 		{"sort", &plan.Sort{Input: r1s, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}}, true},
 		{"divide", &plan.Divide{Dividend: r1s, Divisor: plan.NewScan("r2", r2)}, false},
 	} {
-		want := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{MemoryLimit: -1})))
 		tr := spill.NewTracker(budget)
-		got := seqKeys(drainSeq(t, CompileWith(c.node, nil, CompileOptions{Spill: tr})))
+		out := drainSeq(t, CompileWith(c.node, nil, CompileOptions{Spill: tr}))
 		st := tr.Snapshot()
 		tr.Close()
-		if c.ordered && !sameSeq(got, want) {
-			t.Fatalf("%s: budgeted sequence diverges from unlimited", c.name)
-		}
-		if !c.ordered && sortedKeys(got) != sortedKeys(want) {
-			t.Fatalf("%s: budgeted set diverges from unlimited", c.name)
+		if d := c.diverges(out); d != "" {
+			t.Fatalf("%s: budgeted result: %.200s", c.name, d)
 		}
 		if st.Peak > budget {
 			t.Errorf("%s: charged peak %d exceeds the %d budget", c.name, st.Peak, budget)
@@ -417,7 +397,7 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 
 // TestSpillOwnedTrackerClosedByRoot: when CompileWith builds the
 // tracker itself (MemoryLimit set, no caller tracker), the root
-// iterator's Close must remove the temp directory — the caller never
+// cursor's Close must remove the temp directory — the caller never
 // sees the tracker, so nobody else can.
 func TestSpillOwnedTrackerClosedByRoot(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
@@ -437,7 +417,7 @@ func TestSpillOwnedTrackerClosedByRoot(t *testing.T) {
 	// divlaws spill directory accumulates entries. Weak but honest:
 	// Close is also exercised with a visible tracker in
 	// TestSpillTempFileHygiene; here we assert Close is idempotent
-	// through the wrapper.
+	// with an owned tracker.
 	if err := it.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}

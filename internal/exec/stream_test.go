@@ -122,7 +122,7 @@ func TestLimitCancelsParallelDivide(t *testing.T) {
 	if _, ok, err := it.Next(); err != nil || !ok {
 		t.Fatalf("Next = (%t, %v)", ok, err)
 	}
-	// The limit is reached, so LimitIter has already closed the
+	// The limit is reached, so LimitBatch has already closed the
 	// exchange; the second Next ends the stream.
 	if _, ok, _ := it.Next(); ok {
 		t.Fatal("LIMIT 1 produced a second row")
@@ -176,7 +176,7 @@ func TestLimitIterEdgeCases(t *testing.T) {
 
 // TestExchangeGoroutineLeaks drives every teardown path of the
 // streaming exchange — Close mid-stream, context cancellation
-// mid-partition, and a worker error surfacing through Next — and
+// mid-partition, and a worker error surfacing through nextBatch — and
 // checks the goroutine count returns to baseline each time.
 func TestExchangeGoroutineLeaks(t *testing.T) {
 	node, _ := streamFixture()
@@ -224,7 +224,7 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 
 	t.Run("WorkerError", func(t *testing.T) {
 		// A worker that fails mid-stream (after emitting part of its
-		// output) must surface its error through next() at end of
+		// output) must surface its error through nextBatch at end of
 		// stream and leave no goroutines behind.
 		baseline := runtime.NumGoroutine()
 		errBoom := errors.New("boom")
@@ -238,14 +238,14 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 		})
 		seen := 0
 		for {
-			_, ok, err := ex.next()
-			if !ok {
+			ts, err := ex.nextBatch(0)
+			if ts == nil {
 				if err != errBoom {
 					t.Fatalf("exchange error = %v, want boom", err)
 				}
 				break
 			}
-			seen++
+			seen += len(ts)
 		}
 		if seen != 5 {
 			t.Fatalf("received %d tuples before the worker error, want 5", seen)
@@ -268,23 +268,23 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 			}
 			return errBoom
 		})
-		if _, ok, err := ex.next(); !ok || err != nil {
-			t.Fatalf("next = (%t, %v)", ok, err)
+		if ts, err := ex.nextBatch(0); ts == nil || err != nil {
+			t.Fatalf("nextBatch = (%v, %v)", ts, err)
 		}
 		ex.stop()
 		waitGoroutines(t, baseline)
 	})
 }
 
-// closeErrIter wraps an iterator, failing the first Close with a
-// fixed error (idempotent afterwards, like real iterators).
+// closeErrIter wraps an operator, failing the first Close with a
+// fixed error (idempotent afterwards, like real operators).
 type closeErrIter struct {
-	Iterator
+	BatchIterator
 	err error
 }
 
 func (c *closeErrIter) Close() error {
-	c.Iterator.Close()
+	c.BatchIterator.Close()
 	err := c.err
 	c.err = nil
 	return err
@@ -297,24 +297,24 @@ func (c *closeErrIter) Close() error {
 func TestLimitKeepsFinalTupleOnCloseError(t *testing.T) {
 	node, _ := streamFixture()
 	errBoom := errors.New("boom")
-	lim := &LimitIter{
+	lim := &LimitBatch{
 		Label: "l",
-		Input: &closeErrIter{Iterator: Compile(node, nil), err: errBoom},
+		Input: &closeErrIter{BatchIterator: compile(node, nil, "root", CompileOptions{}), err: errBoom},
 		N:     1,
 	}
 	if err := lim.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tup, ok, err := lim.Next()
-	if err != nil || !ok || tup == nil {
-		t.Fatalf("Next = (%v, %t, %v); the final tuple must survive a close error", tup, ok, err)
+	b, err := lim.NextBatch()
+	if err != nil || b == nil || b.Len() != 1 || b.Tuple(0) == nil {
+		t.Fatalf("NextBatch = (%v, %v); the final tuple must survive a close error", b, err)
 	}
-	if _, ok, err := lim.Next(); ok || err != errBoom {
-		t.Fatalf("second Next = (%t, %v), want end of stream with boom", ok, err)
+	if b, err := lim.NextBatch(); b != nil || err != errBoom {
+		t.Fatalf("second NextBatch = (%v, %v), want end of stream with boom", b, err)
 	}
 	// Reported once; the stream then ends cleanly and Close is quiet.
-	if _, ok, err := lim.Next(); ok || err != nil {
-		t.Fatalf("third Next = (%t, %v)", ok, err)
+	if b, err := lim.NextBatch(); b != nil || err != nil {
+		t.Fatalf("third NextBatch = (%v, %v)", b, err)
 	}
 	if err := lim.Close(); err != nil {
 		t.Fatalf("Close = %v", err)

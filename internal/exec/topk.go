@@ -23,15 +23,13 @@ func resolveSortKeys(sch schema.Schema, keys []plan.SortKey) (pos []int, desc []
 
 // TopKIter emits the K smallest tuples of its input in key order,
 // holding O(K) tuples live: Open drains the child into a bounded
-// max-heap (relation.TopKHeap) and — like LimitIter at the limit
+// max-heap (relation.TopKHeap) and — like LimitBatch at the limit
 // boundary — closes the child the moment it is exhausted, so
 // blocking and streaming subtrees release their resources before the
 // first result tuple is served. K <= 0 never opens the child at all.
-// It is dual-mode: the top-k run is emitted per tuple or per
-// zero-copy batch over one shared cursor.
 type TopKIter struct {
 	Label string
-	Input Iterator
+	Input BatchIterator
 	// ByPos and Desc are the sort-key positions and directions, as in
 	// SortIter.
 	ByPos []int
@@ -48,7 +46,7 @@ type TopKIter struct {
 	opened bool
 }
 
-// Open implements Iterator.
+// Open implements BatchIterator.
 func (t *TopKIter) Open(ctx context.Context) error {
 	t.rows, t.pos = nil, 0
 	t.opened = true
@@ -59,7 +57,7 @@ func (t *TopKIter) Open(ctx context.Context) error {
 		return err
 	}
 	heap := relation.NewTopKHeap(int(t.K), relation.KeyedCompare(t.ByPos, t.Desc))
-	if err := drainEvery(ctx, t.Input, t.Every, func(tup relation.Tuple) { heap.Add(tup) }); err != nil {
+	if err := drainEvery(ctx, t.Input, t.Every, func(tup relation.Tuple) error { heap.Add(tup); return nil }); err != nil {
 		return err
 	}
 	// Child exhausted: release the subtree now, before any tuple is
@@ -69,23 +67,6 @@ func (t *TopKIter) Open(ctx context.Context) error {
 	}
 	t.rows = heap.Sorted()
 	return nil
-}
-
-// OpenBatch implements BatchIterator.
-func (t *TopKIter) OpenBatch(ctx context.Context) error { return t.Open(ctx) }
-
-// Next implements Iterator.
-func (t *TopKIter) Next() (relation.Tuple, bool, error) {
-	if !t.opened {
-		return nil, false, errNotOpen("TopKIter")
-	}
-	if t.pos >= len(t.rows) {
-		return nil, false, nil
-	}
-	tup := t.rows[t.pos]
-	t.pos++
-	t.Stats.count(t.Label, 1)
-	return tup, true, nil
 }
 
 // NextBatch implements BatchIterator.
@@ -100,14 +81,14 @@ func (t *TopKIter) NextBatch() (*relation.Batch, error) {
 	return b, nil
 }
 
-// Close implements Iterator.
+// Close implements BatchIterator.
 func (t *TopKIter) Close() error {
 	t.rows, t.opened = nil, false
 	t.release()
 	return t.Input.Close()
 }
 
-// Schema implements Iterator.
+// Schema implements BatchIterator.
 func (t *TopKIter) Schema() schema.Schema { return t.Input.Schema() }
 
 // mergeRuns k-way merges per-partition runs — each already in

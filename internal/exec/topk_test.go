@@ -22,23 +22,11 @@ func sortInput() *relation.Relation {
 	return r
 }
 
-func drainAll(t *testing.T, it Iterator) []relation.Tuple {
+// drainAll collects a hand-built operator's output through a root
+// cursor.
+func drainAll(t *testing.T, op BatchIterator) []relation.Tuple {
 	t.Helper()
-	if err := it.Open(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var out []relation.Tuple
-	for {
-		tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, tup)
-	}
+	return drainSeq(t, &FromBatch{Input: op})
 }
 
 func TestSortIterDesc(t *testing.T) {
@@ -58,38 +46,31 @@ func TestSortIterDesc(t *testing.T) {
 
 // closeCounter records how often (and when) Close was called.
 type closeCounter struct {
-	Iterator
+	BatchIterator
 	closes int
 }
 
 func (c *closeCounter) Close() error {
 	c.closes++
-	return c.Iterator.Close()
+	return c.BatchIterator.Close()
 }
 
 func TestTopKIter(t *testing.T) {
-	child := &closeCounter{Iterator: &ScanIter{Rel: sortInput()}}
+	child := &closeCounter{BatchIterator: &ScanIter{Rel: sortInput()}}
 	it := &TopKIter{Label: "k", Input: child, ByPos: []int{0}, K: 2}
 	if err := it.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Child closed on exhaustion, during Open — before any emission.
 	if child.closes != 1 {
-		t.Fatalf("child closed %d times after Open, want 1 (LimitIter-style early release)", child.closes)
+		t.Fatalf("child closed %d times after Open, want 1 (LimitBatch-style early release)", child.closes)
 	}
-	var got []int64
-	for {
-		tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, tup[0].AsInt())
+	b, err := it.NextBatch()
+	if err != nil || b == nil || b.Len() != 2 || b.Tuple(0)[0].AsInt() != 1 || b.Tuple(1)[0].AsInt() != 2 {
+		t.Fatalf("top-2 = (%v, %v), want [1 2]", b, err)
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("top-2 = %v, want [1 2]", got)
+	if b, err := it.NextBatch(); b != nil || err != nil {
+		t.Fatalf("second NextBatch = (%v, %v), want end of stream", b, err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
@@ -155,10 +136,10 @@ func TestTopKExchangeMatchesSequential(t *testing.T) {
 		// DIVLAWS_FORCE_SPILL is set: this test asserts the fused
 		// exchange structure, which a budget wrapper would hide.
 		it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-		if _, ok := it.(*ParallelDivideIter); !ok {
-			t.Fatalf("compiled to %T, want the fused ParallelDivideIter", it)
+		if _, ok := it.Input.(*ParallelDivideIter); !ok {
+			t.Fatalf("compiled to %T, want the fused ParallelDivideIter", it.Input)
 		}
-		got := drainAll(t, it)
+		got := drainSeq(t, it)
 		if len(got) != len(want) {
 			t.Fatalf("desc=%t: %d rows, want %d", desc, len(got), len(want))
 		}
@@ -180,7 +161,7 @@ func TestTopKExchangeBoundsPartitionEmission(t *testing.T) {
 	// The O(k) emission bound is a property of the partitioned
 	// exchange, so opt out of any ambient forced-spill budget.
 	it := CompileWith(node, stats, CompileOptions{MemoryLimit: -1})
-	rows := drainAll(t, it)
+	rows := drainSeq(t, it)
 	if len(rows) != k {
 		t.Fatalf("%d rows, want %d", len(rows), k)
 	}
@@ -205,7 +186,7 @@ func TestTopKExchangeBoundsPartitionEmission(t *testing.T) {
 // the partitions supplied.
 func TestTopKExchangeHugeLimit(t *testing.T) {
 	node, want := topkFixture(int64(1)<<60, false)
-	got := drainAll(t, Compile(node, nil))
+	got := drainSeq(t, Compile(node, nil))
 	if len(got) != len(want) {
 		t.Fatalf("%d rows, want the full quotient (%d)", len(got), len(want))
 	}
@@ -239,11 +220,11 @@ func TestTopKGreatDivideExchange(t *testing.T) {
 		K:    9,
 	}
 	it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-	if _, ok := it.(*ParallelGreatDivideIter); !ok {
-		t.Fatalf("compiled to %T, want the fused ParallelGreatDivideIter", it)
+	if _, ok := it.Input.(*ParallelGreatDivideIter); !ok {
+		t.Fatalf("compiled to %T, want the fused ParallelGreatDivideIter", it.Input)
 	}
 	want := plan.SortedTuples(quotient, keys)[:9]
-	got := drainAll(t, it)
+	got := drainSeq(t, it)
 	if len(got) != len(want) {
 		t.Fatalf("%d rows, want %d", len(got), len(want))
 	}
@@ -326,18 +307,18 @@ func TestTopKExchangeGoroutineLeaks(t *testing.T) {
 			Domain: 40, HitRate: 0.9, Seed: 9,
 		}.Generate()
 		baseline := runtime.NumGoroutine()
-		ex := CompileWith(&plan.ParallelDivide{
+		ex := compile(&plan.ParallelDivide{
 			Dividend: plan.NewScan("r1", r1),
 			Divisor:  plan.NewScan("r2", r2),
 			Workers:  4,
-		}, nil, CompileOptions{ExchangeBuffer: 2})
+		}, nil, "root", CompileOptions{ExchangeBuffer: 2})
 		it := &TopKIter{Label: "k", Input: ex, ByPos: []int{0}, K: 3}
 		if err := it.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		waitGoroutines(t, baseline)
-		if _, ok, err := it.Next(); err != nil || !ok {
-			t.Fatalf("Next = (%t, %v)", ok, err)
+		if b, err := it.NextBatch(); err != nil || b == nil {
+			t.Fatalf("NextBatch = (%v, %v)", b, err)
 		}
 		if err := it.Close(); err != nil {
 			t.Fatal(err)

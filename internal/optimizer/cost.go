@@ -138,7 +138,7 @@ func Estimated(n plan.Node) Estimate {
 	case *plan.Limit:
 		in := Estimated(t.Input)
 		rows := minf(in.Rows, float64(t.N))
-		// The physical LimitIter stops pulling at N, so a streaming
+		// The physical LimitBatch stops pulling at N, so a streaming
 		// subtree's cost is partially avoided; the model keeps the
 		// child's full cost (blocking subtrees pay it anyway) plus a
 		// per-emitted-tuple pass.

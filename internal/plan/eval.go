@@ -119,33 +119,19 @@ func Eval(n Node) *relation.Relation {
 //	    Scan(r2a)
 //	    Scan(r2b)
 func Format(n Node) string {
-	return FormatWith(n, nil)
-}
-
-// FormatWith is Format with a per-node annotation hook: annot, when
-// non-nil, is called for every node and its return value (if
-// non-empty) is appended after the operator, space-separated. Explain
-// uses it to mark the nodes the compiler runs on the batch path.
-func FormatWith(n Node, annot func(Node) string) string {
 	var b strings.Builder
-	format(&b, n, 0, annot)
+	format(&b, n, 0)
 	return b.String()
 }
 
-func format(b *strings.Builder, n Node, depth int, annot func(Node) string) {
+func format(b *strings.Builder, n Node, depth int) {
 	if depth > 0 {
 		b.WriteByte('\n')
 	}
 	b.WriteString(strings.Repeat("  ", depth))
 	b.WriteString(n.String())
-	if annot != nil {
-		if s := annot(n); s != "" {
-			b.WriteByte(' ')
-			b.WriteString(s)
-		}
-	}
 	for _, c := range n.Children() {
-		format(b, c, depth+1, annot)
+		format(b, c, depth+1)
 	}
 }
 

@@ -360,7 +360,7 @@ func (g *Group) String() string {
 
 // Limit caps its input at the first N tuples. Relations are sets, so
 // which N tuples survive is implementation-defined; the operator
-// exists as an early-exit signal: the physical LimitIter stops
+// exists as an early-exit signal: the physical LimitBatch stops
 // pulling — and tears down streaming subtrees such as parallel
 // exchanges — as soon as N tuples have surfaced.
 type Limit struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"divlaws/internal/exec"
 	"divlaws/internal/laws"
 	"divlaws/internal/optimizer"
 	"divlaws/internal/plan"
@@ -26,12 +25,6 @@ type ExplainOptions struct {
 	// ParallelThreshold is the parallelization cutoff; 0 means
 	// optimizer.DefaultParallelThreshold.
 	ParallelThreshold float64
-	// Batch selects the execution path reflected by the report's
-	// [batch] plan annotation: operators the compiler would run
-	// batch-at-a-time on the final plan are marked [batch]. The zero
-	// value (exec.BatchAuto) mirrors the executor's automatic
-	// selection, including the DIVLAWS_FORCE_BATCH override.
-	Batch exec.BatchMode
 }
 
 // Explained is the result of Explain: the final executable plan and
@@ -75,32 +68,13 @@ func (db *DB) ExplainQuery(q *Query, opts ExplainOptions) (Explained, error) {
 		return Explained{}, err
 	}
 
-	// batchAnnot marks the nodes the compiler would run on the
-	// vectorized batch path with [batch], replaying the executor's
-	// selection over the final plan (only the final plan executes, so
-	// only its render is annotated).
-	batchAnnot := func(final plan.Node) func(plan.Node) string {
-		marked := exec.BatchNodes(final, exec.CompileOptions{Batch: opts.Batch})
-		return func(n plan.Node) string {
-			if marked[n] {
-				return "[batch]"
-			}
-			return ""
-		}
-	}
-	rewrites := opts.Optimize || opts.Workers >= 2
-
 	var b strings.Builder
 	if ex.Detected {
 		b.WriteString("-- NOT EXISTS pattern rewritten to a division --\n")
 	}
-	if rewrites {
-		fmt.Fprintf(&b, "-- logical plan --\n%s\n", plan.Format(node))
-	} else {
-		fmt.Fprintf(&b, "-- logical plan --\n%s\n", plan.FormatWith(node, batchAnnot(node)))
-	}
+	fmt.Fprintf(&b, "-- logical plan --\n%s\n", plan.Format(node))
 
-	if rewrites {
+	if opts.Optimize || opts.Workers >= 2 {
 		res := optimizer.Optimize(node, optimizer.Options{
 			AllowDataDependent: opts.AllowDataDependent,
 			Rules:              rulesFor(opts),
@@ -114,7 +88,7 @@ func (db *DB) ExplainQuery(q *Query, opts ExplainOptions) (Explained, error) {
 		if !opts.Optimize {
 			header = "parallelized plan"
 		}
-		fmt.Fprintf(&b, "\n-- %s (cost %.0f -> %.0f) --\n%s\n", header, res.Initial, res.Final, plan.FormatWith(node, batchAnnot(node)))
+		fmt.Fprintf(&b, "\n-- %s (cost %.0f -> %.0f) --\n%s\n", header, res.Initial, res.Final, plan.Format(node))
 		for _, a := range res.Trace {
 			fmt.Fprintf(&b, "   applied %s at %s (gain %.0f)\n", a.Rule, a.Before, a.Gain)
 		}

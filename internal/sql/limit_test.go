@@ -228,7 +228,7 @@ func TestOrderByWithLimitRejected(t *testing.T) {
 }
 
 func TestLimitIterPreservesFinalTupleOnCloseError(t *testing.T) {
-	// Covered at the exec level: see internal/exec (LimitIter keeps
+	// Covered at the exec level: see internal/exec (LimitBatch keeps
 	// the N-th tuple and defers a teardown error); here we pin the
 	// end-to-end behavior that LIMIT 1 over the compat path returns
 	// its row.

@@ -22,12 +22,13 @@ import (
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Tuples are produced lazily: pipelined operators (the merge-group
-// division of §5.1.1 in particular) compute each quotient tuple only
-// when Next asks for it. Rows is not safe for concurrent use; Close
-// is idempotent and safe mid-stream.
+// Tuples are produced lazily, a batch at a time: pipelined operators
+// (the merge-group division of §5.1.1 in particular) compute the next
+// batch of quotient tuples only when Next has served the previous one.
+// Rows is not safe for concurrent use; Close is idempotent and safe
+// mid-stream.
 type Rows struct {
-	it      exec.Iterator
+	it      *exec.FromBatch
 	ctx     context.Context
 	cancel  context.CancelFunc
 	cols    []string
