@@ -24,7 +24,6 @@ import (
 	"divlaws/internal/fim"
 	"divlaws/internal/laws"
 	"divlaws/internal/optimizer"
-	"divlaws/internal/parallel"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/scenarios"
@@ -266,55 +265,12 @@ WHERE NOT EXISTS (
 	})
 }
 
-// BenchmarkParallelDivide measures the Law 2 parallel strategy
-// across worker counts, with two per-partition operators: the
-// already-linear hash-division (where the paper's §5.2.1 proviso —
-// the division must dominate the partition/merge cost — fails, so
-// overhead wins) and the per-divisor-scan Maier evaluation (where
-// parallelism pays off).
-func BenchmarkParallelDivide(b *testing.B) {
-	r1, r2 := datagen.DividePair{
-		Groups: 4000, GroupSize: 10, DivisorSize: 12,
-		Domain: 200, HitRate: 0.25, Seed: 1,
-	}.Generate()
-	for _, algo := range []division.Algorithm{division.AlgoHash, division.AlgoMaier} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", algo, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					parallel.DivideWith(algo, r1, r2, workers)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelGreatDivide measures the Law 13 strategy. Each
-// worker scans the replicated dividend against its divisor
-// partition, so total CPU grows with workers; wall-clock gains
-// require the per-group work to dominate, as the paper's proviso
-// states.
-func BenchmarkParallelGreatDivide(b *testing.B) {
-	g1, g2 := datagen.GreatDividePair{
-		Groups: 1500, GroupSize: 10,
-		DivisorGroups: 32, DivisorGroupSize: 6,
-		Domain: 200, HitRate: 0.25, Seed: 1,
-	}.Generate()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				parallel.GreatDivide(g1, g2, workers)
-			}
-		})
-	}
-}
-
-// BenchmarkParallelDivideExec measures the exchange-operator path:
-// plan.ParallelDivide compiled to the fan-out iterator, across
-// worker counts and per-partition algorithms. Together with
-// BenchmarkParallelDivide (the raw strategy, no iterator overhead)
-// this tracks the scaling curve per worker count.
+// BenchmarkParallelDivideExec measures the Law 2 exchange operator:
+// plan.ParallelDivide compiled to the fan-out iterator, across worker
+// counts, with two per-partition operators: the already-linear
+// hash-division (where the paper's §5.2.1 proviso — the division must
+// dominate the partition/merge cost — fails, so overhead wins) and the
+// per-divisor-scan Maier evaluation (where parallelism pays off).
 func BenchmarkParallelDivideExec(b *testing.B) {
 	r1, r2 := datagen.DividePair{
 		Groups: 4000, GroupSize: 10, DivisorSize: 12,
@@ -340,7 +296,10 @@ func BenchmarkParallelDivideExec(b *testing.B) {
 }
 
 // BenchmarkParallelGreatDivideExec is the Law 13 exchange operator
-// through the compiled iterator across worker counts.
+// through the compiled iterator across worker counts. Each worker
+// scans the replicated dividend against its divisor partition, so
+// total CPU grows with workers; wall-clock gains require the per-group
+// work to dominate, as the paper's proviso states.
 func BenchmarkParallelGreatDivideExec(b *testing.B) {
 	g1, g2 := datagen.GreatDividePair{
 		Groups: 1500, GroupSize: 10,

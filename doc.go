@@ -43,7 +43,7 @@
 // # Parallel execution
 //
 // The paper derives intra-operator parallelism from its laws (§5):
-// Law 2 under precondition c2 justifies range-partitioning the
+// Law 2 under precondition c2 justifies hash-partitioning the
 // dividend on the quotient attributes and dividing the partitions
 // independently, and Law 13 justifies hash-partitioning the divisor
 // of a great divide on its group attributes. Both partitionings make
@@ -51,12 +51,12 @@
 // parallel rewrites are always safe.
 //
 // The repository promotes these strategies into the whole pipeline:
-// internal/parallel implements the partitionings and in-process
-// parallel divisions; internal/plan adds ParallelDivide and
-// ParallelGreatDivide nodes; internal/optimizer's Parallelize pass
-// rewrites large divisions into them above a cardinality threshold;
-// and internal/exec compiles them to streaming exchange iterators:
-// one goroutine per partition feeds the incremental division state
+// internal/plan adds ParallelDivide and ParallelGreatDivide nodes;
+// internal/optimizer's Parallelize pass rewrites large divisions into
+// them above a cardinality threshold; internal/exec compiles both to
+// one streaming exchange iterator, which hash-partitions its input
+// while draining it; and internal/parallel runs one goroutine per
+// partition, each feeding the incremental division state
 // and emits finished quotient tuples into a bounded channel, so the
 // first result row surfaces as soon as the first partition resolves
 // — never waiting on the slowest worker — and the quotient is never

@@ -15,7 +15,6 @@ import (
 	"divlaws/internal/figures"
 	"divlaws/internal/fim"
 	"divlaws/internal/optimizer"
-	"divlaws/internal/parallel"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/scenarios"
@@ -138,16 +137,22 @@ func TestParallelAgreesUnderLoad(t *testing.T) {
 		Groups: 2000, GroupSize: 8, DivisorSize: 10,
 		Domain: 100, HitRate: 0.25, Seed: 5,
 	}.Generate()
-	if !parallel.Divide(r1, r2, 8).Equal(division.Divide(r1, r2)) {
-		t.Error("parallel divide diverged under load")
+	par, err := exec.Run(context.Background(), exec.CompileWith(&plan.ParallelDivide{
+		Dividend: plan.NewScan("r1", r1), Divisor: plan.NewScan("r2", r2), Workers: 8,
+	}, nil, exec.CompileOptions{}))
+	if err != nil || !par.Equal(division.Divide(r1, r2)) {
+		t.Errorf("parallel divide diverged under load (err %v)", err)
 	}
 	g1, g2 := datagen.GreatDividePair{
 		Groups: 600, GroupSize: 8,
 		DivisorGroups: 16, DivisorGroupSize: 5,
 		Domain: 100, HitRate: 0.25, Seed: 5,
 	}.Generate()
-	if !parallel.GreatDivide(g1, g2, 8).EquivalentTo(division.GreatDivide(g1, g2)) {
-		t.Error("parallel great divide diverged under load")
+	par, err = exec.Run(context.Background(), exec.CompileWith(&plan.ParallelGreatDivide{
+		Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2), Workers: 8,
+	}, nil, exec.CompileOptions{}))
+	if err != nil || !par.EquivalentTo(division.GreatDivide(g1, g2)) {
+		t.Errorf("parallel great divide diverged under load (err %v)", err)
 	}
 }
 

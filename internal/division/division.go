@@ -71,6 +71,23 @@ func GreatSplit(r1, r2 schema.Schema) (Split, error) {
 	return Split{A: a, B: b, C: c}, nil
 }
 
+// SplitOf is SmallSplit when r2's schema is contained in r1's
+// (C = ∅: ÷ is ÷* with no group attributes) and GreatSplit otherwise.
+func SplitOf(r1, r2 schema.Schema) (Split, error) {
+	if r2.SubsetOf(r1) {
+		return SmallSplit(r1, r2)
+	}
+	return GreatSplit(r1, r2)
+}
+
+// Quotient is the quotient schema A ∪ C (A itself for ÷).
+func (s Split) Quotient() schema.Schema {
+	if s.C.Len() == 0 {
+		return s.A
+	}
+	return s.A.Concat(s.C)
+}
+
 // mustSmallSplit panics on invalid schemas; the division operators
 // treat schema violations as programming errors, like package algebra.
 func mustSmallSplit(r1, r2 *relation.Relation) Split {
@@ -133,9 +150,6 @@ func DivideWith(algo Algorithm, r1, r2 *relation.Relation) *relation.Relation {
 		panic(fmt.Sprintf("division: unknown algorithm %q", algo))
 	}
 }
-
-// GreatAlgorithm names a physical great-divide implementation.
-type GreatAlgorithm string
 
 // The registered great-divide algorithms, one per definition of
 // Theorem 1 plus the hash-based physical operator.

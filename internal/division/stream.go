@@ -6,6 +6,36 @@ import (
 	"divlaws/internal/schema"
 )
 
+// State is the incremental feeding protocol of the streaming hash
+// divisions, DivideState and GreatDivideState: every divisor tuple,
+// then every dividend tuple, then the quotient. Bytes approximates
+// the live footprint for memory budgets.
+type State interface {
+	AddDivisor(relation.Tuple)
+	AddDividend(relation.Tuple)
+	Bytes() int64
+	Result() *relation.Relation
+	EachResult(func(relation.Tuple) error) error
+}
+
+// NewState returns the streaming state of dividend ÷ divisor when C =
+// R2 − R1 is empty and of dividend ÷* divisor otherwise; see SplitOf.
+func NewState(dividend, divisor schema.Schema) (State, error) {
+	var (
+		st  State
+		err error
+	)
+	if divisor.SubsetOf(dividend) {
+		st, err = NewDivideState(dividend, divisor)
+	} else {
+		st, err = NewGreatDivideState(dividend, divisor)
+	}
+	if err != nil {
+		return nil, err // not a typed nil inside the interface
+	}
+	return st, nil
+}
+
 // DivideState incrementally computes the small divide r1 ÷ r2 from
 // streamed tuples: feed every divisor tuple with AddDivisor, then
 // every dividend tuple with AddDividend, then call Result. It is

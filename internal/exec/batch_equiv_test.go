@@ -146,6 +146,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	u := plan.NewScan("u", gen(rng, []string{"a", "b"}, 5+rng.Intn(40), 6))
 	rc := plan.NewScan("rc", gen(rng, []string{"c"}, rng.Intn(5), 6))
 	p := pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(int64(rng.Intn(6))))
+	wide := plan.NewScan("wide", gen(rng, []string{"a", "b"}, 100+rng.Intn(100), 12))
 	div := &plan.Divide{Dividend: r1, Divisor: r2}
 	join := &plan.Join{Left: r1, Right: r2g}
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
@@ -165,6 +166,12 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		{"topk-over-parallel", &plan.TopK{
 			Input: &plan.ParallelDivide{Dividend: r1, Divisor: r2, Workers: 3},
 			Keys:  []plan.SortKey{{Attr: "a"}}, K: 3,
+		}, true},
+		// wide overflows the replicated dividend under the 4 KiB spill
+		// sweep: the exchange's top-k grace fallback.
+		{"topk-over-parallelgreatdivide", &plan.TopK{
+			Input: &plan.ParallelGreatDivide{Dividend: wide, Divisor: r2g, Workers: 3},
+			Keys:  []plan.SortKey{{Attr: "a"}, {Attr: "c", Desc: true}}, K: 3,
 		}, true},
 		{"pipeline-over-divide", &plan.Limit{
 			Input: &plan.Project{Input: &plan.Select{Input: div, Pred: p}, Attrs: []string{"a"}},

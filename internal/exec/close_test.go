@@ -66,14 +66,15 @@ func TestIteratorCloseSafety(t *testing.T) {
 		{"MergeGroupDivideIter", func() BatchIterator {
 			return &MergeGroupDivideIter{Label: "md", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
+		// The great-divide variants (C = {c}) of the two operators.
 		{"GreatDivideIter", func() BatchIterator {
-			return &GreatDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
+			return &HashDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
 		}},
 		{"ParallelDivideIter", func() BatchIterator {
 			return &ParallelDivideIter{Label: "pd", Dividend: scan(ab), Divisor: scan(bOnly), Workers: 2}
 		}},
 		{"ParallelGreatDivideIter", func() BatchIterator {
-			return &ParallelGreatDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
+			return &ParallelDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
 		}},
 		{"GroupIter", func() BatchIterator {
 			return &GroupIter{Label: "g", Input: scan(ab), By: []string{"a"}}

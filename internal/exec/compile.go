@@ -129,39 +129,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 		// exchange — no separate heap above it. K <= 0 keeps the
 		// generic TopKIter, which never opens the subtree.
 		if t.K > 0 {
-			switch c := t.Input.(type) {
-			case *plan.ParallelDivide:
-				return &ParallelDivideIter{
-					Label:         label + "/topk-paralleldivide",
-					Dividend:      compile(c.Dividend, stats, label+".0.0", opts),
-					Divisor:       compile(c.Divisor, stats, label+".0.1", opts),
-					Algo:          c.Algo,
-					Workers:       c.Workers,
-					Buffer:        opts.ExchangeBuffer,
-					TopKN:         t.K,
-					TopKPos:       pos,
-					TopKDesc:      desc,
-					Stats:         stats,
-					Every:         opts.CheckEvery,
-					Spill:         opts.Spill,
-					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-				}
-			case *plan.ParallelGreatDivide:
-				return &ParallelGreatDivideIter{
-					Label:         label + "/topk-parallelgreatdivide",
-					Dividend:      compile(c.Dividend, stats, label+".0.0", opts),
-					Divisor:       compile(c.Divisor, stats, label+".0.1", opts),
-					Algo:          c.Algo,
-					Workers:       c.Workers,
-					Buffer:        opts.ExchangeBuffer,
-					TopKN:         t.K,
-					TopKPos:       pos,
-					TopKDesc:      desc,
-					Stats:         stats,
-					Every:         opts.CheckEvery,
-					Spill:         opts.Spill,
-					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-				}
+			if p := compileExchange(t.Input, stats, label+"/topk-", label+".0", opts); p != nil {
+				p.TopKN, p.TopKPos, p.TopKDesc = t.K, pos, desc
+				return p
 			}
 		}
 		return &TopKIter{
@@ -272,7 +242,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.GreatDivide:
-		return &GreatDivideIter{
+		return &HashDivideIter{
 			Label:         label + "/greatdivide",
 			Dividend:      compile(t.Dividend, stats, label+".0", opts),
 			Divisor:       compile(t.Divisor, stats, label+".1", opts),
@@ -281,32 +251,8 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
-	case *plan.ParallelDivide:
-		return &ParallelDivideIter{
-			Label:         label + "/paralleldivide",
-			Dividend:      compile(t.Dividend, stats, label+".0", opts),
-			Divisor:       compile(t.Divisor, stats, label+".1", opts),
-			Algo:          t.Algo,
-			Workers:       t.Workers,
-			Buffer:        opts.ExchangeBuffer,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
-	case *plan.ParallelGreatDivide:
-		return &ParallelGreatDivideIter{
-			Label:         label + "/parallelgreatdivide",
-			Dividend:      compile(t.Dividend, stats, label+".0", opts),
-			Divisor:       compile(t.Divisor, stats, label+".1", opts),
-			Algo:          t.Algo,
-			Workers:       t.Workers,
-			Buffer:        opts.ExchangeBuffer,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+	case *plan.ParallelDivide, *plan.ParallelGreatDivide:
+		return compileExchange(n, stats, label+"/", label, opts)
 	case *plan.Group:
 		return &GroupIter{
 			Label:         label + "/group",
@@ -352,4 +298,36 @@ func SimulatedDividePlan(r1Name string, r1 *relation.Relation, r2Name string, r2
 	candidates := &plan.Product{Left: piA, Right: plan.NewScan(r2Name, r2)}
 	missing := &plan.Project{Input: plan.Diff(candidates, r1Aligned), Attrs: a}
 	return plan.Diff(piA, missing)
+}
+
+// compileExchange compiles a ParallelDivide or ParallelGreatDivide
+// node to the exchange operator labelled prefix + its kind, with its
+// inputs under childLabel; it returns nil for any other node.
+func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts CompileOptions) *ParallelDivideIter {
+	var (
+		dividend, divisor plan.Node
+		algo              division.Algorithm
+		workers           int
+		kind              string
+	)
+	switch t := n.(type) {
+	case *plan.ParallelDivide:
+		dividend, divisor, algo, workers, kind = t.Dividend, t.Divisor, t.Algo, t.Workers, "paralleldivide"
+	case *plan.ParallelGreatDivide:
+		dividend, divisor, algo, workers, kind = t.Dividend, t.Divisor, t.Algo, t.Workers, "parallelgreatdivide"
+	default:
+		return nil
+	}
+	return &ParallelDivideIter{
+		Label:         prefix + kind,
+		Dividend:      compile(dividend, stats, childLabel+".0", opts),
+		Divisor:       compile(divisor, stats, childLabel+".1", opts),
+		Algo:          algo,
+		Workers:       workers,
+		Buffer:        opts.ExchangeBuffer,
+		Stats:         stats,
+		Every:         opts.CheckEvery,
+		Spill:         opts.Spill,
+		windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+	}
 }

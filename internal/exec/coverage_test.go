@@ -67,7 +67,7 @@ func TestDivideItersRejectBadSchemasAtOpen(t *testing.T) {
 	if err := m.Open(context.Background()); err == nil {
 		t.Error("merge divide should reject schema violation")
 	}
-	g := &GreatDivideIter{Dividend: bad, Divisor: bad}
+	g := &HashDivideIter{Dividend: bad, Divisor: bad}
 	if err := g.Open(context.Background()); err == nil {
 		t.Error("great divide should reject schema violation")
 	}
@@ -79,7 +79,7 @@ func TestDivideItersNotOpen(t *testing.T) {
 	for _, it := range []BatchIterator{
 		&HashDivideIter{Dividend: r1, Divisor: r2},
 		&MergeGroupDivideIter{Dividend: r1, Divisor: r2},
-		&GreatDivideIter{
+		&HashDivideIter{
 			Dividend: &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})},
 			Divisor:  &ScanIter{Rel: relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}})},
 		},

@@ -86,12 +86,15 @@ func (j *ThetaJoinIter) Schema() schema.Schema {
 	return j.out
 }
 
-// HashDivideIter is the physical hash-division operator (Graefe):
-// the divisor is streamed into a bit-numbering table on Open, the
-// dividend consumed in one pass straight off its child iterator —
-// neither input is materialized into an intermediate relation — and
-// qualifying quotient groups emitted afterwards in zero-copy windows.
-// It is blocking on the dividend but needs no sorted inputs.
+// HashDivideIter is the physical hash-division operator for both
+// divisions, the variant following from the schemas: Graefe's
+// bit-numbering hash-division when C = R2 − R1 is empty (r1 ÷ r2), the
+// counting set-containment division otherwise (r1 ÷* r2). The divisor
+// is streamed into the division state on Open, the dividend consumed
+// in one pass straight off its child iterator — neither input is
+// materialized into an intermediate relation — and the quotient
+// emitted afterwards in zero-copy windows. It is blocking on the
+// dividend but needs no sorted inputs.
 type HashDivideIter struct {
 	Label             string
 	Dividend, Divisor BatchIterator
@@ -100,8 +103,10 @@ type HashDivideIter struct {
 	// in tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the division state: on budget
-	// pressure the dividend grace-hash partitions to temp files and
-	// each partition is divided against the (retained) divisor.
+	// pressure the dividend grace-hash partitions on A to temp files —
+	// lossless because a quotient group's verdict depends only on its
+	// own tuples plus the whole (retained) divisor — and each partition
+	// is divided against the divisor.
 	Spill *spill.Tracker
 	windowBatcher
 	out     schema.Schema
@@ -115,7 +120,7 @@ type HashDivideIter struct {
 // Open implements BatchIterator.
 func (h *HashDivideIter) Open(ctx context.Context) error {
 	dividendSch, divisorSch := h.Dividend.Schema(), h.Divisor.Schema()
-	st, err := division.NewDivideState(dividendSch, divisorSch)
+	st, err := division.NewState(dividendSch, divisorSch)
 	if err != nil {
 		return err
 	}
@@ -126,12 +131,11 @@ func (h *HashDivideIter) Open(ctx context.Context) error {
 		return err
 	}
 	if h.Spill != nil {
-		split, err := division.SmallSplit(dividendSch, divisorSch)
+		split, err := division.SplitOf(dividendSch, divisorSch)
 		if err != nil {
 			return err
 		}
-		g := newGraceDivide(h.Spill, dividendSch.Positions(split.A.Attrs()), h.Every,
-			func() (divSpillState, error) { return division.NewDivideState(dividendSch, divisorSch) })
+		g := newGraceDivide(h.Spill, dividendSch, divisorSch, dividendSch.Positions(split.A.Attrs()), h.Every)
 		h.grace, h.gctx = g, ctx
 		if err := drainEvery(ctx, h.Divisor, h.Every, g.addDivisor); err != nil {
 			return err
@@ -194,13 +198,19 @@ func (h *HashDivideIter) Close() error {
 // schemas so parents may call it before Open.
 func (h *HashDivideIter) Schema() schema.Schema {
 	if h.out.Len() == 0 {
-		split, err := division.SmallSplit(h.Dividend.Schema(), h.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		h.out = split.A
+		h.out = quotientSchema(h.Dividend.Schema(), h.Divisor.Schema())
 	}
 	return h.out
+}
+
+// quotientSchema is A ∪ C of dividend ÷(*) divisor; it panics on
+// schemas no division accepts (Open reports those as errors).
+func quotientSchema(dividend, divisor schema.Schema) schema.Schema {
+	split, err := division.SplitOf(dividend, divisor)
+	if err != nil {
+		panic(err)
+	}
+	return split.Quotient()
 }
 
 // MergeGroupDivideIter is the group-preserving pipelined division of
@@ -375,120 +385,4 @@ func (m *MergeGroupDivideIter) Schema() schema.Schema {
 		m.out = split.A
 	}
 	return m.out
-}
-
-// GreatDivideIter is the physical set-containment-division operator:
-// blocking on both inputs, hash-based counting. Both inputs are
-// consumed straight off the child iterators into the counting state,
-// which absorbs duplicates itself — no intermediate relations.
-type GreatDivideIter struct {
-	Label             string
-	Dividend, Divisor BatchIterator
-	Stats             *Stats
-	// Every is the cooperative ctx-poll interval of the build drains,
-	// in tuples; 0 means DefaultCheckEvery.
-	Every int
-	// Spill, when non-nil, bounds the counting state: on budget
-	// pressure the dividend grace-hash partitions on A to temp files —
-	// lossless because a candidate's (a, c) verdicts depend only on its
-	// own tuples plus the whole (retained) divisor.
-	Spill *spill.Tracker
-	windowBatcher
-	out     schema.Schema
-	results []relation.Tuple
-	pos     int
-	opened  bool
-	grace   *graceDivide
-	gctx    context.Context
-}
-
-// Open implements BatchIterator.
-func (g *GreatDivideIter) Open(ctx context.Context) error {
-	dividendSch, divisorSch := g.Dividend.Schema(), g.Divisor.Schema()
-	st, err := division.NewGreatDivideState(dividendSch, divisorSch)
-	if err != nil {
-		return err
-	}
-	if err := g.Dividend.Open(ctx); err != nil {
-		return err
-	}
-	if err := g.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	if g.Spill != nil {
-		split, err := division.GreatSplit(dividendSch, divisorSch)
-		if err != nil {
-			return err
-		}
-		gd := newGraceDivide(g.Spill, dividendSch.Positions(split.A.Attrs()), g.Every,
-			func() (divSpillState, error) { return division.NewGreatDivideState(dividendSch, divisorSch) })
-		g.grace, g.gctx = gd, ctx
-		if err := drainEvery(ctx, g.Divisor, g.Every, gd.addDivisor); err != nil {
-			return err
-		}
-		if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
-			return gd.addDividend(ctx, t)
-		}); err != nil {
-			return err
-		}
-		if err := gd.finish(ctx); err != nil {
-			return err
-		}
-		g.opened = true
-		return nil
-	}
-	if err := drainEvery(ctx, g.Divisor, g.Every, func(t relation.Tuple) error { st.AddDivisor(t); return nil }); err != nil {
-		return err
-	}
-	if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error { st.AddDividend(t); return nil }); err != nil {
-		return err
-	}
-	g.results = st.Result().Tuples()
-	g.pos = 0
-	g.opened = true
-	return nil
-}
-
-// NextBatch implements BatchIterator.
-func (g *GreatDivideIter) NextBatch() (*relation.Batch, error) {
-	if !g.opened {
-		return nil, errNotOpen("GreatDivideIter")
-	}
-	if g.grace != nil {
-		return graceBatch(g.grace, g.gctx, &g.windowBatcher, g.Stats, g.Label)
-	}
-	b := g.window(g.results, &g.pos)
-	if b != nil {
-		g.Stats.count(g.Label, int64(b.Len()))
-	}
-	return b, nil
-}
-
-// Close implements BatchIterator.
-func (g *GreatDivideIter) Close() error {
-	g.results, g.opened = nil, false
-	if g.grace != nil {
-		g.grace.close()
-		g.grace = nil
-	}
-	g.release()
-	err1 := g.Dividend.Close()
-	err2 := g.Divisor.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements BatchIterator. It is derived from the children's
-// schemas so parents may call it before Open.
-func (g *GreatDivideIter) Schema() schema.Schema {
-	if g.out.Len() == 0 {
-		split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		g.out = split.A.Concat(split.C)
-	}
-	return g.out
 }

@@ -160,22 +160,27 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 }
 
 // ParallelDivideIter is the streaming exchange operator for
-// plan.ParallelDivide: Open materializes both inputs,
-// range-partitions the dividend on the quotient attributes A (Law 2
-// under c2, which the partitioning establishes by construction), and
-// launches one goroutine per partition; each worker runs the
-// streaming division.DivideState over its partition and emits its
-// finished quotient tuples into a bounded channel. NextBatch pulls from
-// the channel, so the first row surfaces as soon as the first
-// partition resolves — the pipeline above never waits for the
-// slowest worker — and Close (or context cancellation) tears the
-// workers down mid-stream. Per-partition emission counts are
-// recorded in Stats under "<label>/part<i>" as tuples flow, so an
-// early exit leaves them below the full quotient sizes.
+// plan.ParallelDivide and plan.ParallelGreatDivide; the variant follows
+// from the schemas. When C = R2 − R1 is empty (r1 ÷ r2) the divisor is
+// replicated and the dividend hash-partitioned on the quotient
+// attributes A (Law 2 under c2); otherwise (r1 ÷* r2) the dividend is
+// replicated and the divisor hash-partitioned on its group attributes
+// C (Law 13). Either partitioning makes its law's disjointness premise
+// hold by construction. Open drains the replicated input, partitions
+// the other one straight off its child — never materialized whole
+// before partitioning — and launches one goroutine per non-empty
+// partition; each worker divides its partition and emits its finished
+// quotient tuples into a bounded channel. NextBatch pulls from the
+// channel, so the first row surfaces as soon as the first partition
+// resolves — the pipeline above never waits for the slowest worker —
+// and Close (or context cancellation) tears the workers down
+// mid-stream. Per-partition emission counts are recorded in Stats
+// under "<label>/part<i>" as tuples flow, so an early exit leaves them
+// below the full quotient sizes.
 type ParallelDivideIter struct {
 	Label             string
 	Dividend, Divisor BatchIterator
-	// Algo is the per-partition algorithm; empty means hash-division.
+	// Algo is the per-partition algorithm; empty means hash division.
 	Algo division.Algorithm
 	// Workers is the partition/goroutine count; 0 means GOMAXPROCS.
 	Workers int
@@ -194,10 +199,10 @@ type ParallelDivideIter struct {
 	// Every is the cooperative ctx-poll interval of the input drains
 	// and worker feed loops, in tuples; 0 means DefaultCheckEvery.
 	Every int
-	// Spill, when non-nil, budgets the exchange: the dividend is
-	// hash-partitioned on A while draining (streamed, charged) instead
-	// of materialized first, and if even the partitions exceed the
-	// budget the operator degrades to the sequential grace division.
+	// Spill, when non-nil, budgets the exchange: both inputs are
+	// charged as they are buffered, and if they exceed the budget the
+	// operator degrades to the sequential grace division, which spills
+	// the dividend to temp-file runs.
 	Spill *spill.Tracker
 	windowBatcher
 
@@ -213,115 +218,101 @@ type ParallelDivideIter struct {
 	fPos     int
 }
 
-// tuning bundles the iterator's knobs for the parallel fan-out.
-func (p *ParallelDivideIter) tuning() parallel.Tuning {
-	return parallel.Tuning{BatchSize: p.BatchSize, CheckEvery: p.Every}
-}
-
 // Open implements BatchIterator.
 func (p *ParallelDivideIter) Open(ctx context.Context) error {
-	split, err := division.SmallSplit(p.Dividend.Schema(), p.Divisor.Schema())
-	if err != nil {
-		return err
-	}
-	algo := p.Algo
-	if algo == "" {
-		algo = division.AlgoHash
-	}
-	if p.Spill != nil {
-		p.out = split.A
-		return p.openBudgeted(ctx, split, algo)
-	}
-	dividend, err := drainChild(ctx, p.Dividend, p.Every)
-	if err != nil {
-		return err
-	}
-	divisor, err := drainChild(ctx, p.Divisor, p.Every)
-	if err != nil {
-		return err
-	}
-	p.out = split.A
-	if p.TopKN > 0 {
-		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.DivideStreamTopK(runCtx, algo, dividend, divisor, p.Workers, bound, p.tuning(), emit)
-			})
-		return nil
-	}
-	p.ex = startExchange(ctx, p.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.DivideStream(exCtx, algo, dividend, divisor, p.Workers, p.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
-}
-
-// openBudgeted is Open under a memory budget: the divisor is drained
-// charged (it is replicated to every worker and must fit), the
-// dividend hash-partitioned on A straight off its child — streamed,
-// never materialized whole before partitioning — and the workers run
-// over the charged partitions. If the partitions themselves exceed the
-// budget the operator falls back to the sequential grace division,
-// which spills the dividend to temp-file runs.
-func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Split, algo division.Algorithm) error {
 	dividendSch, divisorSch := p.Dividend.Schema(), p.Divisor.Schema()
+	split, err := division.SplitOf(dividendSch, divisorSch)
+	if err != nil {
+		return err
+	}
+	p.out = split.Quotient()
 	aPos := dividendSch.Positions(split.A.Attrs())
-	g := newGraceDivide(p.Spill, aPos, p.Every,
-		func() (divSpillState, error) { return division.NewDivideState(dividendSch, divisorSch) })
+	g := newGraceDivide(p.Spill, dividendSch, divisorSch, aPos, p.Every)
 	p.grace, p.gctx = g, ctx
 
-	if err := p.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	if err := drainEvery(ctx, p.Divisor, p.Every, g.addDivisor); err != nil {
-		return err
-	}
-	if err := p.Dividend.Open(ctx); err != nil {
-		return err
+	// The replicated input and the partitioned one with its key
+	// positions, each with the grace divider's entry for its role.
+	addDividend := func(t relation.Tuple) error { return g.addDividend(ctx, t) }
+	replIn, replAdd := p.Divisor, g.addDivisor
+	partIn, partAdd, key := p.Dividend, addDividend, aPos
+	if split.C.Len() > 0 {
+		replIn, replAdd = p.Dividend, addDividend
+		partIn, partAdd, key = p.Divisor, g.addDivisor, divisorSch.Positions(split.C.Attrs())
 	}
 	w := p.Workers
 	if w <= 0 {
 		w = parallel.DefaultWorkers()
 	}
+	replicated := relation.New(replIn.Schema())
 	parts := make([]*relation.Relation, w)
 	for i := range parts {
-		parts[i] = relation.New(dividendSch)
+		parts[i] = relation.New(partIn.Schema())
 	}
-	hp := &hashPartitioner{pos: aPos, emit: func(t relation.Tuple, h uint64) error {
+
+	// keep charges t to the in-memory build and reports whether it fits.
+	// At the first budget overflow it hands everything buffered so far
+	// to the grace divider, which re-buffers (and spills) under its own
+	// charge; from then on every tuple goes there. A nil tracker never
+	// overflows.
+	keep := func(t relation.Tuple) (bool, error) {
 		if p.fb {
-			return g.addDividend(ctx, t)
+			return false, nil
 		}
 		fp := t.Footprint()
 		err := p.Spill.Charge(fp)
 		if err == nil {
 			p.charged += fp
-			parts[int(h%uint64(w))].InsertOwned(t)
-			return nil
+			return true, nil
 		}
 		if !errors.Is(err, spill.ErrBudget) {
-			return err
+			return false, err
 		}
-		// Budget hit mid-partitioning: hand everything to the grace
-		// divider, which re-buffers (and spills) under its own charge.
 		p.fb = true
 		p.Spill.Release(p.charged)
 		p.charged = 0
-		for _, part := range parts {
-			for _, pt := range part.Tuples() {
-				if err := g.addDividend(ctx, pt); err != nil {
-					return err
+		for _, rt := range replicated.Tuples() {
+			if err := replAdd(rt); err != nil {
+				return false, err
+			}
+		}
+		for _, pr := range parts {
+			for _, pt := range pr.Tuples() {
+				if err := partAdd(pt); err != nil {
+					return false, err
 				}
 			}
 		}
-		parts = nil
-		return g.addDividend(ctx, t)
+		replicated, parts = nil, nil
+		return false, nil
+	}
+
+	if err := replIn.Open(ctx); err != nil {
+		return err
+	}
+	if err := drainEvery(ctx, replIn, p.Every, func(t relation.Tuple) error {
+		ok, err := keep(t)
+		if ok {
+			replicated.InsertOwned(t)
+		} else if err == nil {
+			err = replAdd(t)
+		}
+		return err
+	}); err != nil {
+		return err
+	}
+	if err := partIn.Open(ctx); err != nil {
+		return err
+	}
+	hp := &hashPartitioner{pos: key, emit: func(t relation.Tuple, h uint64) error {
+		ok, err := keep(t)
+		if ok {
+			parts[h%uint64(w)].InsertOwned(t)
+		} else if err == nil {
+			err = partAdd(t)
+		}
+		return err
 	}}
-	if err := drainEvery(ctx, p.Dividend, p.Every, hp.add); err != nil {
+	if err := drainEvery(ctx, partIn, p.Every, hp.add); err != nil {
 		return err
 	}
 	if err := hp.flush(); err != nil {
@@ -340,32 +331,33 @@ func (p *ParallelDivideIter) openBudgeted(ctx context.Context, split division.Sp
 		}
 		return nil
 	}
-	live := parts[:0]
-	for _, part := range parts {
-		if !part.Empty() {
-			live = append(live, part)
+
+	work := make([]parallel.Part, 0, w)
+	for _, pr := range parts {
+		switch {
+		case pr.Empty():
+		case split.C.Len() == 0:
+			work = append(work, parallel.Part{Dividend: pr, Divisor: replicated})
+		default:
+			work = append(work, parallel.Part{Dividend: replicated, Divisor: pr})
 		}
 	}
-	divisor := relation.New(divisorSch)
-	for _, t := range g.divisor {
-		divisor.InsertOwned(t)
-	}
+	tune := parallel.Tuning{BatchSize: p.BatchSize, CheckEvery: p.Every}
 	if p.TopKN > 0 {
 		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats,
 			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.DividePartsStream(runCtx, algo, live, divisor, &bound, p.tuning(), emit)
+				return parallel.Run(runCtx, p.Algo, work, &bound, tune, emit)
 			})
 		return nil
 	}
 	p.ex = startExchange(ctx, p.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.DividePartsStream(exCtx, algo, live, divisor, nil, p.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
-				return nil
-			})
+		return parallel.Run(exCtx, p.Algo, work, nil, tune, func(part int, batch []relation.Tuple) error {
+			if err := send(batch); err != nil {
+				return err
+			}
+			p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
+			return nil
+		})
 	})
 	return nil
 }
@@ -422,104 +414,9 @@ func (p *ParallelDivideIter) Close() error {
 // schemas so parents may call it before Open.
 func (p *ParallelDivideIter) Schema() schema.Schema {
 	if p.out.Len() == 0 {
-		split, err := division.SmallSplit(p.Dividend.Schema(), p.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		p.out = split.A
+		p.out = quotientSchema(p.Dividend.Schema(), p.Divisor.Schema())
 	}
 	return p.out
-}
-
-// ParallelGreatDivideIter is the streaming exchange operator for
-// plan.ParallelGreatDivide: the dividend is replicated, the divisor
-// hash-partitioned on its group attributes C (Law 13, whose
-// πC-disjointness premise the partitioning establishes by
-// construction), and one worker per partition great-divides and
-// streams its quotient tuples into the exchange channel; see
-// ParallelDivideIter for the exchange mechanics.
-type ParallelGreatDivideIter struct {
-	Label             string
-	Dividend, Divisor BatchIterator
-	Algo              division.Algorithm
-	Workers           int
-	// Buffer is the exchange channel capacity; 0 means
-	// DefaultExchangeBuffer.
-	Buffer int
-	// TopKN/TopKPos/TopKDesc enable the order-aware top-k exchange;
-	// see ParallelDivideIter.
-	TopKN    int64
-	TopKPos  []int
-	TopKDesc []bool
-	Stats    *Stats
-	// Every is the cooperative ctx-poll interval of the input drains
-	// and worker feed loops, in tuples; 0 means DefaultCheckEvery.
-	Every int
-	// Spill, when non-nil, budgets the exchange: the divisor is
-	// hash-partitioned on C while draining (streamed, charged) instead
-	// of materialized first, and on budget pressure the operator
-	// degrades to the sequential grace great-division.
-	Spill *spill.Tracker
-	windowBatcher
-
-	out schema.Schema
-	ex  *exchange
-
-	charged  int64
-	grace    *graceDivide
-	gctx     context.Context
-	fb       bool
-	fallback []relation.Tuple
-	fbTopK   bool
-	fPos     int
-}
-
-// tuning bundles the iterator's knobs for the parallel fan-out.
-func (g *ParallelGreatDivideIter) tuning() parallel.Tuning {
-	return parallel.Tuning{BatchSize: g.BatchSize, CheckEvery: g.Every}
-}
-
-// Open implements BatchIterator.
-func (g *ParallelGreatDivideIter) Open(ctx context.Context) error {
-	split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-	if err != nil {
-		return err
-	}
-	algo := g.Algo
-	if algo == "" {
-		algo = division.GreatAlgoHash
-	}
-	if g.Spill != nil {
-		g.out = split.A.Concat(split.C)
-		return g.openBudgeted(ctx, split, algo)
-	}
-	dividend, err := drainChild(ctx, g.Dividend, g.Every)
-	if err != nil {
-		return err
-	}
-	divisor, err := drainChild(ctx, g.Divisor, g.Every)
-	if err != nil {
-		return err
-	}
-	g.out = split.A.Concat(split.C)
-	if g.TopKN > 0 {
-		g.ex = startTopKExchange(ctx, g.Buffer, g.BatchSize, g.TopKPos, g.TopKDesc, g.TopKN, g.Label, g.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.GreatDivideStreamTopK(runCtx, algo, dividend, divisor, g.Workers, bound, g.tuning(), emit)
-			})
-		return nil
-	}
-	g.ex = startExchange(ctx, g.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.GreatDivideStream(exCtx, algo, dividend, divisor, g.Workers, g.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				g.Stats.count(partLabel(g.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
 }
 
 // partitionChunk is the number of tuples a hashPartitioner hashes per
@@ -559,218 +456,6 @@ func (hp *hashPartitioner) flush() error {
 	}
 	hp.buf = hp.buf[:0]
 	return nil
-}
-
-// openBudgeted is Open under a memory budget: the dividend is drained
-// charged (it is replicated to every worker), the divisor
-// hash-partitioned on its group attributes C straight off its child —
-// preserving Law 13's πC-disjointness — and the workers run over the
-// charged partitions. On budget pressure the operator falls back to
-// the sequential grace great-division, which spills the dividend.
-func (g *ParallelGreatDivideIter) openBudgeted(ctx context.Context, split division.Split, algo division.Algorithm) error {
-	dividendSch, divisorSch := g.Dividend.Schema(), g.Divisor.Schema()
-	aPos := dividendSch.Positions(split.A.Attrs())
-	cPos := divisorSch.Positions(split.C.Attrs())
-	gd := newGraceDivide(g.Spill, aPos, g.Every,
-		func() (divSpillState, error) { return division.NewGreatDivideState(dividendSch, divisorSch) })
-	g.grace, g.gctx = gd, ctx
-
-	// The dividend is the replicated side here: buffer it charged, and
-	// degrade to the grace division (which spills it) on overflow.
-	if err := g.Dividend.Open(ctx); err != nil {
-		return err
-	}
-	dividend := relation.New(dividendSch)
-	if err := drainEvery(ctx, g.Dividend, g.Every, func(t relation.Tuple) error {
-		if g.fb {
-			return gd.addDividend(ctx, t)
-		}
-		fp := t.Footprint()
-		err := g.Spill.Charge(fp)
-		if err == nil {
-			g.charged += fp
-			dividend.InsertOwned(t)
-			return nil
-		}
-		if !errors.Is(err, spill.ErrBudget) {
-			return err
-		}
-		g.fb = true
-		g.Spill.Release(g.charged)
-		g.charged = 0
-		for _, dt := range dividend.Tuples() {
-			if err := gd.addDividend(ctx, dt); err != nil {
-				return err
-			}
-		}
-		dividend = nil
-		return gd.addDividend(ctx, t)
-	}); err != nil {
-		return err
-	}
-
-	if err := g.Divisor.Open(ctx); err != nil {
-		return err
-	}
-	w := g.Workers
-	if w <= 0 {
-		w = parallel.DefaultWorkers()
-	}
-	parts := make([]*relation.Relation, w)
-	for i := range parts {
-		parts[i] = relation.New(divisorSch)
-	}
-	hp := &hashPartitioner{pos: cPos, emit: func(t relation.Tuple, h uint64) error {
-		if g.fb {
-			return gd.addDivisor(t)
-		}
-		fp := t.Footprint()
-		err := g.Spill.Charge(fp)
-		if err == nil {
-			g.charged += fp
-			parts[int(h%uint64(w))].InsertOwned(t)
-			return nil
-		}
-		if !errors.Is(err, spill.ErrBudget) {
-			return err
-		}
-		// Budget hit while partitioning the divisor: hand everything
-		// to the grace divider. It retains the divisor in memory, so a
-		// divisor that genuinely cannot fit fails with a budget error.
-		g.fb = true
-		g.Spill.Release(g.charged)
-		g.charged = 0
-		for _, dt := range dividend.Tuples() {
-			if err := gd.addDividend(ctx, dt); err != nil {
-				return err
-			}
-		}
-		dividend = nil
-		for _, part := range parts {
-			for _, pt := range part.Tuples() {
-				if err := gd.addDivisor(pt); err != nil {
-					return err
-				}
-			}
-		}
-		parts = nil
-		return gd.addDivisor(t)
-	}}
-	if err := drainEvery(ctx, g.Divisor, g.Every, hp.add); err != nil {
-		return err
-	}
-	if err := hp.flush(); err != nil {
-		return err
-	}
-	if g.fb {
-		if err := gd.finish(ctx); err != nil {
-			return err
-		}
-		if g.TopKN > 0 {
-			top, err := topKFromGrace(ctx, gd, g.TopKPos, g.TopKDesc, g.TopKN)
-			if err != nil {
-				return err
-			}
-			g.fallback, g.fPos, g.fbTopK = top, 0, true
-		}
-		return nil
-	}
-	live := parts[:0]
-	for _, part := range parts {
-		if !part.Empty() {
-			live = append(live, part)
-		}
-	}
-	if g.TopKN > 0 {
-		g.ex = startTopKExchange(ctx, g.Buffer, g.BatchSize, g.TopKPos, g.TopKDesc, g.TopKN, g.Label, g.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.GreatDividePartsStream(runCtx, algo, dividend, live, &bound, g.tuning(), emit)
-			})
-		return nil
-	}
-	g.ex = startExchange(ctx, g.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.GreatDividePartsStream(exCtx, algo, dividend, live, nil, g.tuning(),
-			func(part int, batch []relation.Tuple) error {
-				if err := send(batch); err != nil {
-					return err
-				}
-				g.Stats.count(partLabel(g.Label, part), int64(len(batch)))
-				return nil
-			})
-	})
-	return nil
-}
-
-// NextBatch implements BatchIterator: the workers' emission batches
-// flow through untouched, capped by any armed row budget.
-func (g *ParallelGreatDivideIter) NextBatch() (*relation.Batch, error) {
-	if g.fbTopK {
-		b := g.window(g.fallback, &g.fPos)
-		if b != nil {
-			g.Stats.count(g.Label, int64(b.Len()))
-		}
-		return b, nil
-	}
-	if g.fb {
-		return graceBatch(g.grace, g.gctx, &g.windowBatcher, g.Stats, g.Label)
-	}
-	if g.ex == nil {
-		return nil, errNotOpen("ParallelGreatDivideIter")
-	}
-	ts, err := g.ex.nextBatch(int(g.budget))
-	if ts == nil {
-		return nil, err
-	}
-	g.Stats.count(g.Label, int64(len(ts)))
-	return g.adopt(ts), nil
-}
-
-// Close implements BatchIterator; see ParallelDivideIter.Close.
-func (g *ParallelGreatDivideIter) Close() error {
-	if g.ex != nil {
-		g.ex.stop()
-		g.ex = nil
-	}
-	if g.grace != nil {
-		g.grace.close()
-		g.grace = nil
-	}
-	g.Spill.Release(g.charged)
-	g.charged = 0
-	g.fallback, g.fb, g.fbTopK = nil, false, false
-	g.release()
-	err1 := g.Dividend.Close()
-	err2 := g.Divisor.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements BatchIterator. It is derived from the children's
-// schemas so parents may call it before Open.
-func (g *ParallelGreatDivideIter) Schema() schema.Schema {
-	if g.out.Len() == 0 {
-		split, err := division.GreatSplit(g.Dividend.Schema(), g.Divisor.Schema())
-		if err != nil {
-			panic(err)
-		}
-		g.out = split.A.Concat(split.C)
-	}
-	return g.out
-}
-
-// drainChild opens a child operator and materializes it, honoring
-// ctx cancellation via the shared drain loop.
-func drainChild(ctx context.Context, it BatchIterator, every int) (*relation.Relation, error) {
-	if err := it.Open(ctx); err != nil {
-		return nil, err
-	}
-	out := relation.New(it.Schema())
-	if err := drainEvery(ctx, it, every, func(t relation.Tuple) error { out.InsertOwned(t); return nil }); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // partLabel names partition i of a parallel operator in Stats.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +194,79 @@ func TestSharedStatsAcrossConcurrentIterators(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestParallelDivideSchemaViolationErrors: an exchange over schemas no
+// division accepts fails Open with an error — it does not panic — and
+// starts no goroutine that outlives Close.
+func TestParallelDivideSchemaViolationErrors(t *testing.T) {
+	bad := relation.Ints([]string{"z"}, [][]int64{{1}})
+	r1 := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})
+	baseline := runtime.NumGoroutine()
+	for _, in := range [][2]*relation.Relation{{r1, bad}, {bad, bad}} {
+		p := &ParallelDivideIter{Label: "pd", Dividend: &ScanIter{Rel: in[0]}, Divisor: &ScanIter{Rel: in[1]}, Workers: 2}
+		if err := p.Open(context.Background()); err == nil {
+			t.Errorf("%v ÷ %v: Open succeeded", in[0].Schema(), in[1].Schema())
+		}
+		if err := p.Close(); err != nil {
+			t.Errorf("Close after a failed Open: %v", err)
+		}
+	}
+	waitGoroutines(t, baseline)
+}
+
+// TestHashScatterDisjoint checks the exchange's partitioning: hashed
+// chunk-at-a-time, every A key of a small-divide dividend and every C
+// group of a great-divide divisor lands in exactly one of the workers
+// partitions — Law 2's c2 and Law 13's πC-disjointness — with no tuple
+// lost, and each tuple goes where its own key hash sends it.
+func TestHashScatterDisjoint(t *testing.T) {
+	r1, _ := datagen.DividePair{
+		Groups: 300, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 2,
+	}.Generate()
+	_, g2 := datagen.GreatDividePair{
+		Groups: 50, GroupSize: 4, DivisorGroups: 40, DivisorGroupSize: 4, Domain: 40, HitRate: 0.3, Seed: 2,
+	}.Generate()
+	const workers = 4
+	for _, tc := range []struct {
+		name string
+		rel  *relation.Relation
+		key  []string
+	}{
+		{"dividend-on-A", r1, []string{"a"}},
+		{"divisor-on-C", g2, []string{"c"}},
+	} {
+		pos := tc.rel.Schema().Positions(tc.key)
+		home := map[string]int{}
+		n := 0
+		hp := &hashPartitioner{pos: pos, emit: func(tp relation.Tuple, h uint64) error {
+			part := int(h % workers)
+			if want := int(tp.Hash64Proj(pos) % workers); part != want {
+				t.Errorf("%s: %v scattered to %d, its key hash says %d", tc.name, tp, part, want)
+			}
+			k := tp.Project(pos).Key()
+			if prev, ok := home[k]; ok && prev != part {
+				t.Errorf("%s: key %q split across partitions %d and %d", tc.name, k, prev, part)
+			}
+			home[k] = part
+			n++
+			return nil
+		}}
+		for _, tp := range tc.rel.Tuples() {
+			if err := hp.add(tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := hp.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.rel.Len() {
+			t.Errorf("%s: scattered %d of %d tuples", tc.name, n, tc.rel.Len())
+		}
+		if len(home) < 2 {
+			t.Errorf("%s: %d keys, want several", tc.name, len(home))
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"strconv"
 	"sync"
 
+	"divlaws/internal/division"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
 	"divlaws/internal/spill"
 )
 
@@ -129,15 +131,6 @@ func (m *sortMerge) Pop() any {
 	return s
 }
 
-// divSpillState is the slice of the division state API graceDivide
-// needs; both DivideState and GreatDivideState satisfy it.
-type divSpillState interface {
-	AddDivisor(relation.Tuple)
-	AddDividend(relation.Tuple)
-	Bytes() int64
-	Result() *relation.Relation
-}
-
 // gracePart is one pending dividend partition run awaiting division.
 type gracePart struct {
 	run   *spill.Run
@@ -159,12 +152,12 @@ type gracePart struct {
 // set. A divisor larger than the budget fails with spill.ErrBudget.
 //
 // The API is push-style (addDivisor/addDividend/finish/next) so the
-// parallel operators can fall back to it mid-drain.
+// exchange operator can fall back to it mid-drain.
 type graceDivide struct {
-	tr       *spill.Tracker
-	newState func() (divSpillState, error)
-	aPos     []int
-	every    int
+	tr                      *spill.Tracker
+	dividendSch, divisorSch schema.Schema
+	aPos                    []int
+	every                   int
 
 	divisor    []relation.Tuple
 	divCharged int64
@@ -182,11 +175,13 @@ type graceDivide struct {
 	pollN     int
 }
 
-func newGraceDivide(tr *spill.Tracker, aPos []int, every int, newState func() (divSpillState, error)) *graceDivide {
+// newGraceDivide returns an empty grace divider for dividend ÷ divisor
+// (÷* when C ≠ ∅) whose dividend partitions on the positions aPos of A.
+func newGraceDivide(tr *spill.Tracker, dividend, divisor schema.Schema, aPos []int, every int) *graceDivide {
 	if every <= 0 {
 		every = DefaultCheckEvery
 	}
-	return &graceDivide{tr: tr, newState: newState, aPos: aPos, every: every}
+	return &graceDivide{tr: tr, dividendSch: dividend, divisorSch: divisor, aPos: aPos, every: every}
 }
 
 // addDivisor retains one divisor tuple, charged against the budget.
@@ -297,8 +292,8 @@ func (g *graceDivide) finish(ctx context.Context) error {
 // dividend tuples produced by src, charging the state's growth. On
 // success it returns the state and its outstanding charge; on any
 // error the charge has been released.
-func (g *graceDivide) feedState(ctx context.Context, src func(yield func(relation.Tuple) error) error) (divSpillState, int64, error) {
-	st, err := g.newState()
+func (g *graceDivide) feedState(ctx context.Context, src func(yield func(relation.Tuple) error) error) (division.State, int64, error) {
+	st, err := division.NewState(g.dividendSch, g.divisorSch)
 	if err != nil {
 		return nil, 0, err
 	}

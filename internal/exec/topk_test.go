@@ -220,8 +220,8 @@ func TestTopKGreatDivideExchange(t *testing.T) {
 		K:    9,
 	}
 	it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-	if _, ok := it.Input.(*ParallelGreatDivideIter); !ok {
-		t.Fatalf("compiled to %T, want the fused ParallelGreatDivideIter", it.Input)
+	if p, ok := it.Input.(*ParallelDivideIter); !ok || p.TopKN != 9 {
+		t.Fatalf("compiled to %T, want the fused ParallelDivideIter", it.Input)
 	}
 	want := plan.SortedTuples(quotient, keys)[:9]
 	got := drainSeq(t, it)

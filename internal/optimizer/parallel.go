@@ -25,7 +25,7 @@ type ParallelOptions struct {
 // Parallelize rewrites Divide and GreatDivide nodes whose estimated
 // dividend cardinality exceeds the threshold into their intra-
 // operator parallel forms, the rewrites the paper derives from Law 2
-// under c2 (range partitioning on the quotient attributes) and Law
+// under c2 (hash partitioning on the quotient attributes) and Law
 // 13 (hash partitioning on the divisor group attributes). Both are
 // safe unconditionally — the partitioning establishes the laws'
 // preconditions by construction — so the threshold is purely a cost

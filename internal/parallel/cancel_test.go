@@ -8,6 +8,7 @@ import (
 
 	"divlaws/internal/division"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
 )
 
 // countdownCtx is a context.Context whose Err starts reporting
@@ -36,10 +37,10 @@ func (c *countdownCtx) Err() error {
 }
 
 // bigDividePair builds a dividend large enough that every partition
-// spans many DefaultCheckEvery poll intervals.
+// spans many defaultCheckEvery poll intervals.
 func bigDividePair() (r1, r2 *relation.Relation) {
 	groups := 64
-	per := 40 * DefaultCheckEvery / groups
+	per := 40 * defaultCheckEvery / groups
 	rows := make([][]int64, 0, groups*per)
 	for a := 0; a < groups; a++ {
 		for b := 0; b < per; b++ {
@@ -51,36 +52,37 @@ func bigDividePair() (r1, r2 *relation.Relation) {
 	return r1, r2
 }
 
-func TestDividePartitionedCtxStopsWorkersMidPartition(t *testing.T) {
+func TestRunStopsWorkersMidPartition(t *testing.T) {
 	r1, r2 := bigDividePair()
 	// Enough Err calls to get all workers started, far fewer than a
 	// full run would make: cancellation lands mid-partition.
 	ctx := newCountdownCtx(8)
-	_, err := DividePartitionedCtx(ctx, division.AlgoHash, r1, r2, 4)
-	if err != context.Canceled {
+	if _, err := collect(ctx, "", scatter(t, r1, r2, 4), r1.Schema().Minus(r2.Schema())); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-func TestDividePartitionedCtxPreCancelled(t *testing.T) {
+func TestRunPreCancelled(t *testing.T) {
 	r1, r2 := bigDividePair()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DividePartitionedCtx(ctx, division.AlgoHash, r1, r2, 4); err != context.Canceled {
+	if _, err := collect(ctx, "", scatter(t, r1, r2, 4), r1.Schema().Minus(r2.Schema())); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := GreatDividePartitionedCtx(ctx, division.GreatAlgoHash, r1, r2, 4); err != context.Canceled {
+	r2g := relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}, {2, 1}, {3, 2}})
+	if _, err := collect(ctx, "", scatter(t, r1, r2g, 4), schema.New("a", "c")); err != context.Canceled {
 		t.Fatalf("great err = %v, want context.Canceled", err)
 	}
 }
 
-func TestGreatDividePartitionedCtxStopsWorkersMidPartition(t *testing.T) {
+func TestRunStopsGreatWorkersMidPartition(t *testing.T) {
 	// Great divide partitions the divisor; give it groups to split
-	// and a dividend long enough to poll repeatedly.
-	n := 8 * DefaultCheckEvery
+	// and a dividend long enough to poll repeatedly (n distinct
+	// tuples: 512 candidates, 16 b values each).
+	n := 8 * defaultCheckEvery
 	rows := make([][]int64, 0, n)
 	for i := 0; i < n; i++ {
-		rows = append(rows, []int64{int64(i % 512), int64(i % 64)})
+		rows = append(rows, []int64{int64(i % 512), int64(i / 512)})
 	}
 	r1 := relation.Ints([]string{"a", "b"}, rows)
 	var divisorRows [][]int64
@@ -92,36 +94,23 @@ func TestGreatDividePartitionedCtxStopsWorkersMidPartition(t *testing.T) {
 	r2 := relation.Ints([]string{"b", "c"}, divisorRows)
 
 	ctx := newCountdownCtx(8)
-	_, err := GreatDividePartitionedCtx(ctx, division.GreatAlgoHash, r1, r2, 4)
-	if err != context.Canceled {
+	if _, err := collect(ctx, "", scatter(t, r1, r2, 4), schema.New("a", "c")); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestPartitionedCtxMatchesSequentialWhenUncancelled(t *testing.T) {
 	r1, r2 := bigDividePair()
-	quotients, err := DividePartitionedCtx(context.Background(), division.AlgoHash, r1, r2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := relation.New(quotients[0].Schema())
-	for _, q := range quotients {
-		merged.InsertAll(q)
-	}
-	if want := division.Divide(r1, r2); !merged.Equal(want) {
-		t.Errorf("partitioned ctx division diverges: %d vs %d rows", merged.Len(), want.Len())
-	}
+	want := division.Divide(r1, r2)
 	// Non-default algorithms run whole partitions per poll but must
 	// still agree.
-	quotients, err = DividePartitionedCtx(context.Background(), division.AlgoMaier, r1, r2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged = relation.New(quotients[0].Schema())
-	for _, q := range quotients {
-		merged.InsertAll(q)
-	}
-	if want := division.Divide(r1, r2); !merged.Equal(want) {
-		t.Errorf("maier partitioned ctx division diverges")
+	for _, algo := range []division.Algorithm{division.AlgoHash, division.AlgoMaier} {
+		got, err := collect(context.Background(), algo, scatter(t, r1, r2, 4), want.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: partitioned ctx division diverges: %d vs %d rows", algo, got.Len(), want.Len())
+		}
 	}
 }

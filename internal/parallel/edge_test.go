@@ -15,7 +15,7 @@ func TestParallelDivideEmptyDividend(t *testing.T) {
 	r2 := relation.New(schema.New("b"))
 	r2.Insert(relation.Tuple{value.Int(1)})
 	for _, workers := range []int{1, 4} {
-		got := Divide(r1, r2, workers)
+		got := divide(t, "", r1, r2, workers)
 		if !got.Equal(division.Divide(r1, r2)) {
 			t.Errorf("workers=%d: empty dividend diverged from sequential", workers)
 		}
@@ -32,7 +32,7 @@ func TestParallelDivideEmptyDivisor(t *testing.T) {
 	}
 	r2 := relation.New(schema.New("b"))
 	for _, workers := range []int{1, 4} {
-		got := Divide(r1, r2, workers)
+		got := divide(t, "", r1, r2, workers)
 		want := division.Divide(r1, r2)
 		if !got.Equal(want) {
 			t.Errorf("workers=%d: empty divisor diverged (%d vs %d rows)", workers, got.Len(), want.Len())
@@ -59,7 +59,7 @@ func TestParallelGreatDivideEmptyInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
-			got := GreatDivide(tc.r1, tc.r2, workers)
+			got := divide(t, "", tc.r1, tc.r2, workers)
 			want := division.GreatDivide(tc.r1, tc.r2)
 			if !got.EquivalentTo(want) {
 				t.Errorf("%s workers=%d: diverged (%d vs %d rows)", tc.name, workers, got.Len(), want.Len())
@@ -70,8 +70,8 @@ func TestParallelGreatDivideEmptyInputs(t *testing.T) {
 
 // TestWorkersExceedPartitions asks for far more workers than the
 // dividend has distinct quotient values (and the divisor has
-// groups); the partitioners must cap gracefully and results must
-// still match the sequential reference.
+// groups); most partitions stay empty and results must still match
+// the sequential reference.
 func TestWorkersExceedPartitions(t *testing.T) {
 	r1 := relation.New(schema.New("a", "b"))
 	for i := int64(0); i < 12; i++ {
@@ -81,11 +81,8 @@ func TestWorkersExceedPartitions(t *testing.T) {
 	r2.Insert(relation.Tuple{value.Int(1)})
 	r2.Insert(relation.Tuple{value.Int(3)})
 
-	if got := Divide(r1, r2, 16); !got.Equal(division.Divide(r1, r2)) {
+	if got := divide(t, "", r1, r2, 16); !got.Equal(division.Divide(r1, r2)) {
 		t.Error("workers=16 over 2 quotient groups diverged")
-	}
-	if parts := PartitionDividend(r1, r2, 16); len(parts) > 2 {
-		t.Errorf("PartitionDividend produced %d partitions for 2 quotient values", len(parts))
 	}
 
 	g1, g2 := datagen.GreatDividePair{
@@ -93,7 +90,7 @@ func TestWorkersExceedPartitions(t *testing.T) {
 		DivisorGroups: 3, DivisorGroupSize: 3,
 		Domain: 30, HitRate: 0.4, Seed: 4,
 	}.Generate()
-	if got := GreatDivide(g1, g2, 32); !got.EquivalentTo(division.GreatDivide(g1, g2)) {
+	if got := divide(t, "", g1, g2, 32); !got.EquivalentTo(division.GreatDivide(g1, g2)) {
 		t.Error("great divide with workers=32 over 3 divisor groups diverged")
 	}
 }
@@ -106,7 +103,7 @@ func TestWorkerOneEquivalence(t *testing.T) {
 		Domain: 40, HitRate: 0.3, Seed: 6,
 	}.Generate()
 	for _, algo := range division.Algorithms() {
-		if !DivideWith(algo, r1, r2, 1).Equal(division.DivideWith(algo, r1, r2)) {
+		if !divide(t, algo, r1, r2, 1).Equal(division.DivideWith(algo, r1, r2)) {
 			t.Errorf("%s: workers=1 diverged from sequential", algo)
 		}
 	}
@@ -116,7 +113,7 @@ func TestWorkerOneEquivalence(t *testing.T) {
 		Domain: 40, HitRate: 0.3, Seed: 6,
 	}.Generate()
 	for _, algo := range division.GreatAlgorithms() {
-		if !GreatDivideWith(algo, g1, g2, 1).EquivalentTo(division.GreatDivideWith(algo, g1, g2)) {
+		if !divide(t, algo, g1, g2, 1).EquivalentTo(division.GreatDivideWith(algo, g1, g2)) {
 			t.Errorf("great %s: workers=1 diverged from sequential", algo)
 		}
 	}

@@ -1,34 +1,36 @@
-// Package parallel implements the intra-operator parallel execution
-// strategies the paper derives from its laws:
+// Package parallel runs the partition fan-out of the paper's
+// intra-operator parallel divisions:
 //
-//   - Law 2 with precondition c2 (§5.1.1): partition the dividend
-//     into n ranges of quotient-candidate values — the paper's
-//     "two parallel index scans" generalized to n — divide each
-//     partition independently, and union the quotients.
+//   - Law 2 with precondition c2 (§5.1.1): partition the dividend on
+//     the quotient attributes A — the paper's "two parallel index
+//     scans" generalized to n — divide each partition against the
+//     whole divisor, and union the quotients.
 //
-//   - Law 13 (§5.2.1): replicate the dividend, hash-partition the
-//     divisor on its group attributes C across n workers, great-
-//     divide in parallel, and merge.
+//   - Law 13 (§5.2.1): replicate the dividend, partition the divisor
+//     on its group attributes C, great-divide each partition, and
+//     union the quotients.
 //
-// Both strategies are provably safe: range partitioning on A makes
-// c2 hold by construction, and hash partitioning on C makes the
-// πC-disjointness premise of Law 13 hold by construction.
+// Both laws ask only for disjoint key projections, so one hash
+// partitioning serves both: the exchange operator (package exec)
+// hash-partitions the dividend on A or the divisor on C while it
+// drains its input, which makes c2 and Law 13's πC-disjointness hold
+// by construction, and Run divides each partition in its own
+// goroutine.
 package parallel
 
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
 	"divlaws/internal/division"
 	"divlaws/internal/relation"
 )
 
-// DefaultCheckEvery is the default interval, in tuples, of the
+// defaultCheckEvery is the default interval, in tuples, of the
 // cooperative context polls inside parallel division workers;
 // tunable per stream via Tuning.CheckEvery.
-const DefaultCheckEvery = 1024
+const defaultCheckEvery = 1024
 
 // Tuning carries the per-stream knobs of the partition fan-out; the
 // zero value means defaults everywhere, so callers without an opinion
@@ -38,7 +40,7 @@ type Tuning struct {
 	// accumulates per EmitFunc call; 0 means EmitBatchSize.
 	BatchSize int
 	// CheckEvery is the cooperative ctx-poll interval of the worker
-	// feed loops, in tuples; 0 means DefaultCheckEvery.
+	// feed loops, in tuples; 0 means defaultCheckEvery.
 	CheckEvery int
 }
 
@@ -55,7 +57,7 @@ func (t Tuning) every() int {
 	if t.CheckEvery > 0 {
 		return t.CheckEvery
 	}
-	return DefaultCheckEvery
+	return defaultCheckEvery
 }
 
 // DefaultWorkers is used when a worker count of 0 is given.
@@ -96,132 +98,34 @@ func SetPartitionGateForTesting(fn func(part int)) (restore func()) {
 	return func() { partitionGate = old }
 }
 
-// Divide computes r1 ÷ r2 with the dividend range-partitioned on the
-// quotient attributes across workers goroutines (Law 2 under c2),
-// using the default hash-division per partition.
-//
-// Note the paper's own proviso (§5.2.1, symmetric for Law 2): the
-// speedup materializes only when the per-partition division is
-// "considerably more expensive than the final union/merge operator";
-// for the linear, memory-bound hash operator the partition and merge
-// overhead can dominate — use DivideWith with a costlier algorithm
-// (or a real multi-node engine) to see the n-fold win.
-func Divide(r1, r2 *relation.Relation, workers int) *relation.Relation {
-	return DivideWith(division.AlgoHash, r1, r2, workers)
+// Part is one partition's pair of division inputs. Run divides
+// Dividend ÷ Divisor when the divisor's schema is contained in the
+// dividend's, and Dividend ÷* Divisor otherwise.
+type Part struct {
+	Dividend, Divisor *relation.Relation
 }
 
-// DivideWith is Divide with an explicit per-partition algorithm.
-func DivideWith(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
-	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	quotients := DividePartitioned(algo, r1, r2, workers)
-	if len(quotients) == 1 {
-		return quotients[0]
-	}
-	out := relation.New(split.A)
-	for _, q := range quotients {
-		out.InsertAll(q)
-	}
-	return out
-}
-
-// DividePartitioned computes r1 ÷ r2 across workers goroutines and
-// returns the per-partition quotients without merging them (a single
-// element when the input is too small to be worth partitioning). The
-// partitions' πA projections are disjoint, so the quotients are too
-// and their union is exactly r1 ÷ r2. Exchange-style operators use
-// this to observe per-partition sizes before merging.
-func DividePartitioned(algo division.Algorithm, r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	out, _ := DividePartitionedCtx(context.Background(), algo, r1, r2, workers)
-	return out
-}
-
-// DividePartitionedCtx is DividePartitioned under a context: every
-// worker polls ctx while it streams its partition (every
-// Tuning.CheckEvery tuples for the default hash algorithm, between
-// phases for the
-// others), so a cancelled context tears the whole fan-out down
-// promptly — mid-partition, not after it. The first cancellation
-// error observed is returned; partial quotients are discarded.
-//
-// Schema violations panic, exactly as the sequential division
-// operators do.
-func DividePartitionedCtx(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int) ([]*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with DivideWith's schema panic
-	}
-	parts := smallParts(r1, r2, workers)
-	results := make([]*relation.Relation, len(parts))
-	for i := range results {
-		results[i] = relation.New(split.A)
-	}
-	// Each worker emits only under its own part index, so the slot
-	// writes are goroutine-local.
-	if err := divideParts(ctx, algo, parts, r2, nil, Tuning{}, func(part int, batch []relation.Tuple) error {
-		for _, t := range batch {
-			results[part].InsertOwned(t)
+// Run divides every partition in its own goroutine, streaming each
+// partition's quotient tuples to emit as soon as that partition
+// resolves. The partitions must have disjoint key projections — on A
+// for ÷ (Law 2 under c2), on C for ÷* (Law 13) — so their quotients
+// are disjoint and their union is the whole quotient. algo picks the
+// per-partition algorithm; empty means hash division, which polls ctx
+// every Tuning.CheckEvery dividend tuples (other algorithms are opaque
+// relational computations, polled only before they start and while
+// they emit). A non-nil bound caps each worker's emission at its K
+// smallest quotient tuples. Run returns after every worker has
+// finished; the first error observed (a schema violation, context
+// cancellation or an emit rejection) stops the fan-out and is
+// returned.
+func Run(ctx context.Context, algo division.Algorithm, parts []Part, bound *TopKBound, tune Tuning, emit EmitFunc) error {
+	if bound != nil {
+		if err := bound.validate(); err != nil {
+			return err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	return results, nil
-}
-
-// DivideStream computes r1 ÷ r2 across workers goroutines (Law 2
-// under c2), streaming each partition's quotient tuples to emit as
-// soon as that partition resolves instead of materializing
-// per-partition relations — the core of the pipelined exchange
-// operators. It returns after every worker has finished; the first
-// error observed (context cancellation or an emit rejection) stops
-// the fan-out and is returned.
-func DivideStream(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return divideParts(ctx, algo, smallParts(r1, r2, workers), r2, nil, tune, emit)
-}
-
-// DividePartsStream is DivideStream over caller-partitioned dividends:
-// one worker per partition divides it against the shared divisor r2.
-// The partitions must be A-disjoint (every quotient group whole within
-// one partition) — the budgeted exchange path partitions the dividend
-// by hash on A while draining, so it supplies the partitioning itself.
-// A non-nil bound caps each worker's emission at its k smallest
-// quotient tuples.
-func DividePartsStream(ctx context.Context, algo division.Algorithm, parts []*relation.Relation, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return divideParts(ctx, algo, parts, r2, bound, tune, emit)
-}
-
-// smallParts plans the dividend partitioning of r1 ÷ r2: a single
-// pseudo-partition (r1 itself) when the input is too small to be
-// worth partitioning, range partitions on A otherwise. At least one
-// partition is always returned.
-func smallParts(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 || r1.Len() < 2*workers {
-		return []*relation.Relation{r1}
-	}
-	return PartitionDividend(r1, r2, workers)
-}
-
-// divideParts runs one small-divide worker per partition; a non-nil
-// bound caps each worker's emission at its k smallest quotient
-// tuples.
-func divideParts(ctx context.Context, algo division.Algorithm, parts []*relation.Relation, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
 	return runWorkers(ctx, len(parts), func(ctx context.Context, i int) error {
-		return divideStreamPart(ctx, algo, i, parts[i], r2, bound, tune, emit)
+		return dividePart(ctx, algo, i, parts[i], bound, tune, emit)
 	})
 }
 
@@ -254,38 +158,6 @@ func runWorkers(ctx context.Context, n int, work func(ctx context.Context, i int
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// divisionState is the incremental feeding protocol shared by
-// division.DivideState and division.GreatDivideState; the streaming
-// states are the single source of the hash algorithms, the workers
-// only add the ctx polls around the feed and the emission.
-type divisionState interface {
-	AddDivisor(relation.Tuple)
-	AddDividend(relation.Tuple)
-	EachResult(func(relation.Tuple) error) error
-}
-
-// feedCtx streams (divisor, then dividend) into a division state,
-// polling ctx every `every` dividend tuples.
-func feedCtx(ctx context.Context, st divisionState, r1, r2 *relation.Relation, every int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, t := range r2.Tuples() {
-		st.AddDivisor(t)
-	}
-	n := 0
-	for _, t := range r1.Tuples() {
-		if n++; n >= every {
-			n = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		st.AddDividend(t)
 	}
 	return nil
 }
@@ -349,7 +221,7 @@ func partSink(ctx context.Context, part int, bound *TopKBound, tune Tuning, emit
 // emitRelation streams a materialized quotient downstream; the path
 // of the non-hash algorithms, which compute their partition's
 // quotient as an opaque relational computation first.
-func emitRelation(ctx context.Context, sink tupleSink, q *relation.Relation) error {
+func emitRelation(sink tupleSink, q *relation.Relation) error {
 	for _, t := range q.Tuples() {
 		if err := sink.add(t); err != nil {
 			return err
@@ -358,280 +230,42 @@ func emitRelation(ctx context.Context, sink tupleSink, q *relation.Relation) err
 	return sink.flush()
 }
 
-// divideStreamPart divides one partition cooperatively, streaming its
-// quotient tuples out. The default hash algorithm streams through
-// division.DivideState with a ctx poll every Tuning.CheckEvery
-// tuples; other algorithms are opaque relational computations, so
-// they poll only before starting and while emitting.
-func divideStreamPart(ctx context.Context, algo division.Algorithm, part int, r1, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
+// dividePart divides one partition cooperatively, streaming its
+// quotient tuples out: hash division streams through the division
+// state with a ctx poll every Tuning.CheckEvery tuples, any other
+// algorithm computes its partition's quotient as a whole first.
+func dividePart(ctx context.Context, algo division.Algorithm, part int, p Part, bound *TopKBound, tune Tuning, emit EmitFunc) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	sink := partSink(ctx, part, bound, tune, emit)
-	if algo != division.AlgoHash {
-		return emitRelation(ctx, sink, division.DivideWith(algo, r1, r2))
-	}
-	st, err := division.NewDivideState(r1.Schema(), r2.Schema())
+	// The state validates the schemas for every algorithm: a bad pair
+	// is this worker's error, not a panic.
+	st, err := division.NewState(p.Dividend.Schema(), p.Divisor.Schema())
 	if err != nil {
-		panic(err) // parity with DivideWith's schema panic
-	}
-	if err := feedCtx(ctx, st, r1, r2, tune.every()); err != nil {
 		return err
+	}
+	sink := partSink(ctx, part, bound, tune, emit)
+	if algo != "" && algo != division.AlgoHash {
+		if p.Divisor.Schema().SubsetOf(p.Dividend.Schema()) {
+			return emitRelation(sink, division.DivideWith(algo, p.Dividend, p.Divisor))
+		}
+		return emitRelation(sink, division.GreatDivideWith(algo, p.Dividend, p.Divisor))
+	}
+	for _, t := range p.Divisor.Tuples() {
+		st.AddDivisor(t)
+	}
+	every, n := tune.every(), 0
+	for _, t := range p.Dividend.Tuples() {
+		if n++; n >= every {
+			n = 0
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		st.AddDividend(t)
 	}
 	if err := st.EachResult(sink.add); err != nil {
 		return err
 	}
 	return sink.flush()
-}
-
-// GreatDivide computes r1 ÷* r2 with the divisor hash-partitioned on
-// its group attributes across workers goroutines (Law 13).
-func GreatDivide(r1, r2 *relation.Relation, workers int) *relation.Relation {
-	return GreatDivideWith(division.GreatAlgoHash, r1, r2, workers)
-}
-
-// GreatDivideWith is GreatDivide with an explicit per-partition
-// algorithm.
-func GreatDivideWith(algo division.Algorithm, r1, r2 *relation.Relation, workers int) *relation.Relation {
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	quotients := GreatDividePartitioned(algo, r1, r2, workers)
-	if len(quotients) == 1 {
-		return quotients[0]
-	}
-	out := relation.New(split.A.Concat(split.C))
-	for _, q := range quotients {
-		out.InsertAll(q)
-	}
-	return out
-}
-
-// GreatDividePartitioned computes r1 ÷* r2 across workers goroutines
-// and returns the per-partition quotients without merging them (a
-// single element when the divisor is too small to be worth
-// partitioning). Divisor groups are disjoint across partitions, so
-// the quotients never collide on C and their union is exactly
-// r1 ÷* r2. Empty divisor partitions are dropped.
-func GreatDividePartitioned(algo division.Algorithm, r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	out, _ := GreatDividePartitionedCtx(context.Background(), algo, r1, r2, workers)
-	return out
-}
-
-// GreatDividePartitionedCtx is GreatDividePartitioned under a
-// context, with the same cooperative-cancellation contract as
-// DividePartitionedCtx: hash workers poll every Tuning.CheckEvery dividend
-// tuples, other algorithms between phases.
-func GreatDividePartitionedCtx(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int) ([]*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with GreatDivideWith's schema panic
-	}
-	parts := greatParts(r1, r2, workers)
-	results := make([]*relation.Relation, len(parts))
-	for i := range results {
-		results[i] = relation.New(split.A.Concat(split.C))
-	}
-	if err := greatDivideParts(ctx, algo, r1, parts, nil, Tuning{}, func(part int, batch []relation.Tuple) error {
-		for _, t := range batch {
-			results[part].InsertOwned(t)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// GreatDivideStream computes r1 ÷* r2 across workers goroutines (Law
-// 13), streaming each divisor partition's quotient tuples to emit as
-// soon as that partition resolves; the great-divide counterpart of
-// DivideStream, with the same contract.
-func GreatDivideStream(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return greatDivideParts(ctx, algo, r1, greatParts(r1, r2, workers), nil, tune, emit)
-}
-
-// GreatDividePartsStream is GreatDivideStream over caller-partitioned
-// divisors: one worker per divisor partition great-divides the shared
-// dividend r1 against it. The partitions must be πC-disjoint (every
-// divisor group whole within one partition, Law 13's premise) — the
-// budgeted exchange path partitions the divisor by hash on C while
-// draining, so it supplies the partitioning itself. A non-nil bound
-// caps each worker's emission at its k smallest quotient tuples.
-func GreatDividePartsStream(ctx context.Context, algo division.Algorithm, r1 *relation.Relation, parts []*relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return greatDivideParts(ctx, algo, r1, parts, bound, tune, emit)
-}
-
-// greatParts plans the divisor partitioning of r1 ÷* r2: the divisor
-// itself when too small to partition, non-empty hash partitions on C
-// otherwise. At least one partition is always returned.
-func greatParts(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers == 1 || r2.Len() < 2*workers {
-		return []*relation.Relation{r2}
-	}
-	var parts []*relation.Relation
-	for _, part := range PartitionDivisor(r1, r2, workers) {
-		if !part.Empty() {
-			parts = append(parts, part)
-		}
-	}
-	return parts
-}
-
-// greatDivideParts runs one great-divide worker per divisor
-// partition; a non-nil bound caps each worker's emission at its k
-// smallest quotient tuples.
-func greatDivideParts(ctx context.Context, algo division.Algorithm, r1 *relation.Relation, parts []*relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	return runWorkers(ctx, len(parts), func(ctx context.Context, i int) error {
-		return greatDivideStreamPart(ctx, algo, i, r1, parts[i], bound, tune, emit)
-	})
-}
-
-// greatDivideStreamPart great-divides one divisor partition
-// cooperatively, streaming its quotient tuples out; see
-// divideStreamPart.
-func greatDivideStreamPart(ctx context.Context, algo division.Algorithm, part int, r1, r2 *relation.Relation, bound *TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	sink := partSink(ctx, part, bound, tune, emit)
-	if algo != division.GreatAlgoHash {
-		return emitRelation(ctx, sink, division.GreatDivideWith(algo, r1, r2))
-	}
-	st, err := division.NewGreatDivideState(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err) // parity with GreatDivideWith's schema panic
-	}
-	if err := feedCtx(ctx, st, r1, r2, tune.every()); err != nil {
-		return err
-	}
-	if err := st.EachResult(sink.add); err != nil {
-		return err
-	}
-	return sink.flush()
-}
-
-// PartitionDividend splits the dividend of r1 ÷ r2 into at most
-// workers range partitions on the quotient attributes A. Partitions
-// have pairwise-disjoint πA projections, so precondition c2 of Law 2
-// holds between any two of them by construction and
-//
-//	r1 ÷ r2 = (p1 ÷ r2) ∪ … ∪ (pn ÷ r2)
-//
-// for the returned partitions p1…pn. It panics on schema violations
-// (the divide itself would too); fewer than workers partitions are
-// returned when the dividend has fewer distinct quotient values.
-func PartitionDividend(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	split, err := division.SmallSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	return partitionByKey(r1, r1.Schema().Positions(split.A.Attrs()), workers)
-}
-
-// PartitionDivisor splits the divisor of r1 ÷* r2 into at most
-// workers hash partitions on the group attributes C. Each divisor
-// group lands entirely in one partition, so the πC-disjointness
-// premise of Law 13 holds by construction and
-//
-//	r1 ÷* r2 = (r1 ÷* p1) ∪ … ∪ (r1 ÷* pn)
-//
-// for the returned partitions p1…pn. It panics on schema violations.
-// Partitions may be empty when the hash distributes unevenly.
-func PartitionDivisor(r1, r2 *relation.Relation, workers int) []*relation.Relation {
-	split, err := division.GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	cPos := r2.Schema().Positions(split.C.Attrs())
-	parts := make([]*relation.Relation, workers)
-	for i := range parts {
-		parts[i] = relation.New(r2.Schema())
-	}
-	// Hash the C projections chunk-at-a-time through the batch kernel:
-	// no key string, no projected tuple, no clone on insert (tuples
-	// stay owned by r2).
-	const chunk = 256
-	var hashes []uint64
-	ts := r2.Tuples()
-	for len(ts) > 0 {
-		n := min(chunk, len(ts))
-		hashes = relation.Hash64ProjBatch(ts[:n], cPos, hashes[:0])
-		for i, t := range ts[:n] {
-			parts[hashes[i]%uint64(workers)].InsertOwned(t)
-		}
-		ts = ts[n:]
-	}
-	return parts
-}
-
-// partitionByKey splits r into up to n partitions with disjoint key
-// projections: tuples sharing a key projection stay together, so the
-// c2 precondition of Law 2 holds between any two partitions.
-func partitionByKey(r *relation.Relation, keyPos []int, n int) []*relation.Relation {
-	// Group tuples by key, then deal whole groups over sorted keys
-	// (the paper's ordered index-scan picture). The key index assigns
-	// dense ids without building key strings.
-	var keyIx relation.TupleIndex
-	var groups [][]relation.Tuple
-	for _, t := range r.Tuples() {
-		id, created := keyIx.IDProj(t, keyPos)
-		if created {
-			groups = append(groups, nil)
-		}
-		groups[id] = append(groups[id], t)
-	}
-	order := make([]int, keyIx.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return keyIx.Key(order[i]).Compare(keyIx.Key(order[j])) < 0
-	})
-	if n > len(order) {
-		n = len(order)
-	}
-	if n == 0 {
-		return nil
-	}
-	parts := make([]*relation.Relation, n)
-	for i := range parts {
-		parts[i] = relation.New(r.Schema())
-	}
-	per := (len(order) + n - 1) / n
-	for i, id := range order {
-		p := i / per
-		if p >= n {
-			p = n - 1
-		}
-		for _, t := range groups[id] {
-			parts[p].InsertOwned(t)
-		}
-	}
-	return parts
-}
-
-// VerifyAgainstSequential checks both parallel operators against
-// their sequential references on the given inputs; helper for tests
-// and the CLI's self-check mode.
-func VerifyAgainstSequential(r1, r2 *relation.Relation, workers int) bool {
-	if r2.Schema().SubsetOf(r1.Schema()) {
-		return Divide(r1, r2, workers).Equal(division.Divide(r1, r2))
-	}
-	par := GreatDivide(r1, r2, workers)
-	seq := division.GreatDivide(r1, r2)
-	return par.EquivalentTo(seq)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"divlaws/internal/division"
 	"divlaws/internal/relation"
 )
 
@@ -13,8 +12,8 @@ import (
 // (under Cmp, a total order) in an O(K) heap, and emits them — in
 // ascending Cmp order — only when its partition's quotient is
 // complete. The partitionings keep quotients disjoint across
-// partitions (range on A for the small divide, hash on C for the
-// great divide), so the K smallest tuples of the full quotient are
+// partitions (hash on A for the small divide, hash on C for the great
+// divide), so the K smallest tuples of the full quotient are
 // always among the per-partition top-Ks and a K-way merge at the
 // consumer reconstructs the global order exactly.
 type TopKBound struct {
@@ -71,31 +70,4 @@ func (s *topkSink) flush() error {
 		}
 	}
 	return s.out.flush()
-}
-
-// DivideStreamTopK is DivideStream under a top-k bound: each
-// partition worker retains only its bound.K smallest quotient tuples
-// and emits them, sorted, when its partition resolves. Batches of
-// one partition arrive in ascending Cmp order, so the consumer can
-// k-way merge the per-partition runs into the global top k.
-func DivideStreamTopK(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, bound TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := bound.validate(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return divideParts(ctx, algo, smallParts(r1, r2, workers), r2, &bound, tune, emit)
-}
-
-// GreatDivideStreamTopK is GreatDivideStream under a top-k bound;
-// see DivideStreamTopK for the contract.
-func GreatDivideStreamTopK(ctx context.Context, algo division.Algorithm, r1, r2 *relation.Relation, workers int, bound TopKBound, tune Tuning, emit EmitFunc) error {
-	if err := bound.validate(); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return greatDivideParts(ctx, algo, r1, greatParts(r1, r2, workers), &bound, tune, emit)
 }

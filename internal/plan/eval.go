@@ -6,7 +6,6 @@ import (
 
 	"divlaws/internal/algebra"
 	"divlaws/internal/division"
-	"divlaws/internal/parallel"
 	"divlaws/internal/relation"
 )
 
@@ -55,17 +54,11 @@ func Eval(n Node) *relation.Relation {
 		}
 		return division.GreatDivideWith(algo, Eval(t.Dividend), Eval(t.Divisor))
 	case *ParallelDivide:
-		algo := t.Algo
-		if algo == "" {
-			algo = division.AlgoHash
-		}
-		return parallel.DivideWith(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
+		// The same relation for any worker count: the oracle runs the
+		// sequential reference algorithm, not the fan-out it checks.
+		return Eval(&Divide{Dividend: t.Dividend, Divisor: t.Divisor, Algo: t.Algo})
 	case *ParallelGreatDivide:
-		algo := t.Algo
-		if algo == "" {
-			algo = division.GreatAlgoHash
-		}
-		return parallel.GreatDivideWith(algo, Eval(t.Dividend), Eval(t.Divisor), t.Workers)
+		return Eval(&GreatDivide{Dividend: t.Dividend, Divisor: t.Divisor, Algo: t.Algo})
 	case *Sort:
 		// Relations are sets, but insertion order is preserved by
 		// Tuples(), so the compat path observes the ordering by

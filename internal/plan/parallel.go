@@ -9,7 +9,7 @@ import (
 )
 
 // ParallelDivide is the intra-operator parallel form of Divide: the
-// dividend is range-partitioned on the quotient attributes A across
+// dividend is hash-partitioned on the quotient attributes A across
 // Workers goroutines, each partition divided independently, and the
 // quotients unioned. The partitioning makes precondition c2 of Law 2
 // hold between any two partitions by construction (§5.1.1), so the
@@ -43,13 +43,13 @@ func (d *ParallelDivide) WithChildren(ch []Node) Node {
 }
 
 // Partitioning describes the chosen partitioning strategy for
-// EXPLAIN output: range partitioning on the quotient attributes.
+// EXPLAIN output: hash partitioning on the quotient attributes.
 func (d *ParallelDivide) Partitioning() string {
 	split, err := division.SmallSplit(d.Dividend.Schema(), d.Divisor.Schema())
 	if err != nil {
-		return "range(?)"
+		return "hash(?)"
 	}
-	return fmt.Sprintf("range(%s)", strings.Join(split.A.Attrs(), ", "))
+	return fmt.Sprintf("hash(%s)", strings.Join(split.A.Attrs(), ", "))
 }
 
 // String implements Node.

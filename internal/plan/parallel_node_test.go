@@ -37,7 +37,7 @@ func TestParallelDivideNode(t *testing.T) {
 		t.Error("ParallelDivide Eval diverged from Divide")
 	}
 	s := par.String()
-	for _, want := range []string{"workers=3", "range(a)", string(division.AlgoHash)} {
+	for _, want := range []string{"workers=3", "hash(a)", string(division.AlgoHash)} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
