@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"divlaws/internal/plan"
 )
 
 // openSuppliers builds the paper's §4 suppliers-and-parts scenario
@@ -226,8 +228,8 @@ func TestExplainReportsPipeline(t *testing.T) {
 }
 
 func TestQueryMatchesMaterializingCompatPath(t *testing.T) {
-	// The streaming public path and the internal materializing
-	// compatibility path must agree on every §4 query shape.
+	// The streaming public path and the reference interpreter over
+	// the bound plan must agree on every §4 query shape.
 	db := openSuppliers(WithDataDependentRules())
 	queries := []string{
 		apiQ1,
@@ -265,10 +267,11 @@ func TestQueryMatchesMaterializingCompatPath(t *testing.T) {
 		rows.Close()
 		sort.Strings(streamed)
 
-		ref, err := db.inner.Query(q)
+		node, err := db.inner.Plan(q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := plan.Eval(node)
 		var want []string
 		pos := ref.Schema().Positions(rows.Columns())
 		for _, tup := range ref.Tuples() {
@@ -472,10 +475,11 @@ WHERE NOT EXISTS (
 }
 
 // Register racing a streaming correlated NOT EXISTS — the reproducer
-// of the catalog data race (run under -race in CI). The subquery binds
-// again for every outer tuple while the cursor streams; it must read
-// the catalog snapshot its query was bound against, neither racing
-// Register nor mixing the old supplies with the new parts.
+// of the catalog data race (run under -race in CI). The subqueries
+// are anti-semi-joins bound with the query, so nothing binds while the
+// cursor streams; the stream must read the catalog snapshot its query
+// was bound against, neither racing Register nor mixing the old
+// supplies with the new parts.
 func TestRegisterRacesCorrelatedNotExists(t *testing.T) {
 	db := openSuppliers(WithoutDetection())
 	const q3 = `SELECT DISTINCT s#, color

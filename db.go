@@ -100,7 +100,8 @@ func WithMemoryLimit(n int64) Option {
 func WithoutOptimizer() Option { return func(c *config) { c.optimize = false } }
 
 // WithoutDetection disables the NOT EXISTS → division pattern
-// detector, so universal quantification runs as nested iteration.
+// detector, so universal quantification runs as the un-rewritten
+// anti-semi-join plan.
 func WithoutDetection() Option { return func(c *config) { c.detect = false } }
 
 // WithDataDependentRules enables rewrite rules whose preconditions

@@ -30,7 +30,9 @@
 //
 // Queries run the full pipeline: the NOT EXISTS → division detector,
 // the law-based optimizer, the parallelization pass (WithWorkers),
-// and the streaming execution engine. Prepare parses a statement
+// and the streaming execution engine. A correlated [NOT] EXISTS the
+// detector does not rewrite binds to a semi-join or anti-semi-join, so
+// every query runs on that one engine. Prepare parses a statement
 // once and resolves positional ? placeholders at bind time on every
 // Stmt.Query; Explain renders the rewrite pipeline; Rows.Stats
 // exposes per-operator tuple counts as a QueryStats snapshot.

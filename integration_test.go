@@ -73,20 +73,17 @@ func TestSQLThroughOptimizerAndEngine(t *testing.T) {
 }
 
 func TestQ1EqualsQ3OnGeneratedData(t *testing.T) {
-	if testing.Short() {
-		t.Skip("correlated NOT EXISTS is slow by design")
-	}
 	supplies, parts := datagen.SuppliersParts{
 		Suppliers: 10, Parts: 8, Colors: 2, AvgSupplied: 5, Seed: 3,
 	}.Generate()
 	db := sql.NewDB()
 	db.Register("supplies", supplies)
 	db.Register("parts", parts)
-	q1, err := db.Query(`SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p#`)
+	q1, err := db.Plan(`SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p#`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q3, err := db.Query(`SELECT DISTINCT s#, color
+	q3, err := db.Plan(`SELECT DISTINCT s#, color
 FROM supplies AS s1, parts AS p1
 WHERE NOT EXISTS (
   SELECT * FROM parts AS p2
@@ -96,8 +93,8 @@ WHERE NOT EXISTS (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !q1.EquivalentTo(q3) {
-		t.Fatalf("Q1 and Q3 disagree:\n%v\nvs\n%v", q1, q3)
+	if a, b := plan.Eval(q1), plan.Eval(q3); !a.EquivalentTo(b) {
+		t.Fatalf("Q1 and Q3 disagree:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -193,7 +190,7 @@ func TestFIMThroughSQLAndMiner(t *testing.T) {
 	db := sql.NewDB()
 	db.Register("transactions", trans.Relation())
 	db.Register("candidates", cand)
-	support, err := db.Query(`
+	node, err := db.Plan(`
 SELECT itemset, count(tid) AS support
 FROM (SELECT tid, itemset
       FROM transactions AS t DIVIDE BY candidates AS c ON t.item = c.item) AS q
@@ -203,7 +200,7 @@ HAVING count(tid) >= ` + itoa(minSup))
 		t.Fatal(err)
 	}
 	got := map[string]int{}
-	for _, tp := range support.Tuples() {
+	for _, tp := range plan.Eval(node).Tuples() {
 		got[tp[0].AsString()] = int(tp[1].AsInt())
 	}
 	for k, v := range pairSupport {

@@ -90,11 +90,10 @@ func (c *ColumnRef) String() string {
 
 // Literal is a constant: int64, float64 or string payload.
 type Literal struct {
-	Int    int64
-	Float  float64
-	Str    string
-	Kind   byte // 'i', 'f', 's'
-	IsNull bool
+	Int   int64
+	Float float64
+	Str   string
+	Kind  byte // 'i', 'f', 's'
 }
 
 // String renders the literal in SQL syntax.

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -18,18 +19,17 @@ import (
 // DB couples a catalog of named relations with the SQL front end.
 //
 // It is the module-internal engine surface: parsing, binding, and
-// planning. External programs embed the engine through the public
-// root package (divlaws.Open), whose DB delegates its catalog and
-// planning to this type and streams results off the compiled
-// iterator pipeline; this DB's Query remains as the thin
-// materializing compatibility path.
+// planning — it evaluates nothing. External programs embed the engine
+// through the public root package (divlaws.Open), whose DB delegates
+// its catalog and planning to this type and streams results off the
+// compiled iterator pipeline.
 //
 // A DB is safe for concurrent use. The catalog map is copy-on-write:
 // Register swaps in a new map and never changes one that is in use.
 // Every planning entry point binds against a snapshot — a DB frozen
-// on the map of that instant — and the plan's correlated subqueries,
-// which bind again while the query runs, carry the same snapshot, so
-// one query sees one catalog for its whole life.
+// on the map of that instant. Correlated subqueries are decorrelated
+// into plan nodes at bind time and never bind again, so one query
+// sees one catalog for its whole life.
 type DB struct {
 	mu      sync.Mutex // guards the catalog field, not the map
 	catalog map[string]*relation.Relation
@@ -64,18 +64,6 @@ func (db *DB) snapshot() *DB {
 func (db *DB) Table(name string) (*relation.Relation, bool) {
 	r, ok := db.snapshot().catalog[name]
 	return r, ok
-}
-
-// Query parses, binds, and evaluates a SELECT statement, returning
-// the fully materialized result. It is the compatibility path; the
-// public divlaws package streams the same plans through the exec
-// engine instead.
-func (db *DB) Query(text string) (*relation.Relation, error) {
-	n, err := db.Plan(text)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Eval(n), nil
 }
 
 // Plan parses and binds a SELECT statement into a logical plan.
@@ -196,11 +184,10 @@ func (db *DB) bindQueryBody(q *Query) (plan.Node, *preProjection, error) {
 		return nil, nil, err
 	}
 	if q.Where != nil {
-		p, err := db.toPred(q.Where, node.Schema(), false)
+		node, err = db.bindWhere(q.Where, node, &scope{sch: node.Schema()})
 		if err != nil {
 			return nil, nil, err
 		}
-		node = &plan.Select{Input: node, Pred: p}
 	}
 
 	aggs := collectAggs(q)
@@ -292,7 +279,7 @@ func (db *DB) bindDivide(r *DivideTable) (plan.Node, error) {
 		return nil, err
 	}
 	combined := dividend.Schema().Concat(divisor.Schema())
-	onPred, err := db.toPred(r.On, combined, false)
+	onPred, err := (&scope{sch: combined}).toPred(r.On, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +406,7 @@ func (db *DB) bindGrouped(q *Query, node plan.Node, aggs []*AggCall) (plan.Node,
 	var grouped plan.Node = &plan.Group{Input: node, By: by, Aggs: specs}
 
 	if q.Having != nil {
-		p, err := db.havingPred(q.Having, grouped.Schema(), internal)
+		p, err := (&scope{sch: grouped.Schema()}).toPred(q.Having, internal)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -456,16 +443,43 @@ func (db *DB) bindGrouped(q *Query, node plan.Node, aggs []*AggCall) (plan.Node,
 	return renameOutputs(&plan.Project{Input: grouped, Attrs: fromAttrs}, fromAttrs, outNames), pre, nil
 }
 
-// havingPred converts a HAVING expression over the grouped schema,
-// mapping aggregate calls to their internal output attributes.
-func (db *DB) havingPred(e Expr, sch schema.Schema, internal map[string]string) (pred.Predicate, error) {
+// scope is one link of a query block's name-resolution chain: the
+// attributes its FROM clause binds, then (outer) the enclosing blocks'
+// scopes. A column resolves in the innermost scope that binds it, so a
+// subquery's own FROM shadows the outer query's.
+type scope struct {
+	sch   schema.Schema
+	outer *scope
+}
+
+// resolve returns the attribute col names and how many scopes out it
+// was found (0: sc itself). An unknown column reports sc's error; an
+// ambiguous one is an error, not a reference further out.
+func (sc *scope) resolve(col *ColumnRef) (string, int, error) {
+	var first error
+	for s, depth := sc, 0; s != nil; s, depth = s.outer, depth+1 {
+		attr, err := resolveColumn(s.sch, col)
+		if err == nil || errors.Is(err, errAmbiguous) {
+			return attr, depth, err
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return "", 0, first
+}
+
+// toPred converts an EXISTS-free WHERE, ON or HAVING expression,
+// resolving columns through sc and aggregate calls through aggs (nil
+// outside HAVING).
+func (sc *scope) toPred(e Expr, aggs map[string]string) (pred.Predicate, error) {
 	switch x := e.(type) {
 	case *BoolOp:
-		l, err := db.havingPred(x.Left, sch, internal)
+		l, err := sc.toPred(x.Left, aggs)
 		if err != nil {
 			return nil, err
 		}
-		r, err := db.havingPred(x.Right, sch, internal)
+		r, err := sc.toPred(x.Right, aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -474,17 +488,17 @@ func (db *DB) havingPred(e Expr, sch schema.Schema, internal map[string]string) 
 		}
 		return pred.Or{l, r}, nil
 	case *NotExpr:
-		inner, err := db.havingPred(x.Inner, sch, internal)
+		inner, err := sc.toPred(x.Inner, aggs)
 		if err != nil {
 			return nil, err
 		}
 		return pred.Negate(inner), nil
 	case *Comparison:
-		l, err := db.havingOperand(x.Left, sch, internal)
+		l, err := sc.operand(x.Left, aggs)
 		if err != nil {
 			return nil, err
 		}
-		r, err := db.havingOperand(x.Right, sch, internal)
+		r, err := sc.operand(x.Right, aggs)
 		if err != nil {
 			return nil, err
 		}
@@ -493,84 +507,15 @@ func (db *DB) havingPred(e Expr, sch schema.Schema, internal map[string]string) 
 			return nil, err
 		}
 		return pred.Compare(l, op, r), nil
-	default:
-		return nil, fmt.Errorf("sql: unsupported HAVING expression %q", e)
-	}
-}
-
-func (db *DB) havingOperand(e Expr, sch schema.Schema, internal map[string]string) (pred.Operand, error) {
-	switch x := e.(type) {
-	case *AggCall:
-		name, ok := internal[x.String()]
-		if !ok {
-			return pred.Operand{}, fmt.Errorf("sql: HAVING aggregate %q not computed", x)
-		}
-		return pred.Attr(name), nil
-	case *ColumnRef:
-		attr, err := resolveColumn(sch, x)
-		if err != nil {
-			return pred.Operand{}, err
-		}
-		return pred.Attr(attr), nil
-	case *Literal:
-		return pred.Const(literalValue(x)), nil
-	case *BoundArg:
-		return pred.Const(x.Val), nil
-	case *Placeholder:
-		return pred.Operand{}, fmt.Errorf("sql: unbound placeholder ? (bind arguments with SubstituteParams before planning)")
-	default:
-		return pred.Operand{}, fmt.Errorf("sql: unsupported HAVING operand %q", e)
-	}
-}
-
-// toPred converts a WHERE/ON expression over the given schema.
-// aggregatesAllowed is false here; aggregates belong in HAVING.
-func (db *DB) toPred(e Expr, sch schema.Schema, _ bool) (pred.Predicate, error) {
-	switch x := e.(type) {
-	case *BoolOp:
-		l, err := db.toPred(x.Left, sch, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.toPred(x.Right, sch, false)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "AND" {
-			return pred.And{l, r}, nil
-		}
-		return pred.Or{l, r}, nil
-	case *NotExpr:
-		inner, err := db.toPred(x.Inner, sch, false)
-		if err != nil {
-			return nil, err
-		}
-		return pred.Negate(inner), nil
-	case *Comparison:
-		l, err := db.toOperand(x.Left, sch)
-		if err != nil {
-			return nil, err
-		}
-		r, err := db.toOperand(x.Right, sch)
-		if err != nil {
-			return nil, err
-		}
-		op, err := compareOp(x.Op)
-		if err != nil {
-			return nil, err
-		}
-		return pred.Compare(l, op, r), nil
-	case *ExistsExpr:
-		return &existsPred{db: db, sub: x.Query, negated: x.Negated}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported predicate %q", e)
 	}
 }
 
-func (db *DB) toOperand(e Expr, sch schema.Schema) (pred.Operand, error) {
+func (sc *scope) operand(e Expr, aggs map[string]string) (pred.Operand, error) {
 	switch x := e.(type) {
 	case *ColumnRef:
-		attr, err := resolveColumn(sch, x)
+		attr, _, err := sc.resolve(x)
 		if err != nil {
 			return pred.Operand{}, err
 		}
@@ -582,10 +527,157 @@ func (db *DB) toOperand(e Expr, sch schema.Schema) (pred.Operand, error) {
 	case *Placeholder:
 		return pred.Operand{}, fmt.Errorf("sql: unbound placeholder ? (bind arguments with SubstituteParams before planning)")
 	case *AggCall:
+		if name, ok := aggs[x.String()]; ok {
+			return pred.Attr(name), nil
+		}
 		return pred.Operand{}, fmt.Errorf("sql: aggregate %q not allowed here (use HAVING)", x)
 	default:
 		return pred.Operand{}, fmt.Errorf("sql: unsupported operand %q", e)
 	}
+}
+
+// bindWhere lowers a WHERE clause over its input n, resolving columns
+// through sc. A clause without EXISTS is one Select. Otherwise every
+// binding is a subset of n, so the connectives are set operations —
+// AND binds its right side over its left side's result, OR is the
+// union of both sides over n, NOT the difference from n — and
+// [NOT] EXISTS is a semi-join or anti-semi-join (bindExists).
+func (db *DB) bindWhere(e Expr, n plan.Node, sc *scope) (plan.Node, error) {
+	if !hasExists(e) {
+		p, err := sc.toPred(e, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &plan.Select{Input: n, Pred: p}, nil
+	}
+	switch x := e.(type) {
+	case *ExistsExpr:
+		return db.bindExists(x, n, sc)
+	case *NotExpr:
+		inner, err := db.bindWhere(x.Inner, n, sc)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Diff(n, inner), nil
+	default:
+		b := x.(*BoolOp) // hasExists descends through nothing else
+		l, err := db.bindWhere(b.Left, n, sc)
+		if err != nil {
+			return nil, err
+		}
+		if b.Op == "AND" {
+			return db.bindWhere(b.Right, l, sc)
+		}
+		r, err := db.bindWhere(b.Right, n, sc)
+		if err != nil {
+			return nil, err
+		}
+		return plan.Union(l, r), nil
+	}
+}
+
+// hasExists reports whether a boolean expression contains [NOT] EXISTS.
+func hasExists(e Expr) bool {
+	switch x := e.(type) {
+	case *ExistsExpr:
+		return true
+	case *NotExpr:
+		return hasExists(x.Inner)
+	case *BoolOp:
+		return hasExists(x.Left) || hasExists(x.Right)
+	default:
+		return false
+	}
+}
+
+// bindExists decorrelates [NOT] EXISTS (sub) over n into n ⋉ R, or
+// n ▷ R when negated: the dependent-join elimination of Neumann &
+// Kemper, "Unnesting Arbitrary Queries" (BTW 2015), with the distinct
+// outer values as the magic set.
+//
+//	refs = the attributes of n that sub references, at any depth
+//	R    = π_refs(σ_{sub.WHERE}(π_refs(n) × FROM_sub))
+//
+// R shares exactly refs with n, so the semi-join matches every outer
+// tuple with the subquery's rows for its own values; with refs = ∅, R
+// has no columns and is non-empty iff the subquery is. The select
+// list, DISTINCT, ORDER BY and a positive LIMIT cannot change whether
+// the subquery is empty and are ignored; LIMIT 0 empties R.
+func (db *DB) bindExists(x *ExistsExpr, n plan.Node, sc *scope) (plan.Node, error) {
+	sub := x.Query
+	from, err := db.bindFrom(sub.From)
+	if err != nil {
+		return nil, err
+	}
+	own := &scope{sch: from.Schema(), outer: sc}
+	var keys []string
+	if err := db.outerRefs(sub.Where, own, 1, &keys); err != nil {
+		return nil, err
+	}
+
+	var r plan.Node
+	if len(sub.GroupBy) > 0 || sub.Having != nil || len(collectAggs(sub)) > 0 {
+		// Grouping is bound whole, where an outer column is unknown: a
+		// correlated one is an error. A global aggregate is one row
+		// whatever its WHERE keeps.
+		body, err := db.bindQuery(sub)
+		if err != nil {
+			return nil, err
+		}
+		r = &plan.Project{Input: body}
+	} else {
+		var m plan.Node = from
+		if len(keys) > 0 {
+			m = &plan.Product{Left: &plan.Project{Input: n, Attrs: keys}, Right: from}
+		}
+		if sub.Where != nil {
+			if m, err = db.bindWhere(sub.Where, m, own); err != nil {
+				return nil, err
+			}
+		}
+		r = &plan.Project{Input: m, Attrs: keys}
+		if sub.HasLimit && sub.Limit == 0 {
+			r = &plan.Limit{Input: r, N: 0}
+		}
+	}
+	if x.Negated {
+		return &plan.AntiSemiJoin{Left: n, Right: r}, nil
+	}
+	return &plan.SemiJoin{Left: n, Right: r}, nil
+}
+
+// outerRefs appends to refs, once each, the attributes e references
+// at least local scopes out along its chain sc, in nested subqueries
+// too.
+func (db *DB) outerRefs(e Expr, sc *scope, local int, refs *[]string) error {
+	switch x := e.(type) {
+	case *BoolOp:
+		if err := db.outerRefs(x.Left, sc, local, refs); err != nil {
+			return err
+		}
+		return db.outerRefs(x.Right, sc, local, refs)
+	case *NotExpr:
+		return db.outerRefs(x.Inner, sc, local, refs)
+	case *Comparison:
+		for _, o := range [...]Expr{x.Left, x.Right} {
+			if col, ok := o.(*ColumnRef); ok {
+				attr, depth, err := sc.resolve(col)
+				if err != nil {
+					return err
+				}
+				if depth >= local && !slices.Contains(*refs, attr) {
+					*refs = append(*refs, attr)
+				}
+			}
+		}
+	case *ExistsExpr:
+		from, err := db.bindFrom(x.Query.From)
+		if err != nil {
+			return err
+		}
+		return db.outerRefs(x.Query.Where, &scope{sch: from.Schema(), outer: sc}, local+1, refs)
+	}
+	return nil
 }
 
 func compareOp(op string) (pred.Op, error) {
@@ -641,9 +733,11 @@ func resolveColumn(sch schema.Schema, col *ColumnRef) (string, error) {
 	case 1:
 		return matches[0], nil
 	default:
-		return "", fmt.Errorf("sql: ambiguous column %q (candidates %v)", col.Column, matches)
+		return "", fmt.Errorf("%w %q (candidates %v)", errAmbiguous, col.Column, matches)
 	}
 }
+
+var errAmbiguous = errors.New("sql: ambiguous column")
 
 // outputName picks the result column name of a select item.
 func outputName(item SelectItem) string {

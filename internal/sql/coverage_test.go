@@ -1,13 +1,10 @@
 package sql
 
 import (
-	"strings"
 	"testing"
 
-	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
-	"divlaws/internal/value"
 )
 
 func TestASTStringForms(t *testing.T) {
@@ -105,44 +102,6 @@ func TestWhereBooleanShapes(t *testing.T) {
 			t.Errorf("%s: %v", q, err)
 		}
 	}
-}
-
-func TestExistsPredIntrospection(t *testing.T) {
-	db := suppliersDB()
-	p := &existsPred{db: db, sub: &Query{}, negated: true}
-	if p.String() != "NOT EXISTS (subquery)" {
-		t.Errorf("String = %q", p.String())
-	}
-	p.negated = false
-	if p.String() != "EXISTS (subquery)" {
-		t.Errorf("String = %q", p.String())
-	}
-	attrs := p.Attrs()
-	if len(attrs) != 1 || !strings.Contains(attrs[0], "correlated") {
-		t.Errorf("Attrs = %v; must be a sentinel that never matches a schema", attrs)
-	}
-	// The sentinel keeps rewrite laws away: OnlyOver is always false.
-	if pred.OnlyOver(p, schema.New("a", "b", "c")) {
-		t.Error("correlated predicates must not satisfy OnlyOver")
-	}
-}
-
-func TestValueLiteralKinds(t *testing.T) {
-	if got := valueLiteral(value.Int(3)).(*Literal); got.Kind != 'i' || got.Int != 3 {
-		t.Errorf("int literal = %+v", got)
-	}
-	if got := valueLiteral(value.Float(2.5)).(*Literal); got.Kind != 'f' || got.Float != 2.5 {
-		t.Errorf("float literal = %+v", got)
-	}
-	if got := valueLiteral(value.String("x")).(*Literal); got.Kind != 's' || got.Str != "x" {
-		t.Errorf("string literal = %+v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("bool correlation should panic")
-		}
-	}()
-	valueLiteral(value.Bool(true))
 }
 
 func TestCorrelatedQueryOverFloats(t *testing.T) {

@@ -58,7 +58,7 @@ func (db *DB) DetectDivision(q *Query) (plan.Node, bool) {
 		return nil, false
 	}
 	// Preserve the outer query's ORDER BY and LIMIT on the detected
-	// plan, exactly as bindQuery layers them on the nested-iteration
+	// plan, exactly as bindQuery layers them on the anti-semi-join
 	// fallback: Sort below, Limit above (fused to TopK by the
 	// optimizer). A sort column outside the quotient schema — or a
 	// negative limit — declines the rewrite so the fallback path
@@ -106,21 +106,10 @@ func (db *DB) detectGreat(q *Query) (plan.Node, error) {
 	if !ok1 || !ok2 {
 		return nil, errNoMatch
 	}
-	outerNE, ok := q.Where.(*ExistsExpr)
-	if !ok || !outerNE.Negated {
-		return nil, errNoMatch
-	}
-
-	mid, midTable, midConjuncts, inner, innerTable, innerConjuncts, err :=
-		unpackNestedNotExists(outerNE, divisorTbl.Name, dividendTbl.Name)
+	midTable, midConjuncts, innerTable, innerConjuncts, err :=
+		unpackNestedNotExists(q.Where, divisorTbl.Name, dividendTbl.Name)
 	if err != nil {
 		return nil, err
-	}
-	// A LIMIT inside either NOT EXISTS block changes which subquery
-	// results exist at all, so the equivalence to division breaks —
-	// decline and fall back to nested iteration.
-	if mid.HasLimit || inner.HasLimit {
-		return nil, errNoMatch
 	}
 
 	// Middle conjuncts: every one must be y2.c = y.c.
@@ -146,35 +135,12 @@ func (db *DB) detectGreat(q *Query) (plan.Node, error) {
 	}
 
 	// Coverage: A ∪ B must be all of t1's columns, B ∪ C all of t2's.
-	dividendRel, ok := db.catalog[dividendTbl.Name]
-	if !ok {
-		return nil, errNoMatch
-	}
-	divisorRel, ok := db.catalog[divisorTbl.Name]
-	if !ok {
-		return nil, errNoMatch
-	}
-	dividendCovered := map[string]bool{}
-	for c := range aCols {
-		dividendCovered[c] = true
-	}
-	divisorCovered := map[string]bool{}
-	for c := range cCols {
-		divisorCovered[c] = true
-	}
 	for _, p := range bPairs {
-		dividendCovered[p[0]] = true
-		divisorCovered[p[1]] = true
+		aCols[p[0]] = true
+		cCols[p[1]] = true
 	}
-	for _, c := range dividendRel.Schema().Attrs() {
-		if !dividendCovered[c] {
-			return nil, errNoMatch
-		}
-	}
-	for _, c := range divisorRel.Schema().Attrs() {
-		if !divisorCovered[c] {
-			return nil, errNoMatch
-		}
+	if !db.covers(dividendTbl.Name, aCols) || !db.covers(divisorTbl.Name, cCols) {
+		return nil, errNoMatch
 	}
 
 	// Build t1 ÷* t2 with divisor B columns renamed to t1's names.
@@ -186,15 +152,7 @@ func (db *DB) detectGreat(q *Query) (plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	var divisorNode plan.Node = divisor
-	for _, p := range bPairs {
-		from := divisorTbl.Alias + "." + p[1]
-		to := dividendTbl.Alias + "." + p[0]
-		if from != to {
-			divisorNode = &plan.Rename{Input: divisorNode, From: from, To: to}
-		}
-	}
-	div := &plan.GreatDivide{Dividend: dividend, Divisor: divisorNode}
+	div := &plan.GreatDivide{Dividend: dividend, Divisor: renamePairs(divisor, bPairs, divisorTbl.Alias, dividendTbl.Alias)}
 	return db.projectDetected(q, div)
 }
 
@@ -205,39 +163,10 @@ func (db *DB) detectSmall(q *Query) (plan.Node, error) {
 	if !ok {
 		return nil, errNoMatch
 	}
-	outerNE, ok := q.Where.(*ExistsExpr)
-	if !ok || !outerNE.Negated {
-		return nil, errNoMatch
-	}
-
-	mid := outerNE.Query
-	if len(mid.From) != 1 || mid.Where == nil {
-		return nil, errNoMatch
-	}
-	midTable, ok := mid.From[0].(*BaseTable)
-	if !ok {
-		return nil, errNoMatch
-	}
-	midConjuncts, innerNE := splitExistsConjunction(mid.Where)
-	if midConjuncts == nil || innerNE == nil || !innerNE.Negated {
-		return nil, errNoMatch
-	}
-	inner := innerNE.Query
-	if len(inner.From) != 1 || inner.Where == nil {
-		return nil, errNoMatch
-	}
-	innerTable, ok := inner.From[0].(*BaseTable)
-	if !ok || innerTable.Name != dividendTbl.Name {
-		return nil, errNoMatch
-	}
-	innerConjuncts, stray := splitExistsConjunction(inner.Where)
-	if innerConjuncts == nil || stray != nil {
-		return nil, errNoMatch
-	}
-	// A LIMIT inside either NOT EXISTS block breaks the equivalence to
-	// division; see detectGreat.
-	if mid.HasLimit || inner.HasLimit {
-		return nil, errNoMatch
+	midTable, midConjuncts, innerTable, innerConjuncts, err :=
+		unpackNestedNotExists(q.Where, "", dividendTbl.Name)
+	if err != nil {
+		return nil, err
 	}
 
 	// Middle conjuncts must be restrictions on the divisor alone: no
@@ -254,21 +183,11 @@ func (db *DB) detectSmall(q *Query) (plan.Node, error) {
 	}
 
 	// Coverage: A ∪ B = all of t1's columns.
-	dividendRel, ok := db.catalog[dividendTbl.Name]
-	if !ok {
-		return nil, errNoMatch
-	}
-	covered := map[string]bool{}
-	for c := range aCols {
-		covered[c] = true
-	}
 	for _, p := range bPairs {
-		covered[p[0]] = true
+		aCols[p[0]] = true
 	}
-	for _, c := range dividendRel.Schema().Attrs() {
-		if !covered[c] {
-			return nil, errNoMatch
-		}
+	if !db.covers(dividendTbl.Name, aCols) {
+		return nil, errNoMatch
 	}
 
 	// Build t1 ÷ πB(σ<restrictions>(t2)).
@@ -282,7 +201,7 @@ func (db *DB) detectSmall(q *Query) (plan.Node, error) {
 	}
 	var divisorNode plan.Node = divisor
 	if len(midConjuncts) > 0 {
-		p, err := db.toPred(andAll(midConjuncts), divisor.Schema(), false)
+		p, err := (&scope{sch: divisor.Schema()}).toPred(andAll(midConjuncts), nil)
 		if err != nil {
 			return nil, errNoMatch
 		}
@@ -293,51 +212,74 @@ func (db *DB) detectSmall(q *Query) (plan.Node, error) {
 		bAttrs[i] = midTable.Alias + "." + p[1]
 	}
 	divisorNode = &plan.Project{Input: divisorNode, Attrs: bAttrs}
-	for _, p := range bPairs {
-		from := midTable.Alias + "." + p[1]
-		to := dividendTbl.Alias + "." + p[0]
-		if from != to {
-			divisorNode = &plan.Rename{Input: divisorNode, From: from, To: to}
-		}
-	}
-	div := &plan.Divide{Dividend: dividend, Divisor: divisorNode}
+	div := &plan.Divide{Dividend: dividend, Divisor: renamePairs(divisorNode, bPairs, midTable.Alias, dividendTbl.Alias)}
 	return db.projectDetected(q, div)
 }
 
-// unpackNestedNotExists validates the two-level NOT EXISTS chain and
-// returns its components.
-func unpackNestedNotExists(outer *ExistsExpr, wantMidTable, wantInnerTable string) (
-	mid *Query, midTable *BaseTable, midConjuncts []Expr,
-	inner *Query, innerTable *BaseTable, innerConjuncts []Expr, err error,
+// covers reports whether cols names every column of the table.
+func (db *DB) covers(table string, cols map[string]bool) bool {
+	rel, ok := db.catalog[table]
+	if !ok {
+		return false
+	}
+	for _, c := range rel.Schema().Attrs() {
+		if !cols[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// renamePairs renames each divisor column divisorAlias.p[1] of the
+// element pairs to its dividend name dividendAlias.p[0], so the
+// division sees one shared attribute set B.
+func renamePairs(divisor plan.Node, pairs [][2]string, divisorAlias, dividendAlias string) plan.Node {
+	for _, p := range pairs {
+		if from, to := divisorAlias+"."+p[1], dividendAlias+"."+p[0]; from != to {
+			divisor = &plan.Rename{Input: divisor, From: from, To: to}
+		}
+	}
+	return divisor
+}
+
+// unpackNestedNotExists validates the two-level NOT EXISTS chain of
+// a WHERE clause — a middle block over wantMidTable (any table when
+// empty) around a block over wantInnerTable — and returns each block's
+// table and plain conjuncts. A LIMIT inside either block changes which
+// subquery results exist at all, so the equivalence to division
+// breaks: the detector declines and the anti-semi-join plan runs.
+func unpackNestedNotExists(where Expr, wantMidTable, wantInnerTable string) (
+	midTable *BaseTable, midConjuncts []Expr, innerTable *BaseTable, innerConjuncts []Expr, err error,
 ) {
-	mid = outer.Query
-	if len(mid.From) != 1 || mid.Where == nil {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+	outer, ok := where.(*ExistsExpr)
+	if !ok || !outer.Negated {
+		return nil, nil, nil, nil, errNoMatch
 	}
-	var ok bool
+	mid := outer.Query
+	if len(mid.From) != 1 || mid.Where == nil || mid.HasLimit {
+		return nil, nil, nil, nil, errNoMatch
+	}
 	midTable, ok = mid.From[0].(*BaseTable)
-	if !ok || midTable.Name != wantMidTable {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+	if !ok || (wantMidTable != "" && midTable.Name != wantMidTable) {
+		return nil, nil, nil, nil, errNoMatch
 	}
-	var innerNE *ExistsExpr
-	midConjuncts, innerNE = splitExistsConjunction(mid.Where)
+	midConjuncts, innerNE := splitExistsConjunction(mid.Where)
 	if midConjuncts == nil || innerNE == nil || !innerNE.Negated {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+		return nil, nil, nil, nil, errNoMatch
 	}
-	inner = innerNE.Query
-	if len(inner.From) != 1 || inner.Where == nil {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+	inner := innerNE.Query
+	if len(inner.From) != 1 || inner.Where == nil || inner.HasLimit {
+		return nil, nil, nil, nil, errNoMatch
 	}
 	innerTable, ok = inner.From[0].(*BaseTable)
 	if !ok || innerTable.Name != wantInnerTable {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+		return nil, nil, nil, nil, errNoMatch
 	}
-	var stray *ExistsExpr
-	innerConjuncts, stray = splitExistsConjunction(inner.Where)
+	innerConjuncts, stray := splitExistsConjunction(inner.Where)
 	if innerConjuncts == nil || stray != nil {
-		return nil, nil, nil, nil, nil, nil, errNoMatch
+		return nil, nil, nil, nil, errNoMatch
 	}
-	return mid, midTable, midConjuncts, inner, innerTable, innerConjuncts, nil
+	return midTable, midConjuncts, innerTable, innerConjuncts, nil
 }
 
 // classifyInner splits the innermost conjuncts into element joins
@@ -509,7 +451,7 @@ func equality(e Expr) (l, r *ColumnRef, ok bool) {
 
 // PlanWithDetection parses and binds a query, first attempting the
 // division-pattern detection; on a match the returned plan contains
-// a first-class divide instead of nested iteration.
+// a first-class divide instead of anti-semi-joins.
 func (db *DB) PlanWithDetection(text string) (plan.Node, bool, error) {
 	q, err := Parse(text)
 	if err != nil {

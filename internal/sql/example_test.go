@@ -3,14 +3,16 @@ package sql_test
 import (
 	"fmt"
 
+	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/sql"
 )
 
-// ExampleDB_Query runs the paper's Q2: suppliers supplying all blue
-// parts, via the proposed DIVIDE BY syntax.
-func ExampleDB_Query() {
+// ExampleDB_Plan binds the paper's Q2 — suppliers supplying all blue
+// parts, via the proposed DIVIDE BY syntax — and evaluates the plan
+// with the reference interpreter.
+func ExampleDB_Plan() {
 	db := sql.NewDB()
 	db.Register("supplies", relation.FromRows(schema.New("s#", "p#"), [][]any{
 		{"s1", "p1"},
@@ -19,7 +21,7 @@ func ExampleDB_Query() {
 	db.Register("parts", relation.FromRows(schema.New("p#", "color"), [][]any{
 		{"p1", "blue"}, {"p2", "blue"},
 	}))
-	res, err := db.Query(`
+	node, err := db.Plan(`
 SELECT s#
 FROM supplies AS s DIVIDE BY (
     SELECT p# FROM parts WHERE color = 'blue') AS p
@@ -28,7 +30,7 @@ ON s.p# = p.p#`)
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(res)
+	fmt.Println(plan.Eval(node))
 	// Output:
 	// s#
 	// s2

@@ -156,7 +156,8 @@ func TestDetectionPreservesOuterLimit(t *testing.T) {
 func TestDetectionDeclinesInnerLimit(t *testing.T) {
 	// A LIMIT inside a NOT EXISTS block changes which subquery results
 	// exist, so the division rewrite is unsound; the detector must
-	// fall back to nested iteration (which honors the inner limit).
+	// fall back to the anti-semi-join plan (which honors the inner
+	// limit).
 	db := suppliersDB()
 	const q = `
 SELECT DISTINCT s#, color

@@ -249,8 +249,8 @@ func TestDetectionPreservesOrderByWithLimit(t *testing.T) {
 // TestDetectionDeclinesNonQuotientOrderBy: a sort column outside the
 // quotient schema (the dividend's element column p#, whose
 // multiplicity division does not preserve) must decline the rewrite
-// and fall back to nested iteration, which widens its projection to
-// order by it.
+// and fall back to the anti-semi-join plan, which widens its
+// projection to order by it.
 func TestDetectionDeclinesNonQuotientOrderBy(t *testing.T) {
 	db := suppliersDB()
 	q := `

@@ -64,12 +64,13 @@ func findScan(n plan.Node, name string) *plan.Scan {
 	return nil
 }
 
-// A plan's correlated subqueries re-bind while the query runs; they
-// must see the catalog the plan was bound against, not a table
-// registered since (the torn read of ROADMAP item 4(i)).
+// A plan's correlated subqueries are decorrelated into its nodes when
+// it binds, so the whole plan — subqueries included — reads the
+// catalog it was bound against, not a table registered since (the
+// torn read of ROADMAP item 4(i)).
 func TestCorrelatedSubqueryKeepsBindTimeCatalog(t *testing.T) {
 	db := suppliersDB()
-	node, err := db.Plan(queryQ3) // no detection: nested iteration
+	node, err := db.Plan(queryQ3) // no detection: anti-semi-joins
 	if err != nil {
 		t.Fatal(err)
 	}
