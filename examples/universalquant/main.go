@@ -1,8 +1,7 @@
 // Universal quantification end to end: the NOT EXISTS → division
 // detector (the rewriting algorithm §4 calls "not simple to
-// devise") driven through the public divlaws API, plus the
-// related-work extensions — Carlis's HAS operator and fuzzy division
-// with a relaxed "almost all" quantifier.
+// devise") driven through the public divlaws API, timed against the
+// same query run as the un-rewritten anti-semi-join plan.
 package main
 
 import (
@@ -15,12 +14,6 @@ import (
 
 	"divlaws"
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
-	"divlaws/internal/fuzzy"
-	"divlaws/internal/has"
-	"divlaws/internal/relation"
-	"divlaws/internal/schema"
-	"divlaws/internal/value"
 )
 
 const q3 = `SELECT DISTINCT s#, color
@@ -32,9 +25,9 @@ WHERE NOT EXISTS (
     WHERE s2.p# = p2.p# AND s2.s# = s1.s#))`
 
 func main() {
-	// Part 1: the detector, through the public API. One database
-	// detects (the default), the other is opened without detection so
-	// the same query runs as the un-rewritten anti-semi-join plan.
+	// The detector, through the public API. One database detects (the
+	// default), the other is opened without detection so the same
+	// query runs as the un-rewritten anti-semi-join plan.
 	supplies, parts := datagen.SuppliersParts{
 		Suppliers: 20, Parts: 14, Colors: 3, AvgSupplied: 7, Seed: 11,
 	}.Generate()
@@ -62,44 +55,9 @@ func main() {
 	if fmt.Sprint(fastRows) != fmt.Sprint(slowRows) {
 		log.Fatalf("detector produced a different answer:\n%v\nvs\n%v", fastRows, slowRows)
 	}
-	fmt.Printf("  detected: %v   anti-join plan: %v   (%.1fx)\n\n",
+	fmt.Printf("  detected: %v   anti-join plan: %v   (%.1fx)\n",
 		fastTime.Round(time.Microsecond), slowTime.Round(time.Microsecond),
 		float64(slowTime)/float64(fastTime))
-
-	// Part 2: HAS — finer-grained qualification than division.
-	suppliers := relation.FromRows(schema.New("s#"), [][]any{
-		{"s1"}, {"s2"}, {"s3"},
-	})
-	rel := relation.FromRows(schema.New("s#", "p#"), [][]any{
-		{"s1", "p1"}, {"s1", "p2"},
-		{"s2", "p1"},
-		{"s3", "p1"}, {"s3", "p2"}, {"s3", "p3"},
-	})
-	blue := relation.FromRows(schema.New("p#"), [][]any{{"p1"}, {"p2"}})
-	fmt.Println("HAS associations against the blue parts {p1, p2}:")
-	for _, a := range []has.Association{has.Exactly, has.StrictlyMoreThan, has.StrictlyLessThan} {
-		fmt.Printf("  %-22s -> %v\n", a, rowsOf(has.HAS(suppliers, rel, blue, a)))
-	}
-	fmt.Printf("  %-22s -> %v  (= supplies ÷ blue: %v)\n\n",
-		has.AtLeast, rowsOf(has.HAS(suppliers, rel, blue, has.AtLeast)),
-		rowsOf(division.Divide(rel, blue)))
-
-	// Part 3: fuzzy division with "almost all".
-	fr1 := fuzzy.NewRelation(schema.New("s", "p"))
-	for p := int64(1); p <= 3; p++ {
-		fr1.Insert(relation.Tuple{value.String("s1"), value.Int(p)}, 1)
-	}
-	fr2 := fuzzy.NewRelation(schema.New("p"))
-	for p := int64(1); p <= 4; p++ {
-		fr2.Insert(relation.Tuple{value.Int(p)}, 1)
-	}
-	strict := fuzzy.Divide(fr1, fr2, fuzzy.Goedel)
-	relaxed := fuzzy.OWADivide(fr1, fr2, fuzzy.Goedel,
-		fuzzy.QuantifierWeights(fuzzy.AlmostAll(0.5), 4))
-	s1 := relation.Tuple{value.String("s1")}
-	fmt.Println("fuzzy division (supplier covering 3 of 4 parts):")
-	fmt.Printf("  strict 'all' grade:        %.2f\n", strict.Grade(s1))
-	fmt.Printf("  relaxed 'almost all' grade: %.2f\n", relaxed.Grade(s1))
 }
 
 // drainTimed streams q3 to exhaustion, returning the sorted result
@@ -125,14 +83,6 @@ func drainTimed(ctx context.Context, db *divlaws.DB) ([]string, time.Duration) {
 	elapsed := time.Since(start)
 	sort.Strings(out)
 	return out, elapsed
-}
-
-func rowsOf(r *relation.Relation) []string {
-	var out []string
-	for _, t := range r.Sorted() {
-		out = append(out, t.String())
-	}
-	return out
 }
 
 func indent(s string) string {

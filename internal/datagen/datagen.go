@@ -13,7 +13,6 @@ import (
 
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
-	"divlaws/internal/scj"
 	"divlaws/internal/value"
 )
 
@@ -124,20 +123,6 @@ func TransactionsRelation(txs []Transaction) *relation.Relation {
 		}
 	}
 	return r
-}
-
-// TransactionsNested converts baskets to the nested representation
-// used by the set containment join.
-func TransactionsNested(txs []Transaction) *scj.Nested {
-	n := scj.NewNested(schema.New("tid"), "items")
-	for _, tx := range txs {
-		set := scj.NewItemSet()
-		for _, it := range tx.Items {
-			set.Add(value.Int(it))
-		}
-		n.Insert(scj.Row{Scalars: relation.Tuple{value.Int(tx.ID)}, Set: set})
-	}
-	return n
 }
 
 // newZipf returns a sampler over [0, n) with the given skew; skew 0

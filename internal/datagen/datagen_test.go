@@ -5,7 +5,6 @@ import (
 
 	"divlaws/internal/division"
 	"divlaws/internal/schema"
-	"divlaws/internal/scj"
 )
 
 func TestSuppliersPartsShape(t *testing.T) {
@@ -98,19 +97,6 @@ func TestBasketsSkewConcentrates(t *testing.T) {
 	}
 	if top(skewed) <= top(uniform) {
 		t.Error("skewed distribution should concentrate on hot items")
-	}
-}
-
-func TestTransactionsNested(t *testing.T) {
-	txs := []Transaction{{ID: 1, Items: []int64{1, 2}}, {ID: 2, Items: []int64{2}}}
-	n := TransactionsNested(txs)
-	if n.Len() != 2 {
-		t.Fatalf("nested Len = %d", n.Len())
-	}
-	flat := TransactionsRelation(txs)
-	back := scj.Unnest(n)
-	if !back.EquivalentTo(flat.Reorder([]string{"tid", "item"})) && back.Len() != flat.Len() {
-		t.Errorf("nested/flat mismatch: %v vs %v", back, flat)
 	}
 }
 

@@ -314,7 +314,7 @@ func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts 
 	case *plan.ParallelDivide:
 		dividend, divisor, algo, workers, kind = t.Dividend, t.Divisor, t.Algo, t.Workers, "paralleldivide"
 	case *plan.ParallelGreatDivide:
-		dividend, divisor, algo, workers, kind = t.Dividend, t.Divisor, t.Algo, t.Workers, "parallelgreatdivide"
+		dividend, divisor, workers, kind = t.Dividend, t.Divisor, t.Workers, "parallelgreatdivide"
 	default:
 		return nil
 	}

@@ -180,7 +180,8 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 type ParallelDivideIter struct {
 	Label             string
 	Dividend, Divisor BatchIterator
-	// Algo is the per-partition algorithm; empty means hash division.
+	// Algo is the per-partition ÷ algorithm; empty means hash
+	// division, which every ÷* partition runs.
 	Algo division.Algorithm
 	// Workers is the partition/goroutine count; 0 means GOMAXPROCS.
 	Workers int

@@ -48,20 +48,18 @@ func TestParallelGreatDivideIterMatchesSequential(t *testing.T) {
 		Domain: 50, HitRate: 0.3, Seed: 3,
 	}.Generate()
 	want := division.GreatDivide(r1, r2)
-	for _, algo := range division.GreatAlgorithms() {
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			node := &plan.ParallelGreatDivide{
-				Dividend: plan.NewScan("r1", r1),
-				Divisor:  plan.NewScan("r2", r2),
-				Algo:     algo, Workers: workers,
-			}
-			got, err := Run(context.Background(), Compile(node, NewStats()))
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", algo, workers, err)
-			}
-			if !got.EquivalentTo(want) {
-				t.Errorf("%s/workers=%d: diverged (%d vs %d rows)", algo, workers, got.Len(), want.Len())
-			}
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		node := &plan.ParallelGreatDivide{
+			Dividend: plan.NewScan("r1", r1),
+			Divisor:  plan.NewScan("r2", r2),
+			Workers:  workers,
+		}
+		got, err := Run(context.Background(), Compile(node, NewStats()))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !got.EquivalentTo(want) {
+			t.Errorf("workers=%d: diverged (%d vs %d rows)", workers, got.Len(), want.Len())
 		}
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"divlaws/internal/division"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
-	"divlaws/internal/schema"
-	"divlaws/internal/scj"
 	"divlaws/internal/texttab"
 	"divlaws/internal/value"
 )
@@ -61,6 +59,13 @@ func Fig1Dividend() *relation.Relation {
 	})
 }
 
+// Fig2Divisor is relation r2 of Figure 2.
+func Fig2Divisor() *relation.Relation {
+	return relation.Ints([]string{"b", "c"}, [][]int64{
+		{1, 1}, {2, 1}, {4, 1}, {1, 2}, {3, 2},
+	})
+}
+
 // Figure1 renders the small divide of Figure 1.
 func Figure1() string {
 	r1 := Fig1Dividend()
@@ -75,10 +80,7 @@ func Figure1() string {
 
 // Figure2 renders the generalized division of Figure 2.
 func Figure2() string {
-	r1 := Fig1Dividend()
-	r2 := relation.Ints([]string{"b", "c"}, [][]int64{
-		{1, 1}, {2, 1}, {4, 1}, {1, 2}, {3, 2},
-	})
+	r1, r2 := Fig1Dividend(), Fig2Divisor()
 	r3 := division.GreatDivide(r1, r2)
 	return texttab.SideBySide(
 		texttab.Item{Caption: "(a) r1 (dividend)", Rel: r1},
@@ -87,35 +89,57 @@ func Figure2() string {
 	)
 }
 
-// Figure3 renders the set containment join of Figure 3 using the
-// nested (non-1NF) representation.
+// Figure3 renders the set containment join of Figure 3, which is
+// Figure 2 in non-1NF form: r1 nests Figure 1's dividend on a, r2
+// nests Figure 2's divisor on c, and the joined pairs (a, c) are the
+// great divide's quotient r1 ÷* r2, each shown with both sets. The
+// two operators agree exactly when no set is empty: an empty b2 would
+// join every a, but its c has no divisor tuple for ÷* to see.
+// Figure 3 has no empty set.
 func Figure3() string {
-	left := scj.NewNested(schema.New("a"), "b1")
-	left.Insert(scj.Row{Scalars: relation.Tuple{value.Int(1)}, Set: scj.IntSet(1, 4)})
-	left.Insert(scj.Row{Scalars: relation.Tuple{value.Int(2)}, Set: scj.IntSet(1, 2, 3, 4)})
-	left.Insert(scj.Row{Scalars: relation.Tuple{value.Int(3)}, Set: scj.IntSet(1, 3, 4)})
-	right := scj.NewNested(schema.New("c"), "b2")
-	right.Insert(scj.Row{Scalars: relation.Tuple{value.Int(1)}, Set: scj.IntSet(1, 2, 4)})
-	right.Insert(scj.Row{Scalars: relation.Tuple{value.Int(2)}, Set: scj.IntSet(1, 3)})
+	r1, r2 := Fig1Dividend(), Fig2Divisor()
+	as, b1 := nest(r1, "a", "b")
+	cs, b2 := nest(r2, "c", "b")
 
 	var b strings.Builder
 	b.WriteString("a  b1\n")
-	for _, row := range left.Rows() {
-		b.WriteString(row.Scalars.String() + "  " + row.Set.String() + "\n")
+	for _, a := range as {
+		b.WriteString(a.String() + "  " + setString(b1[a]) + "\n")
 	}
 	b.WriteString("(a) r1\n\n")
 	b.WriteString("b2  c\n")
-	for _, row := range right.Rows() {
-		b.WriteString(row.Set.String() + "  " + row.Scalars.String() + "\n")
+	for _, c := range cs {
+		b.WriteString(setString(b2[c]) + "  " + c.String() + "\n")
 	}
 	b.WriteString("(b) r2\n\n")
 	b.WriteString("a  b1  b2  c\n")
-	for _, j := range scj.ContainmentJoin(left, right) {
-		b.WriteString(j.LeftScalars.String() + "  " + j.LeftSet.String() + "  " +
-			j.RightSet.String() + "  " + j.RightScalars.String() + "\n")
+	for _, t := range division.GreatDivide(r1, r2).Reorder([]string{"a", "c"}).Sorted() {
+		a, c := t[0], t[1]
+		b.WriteString(a.String() + "  " + setString(b1[a]) + "  " +
+			setString(b2[c]) + "  " + c.String() + "\n")
 	}
 	b.WriteString("(c) r3\n")
 	return b.String()
+}
+
+// nest groups r's set attribute by its key attribute, as Figure 3's
+// non-1NF relations do: the keys ascending, each with its members
+// ascending.
+func nest(r *relation.Relation, key, set string) ([]value.Value, map[value.Value][]value.Value) {
+	var keys []value.Value
+	members := map[value.Value][]value.Value{}
+	for _, t := range r.Reorder([]string{key, set}).Sorted() {
+		if _, ok := members[t[0]]; !ok {
+			keys = append(keys, t[0])
+		}
+		members[t[0]] = append(members[t[0]], t[1])
+	}
+	return keys, members
+}
+
+// setString renders a nested set as the paper prints it: {1, 2, 4}.
+func setString(members []value.Value) string {
+	return "{" + relation.Tuple(members).String() + "}"
 }
 
 // Figure4 renders Law 1's walkthrough with all intermediates.

@@ -53,6 +53,10 @@ func TestFigure2MatchesPaper(t *testing.T) {
 
 func TestFigure3MatchesPaper(t *testing.T) {
 	out := Figure3()
+	// r1 of Figure 3(a), Figure 1's dividend nested on a.
+	contains(t, out, "a  b1\n1  {1, 4}\n2  {1, 2, 3, 4}\n3  {1, 3, 4}\n(a) r1")
+	// r2 of Figure 3(b), Figure 2's divisor nested on c.
+	contains(t, out, "b2  c\n{1, 2, 4}  1\n{1, 3}  2\n(b) r2")
 	// The three join rows of Figure 3(c).
 	contains(t, out,
 		"2  {1, 2, 3, 4}  {1, 2, 4}  1",

@@ -194,3 +194,83 @@ func TestMinersCollisions(t *testing.T) {
 		}
 	}
 }
+
+// mineStringKeyed is the string-keyed Apriori reference retained as
+// the collision-test oracle: all candidate bookkeeping goes through
+// Itemset.Key strings and Go maps, never the TupleIndex, so the
+// masked-hash tests have an independent result to compare both
+// miners against.
+func mineStringKeyed(t *Transactions, minSupport int) []Result {
+	var results []Result
+	freq := frequentItems(t, minSupport)
+	results = append(results, freq...)
+	current := make([]Itemset, len(freq))
+	for i, f := range freq {
+		current[i] = f.Items
+	}
+
+	for k := 2; len(current) > 0; k++ {
+		// Apriori-gen over string keys.
+		prev := make(map[string]bool, len(current))
+		for _, s := range current {
+			prev[s.Key()] = true
+		}
+		var candidates []Itemset
+		for i := 0; i < len(current); i++ {
+			for j := i + 1; j < len(current); j++ {
+				a, b := current[i], current[j]
+				if len(a) != k-1 || len(b) != k-1 {
+					continue
+				}
+				if !samePrefix(a, b) || a[len(a)-1] >= b[len(b)-1] {
+					continue
+				}
+				cand := append(append(Itemset{}, a...), b[len(b)-1])
+				ok := true
+				sub := make(Itemset, 0, len(cand)-1)
+				for skip := range cand {
+					sub = sub[:0]
+					for i, it := range cand {
+						if i != skip {
+							sub = append(sub, it)
+						}
+					}
+					if !prev[sub.Key()] {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					candidates = append(candidates, cand)
+				}
+			}
+		}
+		if len(candidates) == 0 {
+			break
+		}
+		counts := make(map[string]int, len(candidates))
+		byKey := make(map[string]Itemset, len(candidates))
+		for _, c := range candidates {
+			byKey[c.Key()] = c
+		}
+		for _, id := range t.ids {
+			items := t.rows[id]
+			for _, c := range candidates {
+				if containsSorted(items, c) {
+					counts[c.Key()]++
+				}
+			}
+		}
+		current = current[:0]
+		for key, n := range counts {
+			if n >= minSupport {
+				items := byKey[key]
+				results = append(results, Result{Items: items, Support: n})
+				current = append(current, items)
+			}
+		}
+		sortItemsets(current)
+	}
+	sortResults(results)
+	return results
+}

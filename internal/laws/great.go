@@ -32,8 +32,8 @@ func Law13() Rule {
 				return nil, false
 			}
 			return plan.Union(
-				&plan.GreatDivide{Dividend: d.Dividend, Divisor: u.Left, Algo: d.Algo},
-				&plan.GreatDivide{Dividend: d.Dividend, Divisor: u.Right, Algo: d.Algo},
+				&plan.GreatDivide{Dividend: d.Dividend, Divisor: u.Left},
+				&plan.GreatDivide{Dividend: d.Dividend, Divisor: u.Right},
 			), true
 		},
 	}
@@ -61,7 +61,6 @@ func Law14() Rule {
 			return &plan.GreatDivide{
 				Dividend: &plan.Select{Input: d.Dividend, Pred: sel.Pred},
 				Divisor:  d.Divisor,
-				Algo:     d.Algo,
 			}, true
 		},
 	}
@@ -87,7 +86,7 @@ func Law14Reverse() Rule {
 				return nil, false
 			}
 			return &plan.Select{
-				Input: &plan.GreatDivide{Dividend: sel.Input, Divisor: d.Divisor, Algo: d.Algo},
+				Input: &plan.GreatDivide{Dividend: sel.Input, Divisor: d.Divisor},
 				Pred:  sel.Pred,
 			}, true
 		},
@@ -116,7 +115,6 @@ func Law15() Rule {
 			return &plan.GreatDivide{
 				Dividend: d.Dividend,
 				Divisor:  &plan.Select{Input: d.Divisor, Pred: sel.Pred},
-				Algo:     d.Algo,
 			}, true
 		},
 	}
@@ -142,7 +140,7 @@ func Law15Reverse() Rule {
 				return nil, false
 			}
 			return &plan.Select{
-				Input: &plan.GreatDivide{Dividend: d.Dividend, Divisor: sel.Input, Algo: d.Algo},
+				Input: &plan.GreatDivide{Dividend: d.Dividend, Divisor: sel.Input},
 				Pred:  sel.Pred,
 			}, true
 		},
@@ -172,7 +170,6 @@ func Law16() Rule {
 			return &plan.GreatDivide{
 				Dividend: &plan.Select{Input: d.Dividend, Pred: sel.Pred},
 				Divisor:  d.Divisor,
-				Algo:     d.Algo,
 			}, true
 		},
 	}
@@ -201,7 +198,7 @@ func Law16Reverse() Rule {
 			if !ok || !pred.OnlyOver(ds.Pred, s.B) {
 				return nil, false
 			}
-			return &plan.GreatDivide{Dividend: ds.Input, Divisor: d.Divisor, Algo: d.Algo}, true
+			return &plan.GreatDivide{Dividend: ds.Input, Divisor: d.Divisor}, true
 		},
 	}
 }
@@ -232,7 +229,7 @@ func Law17() Rule {
 			}
 			return &plan.Product{
 				Left:  prod.Left,
-				Right: &plan.GreatDivide{Dividend: prod.Right, Divisor: d.Divisor, Algo: d.Algo},
+				Right: &plan.GreatDivide{Dividend: prod.Right, Divisor: d.Divisor},
 			}, true
 		},
 	}
@@ -261,7 +258,6 @@ func Law17Reverse() Rule {
 			return &plan.GreatDivide{
 				Dividend: &plan.Product{Left: prod.Left, Right: d.Dividend},
 				Divisor:  d.Divisor,
-				Algo:     d.Algo,
 			}, true
 		},
 	}

@@ -74,8 +74,7 @@ func Parallelize(n plan.Node, opts ParallelOptions) (plan.Node, []Applied) {
 				return node
 			}
 			rewritten := &plan.ParallelGreatDivide{
-				Dividend: t.Dividend, Divisor: t.Divisor,
-				Algo: t.Algo, Workers: opts.Workers,
+				Dividend: t.Dividend, Divisor: t.Divisor, Workers: opts.Workers,
 			}
 			trace = append(trace, Applied{
 				Rule:   fmt.Sprintf("Parallelize(Law 13, workers=%d)", opts.Workers),

@@ -110,10 +110,10 @@ type Part struct {
 // resolves. The partitions must have disjoint key projections — on A
 // for ÷ (Law 2 under c2), on C for ÷* (Law 13) — so their quotients
 // are disjoint and their union is the whole quotient. algo picks the
-// per-partition algorithm; empty means hash division, which polls ctx
-// every Tuning.CheckEvery dividend tuples (other algorithms are opaque
-// relational computations, polled only before they start and while
-// they emit). A non-nil bound caps each worker's emission at its K
+// per-partition ÷ algorithm; empty means hash division, which every ÷*
+// partition runs and which polls ctx every Tuning.CheckEvery dividend
+// tuples (other algorithms are opaque relational computations, polled
+// only before they start and while they emit). A non-nil bound caps each worker's emission at its K
 // smallest quotient tuples. Run returns after every worker has
 // finished; the first error observed (a schema violation, context
 // cancellation or an emit rejection) stops the fan-out and is
@@ -232,7 +232,7 @@ func emitRelation(sink tupleSink, q *relation.Relation) error {
 
 // dividePart divides one partition cooperatively, streaming its
 // quotient tuples out: hash division streams through the division
-// state with a ctx poll every Tuning.CheckEvery tuples, any other
+// state with a ctx poll every Tuning.CheckEvery tuples, any other ÷
 // algorithm computes its partition's quotient as a whole first.
 func dividePart(ctx context.Context, algo division.Algorithm, part int, p Part, bound *TopKBound, tune Tuning, emit EmitFunc) error {
 	if err := ctx.Err(); err != nil {
@@ -245,11 +245,8 @@ func dividePart(ctx context.Context, algo division.Algorithm, part int, p Part, 
 		return err
 	}
 	sink := partSink(ctx, part, bound, tune, emit)
-	if algo != "" && algo != division.AlgoHash {
-		if p.Divisor.Schema().SubsetOf(p.Dividend.Schema()) {
-			return emitRelation(sink, division.DivideWith(algo, p.Dividend, p.Divisor))
-		}
-		return emitRelation(sink, division.GreatDivideWith(algo, p.Dividend, p.Divisor))
+	if algo != "" && algo != division.AlgoHash && p.Divisor.Schema().SubsetOf(p.Dividend.Schema()) {
+		return emitRelation(sink, division.DivideWith(algo, p.Dividend, p.Divisor))
 	}
 	for _, t := range p.Divisor.Tuples() {
 		st.AddDivisor(t)

@@ -48,17 +48,13 @@ func Eval(n Node) *relation.Relation {
 		}
 		return division.DivideWith(algo, Eval(t.Dividend), Eval(t.Divisor))
 	case *GreatDivide:
-		algo := t.Algo
-		if algo == "" {
-			algo = division.GreatAlgoHash
-		}
-		return division.GreatDivideWith(algo, Eval(t.Dividend), Eval(t.Divisor))
+		return division.GreatDivide(Eval(t.Dividend), Eval(t.Divisor))
 	case *ParallelDivide:
 		// The same relation for any worker count: the oracle runs the
 		// sequential reference algorithm, not the fan-out it checks.
 		return Eval(&Divide{Dividend: t.Dividend, Divisor: t.Divisor, Algo: t.Algo})
 	case *ParallelGreatDivide:
-		return Eval(&GreatDivide{Dividend: t.Dividend, Divisor: t.Divisor, Algo: t.Algo})
+		return Eval(&GreatDivide{Dividend: t.Dividend, Divisor: t.Divisor})
 	case *Sort:
 		// Relations are sets, but insertion order is preserved by
 		// Tuples(), so the compat path observes the ordering by

@@ -69,7 +69,6 @@ func (d *ParallelDivide) String() string {
 // premise of Law 13 holds by construction (§5.2.1).
 type ParallelGreatDivide struct {
 	Dividend, Divisor Node
-	Algo              division.Algorithm
 	Workers           int
 }
 
@@ -88,7 +87,7 @@ func (d *ParallelGreatDivide) Children() []Node { return []Node{d.Dividend, d.Di
 // WithChildren implements Node.
 func (d *ParallelGreatDivide) WithChildren(ch []Node) Node {
 	mustArity("ParallelGreatDivide", ch, 2)
-	return &ParallelGreatDivide{Dividend: ch[0], Divisor: ch[1], Algo: d.Algo, Workers: d.Workers}
+	return &ParallelGreatDivide{Dividend: ch[0], Divisor: ch[1], Workers: d.Workers}
 }
 
 // Partitioning describes the chosen partitioning strategy for
@@ -103,9 +102,5 @@ func (d *ParallelGreatDivide) Partitioning() string {
 
 // String implements Node.
 func (d *ParallelGreatDivide) String() string {
-	algo := d.Algo
-	if algo == "" {
-		algo = division.GreatAlgoHash
-	}
-	return fmt.Sprintf("ParallelGreatDivide[%s, workers=%d, %s]", algo, d.Workers, d.Partitioning())
+	return fmt.Sprintf("ParallelGreatDivide[%s, workers=%d, %s]", division.GreatAlgoHash, d.Workers, d.Partitioning())
 }

@@ -295,7 +295,6 @@ func (d *Divide) String() string {
 // GreatDivide is dividend ÷* divisor.
 type GreatDivide struct {
 	Dividend, Divisor Node
-	Algo              division.Algorithm
 }
 
 // Schema implements Node.
@@ -313,16 +312,11 @@ func (d *GreatDivide) Children() []Node { return []Node{d.Dividend, d.Divisor} }
 // WithChildren implements Node.
 func (d *GreatDivide) WithChildren(ch []Node) Node {
 	mustArity("GreatDivide", ch, 2)
-	return &GreatDivide{Dividend: ch[0], Divisor: ch[1], Algo: d.Algo}
+	return &GreatDivide{Dividend: ch[0], Divisor: ch[1]}
 }
 
 // String implements Node.
-func (d *GreatDivide) String() string {
-	if d.Algo != "" {
-		return fmt.Sprintf("GreatDivide[%s]", d.Algo)
-	}
-	return "GreatDivide"
-}
+func (d *GreatDivide) String() string { return "GreatDivide" }
 
 // Group is the grouping operator Byγ_Aggs(input).
 type Group struct {

@@ -278,7 +278,7 @@ func TestWithChildrenRoundTripAllNodes(t *testing.T) {
 		&SemiJoin{Left: r1, Right: r2},
 		&AntiSemiJoin{Left: r1, Right: r2},
 		&Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoCount},
-		&GreatDivide{Dividend: r1, Divisor: r2g, Algo: division.GreatAlgoHash},
+		&GreatDivide{Dividend: r1, Divisor: r2g},
 		&Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{{Func: algebra.Count, As: "c"}}},
 		&Rename{Input: r2, From: "b", To: "x"},
 	}
