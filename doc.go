@@ -133,6 +133,11 @@
 // their probe side a batch at a time, so a division over a join over
 // a union is one batch pipeline. The tuple-at-a-time surface exists
 // once, on the cursor at the root of the plan that Rows.Next reads.
+// That cursor holds one tuple at a time, and Rows.Scan and
+// Rows.AppendJSON copy its values out, so a join or product at the
+// root of the plan reuses one slab chunk for every batch it emits
+// instead of allocating per row; so does a product feeding a division
+// that runs without a memory limit.
 //
 // LIMIT keeps an exact consumption discipline: a limit (or fused
 // top-k) arms a row budget on its input, producers emit partial

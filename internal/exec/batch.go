@@ -131,8 +131,10 @@ func pull(child BatchIterator, budget int64) ([]relation.Tuple, error) {
 // surface: CompileWith places it over the root operator, and Next
 // serves tuples out of the current batch, pulling the next one on
 // demand — so a consumer that stops early has read ahead at most one
-// batch of the root operator's output. Closing it also closes the
-// spill tracker CompileWith built for the plan, if any.
+// batch of the root operator's output. The cursor drops each tuple
+// when it serves the next, so compile lets the root operator borrow.
+// Closing it also closes the spill tracker CompileWith built for the
+// plan, if any.
 type FromBatch struct {
 	Input BatchIterator
 
@@ -147,7 +149,10 @@ func (f *FromBatch) Open(ctx context.Context) error {
 	return f.Input.Open(ctx)
 }
 
-// Next produces the next tuple. ok is false at end of stream.
+// Next produces the next tuple. ok is false at end of stream. The
+// tuple is borrowed: it is valid until the next Next or Close, so a
+// caller that keeps it past that clones it (Rows.Scan and
+// Rows.AppendJSON copy the values out; Run's Insert clones).
 func (f *FromBatch) Next() (relation.Tuple, bool, error) {
 	for f.pos >= len(f.cur) {
 		b, err := f.Input.NextBatch()

@@ -25,7 +25,8 @@ import (
 // set equality. Both surfaces are exercised: the root cursor (Next)
 // and the raw operator protocol beneath it (NextBatch).
 
-// drainSeq collects the full output sequence through the root cursor.
+// drainSeq collects the full output sequence through the root cursor,
+// cloning each tuple (see drainSeqErr).
 func drainSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 	t.Helper()
 	out, err := drainSeqErr(context.Background(), it)
@@ -36,9 +37,10 @@ func drainSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 }
 
 // drainBatchSeq collects the full output sequence of the root operator
-// through NextBatch, copying each batch before the next call (the
+// through NextBatch, cloning each tuple before the next call (the
 // ownership contract: a batch is valid only until the producer's next
-// call).
+// call, and so is every tuple of a root operator, which compile lets
+// borrow).
 func drainBatchSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 	t.Helper()
 	if err := it.Open(context.Background()); err != nil {
@@ -61,7 +63,7 @@ func drainBatchSeq(t *testing.T, it *FromBatch) []relation.Tuple {
 			if tup == nil {
 				t.Fatal("NextBatch returned a batch containing a nil tuple")
 			}
-			out = append(out, tup)
+			out = append(out, tup.Clone())
 		}
 	}
 }
@@ -150,7 +152,8 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	div := &plan.Divide{Dividend: r1, Divisor: r2}
 	join := &plan.Join{Left: r1, Right: r2g}
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
-	return append(projectShapes(rng, r1, r2g), []equivPlan{
+	shapes := append(projectShapes(rng, r1, r2g), borrowShapes(rng, gen, r1, r2, r2g, rc, keysA)...)
+	return append(shapes, []equivPlan{
 		{"scan", r1, false},
 		{"filter", &plan.Select{Input: r1, Pred: p}, false},
 		{"project", &plan.Project{Input: r1, Attrs: []string{"a"}}, false},
@@ -204,6 +207,57 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 			Input: &plan.SemiJoin{Left: r1, Right: r2g}, Attrs: []string{"a"},
 		}, false},
 	}...)
+}
+
+// borrowShapes is the borrowed-emission corner of the matrix (see
+// compile). The first group puts a product or join under a consumer
+// that drops its input, directly or through operators that forward the
+// flag, so the emitter rewinds its slab every batch. The second puts
+// one under a consumer that keeps its input, where a wrongly borrowed
+// emitter would overwrite tuples the consumer still holds. Both run
+// across batch sizes that split the products into many batches.
+func borrowShapes(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *relation.Relation,
+	r1, r2, r2g, rc plan.Node, keys []plan.SortKey) []equivPlan {
+	ra := plan.NewScan("ra", gen(rng, []string{"a"}, 1+rng.Intn(12), 6))
+	rb := plan.NewScan("rb", gen(rng, []string{"b"}, 1+rng.Intn(12), 6))
+	prod := &plan.Product{Left: ra, Right: rb} // over (a, b), like r1
+	gt := pred.Compare(pred.Attr("a"), pred.Gt, pred.Attr("b"))
+	// A dense dividend over (a, b, c) covers a product divisor for
+	// some a but not for others, so a divisor tuple overwritten while
+	// the division still holds it changes the quotient.
+	dense := plan.NewScan("dense", gen(rng, []string{"a", "b", "c"}, 60+rng.Intn(100), 4))
+	divisor := &plan.Product{ // over (b, c), up to 16 tuples
+		Left:  plan.NewScan("db", gen(rng, []string{"b"}, 2+rng.Intn(3), 4)),
+		Right: plan.NewScan("dc", gen(rng, []string{"c"}, 2+rng.Intn(3), 4)),
+	}
+	return []equivPlan{
+		// Borrowed.
+		{"divide-over-product", &plan.Divide{Dividend: prod, Divisor: r2}, false},
+		{"greatdivide-over-product", &plan.GreatDivide{Dividend: prod, Divisor: r2g}, false},
+		{"divide-over-filter-over-product", &plan.Divide{Dividend: &plan.Select{Input: prod, Pred: gt}, Divisor: r2}, false},
+		{"divide-over-rename-over-product", &plan.Divide{
+			Dividend: &plan.Rename{Input: &plan.Product{Left: ra, Right: rc}, From: "c", To: "b"}, Divisor: r2,
+		}, false},
+		{"divide-over-thetajoin", &plan.Divide{
+			Dividend: &plan.ThetaJoin{Left: ra, Right: rb, Pred: gt}, Divisor: r2,
+		}, false},
+		{"divisor-product", &plan.Divide{Dividend: dense, Divisor: divisor}, false},
+		{"limit-over-product", &plan.Limit{Input: &plan.Product{Left: r1, Right: rc}, N: int64(1 + rng.Intn(40))}, false},
+		{"product-over-product", &plan.Product{Left: prod, Right: rc}, false},
+		{"semijoin-over-product", &plan.SemiJoin{Left: prod, Right: r2g}, false},
+		{"project-narrow-over-product", &plan.Project{Input: prod, Attrs: []string{"b"}}, false},
+		// Owned: the consumer keeps its input.
+		{"sort-over-product", &plan.Sort{Input: prod, Keys: keys}, true},
+		{"topk-over-product", &plan.TopK{Input: prod, Keys: keys, K: int64(2 + rng.Intn(10))}, true},
+		{"sort-over-project-permute-over-product", &plan.Sort{
+			Input: &plan.Project{Input: prod, Attrs: []string{"b", "a"}}, Keys: keys,
+		}, true},
+		{"union-over-product", plan.Union(prod, r1), false},
+		{"intersect-over-product", plan.Intersect(prod, r1), false},
+		{"product-right-product", &plan.Product{Left: rc, Right: prod}, false},
+		{"greatdivide-divisor-product", &plan.GreatDivide{Dividend: r1, Divisor: divisor}, false},
+		{"group-over-product", &plan.Group{Input: prod, By: []string{"a"}}, false},
+	}
 }
 
 // projectShapes is the projection corner of the matrix. A Project
@@ -398,7 +452,7 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 
 	openBatchRoot := func(t *testing.T, ctx context.Context) BatchIterator {
 		t.Helper()
-		b := compile(node, nil, "root", opts)
+		b := compile(node, nil, "root", opts, true)
 		if err := b.Open(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -448,7 +502,7 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		rng := rand.New(rand.NewSource(61))
 		join := &plan.Join{Left: node, Right: plan.NewScan("w", randRelation(rng, []string{"a", "c"}, 120, 50))}
-		b := compile(join, nil, "root", opts)
+		b := compile(join, nil, "root", opts, true)
 		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +521,7 @@ func TestBatchGoroutineLeaks(t *testing.T) {
 		// and the served batch must stay intact past the child Close.
 		baseline := runtime.NumGoroutine()
 		lim := &plan.Limit{Input: node, N: 1}
-		b := compile(lim, nil, "root", opts)
+		b := compile(lim, nil, "root", opts, true)
 		if err := b.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}

@@ -74,11 +74,33 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 			opts.Spill = owned
 		}
 	}
-	return &FromBatch{Input: compile(n, stats, "root", opts), tr: owned}
+	return &FromBatch{Input: compile(n, stats, "root", opts, true), tr: owned}
 }
 
-// compile lowers one plan node and, recursively, its inputs.
-func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) BatchIterator {
+// compile lowers one plan node and, recursively, its inputs. borrow
+// reports whether the node's consumer drops each tuple before its next
+// NextBatch on the node, so the node may emit borrowed tuples: ones
+// valid only until that next call, which lets the product and hash
+// join emit paths rewind one slab chunk per batch instead of carving a
+// fresh one. Compile decides it from the plan's structure alone, each
+// consumer in one of three categories:
+//
+//   - Drops its input, so the child may borrow: the root cursor, the
+//     unbudgeted hash ÷/÷* dividend (the division states do not retain
+//     a dividend tuple), the unbudgeted ÷ divisor (its index copies the
+//     B projection), and the probe sides of the product and the hash
+//     join (each probe tuple is only concatenated).
+//   - Forwards the flag to its child, passing the child's tuples on as
+//     its own output: Filter, Rename, Limit, Project, the theta join's
+//     inner product, and the semi-join probe. (Only a full-width
+//     Project passes tuples on; a narrowing one copies what it emits,
+//     so forwarding is merely conservative for it.)
+//   - Keeps the child's tuples, so the child is always owned: everything
+//     else — the budgeted grace divide's buffers, the ÷* divisor, the
+//     product's right side, Sort, TopK, Group, the set operators and
+//     the exchange. An operator not yet checked by reading its code
+//     belongs here.
+func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) BatchIterator {
 	switch t := n.(type) {
 	case *plan.Scan:
 		return &ScanIter{
@@ -90,21 +112,21 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 	case *plan.Select:
 		return &FilterBatch{
 			Label: label + "/filter",
-			Input: compile(t.Input, stats, label+".0", opts),
+			Input: compile(t.Input, stats, label+".0", opts, borrow),
 			Pred:  t.Pred,
 			Stats: stats,
 		}
 	case *plan.Project:
 		return &ProjectBatch{
 			Label: label + "/project",
-			Input: compile(t.Input, stats, label+".0", opts),
+			Input: compile(t.Input, stats, label+".0", opts, borrow),
 			Attrs: t.Attrs,
 			Stats: stats,
 		}
 	case *plan.Limit:
 		return &LimitBatch{
 			Label:         label + "/limit",
-			Input:         compile(t.Input, stats, label+".0", opts),
+			Input:         compile(t.Input, stats, label+".0", opts, borrow),
 			N:             t.N,
 			Stats:         stats,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
@@ -113,7 +135,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 		pos, desc := resolveSortKeys(t.Input.Schema(), t.Keys)
 		return &SortIter{
 			Label:         label + "/sort",
-			Input:         compile(t.Input, stats, label+".0", opts),
+			Input:         compile(t.Input, stats, label+".0", opts, false),
 			ByPos:         pos,
 			Desc:          desc,
 			Stats:         stats,
@@ -136,7 +158,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 		}
 		return &TopKIter{
 			Label:         label + "/topk",
-			Input:         compile(t.Input, stats, label+".0", opts),
+			Input:         compile(t.Input, stats, label+".0", opts, false),
 			ByPos:         pos,
 			Desc:          desc,
 			K:             t.K,
@@ -145,8 +167,8 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Set:
-		l := compile(t.Left, stats, label+".0", opts)
-		r := compile(t.Right, stats, label+".1", opts)
+		l := compile(t.Left, stats, label+".0", opts, false)
+		r := compile(t.Right, stats, label+".1", opts, false)
 		wb := windowBatcher{BatchSize: opts.BatchSize}
 		switch t.Op {
 		case plan.UnionOp:
@@ -159,37 +181,40 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 	case *plan.Product:
 		return &ProductIter{
 			Label:         label + "/product",
-			Left:          compile(t.Left, stats, label+".0", opts),
-			Right:         compile(t.Right, stats, label+".1", opts),
+			Left:          compile(t.Left, stats, label+".0", opts, true),
+			Right:         compile(t.Right, stats, label+".1", opts, false),
 			Stats:         stats,
 			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+			borrowed:      borrow,
 		}
 	case *plan.Join:
 		return &HashJoinIter{
 			Label:         label + "/hashjoin",
-			Left:          compile(t.Left, stats, label+".0", opts),
-			Right:         compile(t.Right, stats, label+".1", opts),
+			Left:          compile(t.Left, stats, label+".0", opts, true),
+			Right:         compile(t.Right, stats, label+".1", opts, false),
 			Stats:         stats,
 			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+			borrowed:      borrow,
 		}
 	case *plan.ThetaJoin:
 		return &ThetaJoinIter{
 			Label:         label + "/thetajoin",
-			Left:          compile(t.Left, stats, label+".0", opts),
-			Right:         compile(t.Right, stats, label+".1", opts),
+			Left:          compile(t.Left, stats, label+".0", opts, true),
+			Right:         compile(t.Right, stats, label+".1", opts, false),
 			Pred:          t.Pred,
 			Stats:         stats,
 			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+			borrowed:      borrow,
 		}
 	case *plan.SemiJoin:
 		return &SemiJoinIter{
 			Label:         label + "/semijoin",
-			Left:          compile(t.Left, stats, label+".0", opts),
-			Right:         compile(t.Right, stats, label+".1", opts),
+			Left:          compile(t.Left, stats, label+".0", opts, borrow),
+			Right:         compile(t.Right, stats, label+".1", opts, false),
 			Keep:          true,
 			Stats:         stats,
 			Every:         opts.CheckEvery,
@@ -198,16 +223,14 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 	case *plan.AntiSemiJoin:
 		return &SemiJoinIter{
 			Label:         label + "/antisemijoin",
-			Left:          compile(t.Left, stats, label+".0", opts),
-			Right:         compile(t.Right, stats, label+".1", opts),
+			Left:          compile(t.Left, stats, label+".0", opts, borrow),
+			Right:         compile(t.Right, stats, label+".1", opts, false),
 			Keep:          false,
 			Stats:         stats,
 			Every:         opts.CheckEvery,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Divide:
-		dividend := compile(t.Dividend, stats, label+".0", opts)
-		divisor := compile(t.Divisor, stats, label+".1", opts)
 		if t.Algo == division.AlgoMergeSort {
 			// Sort the dividend on A so the group-preserving
 			// pipelined operator applies.
@@ -215,7 +238,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 			if err == nil {
 				sorted := &SortIter{
 					Label:         label + "/sort",
-					Input:         dividend,
+					Input:         compile(t.Dividend, stats, label+".0", opts, false),
 					ByPos:         t.Dividend.Schema().Positions(split.A.Attrs()),
 					Stats:         stats,
 					Every:         opts.CheckEvery,
@@ -225,38 +248,22 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 				return &MergeGroupDivideIter{
 					Label:         label + "/mergedivide",
 					Dividend:      sorted,
-					Divisor:       divisor,
+					Divisor:       compile(t.Divisor, stats, label+".1", opts, true),
 					Stats:         stats,
 					Every:         opts.CheckEvery,
 					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 				}
 			}
 		}
-		return &HashDivideIter{
-			Label:         label + "/hashdivide",
-			Dividend:      dividend,
-			Divisor:       divisor,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+		return compileHashDivide("hashdivide", t.Dividend, t.Divisor, true, stats, label, opts)
 	case *plan.GreatDivide:
-		return &HashDivideIter{
-			Label:         label + "/greatdivide",
-			Dividend:      compile(t.Dividend, stats, label+".0", opts),
-			Divisor:       compile(t.Divisor, stats, label+".1", opts),
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+		return compileHashDivide("greatdivide", t.Dividend, t.Divisor, false, stats, label, opts)
 	case *plan.ParallelDivide, *plan.ParallelGreatDivide:
 		return compileExchange(n, stats, label+"/", label, opts)
 	case *plan.Group:
 		return &GroupIter{
 			Label:         label + "/group",
-			Input:         compile(t.Input, stats, label+".0", opts),
+			Input:         compile(t.Input, stats, label+".0", opts, false),
 			By:            t.By,
 			Aggs:          t.Aggs,
 			Stats:         stats,
@@ -265,12 +272,32 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions) Batch
 		}
 	case *plan.Rename:
 		return &RenameBatch{
-			Input: compile(t.Input, stats, label+".0", opts),
+			Input: compile(t.Input, stats, label+".0", opts, borrow),
 			From:  t.From,
 			To:    t.To,
 		}
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
+	}
+}
+
+// compileHashDivide lowers a Divide (small) or GreatDivide to the
+// hash division labelled kind. Without a budget neither division state
+// keeps a dividend tuple, and the ÷ state — the one a Divide gets, its
+// divisor schema being contained in the dividend's — keeps only a
+// copied projection of each divisor tuple, so those inputs may borrow;
+// the ÷* state keeps whole divisor tuples, and the budgeted grace
+// divide buffers both inputs.
+func compileHashDivide(kind string, dividend, divisor plan.Node, small bool, stats *Stats, label string, opts CompileOptions) *HashDivideIter {
+	unbudgeted := opts.Spill == nil
+	return &HashDivideIter{
+		Label:         label + "/" + kind,
+		Dividend:      compile(dividend, stats, label+".0", opts, unbudgeted),
+		Divisor:       compile(divisor, stats, label+".1", opts, unbudgeted && small),
+		Stats:         stats,
+		Every:         opts.CheckEvery,
+		Spill:         opts.Spill,
+		windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 	}
 }
 
@@ -320,8 +347,8 @@ func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts 
 	}
 	return &ParallelDivideIter{
 		Label:         prefix + kind,
-		Dividend:      compile(dividend, stats, childLabel+".0", opts),
-		Divisor:       compile(divisor, stats, childLabel+".1", opts),
+		Dividend:      compile(dividend, stats, childLabel+".0", opts, false),
+		Divisor:       compile(divisor, stats, childLabel+".1", opts, false),
 		Algo:          algo,
 		Workers:       workers,
 		Buffer:        opts.ExchangeBuffer,

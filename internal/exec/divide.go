@@ -26,12 +26,15 @@ type ThetaJoinIter struct {
 	windowBatcher
 	inner *ProductIter
 	out   schema.Schema
+	// borrowed passes on to the inner product, whose tuples the filter
+	// hands on as its own (set by compile).
+	borrowed bool
 }
 
 // Open implements BatchIterator.
 func (j *ThetaJoinIter) Open(ctx context.Context) error {
 	j.inner = &ProductIter{Label: j.Label + ".product", Left: j.Left, Right: j.Right, Stats: nil, Every: j.Every,
-		windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
+		windowBatcher: windowBatcher{BatchSize: j.BatchSize}, borrowed: j.borrowed}
 	j.out = j.Left.Schema().Concat(j.Right.Schema())
 	return j.inner.Open(ctx)
 }
@@ -314,12 +317,12 @@ func (m *MergeGroupDivideIter) NextBatch() (*relation.Batch, error) {
 		}
 		t := m.div[m.dPos]
 		m.dPos++
-		at := t.Project(m.aPos)
+		// Compare A in place; it is projected once per group.
 		if m.curA == nil {
-			m.startGroup(at)
-		} else if at.Compare(m.curA) != 0 {
+			m.startGroup(t.Project(m.aPos))
+		} else if !t.ProjEqual(m.aPos, m.curA) {
 			q, qualifies := m.finishGroup()
-			m.startGroup(at)
+			m.startGroup(t.Project(m.aPos))
 			m.absorb(t)
 			if qualifies {
 				out.Append(q)

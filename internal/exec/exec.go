@@ -43,11 +43,15 @@
 // write and a re-read per row that the fusion avoids. Emit paths
 // (join, product, theta join) carve output tuples out of a
 // per-iterator relation.Slab instead of calling make per
-// concatenation; slab chunks are append-only and GC-owned, so
-// emitted tuples stay valid for as long as any consumer holds them,
-// and under a memory budget the live chunk is charged against the
-// spill tracker (see relation.Slab for the lifetime and accounting
-// rules).
+// concatenation, and under a memory budget the live chunk is charged
+// against the spill tracker (see relation.Slab for the lifetime and
+// accounting rules). An emitter's tuples are owned by default: slab
+// chunks are GC-owned, so they stay valid for as long as any consumer
+// holds them. Where the plan shows that the consumer drops each tuple
+// before its next pull — the root cursor, an unbudgeted division's
+// dividend, a probe side — compile lets the emitter borrow instead,
+// and it rewinds one chunk per batch, so the emit path allocates
+// nothing per tuple (see compile for the rule).
 package exec
 
 import (
@@ -64,10 +68,14 @@ import (
 //
 // Protocol: Open before the first NextBatch; NextBatch returns nil at
 // end of stream and never an empty batch; the returned batch is owned
-// by the operator and valid only until the next NextBatch or Close
-// (the tuples inside are immutable and may be retained). Close is
-// idempotent and safe to call before Open or mid-stream (after a
-// context cancellation, for example).
+// by the operator and valid only until the next NextBatch or Close.
+// The tuples inside are immutable. They are owned, and may be
+// retained, unless compile made the operator borrowed (see compile):
+// a borrowed tuple is valid only until the next NextBatch, so a
+// consumer that keeps one copies it. Close does not overwrite the
+// tuples already served (LimitBatch serves its final batch after
+// closing its child). Close is idempotent and safe to call before
+// Open or mid-stream (after a context cancellation, for example).
 type BatchIterator interface {
 	// Open prepares the operator (allocating hash tables, opening
 	// children) under the given context. Blocking operators honor ctx

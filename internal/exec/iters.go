@@ -222,7 +222,8 @@ func (h *HashSetOpIter) Schema() schema.Schema { return h.Left.Schema() }
 // input is materialized, the left streamed: NextBatch pulls the probe
 // (left) side a batch at a time and fills a pooled output batch with
 // concatenations — an armed row budget bounds both the output batch
-// and how much probe input is pulled.
+// and how much probe input is pulled. Borrowed output (see compile)
+// reuses one slab chunk for every batch.
 type ProductIter struct {
 	Label       string
 	Left, Right BatchIterator
@@ -238,6 +239,9 @@ type ProductIter struct {
 	probe []relation.Tuple
 	pPos  int
 	slab  relation.Slab // emit allocator; output tuples are sliced from it
+	// borrowed: the consumer drops each batch's tuples before the next
+	// NextBatch, so the slab is rewound per batch (set by compile).
+	borrowed bool
 }
 
 // Open implements BatchIterator.
@@ -274,6 +278,9 @@ func (p *ProductIter) NextBatch() (*relation.Batch, error) {
 		}
 		p.done = true
 		return nil, nil
+	}
+	if p.borrowed {
+		p.slab.Rewind()
 	}
 	out := p.outBatch()
 	bound := p.effectiveCap()
@@ -372,6 +379,11 @@ type HashJoinIter struct {
 	graceStream bool
 	gctx        context.Context
 	slab        relation.Slab // emit allocator; output tuples are sliced from it
+	// borrowed: the consumer drops each batch's tuples before the next
+	// NextBatch, so the emit slab (not the grace engine's, which also
+	// holds build tuples) is rewound per batch, and the degenerate
+	// product inherits it (set by compile).
+	borrowed bool
 }
 
 // Open implements BatchIterator.
@@ -381,7 +393,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 		// Degenerate to a product, as the logical definition does.
 		j.isProduct = true
 		j.prod = &ProductIter{Label: j.Label, Left: j.Left, Right: j.Right, Stats: j.Stats, Every: j.Every,
-			windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
+			windowBatcher: windowBatcher{BatchSize: j.BatchSize}, borrowed: j.borrowed}
 		j.out = j.Left.Schema().Concat(j.Right.Schema())
 		return j.prod.Open(ctx)
 	}
@@ -484,6 +496,9 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 	}
 	if j.keyIx == nil {
 		return nil, errNotOpen("HashJoinIter")
+	}
+	if j.borrowed {
+		j.slab.Rewind()
 	}
 	out := j.outBatch()
 	bound := j.effectiveCap()

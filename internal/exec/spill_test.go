@@ -26,7 +26,9 @@ import (
 // surfacing as query errors) ride the same fixtures.
 
 // drainSeqErr is drainSeq without the t.Fatal on pipeline errors,
-// for paths where an error is the expected outcome.
+// for paths where an error is the expected outcome. The root cursor's
+// tuple is borrowed — valid only until the next Next or Close — so
+// every tuple kept is cloned.
 func drainSeqErr(ctx context.Context, it *FromBatch) ([]relation.Tuple, error) {
 	if err := it.Open(ctx); err != nil {
 		it.Close()
@@ -42,7 +44,7 @@ func drainSeqErr(ctx context.Context, it *FromBatch) ([]relation.Tuple, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, tup)
+		out = append(out, tup.Clone())
 	}
 }
 

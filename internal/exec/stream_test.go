@@ -299,7 +299,7 @@ func TestLimitKeepsFinalTupleOnCloseError(t *testing.T) {
 	errBoom := errors.New("boom")
 	lim := &LimitBatch{
 		Label: "l",
-		Input: &closeErrIter{BatchIterator: compile(node, nil, "root", CompileOptions{}), err: errBoom},
+		Input: &closeErrIter{BatchIterator: compile(node, nil, "root", CompileOptions{}, true), err: errBoom},
 		N:     1,
 	}
 	if err := lim.Open(context.Background()); err != nil {

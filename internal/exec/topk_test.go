@@ -311,7 +311,7 @@ func TestTopKExchangeGoroutineLeaks(t *testing.T) {
 			Dividend: plan.NewScan("r1", r1),
 			Divisor:  plan.NewScan("r2", r2),
 			Workers:  4,
-		}, nil, "root", CompileOptions{ExchangeBuffer: 2})
+		}, nil, "root", CompileOptions{ExchangeBuffer: 2}, false)
 		it := &TopKIter{Label: "k", Input: ex, ByPos: []int{0}, K: 3}
 		if err := it.Open(context.Background()); err != nil {
 			t.Fatal(err)

@@ -40,6 +40,13 @@ const slabValueBytes = 32
 // chunk lives until its last tuple does, which is exactly the
 // lifetime the tuples themselves need.
 //
+// The one exception is Rewind, for an owner whose tuples are
+// borrowed: its consumer drops each tuple before asking for the next
+// batch, so the owner rewinds at the top of every batch and the live
+// chunk is carved again from offset 0, overwriting the tuples the
+// previous batch was served. Close never overwrites: it only drops
+// the chunk, so tuples carved before a Close stay valid.
+//
 // The zero Slab is ready to use and unaccounted. Setting Charge and
 // Release (before first use) accounts the live chunk's bytes against
 // a memory budget: the previous chunk's charge is released when it is
@@ -66,8 +73,9 @@ type Slab struct {
 	backoff int // Allocs to skip before retrying a refused Charge
 }
 
-// Alloc returns a zeroed tuple of n values carved from the live
-// chunk. The tuple's capacity is clipped to its length, so appends by
+// Alloc returns a tuple of n values carved from the live chunk:
+// zeroed on a fresh chunk, stale after a Rewind, so callers set every
+// slot. The tuple's capacity is clipped to its length, so appends by
 // the caller can never bleed into neighboring tuples.
 func (s *Slab) Alloc(n int) Tuple {
 	if s.off+n > len(s.chunk) {
@@ -136,6 +144,13 @@ func (s *Slab) ConcatProj(a, b Tuple, pos []int) Tuple {
 	}
 	return t
 }
+
+// Rewind makes the whole live chunk free again from offset 0, so the
+// next Allocs overwrite every tuple carved from it since it became
+// live. Only an owner whose consumers have dropped all of those tuples
+// may call it (see the lifetime rule). The chunk keeps its budget
+// charge; retired chunks are not reclaimed.
+func (s *Slab) Rewind() { s.off = 0 }
 
 // Close releases the live chunk's budget charge and drops the chunk,
 // returning the slab to its initial small-chunk state. Tuples already

@@ -288,29 +288,36 @@ func (db *DB) bindDivide(r *DivideTable) (plan.Node, error) {
 		return nil, fmt.Errorf("sql: DIVIDE BY requires a conjunction of equi-joins in ON, got %q", r.On)
 	}
 
-	// Orient each pair as (dividend attribute, divisor attribute).
+	// Orient each pair in place as (dividend attribute, divisor
+	// attribute).
 	divisorToDividend := make(map[string]string, len(pairs))
-	for _, pr := range pairs {
+	for i, pr := range pairs {
 		a, b := pr[0], pr[1]
 		switch {
 		case dividend.Schema().Contains(a) && divisor.Schema().Contains(b):
-			divisorToDividend[b] = a
 		case dividend.Schema().Contains(b) && divisor.Schema().Contains(a):
-			divisorToDividend[a] = b
+			pairs[i] = [2]string{b, a}
 		default:
 			return nil, fmt.Errorf("sql: DIVIDE BY ON pair %s = %s must relate dividend and divisor columns", a, b)
 		}
+		divisorToDividend[pairs[i][1]] = pairs[i][0]
 	}
+	// All divisor attributes joined => small divide (paper §4).
+	small := len(divisorToDividend) == divisor.Schema().Len()
 
 	// Rename divisor join columns to the dividend's names so the
-	// division operators see a shared attribute set B.
+	// division operators see a shared attribute set B. The renames
+	// follow the ON order, so the plan is the same on every bind; a
+	// column named twice is renamed once.
 	var divisorNode plan.Node = divisor
-	for from, to := range divisorToDividend {
-		divisorNode = &plan.Rename{Input: divisorNode, From: from, To: to}
+	for _, pr := range pairs {
+		if to, ok := divisorToDividend[pr[1]]; ok {
+			divisorNode = &plan.Rename{Input: divisorNode, From: pr[1], To: to}
+			delete(divisorToDividend, pr[1])
+		}
 	}
 
-	// All divisor attributes joined => small divide (paper §4).
-	if len(divisorToDividend) == divisor.Schema().Len() {
+	if small {
 		return &plan.Divide{Dividend: dividend, Divisor: divisorNode}, nil
 	}
 	return &plan.GreatDivide{Dividend: dividend, Divisor: divisorNode}, nil

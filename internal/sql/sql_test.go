@@ -338,6 +338,28 @@ func TestMultiColumnDivideCondition(t *testing.T) {
 	}
 }
 
+// TestMultiColumnDivideBindsDeterministically: the divisor's renames
+// follow the ON pairs in order, so EXPLAIN prints one plan for a
+// multi-column DIVIDE BY however often it is bound.
+func TestMultiColumnDivideBindsDeterministically(t *testing.T) {
+	db := NewDB()
+	db.Register("r1", relation.Ints([]string{"a", "b", "c"}, [][]int64{{1, 1, 1}}))
+	db.Register("r2", relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}}))
+	const q = "SELECT a FROM r1 DIVIDE BY r2 ON r1.b = r2.b AND r1.c = r2.c"
+	var first string
+	for i := 0; i < 50; i++ {
+		n, err := db.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Format(n); i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("bind %d printed a different plan:\n%s\nfirst bind:\n%s", i, got, first)
+		}
+	}
+}
+
 func TestBindErrors(t *testing.T) {
 	db := suppliersDB()
 	bad := []string{
