@@ -57,12 +57,11 @@
 // internal/optimizer's Parallelize pass rewrites large divisions into
 // them above a cardinality threshold; internal/exec compiles both to
 // one streaming exchange iterator, which hash-partitions its input
-// while draining it; and internal/parallel runs one goroutine per
-// partition, each feeding the incremental division state
-// and emits finished quotient tuples into a bounded channel, so the
-// first result row surfaces as soon as the first partition resolves
-// — never waiting on the slowest worker — and the quotient is never
-// materialized whole. Open(WithWorkers(n)) enables the pass for an
+// while draining it and runs one goroutine per non-empty partition,
+// each feeding the incremental division state and emitting finished
+// quotient tuples into a bounded channel, so the first result row
+// surfaces as soon as the first partition resolves — never waiting on
+// the slowest worker — and the quotient is never materialized whole. Open(WithWorkers(n)) enables the pass for an
 // embedded database, WithExchangeBuffer tunes the channel's
 // backpressure bound; cmd/divsql and cmd/lawbench expose -workers,
 // and divsql's -explain prints the chosen partitioning per operator.

@@ -21,8 +21,8 @@ type CompileOptions struct {
 	ExchangeBuffer int
 	// BatchSize is the tuple capacity of operator batches and the
 	// emission batch size of parallel exchange workers; 0 means
-	// relation.DefaultBatchCap (== parallel.EmitBatchSize). It governs
-	// amortization: how many tuples share one interface call.
+	// relation.DefaultBatchCap. It governs amortization: how many
+	// tuples share one interface call.
 	BatchSize int
 	// CheckEvery is the cooperative ctx-poll interval of blocking
 	// drains and parallel worker feeds, in tuples; 0 means
@@ -333,13 +333,12 @@ func SimulatedDividePlan(r1Name string, r1 *relation.Relation, r2Name string, r2
 func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts CompileOptions) *ParallelDivideIter {
 	var (
 		dividend, divisor plan.Node
-		algo              division.Algorithm
 		workers           int
 		kind              string
 	)
 	switch t := n.(type) {
 	case *plan.ParallelDivide:
-		dividend, divisor, algo, workers, kind = t.Dividend, t.Divisor, t.Algo, t.Workers, "paralleldivide"
+		dividend, divisor, workers, kind = t.Dividend, t.Divisor, t.Workers, "paralleldivide"
 	case *plan.ParallelGreatDivide:
 		dividend, divisor, workers, kind = t.Dividend, t.Divisor, t.Workers, "parallelgreatdivide"
 	default:
@@ -349,7 +348,6 @@ func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts 
 		Label:         prefix + kind,
 		Dividend:      compile(dividend, stats, childLabel+".0", opts, false),
 		Divisor:       compile(divisor, stats, childLabel+".1", opts, false),
-		Algo:          algo,
 		Workers:       workers,
 		Buffer:        opts.ExchangeBuffer,
 		Stats:         stats,

@@ -3,18 +3,18 @@ package exec
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 
 	"divlaws/internal/division"
-	"divlaws/internal/parallel"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/spill"
 )
 
 // DefaultExchangeBuffer is the capacity, in tuple batches of up to
-// parallel.EmitBatchSize, of the bounded channel between a streaming
+// the operator's batch size, of the bounded channel between a streaming
 // exchange's partition workers and its consumer. The bound is the
 // backpressure mechanism: workers that outrun the consumer block on
 // the channel instead of materializing the whole quotient, so an
@@ -22,54 +22,95 @@ import (
 // quotient uncomputed.
 const DefaultExchangeBuffer = 16
 
+// partitionGate, when non-nil, is called by every partition worker
+// just before it starts dividing its partition. It exists only for
+// tests, which block chosen partitions to prove that streaming
+// consumers observe other partitions' quotients first.
+var partitionGate func(part int)
+
+// SetPartitionGateForTesting installs a hook called by each partition
+// worker (with its partition index) before any division work, and
+// returns a function restoring the previous hook. Tests use it to
+// stall selected partitions deterministically; not for concurrent use
+// with other tests mutating the gate.
+func SetPartitionGateForTesting(fn func(part int)) (restore func()) {
+	old := partitionGate
+	partitionGate = fn
+	return func() { partitionGate = old }
+}
+
 // exchange owns the worker fan-out of a streaming exchange operator:
-// a bounded batch channel fed by partition workers via a coordinator
-// goroutine, a cancel function tearing the fan-out down, and a done
-// channel marking full termination. err is written by the
-// coordinator before done closes, so readers must observe <-done (or
-// a closed ch, which done ordering guarantees follows err) first.
-// Batching (parallel.EmitBatchSize tuples per send) amortizes the
-// channel handoff and the per-partition stats accounting to noise,
-// keeping streamed throughput at parity with the old materializing
-// exchange.
+// one goroutine per partition, a bounded batch channel they feed, and
+// a cancel function tearing them down. The first worker error is
+// recorded in err and cancels the others; the last worker to finish
+// closes ch, so a reader that sees ch closed may read err.
 type exchange struct {
 	ch     chan []relation.Tuple
 	cancel context.CancelFunc
-	done   chan struct{}
-	err    error
+
+	mu   sync.Mutex
+	left int   // workers still running
+	err  error // first worker error
 
 	cur []relation.Tuple // worker batch partly served under a row budget
 	pos int
 }
 
-// startExchange launches run in a coordinator goroutine streaming
-// into a bounded batch channel of the given capacity (0 means
-// DefaultExchangeBuffer). run receives a derived context and a send
-// function that blocks under backpressure but aborts — returning the
-// context's error — once the exchange is cancelled; run must return
-// promptly after cancellation.
-func startExchange(ctx context.Context, buffer int, run func(ctx context.Context, send func([]relation.Tuple) error) error) *exchange {
+// startExchange starts n workers, work(ctx, i, send) for i in [0, n),
+// each in its own goroutine, streaming into a bounded batch channel of
+// the given capacity (0 means DefaultExchangeBuffer). send blocks
+// under backpressure but aborts — returning the context's error — once
+// the exchange is cancelled; work must return promptly after
+// cancellation. When every worker has succeeded, the last one runs
+// finish (if non-nil) with the same send before the channel closes.
+func startExchange(ctx context.Context, buffer, n int,
+	work func(ctx context.Context, part int, send func([]relation.Tuple) error) error,
+	finish func(send func([]relation.Tuple) error) error) *exchange {
 	if buffer <= 0 {
 		buffer = DefaultExchangeBuffer
 	}
 	exCtx, cancel := context.WithCancel(ctx)
-	ex := &exchange{
-		ch:     make(chan []relation.Tuple, buffer),
-		cancel: cancel,
-		done:   make(chan struct{}),
+	ex := &exchange{ch: make(chan []relation.Tuple, buffer), cancel: cancel, left: n}
+	send := func(batch []relation.Tuple) error {
+		if err := exCtx.Err(); err != nil {
+			return err
+		}
+		select {
+		case ex.ch <- batch:
+			return nil
+		case <-exCtx.Done():
+			return exCtx.Err()
+		}
 	}
-	go func() {
-		defer close(ex.done)
-		defer close(ex.ch)
-		ex.err = run(exCtx, func(batch []relation.Tuple) error {
-			select {
-			case ex.ch <- batch:
-				return nil
-			case <-exCtx.Done():
-				return exCtx.Err()
+	if n == 0 {
+		close(ex.ch)
+		return ex
+	}
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			if gate := partitionGate; gate != nil {
+				gate(i)
 			}
-		})
-	}()
+			err := work(exCtx, i, send)
+			ex.mu.Lock()
+			if err != nil && ex.err == nil {
+				ex.err = err
+				cancel()
+			}
+			ex.left--
+			last := ex.left == 0
+			ex.mu.Unlock()
+			if !last {
+				return
+			}
+			// Every other worker has returned, so err is this
+			// goroutine's alone until the channel closes.
+			if ex.err == nil && finish != nil {
+				ex.err = finish(send)
+			}
+			close(ex.ch)
+		}(i)
+	}
 	return ex
 }
 
@@ -85,7 +126,6 @@ func (ex *exchange) nextBatch(limit int) ([]relation.Tuple, error) {
 		ex.cur, ex.pos = nil, 0
 		batch, ok := <-ex.ch
 		if !ok {
-			<-ex.done
 			return nil, ex.err
 		}
 		ex.cur, ex.pos = batch, 0
@@ -103,60 +143,62 @@ func (ex *exchange) nextBatch(limit int) ([]relation.Tuple, error) {
 	return ts, nil
 }
 
-// stop cancels the fan-out and waits for every worker to exit, so
-// callers get deterministic teardown with no goroutine leaks. It is
-// idempotent.
+// stop cancels the fan-out and waits for every worker to exit — the
+// last one closes the channel — so callers get deterministic teardown
+// with no goroutine leaks. It is idempotent.
 func (ex *exchange) stop() {
 	ex.cancel()
-	<-ex.done
+	for range ex.ch {
+	}
 }
 
-// startTopKExchange launches the order-aware form of a streaming
-// exchange: stream runs the partition fan-out under a top-k bound
-// (each worker emits only its k smallest quotient tuples, sorted —
-// O(k) live per worker), the coordinator collects the per-partition
-// runs, k-way merges them into the global top k, and streams the
-// merged result through the usual bounded channel. The merge is
-// inherently a barrier — any partition may hold the global minimum —
-// but it touches at most k·workers tuples instead of the quotient.
-func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc []bool, k int64, label string, stats *Stats,
-	stream func(ctx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error) *exchange {
-	cmp := relation.KeyedCompare(pos, desc)
-	bound := parallel.TopKBound{K: int(k), Cmp: cmp}
-	if batch <= 0 {
-		batch = parallel.EmitBatchSize
+// partition is one worker's share of an exchange: its division state
+// and the two inputs it feeds it, one of them the replicated input.
+type partition struct {
+	st                division.State
+	dividend, divisor []relation.Tuple
+}
+
+// divide feeds the partition's state, divisor first, then streams the
+// quotient to emit, polling ctx every `every` tuples throughout.
+func (pt partition) divide(ctx context.Context, every int, emit func(relation.Tuple) error) error {
+	n := 0
+	poll := func() error {
+		if n++; n < every {
+			return nil
+		}
+		n = 0
+		return ctx.Err()
 	}
-	return startExchange(ctx, buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		// Partitions emit their (tiny, ≤k) runs concurrently; the mutex
-		// guards the map, not the hot per-tuple loop.
-		var mu sync.Mutex
-		runs := make(map[int][]relation.Tuple)
-		err := stream(exCtx, bound, func(part int, batch []relation.Tuple) error {
-			mu.Lock()
-			runs[part] = append(runs[part], batch...)
-			mu.Unlock()
-			stats.count(partLabel(label, part), int64(len(batch)))
-			return exCtx.Err()
-		})
-		if err != nil {
+	for _, t := range pt.divisor {
+		if err := poll(); err != nil {
 			return err
 		}
-		ordered := make([][]relation.Tuple, 0, len(runs))
-		for _, run := range runs {
-			ordered = append(ordered, run)
+		pt.st.AddDivisor(t)
+	}
+	for _, t := range pt.dividend {
+		if err := poll(); err != nil {
+			return err
 		}
-		merged := mergeRuns(ordered, cmp, k)
-		for start := 0; start < len(merged); start += batch {
-			end := start + batch
-			if end > len(merged) {
-				end = len(merged)
-			}
-			if err := send(merged[start:end]); err != nil {
-				return err
-			}
+		pt.st.AddDividend(t)
+	}
+	return pt.st.EachResult(func(t relation.Tuple) error {
+		if err := poll(); err != nil {
+			return err
 		}
-		return nil
+		return emit(t)
 	})
+}
+
+// sendBatches hands ts downstream in consecutive windows of up to size
+// tuples.
+func sendBatches(ts []relation.Tuple, size int, send func([]relation.Tuple) error) error {
+	for start := 0; start < len(ts); start += size {
+		if err := send(ts[start:min(start+size, len(ts))]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParallelDivideIter is the streaming exchange operator for
@@ -168,9 +210,10 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 // C (Law 13). Either partitioning makes its law's disjointness premise
 // hold by construction. Open drains the replicated input, partitions
 // the other one straight off its child — never materialized whole
-// before partitioning — and launches one goroutine per non-empty
-// partition; each worker divides its partition and emits its finished
-// quotient tuples into a bounded channel. NextBatch pulls from the
+// before partitioning — into plain tuple slices, and launches one
+// goroutine per non-empty partition; each worker divides its partition
+// and emits its finished quotient tuples into a bounded channel, which
+// the last worker to finish closes. NextBatch pulls from the
 // channel, so the first row surfaces as soon as the first partition
 // resolves — the pipeline above never waits for the slowest worker —
 // and Close (or context cancellation) tears the workers down
@@ -180,9 +223,6 @@ func startTopKExchange(ctx context.Context, buffer, batch int, pos []int, desc [
 type ParallelDivideIter struct {
 	Label             string
 	Dividend, Divisor BatchIterator
-	// Algo is the per-partition ÷ algorithm; empty means hash
-	// division, which every ÷* partition runs.
-	Algo division.Algorithm
 	// Workers is the partition/goroutine count; 0 means GOMAXPROCS.
 	Workers int
 	// Buffer is the exchange channel capacity; 0 means
@@ -190,9 +230,9 @@ type ParallelDivideIter struct {
 	Buffer int
 	// TopKN, when positive, switches the exchange to its order-aware
 	// top-k form: every partition worker keeps an O(TopKN) heap over
-	// the TopKPos/TopKDesc keys and the consumer k-way merges the
-	// per-partition runs, so NextBatch serves the global top TopKN in
-	// key order without the quotient ever materializing.
+	// the TopKPos/TopKDesc keys and the last worker to finish k-way
+	// merges the per-partition runs, so NextBatch serves the global top
+	// TopKN in key order without the quotient ever materializing.
 	TopKN    int64
 	TopKPos  []int
 	TopKDesc []bool
@@ -242,13 +282,12 @@ func (p *ParallelDivideIter) Open(ctx context.Context) error {
 	}
 	w := p.Workers
 	if w <= 0 {
-		w = parallel.DefaultWorkers()
+		w = runtime.GOMAXPROCS(0)
 	}
-	replicated := relation.New(replIn.Schema())
-	parts := make([]*relation.Relation, w)
-	for i := range parts {
-		parts[i] = relation.New(partIn.Schema())
-	}
+	// Exec operators emit sets and the division states absorb
+	// duplicates anyway, so the buffered inputs are plain tuple slices.
+	var replicated []relation.Tuple
+	parts := make([][]relation.Tuple, w)
 
 	// keep charges t to the in-memory build and reports whether it fits.
 	// At the first budget overflow it hands everything buffered so far
@@ -271,13 +310,13 @@ func (p *ParallelDivideIter) Open(ctx context.Context) error {
 		p.fb = true
 		p.Spill.Release(p.charged)
 		p.charged = 0
-		for _, rt := range replicated.Tuples() {
+		for _, rt := range replicated {
 			if err := replAdd(rt); err != nil {
 				return false, err
 			}
 		}
 		for _, pr := range parts {
-			for _, pt := range pr.Tuples() {
+			for _, pt := range pr {
 				if err := partAdd(pt); err != nil {
 					return false, err
 				}
@@ -293,7 +332,7 @@ func (p *ParallelDivideIter) Open(ctx context.Context) error {
 	if err := drainEvery(ctx, replIn, p.Every, func(t relation.Tuple) error {
 		ok, err := keep(t)
 		if ok {
-			replicated.InsertOwned(t)
+			replicated = append(replicated, t)
 		} else if err == nil {
 			err = replAdd(t)
 		}
@@ -307,7 +346,8 @@ func (p *ParallelDivideIter) Open(ctx context.Context) error {
 	hp := &hashPartitioner{pos: key, emit: func(t relation.Tuple, h uint64) error {
 		ok, err := keep(t)
 		if ok {
-			parts[h%uint64(w)].InsertOwned(t)
+			i := h % uint64(w)
+			parts[i] = append(parts[i], t)
 		} else if err == nil {
 			err = partAdd(t)
 		}
@@ -333,34 +373,76 @@ func (p *ParallelDivideIter) Open(ctx context.Context) error {
 		return nil
 	}
 
-	work := make([]parallel.Part, 0, w)
+	work := make([]partition, 0, w)
 	for _, pr := range parts {
-		switch {
-		case pr.Empty():
-		case split.C.Len() == 0:
-			work = append(work, parallel.Part{Dividend: pr, Divisor: replicated})
-		default:
-			work = append(work, parallel.Part{Dividend: replicated, Divisor: pr})
+		if len(pr) == 0 {
+			continue
+		}
+		st, err := division.NewState(dividendSch, divisorSch)
+		if err != nil {
+			return err
+		}
+		if split.C.Len() == 0 {
+			work = append(work, partition{st: st, dividend: pr, divisor: replicated})
+		} else {
+			work = append(work, partition{st: st, dividend: replicated, divisor: pr})
 		}
 	}
-	tune := parallel.Tuning{BatchSize: p.BatchSize, CheckEvery: p.Every}
+	p.ex = p.startWorkers(ctx, work)
+	return nil
+}
+
+// startWorkers launches one exchange worker per partition. A streaming
+// worker sends its quotient in batches as it goes; under a fused top-k
+// a worker keeps only its partition's k smallest tuples, and the last
+// worker to finish k-way merges those runs into the global top k —
+// inherently a barrier, since any partition may hold the global
+// minimum, but one over at most k·partitions tuples.
+func (p *ParallelDivideIter) startWorkers(ctx context.Context, work []partition) *exchange {
+	every, size, label, stats := effEvery(p.Every), p.batchCap(), p.Label, p.Stats
 	if p.TopKN > 0 {
-		p.ex = startTopKExchange(ctx, p.Buffer, p.BatchSize, p.TopKPos, p.TopKDesc, p.TopKN, p.Label, p.Stats,
-			func(runCtx context.Context, bound parallel.TopKBound, emit parallel.EmitFunc) error {
-				return parallel.Run(runCtx, p.Algo, work, &bound, tune, emit)
-			})
-		return nil
-	}
-	p.ex = startExchange(ctx, p.Buffer, func(exCtx context.Context, send func([]relation.Tuple) error) error {
-		return parallel.Run(exCtx, p.Algo, work, nil, tune, func(part int, batch []relation.Tuple) error {
-			if err := send(batch); err != nil {
+		k, cmp := p.TopKN, relation.KeyedCompare(p.TopKPos, p.TopKDesc)
+		runs := make([][]relation.Tuple, len(work))
+		return startExchange(ctx, p.Buffer, len(work), func(ctx context.Context, i int, _ func([]relation.Tuple) error) error {
+			h := relation.NewTopKHeap(int(k), cmp)
+			if err := work[i].divide(ctx, every, func(t relation.Tuple) error { h.Add(t); return nil }); err != nil {
 				return err
 			}
-			p.Stats.count(partLabel(p.Label, part), int64(len(batch)))
+			if runs[i] = h.Sorted(); len(runs[i]) > 0 {
+				stats.count(partLabel(label, i), int64(len(runs[i])))
+			}
 			return nil
+		}, func(send func([]relation.Tuple) error) error {
+			return sendBatches(mergeRuns(runs, cmp, k), size, send)
 		})
-	})
-	return nil
+	}
+	return startExchange(ctx, p.Buffer, len(work), func(ctx context.Context, i int, send func([]relation.Tuple) error) error {
+		var buf []relation.Tuple
+		flush := func() error {
+			if len(buf) == 0 {
+				return nil
+			}
+			if err := send(buf); err != nil {
+				return err
+			}
+			stats.count(partLabel(label, i), int64(len(buf)))
+			buf = nil
+			return nil
+		}
+		err := work[i].divide(ctx, every, func(t relation.Tuple) error {
+			if buf == nil {
+				buf = make([]relation.Tuple, 0, size)
+			}
+			if buf = append(buf, t); len(buf) < size {
+				return nil
+			}
+			return flush()
+		})
+		if err != nil {
+			return err
+		}
+		return flush()
+	}, nil)
 }
 
 // NextBatch implements BatchIterator: the workers' emission batches

@@ -23,20 +23,18 @@ func TestParallelDivideIterMatchesSequential(t *testing.T) {
 		Domain: 50, HitRate: 0.3, Seed: 3,
 	}.Generate()
 	want := division.Divide(r1, r2)
-	for _, algo := range division.Algorithms() {
-		for _, workers := range []int{0, 1, 2, 4, 8} {
-			node := &plan.ParallelDivide{
-				Dividend: plan.NewScan("r1", r1),
-				Divisor:  plan.NewScan("r2", r2),
-				Algo:     algo, Workers: workers,
-			}
-			got, err := Run(context.Background(), Compile(node, NewStats()))
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", algo, workers, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s/workers=%d: diverged (%d vs %d rows)", algo, workers, got.Len(), want.Len())
-			}
+	for _, workers := range []int{0, 1, 2, 4, 8} {
+		node := &plan.ParallelDivide{
+			Dividend: plan.NewScan("r1", r1),
+			Divisor:  plan.NewScan("r2", r2),
+			Workers:  workers,
+		}
+		got, err := Run(context.Background(), Compile(node, NewStats()))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("workers=%d: diverged (%d vs %d rows)", workers, got.Len(), want.Len())
 		}
 	}
 }
@@ -64,12 +62,11 @@ func TestParallelGreatDivideIterMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelDivideIterProperty drives random inputs, algorithms,
-// and worker counts through the compiled iterator and checks set
-// equality against the sequential reference.
+// TestParallelDivideIterProperty drives random inputs and worker
+// counts through the compiled iterator and checks set equality against
+// the sequential reference.
 func TestParallelDivideIterProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	algos := division.Algorithms()
 	for trial := 0; trial < 50; trial++ {
 		r1 := relation.New(schema.New("a", "b"))
 		for i := 0; i < rng.Intn(120); i++ {
@@ -81,21 +78,20 @@ func TestParallelDivideIterProperty(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			r2.Insert(relation.Tuple{value.Int(int64(rng.Intn(9)))})
 		}
-		algo := algos[rng.Intn(len(algos))]
 		workers := 1 + rng.Intn(8)
 		node := &plan.ParallelDivide{
 			Dividend: plan.NewScan("r1", r1),
 			Divisor:  plan.NewScan("r2", r2),
-			Algo:     algo, Workers: workers,
+			Workers:  workers,
 		}
 		got, err := Run(context.Background(), Compile(node, NewStats()))
 		if err != nil {
-			t.Fatalf("trial %d (%s, workers=%d): %v", trial, algo, workers, err)
+			t.Fatalf("trial %d (workers=%d): %v", trial, workers, err)
 		}
-		want := division.DivideWith(algo, r1, r2)
+		want := division.Divide(r1, r2)
 		if !got.Equal(want) {
-			t.Fatalf("trial %d (%s, workers=%d): %d vs %d rows\nr1:\n%v\nr2:\n%v",
-				trial, algo, workers, got.Len(), want.Len(), r1, r2)
+			t.Fatalf("trial %d (workers=%d): %d vs %d rows\nr1:\n%v\nr2:\n%v",
+				trial, workers, got.Len(), want.Len(), r1, r2)
 		}
 	}
 }

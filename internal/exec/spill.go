@@ -477,11 +477,6 @@ func (g *graceDivide) close() {
 	g.done = true
 }
 
-// drained reports whether every partition has been divided and served.
-func (g *graceDivide) drained() bool {
-	return g.done && g.rPos >= len(g.results)
-}
-
 // graceBatch fills a pooled output batch from a graceDivide, the
 // shared NextBatch body of the budgeted division operators.
 func graceBatch(g *graceDivide, ctx context.Context, wb *windowBatcher, stats *Stats, label string) (*relation.Batch, error) {

@@ -11,7 +11,6 @@ import (
 
 	"divlaws/internal/datagen"
 	"divlaws/internal/division"
-	"divlaws/internal/parallel"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/value"
@@ -57,7 +56,7 @@ func TestExchangeStreamsBeforeSlowestPartition(t *testing.T) {
 	release := make(chan struct{})
 	var releaseOnce sync.Once
 	openGate := func() { releaseOnce.Do(func() { close(release) }) }
-	restore := parallel.SetPartitionGateForTesting(func(part int) {
+	restore := SetPartitionGateForTesting(func(part int) {
 		if part != 0 {
 			<-release
 		}
@@ -228,14 +227,14 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 		// stream and leave no goroutines behind.
 		baseline := runtime.NumGoroutine()
 		errBoom := errors.New("boom")
-		ex := startExchange(context.Background(), 2, func(ctx context.Context, send func([]relation.Tuple) error) error {
+		ex := startExchange(context.Background(), 2, 1, func(ctx context.Context, _ int, send func([]relation.Tuple) error) error {
 			for i := 0; i < 5; i++ {
 				if err := send([]relation.Tuple{{value.Int(int64(i))}}); err != nil {
 					return err
 				}
 			}
 			return errBoom
-		})
+		}, nil)
 		seen := 0
 		for {
 			ts, err := ex.nextBatch(0)
@@ -260,14 +259,14 @@ func TestExchangeGoroutineLeaks(t *testing.T) {
 		// reap the fan-out.
 		baseline := runtime.NumGoroutine()
 		errBoom := errors.New("boom")
-		ex := startExchange(context.Background(), 1, func(ctx context.Context, send func([]relation.Tuple) error) error {
+		ex := startExchange(context.Background(), 1, 1, func(ctx context.Context, _ int, send func([]relation.Tuple) error) error {
 			for i := 0; i < 100; i++ {
 				if err := send([]relation.Tuple{{value.Int(int64(i))}}); err != nil {
 					return err
 				}
 			}
 			return errBoom
-		})
+		}, nil)
 		if ts, err := ex.nextBatch(0); ts == nil || err != nil {
 			t.Fatalf("nextBatch = (%v, %v)", ts, err)
 		}

@@ -52,7 +52,7 @@ func Eval(n Node) *relation.Relation {
 	case *ParallelDivide:
 		// The same relation for any worker count: the oracle runs the
 		// sequential reference algorithm, not the fan-out it checks.
-		return Eval(&Divide{Dividend: t.Dividend, Divisor: t.Divisor, Algo: t.Algo})
+		return Eval(&Divide{Dividend: t.Dividend, Divisor: t.Divisor})
 	case *ParallelGreatDivide:
 		return Eval(&GreatDivide{Dividend: t.Dividend, Divisor: t.Divisor})
 	case *Sort:

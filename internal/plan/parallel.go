@@ -16,11 +16,10 @@ import (
 // rewrite is always safe.
 type ParallelDivide struct {
 	Dividend, Divisor Node
-	// Algo optionally pins the per-partition physical algorithm;
-	// empty means the engine default (hash-division).
-	Algo division.Algorithm
-	// Workers is the partition/goroutine count; 0 means GOMAXPROCS,
-	// 1 degrades to the sequential operator.
+	// Workers is the partition count, and so the most goroutines the
+	// exchange runs (one per non-empty partition); 0 means GOMAXPROCS.
+	// 1 still runs the exchange, with one partition divided by one
+	// worker goroutine.
 	Workers int
 }
 
@@ -39,7 +38,7 @@ func (d *ParallelDivide) Children() []Node { return []Node{d.Dividend, d.Divisor
 // WithChildren implements Node.
 func (d *ParallelDivide) WithChildren(ch []Node) Node {
 	mustArity("ParallelDivide", ch, 2)
-	return &ParallelDivide{Dividend: ch[0], Divisor: ch[1], Algo: d.Algo, Workers: d.Workers}
+	return &ParallelDivide{Dividend: ch[0], Divisor: ch[1], Workers: d.Workers}
 }
 
 // Partitioning describes the chosen partitioning strategy for
@@ -54,11 +53,7 @@ func (d *ParallelDivide) Partitioning() string {
 
 // String implements Node.
 func (d *ParallelDivide) String() string {
-	algo := d.Algo
-	if algo == "" {
-		algo = division.AlgoHash
-	}
-	return fmt.Sprintf("ParallelDivide[%s, workers=%d, %s]", algo, d.Workers, d.Partitioning())
+	return fmt.Sprintf("ParallelDivide[%s, workers=%d, %s]", division.AlgoHash, d.Workers, d.Partitioning())
 }
 
 // ParallelGreatDivide is the intra-operator parallel form of

@@ -43,7 +43,7 @@ func TestParallelDivideNode(t *testing.T) {
 		}
 	}
 	rebuilt := par.WithChildren(par.Children()).(*ParallelDivide)
-	if rebuilt.Workers != 3 || rebuilt.Algo != par.Algo {
+	if rebuilt.Workers != 3 {
 		t.Errorf("WithChildren dropped fields: %+v", rebuilt)
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 	"divlaws"
 	"divlaws/internal/datagen"
-	"divlaws/internal/parallel"
+	"divlaws/internal/exec"
 )
 
 const testQ1 = "SELECT s#, color FROM supplies AS s DIVIDE BY parts AS p ON s.p# = p.p#"
@@ -127,7 +127,7 @@ func gateAllBut0(t *testing.T) (release func()) {
 	ch := make(chan struct{})
 	var once sync.Once
 	release = func() { once.Do(func() { close(ch) }) }
-	restore := parallel.SetPartitionGateForTesting(func(part int) {
+	restore := exec.SetPartitionGateForTesting(func(part int) {
 		if part != 0 {
 			<-ch
 		}
@@ -208,7 +208,7 @@ func TestOrderedQueryReportsGuarantee(t *testing.T) {
 // expired context: goroutines return to baseline.
 func TestDeadlineExpiryMidStreamCancelsWorkers(t *testing.T) {
 	const stall = 2500 * time.Millisecond
-	restore := parallel.SetPartitionGateForTesting(func(part int) {
+	restore := exec.SetPartitionGateForTesting(func(part int) {
 		if part != 0 {
 			time.Sleep(stall)
 		}

@@ -80,7 +80,7 @@ func TestQueryLimit(t *testing.T) {
 // running to completion.
 func TestLimitOneCancelsParallelWorkers(t *testing.T) {
 	// The quotient must dwarf the exchange's batch granularity
-	// (parallel.EmitBatchSize tuples per handoff), so the workload is
+	// (relation.DefaultBatchCap tuples per handoff), so the workload is
 	// larger than openLarge's.
 	supplies, parts := datagen.SuppliersParts{
 		Suppliers: 3000, Parts: 40, Colors: 4, AvgSupplied: 20, Seed: 7,
