@@ -192,8 +192,8 @@ ON s.p# = p.p#`)
 }
 
 func TestExplainReportsPipeline(t *testing.T) {
-	// 2 workers: the 5-part divisor must hold at least 2 tuples per
-	// worker for Law 13 partitioning to engage.
+	// Threshold 1: every division parallelizes, so the report names
+	// its partitioning.
 	db := openSuppliers(WithWorkers(2), WithParallelThreshold(1))
 	ex, err := db.Explain(context.Background(), apiQ1)
 	if err != nil {

@@ -293,11 +293,11 @@ func BenchmarkParallelDivideExec(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelGreatDivideExec is the Law 13 exchange operator
+// BenchmarkParallelGreatDivideExec is the great divide exchange
 // through the compiled iterator across worker counts. Each worker
-// scans the replicated dividend against its divisor partition, so
-// total CPU grows with workers; wall-clock gains require the per-group
-// work to dominate, as the paper's proviso states.
+// divides its dividend partition against the replicated divisor;
+// wall-clock gains require the per-group work to dominate the
+// partitioning, as the paper's proviso states.
 func BenchmarkParallelGreatDivideExec(b *testing.B) {
 	g1, g2 := datagen.GreatDividePair{
 		Groups: 1500, GroupSize: 10,
@@ -318,6 +318,41 @@ func BenchmarkParallelGreatDivideExec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBudgetedDivideWorkers runs ÷ and ÷* under a 1 MiB memory
+// budget at one and two workers. Both dividends outgrow the budget, so
+// each division spills its dividend to partition runs; at two workers
+// the runs are divided on two goroutines at once.
+func BenchmarkBudgetedDivideWorkers(b *testing.B) {
+	r1, r2 := datagen.DividePair{
+		Groups: 4000, GroupSize: 10, DivisorSize: 12,
+		Domain: 200, HitRate: 0.25, Seed: 1,
+	}.Generate()
+	g1, g2 := datagen.GreatDividePair{
+		Groups: 4000, GroupSize: 10,
+		DivisorGroups: 32, DivisorGroupSize: 6,
+		Domain: 200, HitRate: 0.25, Seed: 1,
+	}.Generate()
+	for _, workers := range []int{1, 2} {
+		for _, tc := range []struct {
+			name string
+			node plan.Node
+		}{
+			{"divide", &plan.ParallelDivide{Dividend: plan.NewScan("r1", r1), Divisor: plan.NewScan("r2", r2), Workers: workers}},
+			{"great", &plan.ParallelGreatDivide{Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2), Workers: workers}},
+		} {
+			b.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					it := exec.CompileWith(tc.node, nil, exec.CompileOptions{MemoryLimit: 1 << 20})
+					if _, err := exec.Drain(context.Background(), it); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -503,8 +538,8 @@ func BenchmarkParallelDivideFirstRow(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelGreatDivideFirstRow is the Law 13 exchange's
-// time-to-first-row; see BenchmarkParallelDivideFirstRow.
+// BenchmarkParallelGreatDivideFirstRow is the great divide
+// exchange's time-to-first-row; see BenchmarkParallelDivideFirstRow.
 func BenchmarkParallelGreatDivideFirstRow(b *testing.B) {
 	g1, g2 := datagen.GreatDividePair{
 		Groups: 1500, GroupSize: 10,

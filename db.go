@@ -44,7 +44,7 @@ type config struct {
 type Option func(*config)
 
 // WithWorkers makes the planner parallelize large divisions across n
-// goroutines (the paper's Law 2/c2 and Law 13 partitionings). n < 2
+// goroutines (the paper's Law 2/c2 partitioning, for ÷ and ÷*). n < 2
 // keeps execution sequential.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 

@@ -47,18 +47,18 @@
 // The paper derives intra-operator parallelism from its laws (§5):
 // Law 2 under precondition c2 justifies hash-partitioning the
 // dividend on the quotient attributes and dividing the partitions
-// independently, and Law 13 justifies hash-partitioning the divisor
-// of a great divide on its group attributes. Both partitionings make
-// the respective law's precondition hold by construction, so the
-// parallel rewrites are always safe.
+// independently. The same holds for a great divide, whose verdict on
+// (a, c) depends only on a's dividend group and the whole divisor.
+// The partitioning makes c2 hold by construction, so the parallel
+// rewrites are always safe.
 //
 // The repository promotes these strategies into the whole pipeline:
 // internal/plan adds ParallelDivide and ParallelGreatDivide nodes;
 // internal/optimizer's Parallelize pass rewrites large divisions into
-// them above a cardinality threshold; internal/exec compiles both to
-// one streaming exchange iterator, which hash-partitions its input
-// while draining it and runs one goroutine per non-empty partition,
-// each feeding the incremental division state and emitting finished
+// them above a cardinality threshold; internal/exec compiles every
+// division to one operator, which hash-partitions the dividend while
+// draining it and runs up to one goroutine per worker, each feeding
+// a partition's incremental division state and emitting finished
 // quotient tuples into a bounded channel, so the first result row
 // surfaces as soon as the first partition resolves — never waiting on
 // the slowest worker — and the quotient is never materialized whole. Open(WithWorkers(n)) enables the pass for an
@@ -156,9 +156,9 @@
 // # Memory budgets and out-of-core execution
 //
 // WithMemoryLimit caps, per query, the bytes of input state the
-// blocking operators may hold live: the sort buffer, the hash
-// division states, the hash join's build side, and the inputs a
-// parallel exchange materializes. Streaming operators hold O(1) and
+// blocking operators may hold live: the sort buffer, a division's
+// buffered inputs and partition states (every worker's), and the hash
+// join's build side. Streaming operators hold O(1) and
 // top-k holds O(k); neither is charged. Under pressure the engine
 // degrades to disk instead of failing: a sort past its budget spills
 // sorted runs to temp files and k-way merges them back (tie-broken by
@@ -166,10 +166,11 @@
 // to in-memory execution), and the hash division and join operators
 // grace-hash partition their inputs to temp files and recurse per
 // partition, re-partitioning any partition that still exceeds the
-// budget on a fresh hash split. A parallel division under a budget
-// streams its partitioned input while charging it, and falls back to
-// the sequential grace path if even the partition buffers exceed the
-// limit.
+// budget on a fresh hash split. A parallel division spills through the
+// same partitioner and keeps all its workers: each worker's division
+// state is charged, and a partition that does not fit beside the
+// others' is left to the last worker, which divides the left-overs one
+// at a time with the whole budget.
 //
 // Results are always identical to unlimited execution. A query whose
 // irreducible state — the divisor, or a single key group after

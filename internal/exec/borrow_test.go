@@ -45,7 +45,7 @@ func disown(it BatchIterator) {
 	switch x := it.(type) {
 	case *ProductIter:
 		x.borrowed = false
-	case *HashDivideIter:
+	case *DivideIter:
 		disown(x.Dividend)
 	}
 }

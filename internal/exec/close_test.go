@@ -61,20 +61,20 @@ func TestIteratorCloseSafety(t *testing.T) {
 			return &ThetaJoinIter{Label: "tj", Left: scan(ab), Right: scan(cd), Pred: pred.Literal(true)}
 		}},
 		{"HashDivideIter", func() BatchIterator {
-			return &HashDivideIter{Label: "hd", Dividend: scan(ab), Divisor: scan(bOnly)}
+			return &DivideIter{Label: "hd", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
 		{"MergeGroupDivideIter", func() BatchIterator {
 			return &MergeGroupDivideIter{Label: "md", Dividend: scan(ab), Divisor: scan(bOnly)}
 		}},
 		// The great-divide variants (C = {c}) of the two operators.
 		{"GreatDivideIter", func() BatchIterator {
-			return &HashDivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
+			return &DivideIter{Label: "gd", Dividend: scan(ab), Divisor: scan(bc)}
 		}},
 		{"ParallelDivideIter", func() BatchIterator {
-			return &ParallelDivideIter{Label: "pd", Dividend: scan(ab), Divisor: scan(bOnly), Workers: 2}
+			return &DivideIter{Label: "pd", Dividend: scan(ab), Divisor: scan(bOnly), Workers: 2}
 		}},
 		{"ParallelGreatDivideIter", func() BatchIterator {
-			return &ParallelDivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
+			return &DivideIter{Label: "pgd", Dividend: scan(ab), Divisor: scan(bc), Workers: 2}
 		}},
 		{"GroupIter", func() BatchIterator {
 			return &GroupIter{Label: "g", Input: scan(ab), By: []string{"a"}}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 
 	"divlaws/internal/division"
 	"divlaws/internal/plan"
@@ -86,19 +87,19 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 // consumer in one of three categories:
 //
 //   - Drops its input, so the child may borrow: the root cursor, the
-//     unbudgeted hash ÷/÷* dividend (the division states do not retain
-//     a dividend tuple), the unbudgeted ÷ divisor (its index copies the
-//     B projection), and the probe sides of the product and the hash
-//     join (each probe tuple is only concatenated).
+//     ÷/÷* dividend unbudgeted at one worker (the division states do
+//     not retain a dividend tuple), the ÷ divisor likewise (its index
+//     copies the B projection), and the probe sides of the product and
+//     the hash join (each probe tuple is only concatenated).
 //   - Forwards the flag to its child, passing the child's tuples on as
 //     its own output: Filter, Rename, Limit, Project, the theta join's
 //     inner product, and the semi-join probe. (Only a full-width
 //     Project passes tuples on; a narrowing one copies what it emits,
 //     so forwarding is merely conservative for it.)
 //   - Keeps the child's tuples, so the child is always owned: everything
-//     else — the budgeted grace divide's buffers, the ÷* divisor, the
-//     product's right side, Sort, TopK, Group, the set operators and
-//     the exchange. An operator not yet checked by reading its code
+//     else — a budgeted or parallel division's buffers, the ÷* divisor,
+//     the product's right side, Sort, TopK, Group and the set
+//     operators. An operator not yet checked by reading its code
 //     belongs here.
 func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) BatchIterator {
 	switch t := n.(type) {
@@ -145,13 +146,13 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 		}
 	case *plan.TopK:
 		pos, desc := resolveSortKeys(t.Input.Schema(), t.Keys)
-		// Over a parallel exchange the bound is pushed into the
-		// partition workers: each keeps an O(k) heap and the exchange
-		// k-way merges the per-partition runs, so the operator IS the
-		// exchange — no separate heap above it. K <= 0 keeps the
-		// generic TopKIter, which never opens the subtree.
+		// Over a parallel division with workers the bound is pushed
+		// into them: each keeps an O(k) heap and the last k-way merges
+		// the runs, so the operator IS the division — no separate heap
+		// above it. K <= 0 keeps the generic TopKIter, which never
+		// opens the subtree; so does an inline division.
 		if t.K > 0 {
-			if p := compileExchange(t.Input, stats, label+"/topk-", label+".0", opts); p != nil {
+			if p := compileExchange(t.Input, stats, label+"/topk-", label+".0", opts); p != nil && p.Workers > 1 {
 				p.TopKN, p.TopKPos, p.TopKDesc = t.K, pos, desc
 				return p
 			}
@@ -255,9 +256,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 				}
 			}
 		}
-		return compileHashDivide("hashdivide", t.Dividend, t.Divisor, true, stats, label, opts)
+		return compileDivide("hashdivide", t.Dividend, t.Divisor, 1, stats, label+"/", label, opts)
 	case *plan.GreatDivide:
-		return compileHashDivide("greatdivide", t.Dividend, t.Divisor, false, stats, label, opts)
+		return compileDivide("greatdivide", t.Dividend, t.Divisor, 1, stats, label+"/", label, opts)
 	case *plan.ParallelDivide, *plan.ParallelGreatDivide:
 		return compileExchange(n, stats, label+"/", label, opts)
 	case *plan.Group:
@@ -281,19 +282,21 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 	}
 }
 
-// compileHashDivide lowers a Divide (small) or GreatDivide to the
-// hash division labelled kind. Without a budget neither division state
-// keeps a dividend tuple, and the ÷ state — the one a Divide gets, its
-// divisor schema being contained in the dividend's — keeps only a
-// copied projection of each divisor tuple, so those inputs may borrow;
-// the ÷* state keeps whole divisor tuples, and the budgeted grace
-// divide buffers both inputs.
-func compileHashDivide(kind string, dividend, divisor plan.Node, small bool, stats *Stats, label string, opts CompileOptions) *HashDivideIter {
-	unbudgeted := opts.Spill == nil
-	return &HashDivideIter{
-		Label:         label + "/" + kind,
-		Dividend:      compile(dividend, stats, label+".0", opts, unbudgeted),
-		Divisor:       compile(divisor, stats, label+".1", opts, unbudgeted && small),
+// compileDivide lowers a division to the DivideIter labelled prefix +
+// kind, with its inputs under childLabel. Unbudgeted at one worker the
+// operator buffers neither input: no division state keeps a dividend
+// tuple, and the ÷ state keeps only a copied projection of each
+// divisor tuple, so those inputs may borrow (the ÷* state keeps whole
+// divisor tuples). Otherwise both inputs are buffered, hence owned.
+func compileDivide(kind string, dividend, divisor plan.Node, workers int, stats *Stats, prefix, childLabel string, opts CompileOptions) *DivideIter {
+	inline := opts.Spill == nil && workers <= 1
+	small := divisor.Schema().SubsetOf(dividend.Schema())
+	return &DivideIter{
+		Label:         prefix + kind,
+		Dividend:      compile(dividend, stats, childLabel+".0", opts, inline),
+		Divisor:       compile(divisor, stats, childLabel+".1", opts, inline && small),
+		Workers:       workers,
+		Buffer:        opts.ExchangeBuffer,
 		Stats:         stats,
 		Every:         opts.CheckEvery,
 		Spill:         opts.Spill,
@@ -328,9 +331,10 @@ func SimulatedDividePlan(r1Name string, r1 *relation.Relation, r2Name string, r2
 }
 
 // compileExchange compiles a ParallelDivide or ParallelGreatDivide
-// node to the exchange operator labelled prefix + its kind, with its
-// inputs under childLabel; it returns nil for any other node.
-func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts CompileOptions) *ParallelDivideIter {
+// node to the DivideIter labelled prefix + its kind, with its inputs
+// under childLabel and Workers 0 resolved to GOMAXPROCS; it returns nil
+// for any other node.
+func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts CompileOptions) *DivideIter {
 	var (
 		dividend, divisor plan.Node
 		workers           int
@@ -344,15 +348,8 @@ func compileExchange(n plan.Node, stats *Stats, prefix, childLabel string, opts 
 	default:
 		return nil
 	}
-	return &ParallelDivideIter{
-		Label:         prefix + kind,
-		Dividend:      compile(dividend, stats, childLabel+".0", opts, false),
-		Divisor:       compile(divisor, stats, childLabel+".1", opts, false),
-		Workers:       workers,
-		Buffer:        opts.ExchangeBuffer,
-		Stats:         stats,
-		Every:         opts.CheckEvery,
-		Spill:         opts.Spill,
-		windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	return compileDivide(kind, dividend, divisor, workers, stats, prefix, childLabel, opts)
 }

@@ -59,7 +59,7 @@ func TestProductIterEmptyRight(t *testing.T) {
 func TestDivideItersRejectBadSchemasAtOpen(t *testing.T) {
 	good := &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})}
 	bad := &ScanIter{Rel: relation.Ints([]string{"z"}, [][]int64{{1}})}
-	h := &HashDivideIter{Dividend: good, Divisor: bad}
+	h := &DivideIter{Dividend: good, Divisor: bad}
 	if err := h.Open(context.Background()); err == nil {
 		t.Error("hash divide should reject schema violation")
 	}
@@ -67,7 +67,7 @@ func TestDivideItersRejectBadSchemasAtOpen(t *testing.T) {
 	if err := m.Open(context.Background()); err == nil {
 		t.Error("merge divide should reject schema violation")
 	}
-	g := &HashDivideIter{Dividend: bad, Divisor: bad}
+	g := &DivideIter{Dividend: bad, Divisor: bad}
 	if err := g.Open(context.Background()); err == nil {
 		t.Error("great divide should reject schema violation")
 	}
@@ -77,9 +77,9 @@ func TestDivideItersNotOpen(t *testing.T) {
 	r1 := &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})}
 	r2 := &ScanIter{Rel: relation.Ints([]string{"b"}, [][]int64{{1}})}
 	for _, it := range []BatchIterator{
-		&HashDivideIter{Dividend: r1, Divisor: r2},
+		&DivideIter{Dividend: r1, Divisor: r2},
 		&MergeGroupDivideIter{Dividend: r1, Divisor: r2},
-		&HashDivideIter{
+		&DivideIter{
 			Dividend: &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})},
 			Divisor:  &ScanIter{Rel: relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}})},
 		},

@@ -14,6 +14,7 @@ import (
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
+	"divlaws/internal/spill"
 	"divlaws/internal/value"
 )
 
@@ -148,7 +149,8 @@ func TestEmptyDividend(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkers: Workers 0 means GOMAXPROCS partitions.
+// TestDefaultWorkers: Workers 0 means GOMAXPROCS workers, inline when
+// that is 1.
 func TestDefaultWorkers(t *testing.T) {
 	r1, r2 := datagen.DividePair{
 		Groups: 100, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 1,
@@ -160,8 +162,8 @@ func TestDefaultWorkers(t *testing.T) {
 	if !got.Equal(division.Divide(r1, r2)) {
 		t.Error("workers=0 should use the default and stay correct")
 	}
-	if procs := runtime.GOMAXPROCS(0); parts < 1 || parts > procs {
-		t.Errorf("workers=0 emitted from %d partitions, want 1..%d", parts, procs)
+	if procs := runtime.GOMAXPROCS(0); procs == 1 && parts != 0 || procs > 1 && (parts < 1 || parts > procs) {
+		t.Errorf("workers=0 emitted from %d workers at GOMAXPROCS %d", parts, procs)
 	}
 }
 
@@ -250,8 +252,9 @@ func TestWorkersExceedPartitions(t *testing.T) {
 	}
 }
 
-// TestWorkerOneEquivalence pins the contract that workers=1 is one
-// partition divided by one worker, equal to the sequential division.
+// TestWorkerOneEquivalence pins the contract that workers=1 divides
+// inline, on the consumer's goroutine — no worker, so no per-worker
+// Stats entry — equal to the sequential division.
 func TestWorkerOneEquivalence(t *testing.T) {
 	r1, r2 := datagen.DividePair{
 		Groups: 120, GroupSize: 5, DivisorSize: 5,
@@ -277,8 +280,8 @@ func TestWorkerOneEquivalence(t *testing.T) {
 		if !got.EquivalentTo(tc.want) {
 			t.Errorf("%s: workers=1 diverged from sequential", tc.name)
 		}
-		if parts != 1 {
-			t.Errorf("%s: workers=1 emitted from %d partitions", tc.name, parts)
+		if parts != 0 {
+			t.Errorf("%s: workers=1 emitted from %d workers, want inline", tc.name, parts)
 		}
 	}
 }
@@ -320,7 +323,8 @@ func bigGreatDividePair() (r1, r2 *relation.Relation) {
 
 // stallAllPartitions installs a partition gate that holds every worker
 // until release is called, and returns a function waiting until n
-// workers are held. release is idempotent.
+// workers are held. release is idempotent, and once it has run the
+// gate lets every later partition through.
 func stallAllPartitions(t *testing.T, n int) (waitHeld func(), release func()) {
 	t.Helper()
 	held := make(chan int, n)
@@ -333,7 +337,10 @@ func stallAllPartitions(t *testing.T, n int) (waitHeld func(), release func()) {
 		}
 	}
 	restore := SetPartitionGateForTesting(func(part int) {
-		held <- part
+		select {
+		case held <- part:
+		default: // a worker past its first partition
+		}
 		<-gate
 	})
 	t.Cleanup(restore)
@@ -434,8 +441,8 @@ func TestPartitionedCtxMatchesSequentialWhenUncancelled(t *testing.T) {
 }
 
 // TestExchangeGoroutinesPerPartition pins the exchange's goroutine
-// budget: exactly one goroutine per non-empty partition — no
-// coordinator beside them — and none left after Close.
+// budget: exactly one goroutine per worker, here one per non-empty
+// partition — no coordinator beside them — and none left after Close.
 func TestExchangeGoroutinesPerPartition(t *testing.T) {
 	node, _ := streamFixture()
 	parts := node.Workers
@@ -455,4 +462,126 @@ func TestExchangeGoroutinesPerPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, baseline)
+}
+
+// divideRef is the sequential reference quotient of r1 ÷ r2, or of
+// r1 ÷* r2 when r2 has attributes outside r1.
+func divideRef(r1, r2 *relation.Relation) *relation.Relation {
+	if r2.Schema().SubsetOf(r1.Schema()) {
+		return division.Divide(r1, r2)
+	}
+	return division.GreatDivide(r1, r2)
+}
+
+// TestBudgetedExchangeSpillsInParallel: under a 64 KiB budget both
+// parallel divisions spill their dividend to runs and still divide on
+// two workers at once — both are held at the partition gate together —
+// instead of degrading to one sequential divider.
+func TestBudgetedExchangeSpillsInParallel(t *testing.T) {
+	r1, r2 := bigDividePair()
+	g1, g2 := bigGreatDividePair()
+	for _, in := range [][2]*relation.Relation{{r1, r2}, {g1, g2}} {
+		waitHeld, release := stallAllPartitions(t, 2)
+		tr := spill.NewTracker(64 << 10)
+		it := CompileWith(exchangeNode(in[0], in[1], 2), nil, CompileOptions{Spill: tr})
+		if err := it.Open(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		waitHeld()
+		release()
+		got := relation.New(it.Schema())
+		for {
+			tup, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got.Insert(tup.Clone())
+		}
+		it.Close()
+		st := tr.Snapshot()
+		tr.Close()
+		if st.Runs == 0 {
+			t.Errorf("÷ %v: nothing spilled under a 64 KiB budget", in[1].Schema())
+		}
+		if want := divideRef(in[0], in[1]); !got.EquivalentTo(want) {
+			t.Errorf("÷ %v: %d rows, want %d", in[1].Schema(), got.Len(), want.Len())
+		}
+	}
+}
+
+// TestBudgetedExchangeChargesStates sets the budget between the
+// buffered inputs' footprint and that plus the partition states: the
+// inputs fit, the workers' states do not, so the fan-out must spill —
+// which it can only notice if the states are charged — and still
+// equal the sequential quotient.
+func TestBudgetedExchangeChargesStates(t *testing.T) {
+	r1, r2 := datagen.DividePair{
+		Groups: 2000, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 11,
+	}.Generate()
+	g1, g2 := datagen.GreatDividePair{
+		Groups: 2000, GroupSize: 5, DivisorGroups: 4, DivisorGroupSize: 3, Domain: 40, HitRate: 0.3, Seed: 11,
+	}.Generate()
+	for _, in := range [][2]*relation.Relation{{r1, r2}, {g1, g2}} {
+		var inputs int64
+		for _, rel := range in {
+			for _, tup := range rel.Tuples() {
+				inputs += tup.Footprint()
+			}
+		}
+		st, err := division.NewState(in[0].Schema(), in[1].Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tup := range in[1].Tuples() {
+			st.AddDivisor(tup)
+		}
+		for _, tup := range in[0].Tuples() {
+			st.AddDividend(tup)
+		}
+		// Each of two workers' states is about half the whole one.
+		tr := spill.NewTracker(inputs + st.Bytes()/8)
+		stats := NewStats()
+		out, err := drainSeqErr(context.Background(), CompileWith(exchangeNode(in[0], in[1], 2), stats, CompileOptions{Spill: tr}))
+		snap := tr.Snapshot()
+		tr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Runs == 0 {
+			t.Errorf("÷ %v: the states' growth never spilled (peak %d of %d)", in[1].Schema(), snap.Peak, snap.Limit)
+		}
+		got := relation.New(quotientSchema(in[0].Schema(), in[1].Schema()))
+		for _, tup := range out {
+			got.Insert(tup)
+		}
+		if want := divideRef(in[0], in[1]); !got.EquivalentTo(want) {
+			t.Errorf("÷ %v: %d rows, want %d", in[1].Schema(), got.Len(), want.Len())
+		}
+	}
+}
+
+// TestGreatDivideOneGroupFansOut: ÷* partitions its dividend on A, so
+// a divisor with a single C group still spreads over the workers.
+func TestGreatDivideOneGroupFansOut(t *testing.T) {
+	var rows [][]int64
+	for a := int64(0); a < 64; a++ {
+		for b := int64(0); b < 3; b++ {
+			rows = append(rows, []int64{a, b})
+		}
+	}
+	r1 := relation.Ints([]string{"a", "b"}, rows)
+	r2 := relation.Ints([]string{"b", "c"}, [][]int64{{0, 7}, {1, 7}, {2, 7}})
+	got, parts, err := exchangeRun(context.Background(), r1, r2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := division.GreatDivide(r1, r2); !got.EquivalentTo(want) {
+		t.Errorf("%d rows, want %d", got.Len(), want.Len())
+	}
+	if parts < 2 {
+		t.Errorf("one divisor group ran on %d workers, want at least 2 of 4", parts)
+	}
 }

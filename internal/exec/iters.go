@@ -413,7 +413,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	if j.Spill != nil {
 		// Budgeted runs account the emit slab's live chunk too.
 		j.slab.Charge, j.slab.Release = j.Spill.Charge, j.Spill.Release
-		g := &graceJoin{tr: j.Spill, leftPos: j.leftPos, nk: len(rightPos), every: effEvery(j.Every)}
+		g := &graceJoin{tr: j.Spill, leftPos: j.leftPos, keyPos: identityPos(len(rightPos)), every: effEvery(j.Every)}
 		g.slab.Charge, g.slab.Release = j.Spill.Charge, j.Spill.Release
 		j.grace = g
 		j.gctx = ctx

@@ -200,7 +200,7 @@ func TestParallelDivideSchemaViolationErrors(t *testing.T) {
 	r1 := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})
 	baseline := runtime.NumGoroutine()
 	for _, in := range [][2]*relation.Relation{{r1, bad}, {bad, bad}} {
-		p := &ParallelDivideIter{Label: "pd", Dividend: &ScanIter{Rel: in[0]}, Divisor: &ScanIter{Rel: in[1]}, Workers: 2}
+		p := &DivideIter{Label: "pd", Dividend: &ScanIter{Rel: in[0]}, Divisor: &ScanIter{Rel: in[1]}, Workers: 2}
 		if err := p.Open(context.Background()); err == nil {
 			t.Errorf("%v ÷ %v: Open succeeded", in[0].Schema(), in[1].Schema())
 		}
@@ -211,16 +211,16 @@ func TestParallelDivideSchemaViolationErrors(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestHashScatterDisjoint checks the exchange's partitioning: hashed
-// chunk-at-a-time, every A key of a small-divide dividend and every C
-// group of a great-divide divisor lands in exactly one of the workers
-// partitions — Law 2's c2 and Law 13's πC-disjointness — with no tuple
-// lost, and each tuple goes where its own key hash sends it.
+// TestHashScatterDisjoint checks the division's partitioning: hashed
+// chunk-at-a-time, every A key of a small-divide dividend and of a
+// great-divide dividend lands in exactly one of the workers partitions
+// — Law 2's c2 — with no tuple lost, and each tuple goes where its own
+// key hash sends it.
 func TestHashScatterDisjoint(t *testing.T) {
 	r1, _ := datagen.DividePair{
 		Groups: 300, GroupSize: 5, DivisorSize: 5, Domain: 40, HitRate: 0.3, Seed: 2,
 	}.Generate()
-	_, g2 := datagen.GreatDividePair{
+	g1, _ := datagen.GreatDividePair{
 		Groups: 50, GroupSize: 4, DivisorGroups: 40, DivisorGroupSize: 4, Domain: 40, HitRate: 0.3, Seed: 2,
 	}.Generate()
 	const workers = 4
@@ -230,7 +230,7 @@ func TestHashScatterDisjoint(t *testing.T) {
 		key  []string
 	}{
 		{"dividend-on-A", r1, []string{"a"}},
-		{"divisor-on-C", g2, []string{"c"}},
+		{"great-dividend-on-A", g1, []string{"a"}},
 	} {
 		pos := tc.rel.Schema().Positions(tc.key)
 		home := map[string]int{}

@@ -9,9 +9,7 @@ import (
 	"strconv"
 	"sync"
 
-	"divlaws/internal/division"
 	"divlaws/internal/relation"
-	"divlaws/internal/schema"
 	"divlaws/internal/spill"
 )
 
@@ -22,9 +20,9 @@ import (
 // root cursor's Close; see FromBatch.)
 //
 // Budget model: only the operators whose live state grows with input
-// size charge the tracker — SortIter's sort buffer, the two hash
-// division states, the hash join's build side, and the parallel
-// exchanges' materialized inputs. Since PR 10 that accounting covers
+// size charge the tracker — SortIter's sort buffer, DivideIter's
+// buffered inputs and every partition's division state (each worker's
+// included), and the hash join's build side. The accounting covers
 // the hash-table backing arrays too (division states fold TableBytes
 // into Bytes; the grace join delta-charges its index table as it
 // grows) and the emit slabs' one live chunk (charged on refill,
@@ -131,388 +129,54 @@ func (m *sortMerge) Pop() any {
 	return s
 }
 
-// gracePart is one pending dividend partition run awaiting division.
-type gracePart struct {
-	run   *spill.Run
-	depth int
-}
-
-// graceDivide runs hash division under a memory budget with the
-// classic grace-hash degradation: the dividend is buffered in memory
-// (charged) while it fits; on budget pressure it is hash-partitioned
-// on the quotient attributes A into temp-file runs and each partition
-// divided independently against the full divisor, recursing on
-// partitions whose division state still exceeds the budget.
-// Partitioning on A is lossless for both division variants because a
-// quotient group's verdict depends only on its own tuples plus the
-// whole (replicated) divisor.
-//
-// The divisor itself must fit in the budget — it is replicated into
-// every partition's state, so spilling it cannot reduce the working
-// set. A divisor larger than the budget fails with spill.ErrBudget.
-//
-// The API is push-style (addDivisor/addDividend/finish/next) so the
-// exchange operator can fall back to it mid-drain.
-type graceDivide struct {
-	tr                      *spill.Tracker
-	dividendSch, divisorSch schema.Schema
-	aPos                    []int
-	every                   int
-
-	divisor    []relation.Tuple
-	divCharged int64
-
-	buf         []relation.Tuple
-	bufCharged  int64
-	partitioned bool
-	parts       []*gracePart
-	strs        *spill.StringCache // for reading the partition runs; set once partitioned
-
-	results   []relation.Tuple
-	rPos      int
-	stCharged int64
-	done      bool
-	pollN     int
-}
-
-// newGraceDivide returns an empty grace divider for dividend ÷ divisor
-// (÷* when C ≠ ∅) whose dividend partitions on the positions aPos of A.
-func newGraceDivide(tr *spill.Tracker, dividend, divisor schema.Schema, aPos []int, every int) *graceDivide {
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	return &graceDivide{tr: tr, dividendSch: dividend, divisorSch: divisor, aPos: aPos, every: every}
-}
-
-// addDivisor retains one divisor tuple, charged against the budget.
-func (g *graceDivide) addDivisor(t relation.Tuple) error {
-	fp := t.Footprint()
-	if err := g.tr.Charge(fp); err != nil {
-		if errors.Is(err, spill.ErrBudget) {
-			return fmt.Errorf("divisor does not fit in the memory budget (it is replicated into every grace partition): %w", err)
-		}
-		return err
-	}
-	g.divCharged += fp
-	g.divisor = append(g.divisor, t)
-	return nil
-}
-
-// addDividend buffers one dividend tuple, degrading to partition runs
-// at the first budget overflow.
-func (g *graceDivide) addDividend(ctx context.Context, t relation.Tuple) error {
-	if g.partitioned {
-		return g.writePart(t)
-	}
-	fp := t.Footprint()
-	err := g.tr.Charge(fp)
-	if err == nil {
-		g.bufCharged += fp
-		g.buf = append(g.buf, t)
-		return nil
-	}
-	if !errors.Is(err, spill.ErrBudget) {
-		return err
-	}
-	if err := g.spillBuffer(); err != nil {
-		return err
-	}
-	return g.writePart(t)
-}
-
-// spillBuffer converts the in-memory dividend buffer into depth-0
-// partition runs and releases its charge.
-func (g *graceDivide) spillBuffer() error {
-	parts := make([]*gracePart, spillFanout)
-	for i := range parts {
-		run, err := g.tr.NewRun()
-		if err != nil {
-			closeParts(parts)
-			return err
-		}
-		parts[i] = &gracePart{run: run}
-	}
-	g.parts = parts
-	g.partitioned = true
-	for _, t := range g.buf {
-		if err := g.writePart(t); err != nil {
-			return err
-		}
-	}
-	g.tr.Release(g.bufCharged)
-	g.bufCharged = 0
-	g.buf = nil
-	g.strs = g.tr.NewStringCache()
-	g.tr.AddPartitions(1)
-	return nil
-}
-
-// writePart routes a dividend tuple to its depth-0 partition run.
-// Valid only during the build phase, when g.parts holds exactly the
-// fanout depth-0 partitions.
-func (g *graceDivide) writePart(t relation.Tuple) error {
-	return g.parts[spillPart(t.Hash64Proj(g.aPos), 0)].run.Append(t)
-}
-
-// finish seals the input. If nothing spilled it runs the division in
-// memory, charging the state's growth — and degrades to partitioning
-// after all if the state itself (bitmaps, counters, group tables)
-// outgrows the budget even though the raw buffer fit.
-func (g *graceDivide) finish(ctx context.Context) error {
-	if g.partitioned {
-		return nil // partitions are divided lazily in next
-	}
-	st, charged, err := g.feedState(ctx, func(yield func(relation.Tuple) error) error {
-		for _, t := range g.buf {
-			if err := yield(t); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err == nil {
-		g.results = st.Result().Tuples()
-		g.stCharged = charged
-		g.tr.Release(g.bufCharged)
-		g.bufCharged = 0
-		g.buf = nil
-		g.done = true
-		return nil
-	}
-	if !errors.Is(err, spill.ErrBudget) {
-		return err
-	}
-	// The division state outgrew the budget even though the raw
-	// buffer fit: partition from the (still complete) buffer and
-	// divide per partition instead.
-	return g.spillBuffer()
-}
-
-// feedState builds a fresh division state from the divisor plus the
-// dividend tuples produced by src, charging the state's growth. On
-// success it returns the state and its outstanding charge; on any
-// error the charge has been released.
-func (g *graceDivide) feedState(ctx context.Context, src func(yield func(relation.Tuple) error) error) (division.State, int64, error) {
-	st, err := division.NewState(g.dividendSch, g.divisorSch)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, t := range g.divisor {
-		st.AddDivisor(t)
-	}
-	last := st.Bytes()
-	if err := g.tr.Charge(last); err != nil {
-		if errors.Is(err, spill.ErrBudget) {
-			return nil, 0, fmt.Errorf("division state for the divisor alone exceeds the memory budget: %w", err)
-		}
-		return nil, 0, err
-	}
-	charged := last
-	n := 0
-	err = src(func(t relation.Tuple) error {
-		st.AddDividend(t)
-		if now := st.Bytes(); now > last {
-			if err := g.tr.Charge(now - last); err != nil {
-				return err
-			}
-			charged += now - last
-			last = now
-		}
-		if n++; n >= g.every {
-			n = 0
-			return ctx.Err()
-		}
-		return nil
-	})
-	if err != nil {
-		g.tr.Release(charged)
-		return nil, 0, err
-	}
-	return st, charged, nil
-}
-
-// next returns the next quotient tuple, dividing pending partitions
-// lazily — at most one partition's division state is live at a time.
-func (g *graceDivide) next(ctx context.Context) (relation.Tuple, bool, error) {
-	for {
-		if g.rPos < len(g.results) {
-			t := g.results[g.rPos]
-			g.rPos++
-			return t, true, nil
-		}
-		// The served partition's results are done: drop its state
-		// charge before loading the next one.
-		g.tr.Release(g.stCharged)
-		g.stCharged = 0
-		g.results, g.rPos = nil, 0
-		if g.done || len(g.parts) == 0 {
-			g.done = true
-			return nil, false, nil
-		}
-		p := g.parts[0]
-		g.parts = g.parts[1:]
-		if err := g.processPart(ctx, p); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// processPart divides one partition run against the retained divisor.
-// If its state exceeds the budget the run is split one level deeper.
-// Tuples are read borrowed: AddDividend does not retain them.
-func (g *graceDivide) processPart(ctx context.Context, p *gracePart) error {
-	if p.run.Len() == 0 {
-		return p.run.Close()
-	}
-	if err := p.run.Rewind(); err != nil {
-		p.run.Close()
-		return err
-	}
-	st, charged, err := g.feedState(ctx, func(yield func(relation.Tuple) error) error {
-		for {
-			t, err := p.run.Next(g.strs)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if err := yield(t); err != nil {
-				return err
-			}
-		}
-	})
-	if err != nil {
-		if errors.Is(err, spill.ErrBudget) {
-			return g.splitPart(ctx, p)
-		}
-		p.run.Close()
-		return err
-	}
-	g.results = st.Result().Tuples()
-	g.rPos = 0
-	g.stCharged = charged
-	return p.run.Close()
-}
-
-// splitPart re-partitions a run one recursion level deeper and
-// prepends the children to the worklist (depth-first keeps the
-// pending-run count small).
-func (g *graceDivide) splitPart(ctx context.Context, p *gracePart) error {
-	children, err := splitRun(ctx, g.tr, g.strs, p.run, p.depth, g.every, func(t relation.Tuple) uint64 {
-		return t.Hash64Proj(g.aPos)
-	})
-	p.run.Close()
-	if err != nil {
-		return err
-	}
-	g.parts = append(children, g.parts...)
-	g.tr.AddPartitions(1)
-	return nil
-}
-
 // splitRun redistributes a partition run into spillFanout children at
 // depth+1 using a fresh slice of the given hash. It fails when the
 // recursion depth is exhausted — at that point the partition is
 // dominated by a single key group and splitting cannot shrink it.
 // Tuples are read borrowed: Append encodes them before the next read.
-func splitRun(ctx context.Context, tr *spill.Tracker, strs *spill.StringCache, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*gracePart, error) {
+func splitRun(ctx context.Context, tr *spill.Tracker, strs *spill.StringCache, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*spill.Run, error) {
 	next := depth + 1
 	if next > maxSpillDepth {
 		return nil, fmt.Errorf("exec: partition still exceeds the memory budget after %d recursive splits (one key group is larger than the budget): %w", maxSpillDepth, spill.ErrBudget)
 	}
-	children := make([]*gracePart, spillFanout)
+	children := make([]*spill.Run, spillFanout)
+	fail := func(err error) ([]*spill.Run, error) {
+		closeRuns(children)
+		return nil, err
+	}
 	for i := range children {
 		r, err := tr.NewRun()
 		if err != nil {
-			closeParts(children)
-			return nil, err
+			return fail(err)
 		}
-		children[i] = &gracePart{run: r, depth: next}
+		children[i] = r
 	}
 	if err := run.Rewind(); err != nil {
-		closeParts(children)
-		return nil, err
+		return fail(err)
 	}
-	n := 0
+	poll := poller(ctx, effEvery(every))
 	for {
 		t, err := run.Next(strs)
 		if err == io.EOF {
 			return children, nil
 		}
 		if err != nil {
-			closeParts(children)
-			return nil, err
+			return fail(err)
 		}
-		if err := children[spillPart(hash(t), next)].run.Append(t); err != nil {
-			closeParts(children)
-			return nil, err
+		if err := children[spillPart(hash(t), next)].Append(t); err != nil {
+			return fail(err)
 		}
-		if n++; n >= every {
-			n = 0
-			if err := ctx.Err(); err != nil {
-				closeParts(children)
-				return nil, err
-			}
+		if err := poll(); err != nil {
+			return fail(err)
 		}
 	}
 }
 
-func closeParts(parts []*gracePart) {
-	for _, p := range parts {
-		if p != nil {
-			p.run.Close()
+func closeRuns(runs []*spill.Run) {
+	for _, r := range runs {
+		if r != nil {
+			r.Close()
 		}
-	}
-}
-
-// close releases every outstanding charge and temp run. Idempotent.
-func (g *graceDivide) close() {
-	g.tr.Release(g.divCharged + g.bufCharged + g.stCharged)
-	g.divCharged, g.bufCharged, g.stCharged = 0, 0, 0
-	g.divisor, g.buf, g.results = nil, nil, nil
-	g.strs.Close()
-	closeParts(g.parts)
-	g.parts = nil
-	g.done = true
-}
-
-// graceBatch fills a pooled output batch from a graceDivide, the
-// shared NextBatch body of the budgeted division operators.
-func graceBatch(g *graceDivide, ctx context.Context, wb *windowBatcher, stats *Stats, label string) (*relation.Batch, error) {
-	out := wb.outBatch()
-	bound := wb.effectiveCap()
-	for out.Len() < bound {
-		t, ok, err := g.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out.Append(t)
-	}
-	if out.Len() == 0 {
-		return nil, nil
-	}
-	stats.count(label, int64(out.Len()))
-	return out, nil
-}
-
-// topKFromGrace drains a grace divider and keeps the k smallest
-// quotient tuples under the keyed order — the sequential fallback of a
-// budget-degraded top-k exchange, O(k) live beyond the divider itself.
-func topKFromGrace(ctx context.Context, g *graceDivide, pos []int, desc []bool, k int64) ([]relation.Tuple, error) {
-	h := relation.NewTopKHeap(int(k), relation.KeyedCompare(pos, desc))
-	for {
-		t, ok, err := g.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return h.Sorted(), nil
-		}
-		h.Add(t)
 	}
 }
 
@@ -532,7 +196,9 @@ type graceJoinPart struct {
 type graceJoin struct {
 	tr      *spill.Tracker
 	leftPos []int // probe-side key positions (original left schema)
-	nk      int   // key arity
+	// keyPos is [0, key arity): the key's positions in a stored build
+	// tuple, computed once so no per-tuple call allocates it.
+	keyPos  []int
 	every   int
 	charged int64
 	// tableBytes is the index hash-table footprint already folded into
@@ -629,12 +295,11 @@ func (g *graceJoin) chargeTableDelta() error {
 // index inserts one reordered build tuple (key ◦ extra) into the live
 // in-memory index.
 func (g *graceJoin) index(stored relation.Tuple) {
-	keyPos := identityPos(g.nk)
-	id, created := g.keyIx.IDProj(stored, keyPos)
+	id, created := g.keyIx.IDProj(stored, g.keyPos)
 	if created {
 		g.rows = append(g.rows, nil)
 	}
-	g.rows[id] = append(g.rows[id], stored[g.nk:])
+	g.rows[id] = append(g.rows[id], stored[len(g.keyPos):])
 }
 
 // identityPos returns [0, 1, ..., n-1].
@@ -687,7 +352,7 @@ func (g *graceJoin) flushBuild() error {
 // The key occupies positions 0..nk-1, so its projection hash equals
 // the probe side's Hash64Proj(leftPos).
 func (g *graceJoin) writeBuild(stored relation.Tuple) error {
-	return g.parts[spillPart(stored.Hash64Proj(identityPos(g.nk)), 0)].build.Append(stored)
+	return g.parts[spillPart(stored.Hash64Proj(g.keyPos), 0)].build.Append(stored)
 }
 
 // addProbe routes a probe-side (left) tuple to its depth-0 partition.
@@ -820,9 +485,8 @@ func (g *graceJoin) openPart(ctx context.Context, p *graceJoinPart) error {
 // splitPair re-partitions both runs of a pair one level deeper and
 // prepends the child pairs to the worklist.
 func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
-	keyPos := identityPos(g.nk)
 	builds, err := splitRun(ctx, g.tr, g.strs, p.build, p.depth, g.every, func(t relation.Tuple) uint64 {
-		return t.Hash64Proj(keyPos)
+		return t.Hash64Proj(g.keyPos)
 	})
 	p.build.Close()
 	if err != nil {
@@ -834,12 +498,12 @@ func (g *graceJoin) splitPair(ctx context.Context, p *graceJoinPart) error {
 	})
 	p.probe.Close()
 	if err != nil {
-		closeParts(builds)
+		closeRuns(builds)
 		return err
 	}
 	children := make([]*graceJoinPart, spillFanout)
 	for i := range children {
-		children[i] = &graceJoinPart{build: builds[i].run, probe: probes[i].run, depth: p.depth + 1}
+		children[i] = &graceJoinPart{build: builds[i], probe: probes[i], depth: p.depth + 1}
 	}
 	g.parts = append(children, g.parts...)
 	g.tr.AddPartitions(1)

@@ -470,3 +470,32 @@ func BenchmarkSpillPeakAlloc(b *testing.B) {
 	b.ReportMetric(float64(peak), "peak-heap-B")
 	b.ReportMetric(float64(budget), "budget-B")
 }
+
+// TestBudgetedJoinBuildAllocs: a budgeted hash join whose build side
+// fits indexes each build row without a heap allocation of its own, so
+// ten times the build rows over the same eight keys cost only the
+// slice and slab growth — not one allocation per row.
+func TestBudgetedJoinBuildAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		rows := make([][]int64, n)
+		for i := range rows {
+			rows[i] = []int64{int64(i % 8), int64(i)}
+		}
+		node := &plan.Join{
+			Left:  plan.NewScan("probe", relation.Ints([]string{"k", "x"}, [][]int64{{99, 0}})),
+			Right: plan.NewScan("build", relation.Ints([]string{"k", "p"}, rows)),
+		}
+		tr := spill.NewTracker(64 << 20)
+		defer tr.Close()
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Drain(context.Background(), CompileWith(node, nil, CompileOptions{Spill: tr})); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10000)
+	t.Logf("1k -> 10k build rows: %.0f -> %.0f allocations", small, large)
+	if grew := large - small; grew > 200 {
+		t.Errorf("1k -> 10k build rows adds %.0f allocations, want at most 200", grew)
+	}
+}

@@ -136,8 +136,8 @@ func TestTopKExchangeMatchesSequential(t *testing.T) {
 		// DIVLAWS_FORCE_SPILL is set: this test asserts the fused
 		// exchange structure, which a budget wrapper would hide.
 		it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-		if _, ok := it.Input.(*ParallelDivideIter); !ok {
-			t.Fatalf("compiled to %T, want the fused ParallelDivideIter", it.Input)
+		if p, ok := it.Input.(*DivideIter); !ok || p.TopKN != 17 {
+			t.Fatalf("compiled to %T, want the fused DivideIter", it.Input)
 		}
 		got := drainSeq(t, it)
 		if len(got) != len(want) {
@@ -197,8 +197,8 @@ func TestTopKExchangeHugeLimit(t *testing.T) {
 	}
 }
 
-// TestTopKGreatDivideExchange covers the Law 13 exchange's fused
-// form.
+// TestTopKGreatDivideExchange covers the great divide exchange's
+// fused form.
 func TestTopKGreatDivideExchange(t *testing.T) {
 	g1, g2 := datagen.GreatDividePair{
 		Groups: 400, GroupSize: 8,
@@ -220,8 +220,8 @@ func TestTopKGreatDivideExchange(t *testing.T) {
 		K:    9,
 	}
 	it := CompileWith(node, nil, CompileOptions{MemoryLimit: -1})
-	if p, ok := it.Input.(*ParallelDivideIter); !ok || p.TopKN != 9 {
-		t.Fatalf("compiled to %T, want the fused ParallelDivideIter", it.Input)
+	if p, ok := it.Input.(*DivideIter); !ok || p.TopKN != 9 {
+		t.Fatalf("compiled to %T, want the fused DivideIter", it.Input)
 	}
 	want := plan.SortedTuples(quotient, keys)[:9]
 	got := drainSeq(t, it)

@@ -127,11 +127,10 @@ func Estimated(n plan.Node) Estimate {
 		if w < 1 {
 			w = 1
 		}
-		// Law 13 replicates the dividend across workers; the model
-		// optimistically assumes the per-group division work — not
-		// the replicated scan — dominates and divides by w, which is
-		// exactly the regime (per §5.2.1) where the rewrite should
-		// fire at all.
+		// Each worker divides its share of the dividend against the
+		// replicated divisor; the model divides the divisor's work by
+		// w too, optimistic only for a divisor that is small — the
+		// regime (per §5.2.1) where the rewrite should fire at all.
 		divide := (d.Rows + v.Rows) * hashWeight / w
 		overhead := v.Rows*partitionWeight + rows*hashWeight
 		return Estimate{Rows: rows, Cost: d.Cost + v.Cost + divide + overhead}

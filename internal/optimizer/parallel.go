@@ -24,12 +24,12 @@ type ParallelOptions struct {
 
 // Parallelize rewrites Divide and GreatDivide nodes whose estimated
 // dividend cardinality exceeds the threshold into their intra-
-// operator parallel forms, the rewrites the paper derives from Law 2
-// under c2 (hash partitioning on the quotient attributes) and Law
-// 13 (hash partitioning on the divisor group attributes). Both are
-// safe unconditionally — the partitioning establishes the laws'
-// preconditions by construction — so the threshold is purely a cost
-// heuristic. The trace records each rewrite like a rule application.
+// operator parallel forms, the rewrite the paper derives from Law 2
+// under c2: hash partitioning the dividend on the quotient attributes,
+// which serves ÷* as well (see plan.ParallelGreatDivide). It is safe
+// unconditionally — the partitioning establishes c2 by construction —
+// so the threshold is purely a cost heuristic. The trace records each
+// rewrite like a rule application.
 //
 // The pass is limit-aware by design: divisions beneath a plan.Limit
 // are still parallelized, because the exchange operators stream —
@@ -50,34 +50,18 @@ func Parallelize(n plan.Node, opts ParallelOptions) (plan.Node, []Applied) {
 	var trace []Applied
 	out := plan.Transform(n, func(node plan.Node) plan.Node {
 		switch t := node.(type) {
-		case *plan.Divide:
-			if Rows(t.Dividend) < threshold {
+		case *plan.Divide, *plan.GreatDivide:
+			ch := node.Children()
+			if Rows(ch[0]) < threshold {
 				return node
 			}
-			rewritten := &plan.ParallelDivide{
-				Dividend: t.Dividend, Divisor: t.Divisor, Workers: opts.Workers,
+			var rewritten plan.Node = &plan.ParallelDivide{Dividend: ch[0], Divisor: ch[1], Workers: opts.Workers}
+			if _, great := node.(*plan.GreatDivide); great {
+				rewritten = &plan.ParallelGreatDivide{Dividend: ch[0], Divisor: ch[1], Workers: opts.Workers}
 			}
 			trace = append(trace, Applied{
 				Rule:   fmt.Sprintf("Parallelize(Law 2/c2, workers=%d)", opts.Workers),
-				Before: t.String(),
-				Gain:   Cost(node) - Cost(rewritten),
-			})
-			return rewritten
-		case *plan.GreatDivide:
-			// Law 13 parallelizes across the divisor, so beyond the
-			// dividend threshold the divisor must have enough tuples
-			// to partition — mirroring the executor, which degrades
-			// to sequential below 2 tuples per worker (and EXPLAIN
-			// should not promise parallelism that will not happen).
-			if Rows(t.Dividend) < threshold || Rows(t.Divisor) < float64(2*opts.Workers) {
-				return node
-			}
-			rewritten := &plan.ParallelGreatDivide{
-				Dividend: t.Dividend, Divisor: t.Divisor, Workers: opts.Workers,
-			}
-			trace = append(trace, Applied{
-				Rule:   fmt.Sprintf("Parallelize(Law 13, workers=%d)", opts.Workers),
-				Before: t.String(),
+				Before: node.String(),
 				Gain:   Cost(node) - Cost(rewritten),
 			})
 			return rewritten

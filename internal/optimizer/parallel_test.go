@@ -74,11 +74,18 @@ func TestParallelizeGreatDivide(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T, want *plan.ParallelGreatDivide", got)
 	}
-	if len(trace) != 1 || !strings.Contains(trace[0].Rule, "Law 13") {
-		t.Errorf("trace = %+v, want one Law 13 application", trace)
+	if len(trace) != 1 || !strings.Contains(trace[0].Rule, "Law 2/c2") {
+		t.Errorf("trace = %+v, want one Law 2/c2 application", trace)
 	}
 	if !plan.Eval(pgd).EquivalentTo(plan.Eval(node)) {
 		t.Error("parallelized great divide changed the result")
+	}
+	// The dividend is what gets partitioned, so a divisor with fewer
+	// tuples than workers does not hold the rewrite back.
+	one := &plan.GreatDivide{Dividend: node.Dividend, Divisor: plan.NewScan("one", relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}}))}
+	got, _ = Parallelize(one, ParallelOptions{Workers: 4, Threshold: 1})
+	if _, ok := got.(*plan.ParallelGreatDivide); !ok {
+		t.Errorf("one-tuple divisor: got %T, want *plan.ParallelGreatDivide", got)
 	}
 }
 

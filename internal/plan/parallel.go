@@ -10,16 +10,15 @@ import (
 
 // ParallelDivide is the intra-operator parallel form of Divide: the
 // dividend is hash-partitioned on the quotient attributes A across
-// Workers goroutines, each partition divided independently, and the
-// quotients unioned. The partitioning makes precondition c2 of Law 2
-// hold between any two partitions by construction (§5.1.1), so the
-// rewrite is always safe.
+// Workers goroutines, each partition divided independently against
+// the replicated divisor, and the quotients unioned. The partitioning
+// makes precondition c2 of Law 2 hold between any two partitions by
+// construction (§5.1.1), so the rewrite is always safe.
 type ParallelDivide struct {
 	Dividend, Divisor Node
-	// Workers is the partition count, and so the most goroutines the
-	// exchange runs (one per non-empty partition); 0 means GOMAXPROCS.
-	// 1 still runs the exchange, with one partition divided by one
-	// worker goroutine.
+	// Workers is the most goroutines the division runs; 0 means
+	// GOMAXPROCS, and 1 divides inline, on the consumer's goroutine,
+	// exactly as Divide does.
 	Workers int
 }
 
@@ -41,10 +40,13 @@ func (d *ParallelDivide) WithChildren(ch []Node) Node {
 	return &ParallelDivide{Dividend: ch[0], Divisor: ch[1], Workers: d.Workers}
 }
 
-// Partitioning describes the chosen partitioning strategy for
-// EXPLAIN output: hash partitioning on the quotient attributes.
-func (d *ParallelDivide) Partitioning() string {
-	split, err := division.SmallSplit(d.Dividend.Schema(), d.Divisor.Schema())
+// Partitioning describes the partitioning for EXPLAIN output.
+func (d *ParallelDivide) Partitioning() string { return partitioning(d.Dividend, d.Divisor) }
+
+// partitioning is the one partitioning of both parallel divisions:
+// the dividend hash-partitioned on the quotient attributes A.
+func partitioning(dividend, divisor Node) string {
+	split, err := division.SplitOf(dividend.Schema(), divisor.Schema())
 	if err != nil {
 		return "hash(?)"
 	}
@@ -57,14 +59,18 @@ func (d *ParallelDivide) String() string {
 }
 
 // ParallelGreatDivide is the intra-operator parallel form of
-// GreatDivide: the dividend is replicated, the divisor hash-
-// partitioned on its group attributes C across Workers goroutines,
-// and the per-partition quotients unioned. Hash partitioning keeps
-// every divisor group in one partition, so the πC-disjointness
-// premise of Law 13 holds by construction (§5.2.1).
+// GreatDivide, partitioned like ParallelDivide: the dividend is
+// hash-partitioned on the quotient attributes A, the divisor
+// replicated, and the per-partition quotients unioned. Whether (a, c)
+// belongs to r1 ÷* r2 depends only on a's group of the dividend and on
+// the whole divisor, so c2's argument for Law 2 carries over: the
+// partitions' quotients are disjoint and their union is the quotient.
+// (Law 13's partitioning of the divisor on C would copy the dividend,
+// the large input, to every worker.)
 type ParallelGreatDivide struct {
 	Dividend, Divisor Node
-	Workers           int
+	// Workers is as in ParallelDivide.
+	Workers int
 }
 
 // Schema implements Node.
@@ -85,15 +91,8 @@ func (d *ParallelGreatDivide) WithChildren(ch []Node) Node {
 	return &ParallelGreatDivide{Dividend: ch[0], Divisor: ch[1], Workers: d.Workers}
 }
 
-// Partitioning describes the chosen partitioning strategy for
-// EXPLAIN output: hash partitioning on the divisor group attributes.
-func (d *ParallelGreatDivide) Partitioning() string {
-	split, err := division.GreatSplit(d.Dividend.Schema(), d.Divisor.Schema())
-	if err != nil {
-		return "hash(?)"
-	}
-	return fmt.Sprintf("hash(%s)", strings.Join(split.C.Attrs(), ", "))
-}
+// Partitioning describes the partitioning for EXPLAIN output.
+func (d *ParallelGreatDivide) Partitioning() string { return partitioning(d.Dividend, d.Divisor) }
 
 // String implements Node.
 func (d *ParallelGreatDivide) String() string {

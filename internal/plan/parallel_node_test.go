@@ -60,7 +60,7 @@ func TestParallelGreatDivideNode(t *testing.T) {
 		t.Error("ParallelGreatDivide Eval diverged from GreatDivide")
 	}
 	s := par.String()
-	for _, want := range []string{"workers=5", "hash(c)"} {
+	for _, want := range []string{"workers=5", "hash(a)"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}

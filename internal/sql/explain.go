@@ -114,27 +114,29 @@ func rulesFor(opts ExplainOptions) []laws.Rule {
 // naming the per-partition pushdown.
 func writePartitioning(b *strings.Builder, n plan.Node) {
 	plan.Transform(n, func(node plan.Node) plan.Node {
-		switch t := node.(type) {
-		case *plan.ParallelDivide:
-			fmt.Fprintf(b, "   partitioning: %s across %d workers (Law 2/c2)\n", t.Partitioning(), t.Workers)
-		case *plan.ParallelGreatDivide:
-			fmt.Fprintf(b, "   partitioning: %s across %d workers (Law 13)\n", t.Partitioning(), t.Workers)
-		case *plan.TopK:
-			if t.K <= 0 {
-				// The compiler only fuses a positive bound into the
-				// exchange; k=0 runs as a generic TopKIter that never
-				// opens the subtree.
-				return node
-			}
-			switch in := t.Input.(type) {
-			case *plan.ParallelDivide:
+		if workers, part, ok := exchange(node); ok {
+			fmt.Fprintf(b, "   partitioning: %s across %d workers (Law 2/c2)\n", part, workers)
+		} else if t, ok := node.(*plan.TopK); ok && t.K > 0 {
+			// The compiler only fuses a positive bound into the
+			// exchange; k=0 runs as a generic TopKIter that never
+			// opens the subtree.
+			if workers, part, ok := exchange(t.Input); ok {
 				fmt.Fprintf(b, "   top-k: per-partition heap(k=%d) in %d workers over %s, k-way merge at the consumer\n",
-					t.K, in.Workers, in.Partitioning())
-			case *plan.ParallelGreatDivide:
-				fmt.Fprintf(b, "   top-k: per-partition heap(k=%d) in %d workers over %s, k-way merge at the consumer\n",
-					t.K, in.Workers, in.Partitioning())
+					t.K, workers, part)
 			}
 		}
 		return node
 	})
+}
+
+// exchange reports the workers and partitioning of a parallel
+// division node.
+func exchange(n plan.Node) (workers int, partitioning string, ok bool) {
+	switch t := n.(type) {
+	case *plan.ParallelDivide:
+		return t.Workers, t.Partitioning(), true
+	case *plan.ParallelGreatDivide:
+		return t.Workers, t.Partitioning(), true
+	}
+	return 0, "", false
 }

@@ -105,7 +105,7 @@ func TestExplainParallelizeOnly(t *testing.T) {
 			t.Errorf("law rule fired without Optimize: %s", line)
 		}
 	}
-	if !strings.Contains(ex.Report, "Parallelize(Law 13") {
+	if !strings.Contains(ex.Report, "Parallelize(Law 2/c2") {
 		t.Errorf("parallelize pass did not fire:\n%s", ex.Report)
 	}
 }
