@@ -166,11 +166,13 @@
 // to in-memory execution), and the hash division and join operators
 // grace-hash partition their inputs to temp files and recurse per
 // partition, re-partitioning any partition that still exceeds the
-// budget on a fresh hash split. A parallel division spills through the
-// same partitioner and keeps all its workers: each worker's division
-// state is charged, and a partition that does not fit beside the
-// others' is left to the last worker, which divides the left-overs one
-// at a time with the whole budget.
+// budget on a fresh hash split. A spilled join joins each partition
+// pair with its own in-memory build and probe loop, so it charges and
+// emits exactly as the in-memory join does. A parallel division spills
+// through the same partitioner and keeps all its workers: each
+// worker's division state is charged, and a partition that does not
+// fit beside the others' is left to the last worker, which divides the
+// left-overs one at a time with the whole budget.
 //
 // Results are always identical to unlimited execution. A query whose
 // irreducible state — the divisor, or a single key group after

@@ -263,7 +263,7 @@ func (f *FilterBatch) Schema() schema.Schema { return f.Input.Schema() }
 //
 // A projection onto all of its input's columns cannot merge two
 // distinct tuples, and every operator's output is a set (see
-// HashSetOpIter), so Open drops the hash set for it: a permutation
+// HashJoinIter), so Open drops the hash set for it: a permutation
 // fills the output batch without an index, the identity hands the
 // child's batch on as it is. Both still count their rows under Label.
 type ProjectBatch struct {

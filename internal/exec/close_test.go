@@ -46,7 +46,7 @@ func TestIteratorCloseSafety(t *testing.T) {
 			return &UnionIter{Label: "u", Left: scan(ab), Right: scan(ab2)}
 		}},
 		{"HashSetOpIter", func() BatchIterator {
-			return &HashSetOpIter{Label: "s", Left: scan(ab), Right: scan(ab2), Keep: true}
+			return &SemiJoinIter{Label: "s", Left: scan(ab), Right: scan(ab2), Keep: true, SetOp: "intersection"}
 		}},
 		{"ProductIter", func() BatchIterator {
 			return &ProductIter{Label: "x", Left: scan(ab), Right: scan(cd)}

@@ -175,9 +175,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 		case plan.UnionOp:
 			return &UnionIter{Label: label + "/union", Left: l, Right: r, Stats: stats, windowBatcher: wb}
 		case plan.IntersectOp:
-			return &HashSetOpIter{Label: label + "/intersect", Left: l, Right: r, Keep: true, Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
+			return &SemiJoinIter{Label: label + "/intersect", Left: l, Right: r, Keep: true, SetOp: "intersection", Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
 		default:
-			return &HashSetOpIter{Label: label + "/diff", Left: l, Right: r, Keep: false, Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
+			return &SemiJoinIter{Label: label + "/diff", Left: l, Right: r, Keep: false, SetOp: "difference", Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
 		}
 	case *plan.Product:
 		return &ProductIter{

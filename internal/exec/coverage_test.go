@@ -36,9 +36,10 @@ func (truePred) Attrs() []string                         { return nil }
 func (truePred) String() string                          { return "TRUE" }
 
 func TestHashSetOpIncompatibleSchemas(t *testing.T) {
-	op := &HashSetOpIter{
+	op := &SemiJoinIter{
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, nil)},
 		Right: &ScanIter{Rel: relation.Ints([]string{"z"}, nil)},
+		SetOp: "difference",
 	}
 	if err := op.Open(context.Background()); err == nil {
 		t.Error("expected schema error")
@@ -94,9 +95,10 @@ func TestDivideItersNotOpen(t *testing.T) {
 }
 
 func TestRunPropagatesOpenError(t *testing.T) {
-	op := &HashSetOpIter{
+	op := &SemiJoinIter{
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, nil)},
 		Right: &ScanIter{Rel: relation.Ints([]string{"z"}, nil)},
+		SetOp: "difference",
 	}
 	if _, err := Run(context.Background(), &FromBatch{Input: op}); err == nil {
 		t.Error("Run must surface Open errors")

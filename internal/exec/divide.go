@@ -332,34 +332,33 @@ func (d *DivideIter) partition(ctx context.Context) error {
 // depth-0 runs, routed on the lowest hash bits, and releases their
 // charge. On error the buffers are left as they were.
 func (d *DivideIter) spillRows(parts []*divPart) ([]*divPart, error) {
-	runs := make([]*divPart, spillFanout)
-	fail := func(err error) ([]*divPart, error) {
-		for _, r := range runs {
-			if r != nil {
-				r.drop(d.Spill)
+	runs, err := fanOut(d.Spill, func(runs []*spill.Run) error {
+		for _, p := range parts {
+			for _, t := range p.rows {
+				if err := runs[spillPart(t.Hash64Proj(d.aPos), 0)].Append(t); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	for i := range runs {
-		r, err := d.Spill.NewRun()
-		if err != nil {
-			return fail(err)
-		}
-		runs[i] = &divPart{run: r}
-	}
-	for _, p := range parts {
-		for _, t := range p.rows {
-			if err := runs[spillPart(t.Hash64Proj(d.aPos), 0)].run.Append(t); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	for _, p := range parts {
 		p.drop(d.Spill)
 	}
 	d.Spill.AddPartitions(1)
-	return runs, nil
+	return runParts(runs, 0), nil
+}
+
+// runParts wraps split runs as the partitions at depth.
+func runParts(runs []*spill.Run, depth int) []*divPart {
+	parts := make([]*divPart, len(runs))
+	for i, r := range runs {
+		parts[i] = &divPart{run: r, depth: depth}
+	}
+	return parts
 }
 
 // feed builds a fresh division state from the divisor and p's dividend
@@ -446,11 +445,7 @@ func (d *DivideIter) nextState(ctx context.Context, queue *[]*divPart, w int) (d
 			return nil, 0, err
 		}
 		p.drop(d.Spill)
-		children := make([]*divPart, len(runs))
-		for i, r := range runs {
-			children[i] = &divPart{run: r, depth: p.depth + 1}
-		}
-		*queue = append(nonEmpty(children), (*queue)[1:]...)
+		*queue = append(nonEmpty(runParts(runs, p.depth+1)), (*queue)[1:]...)
 		d.Spill.AddPartitions(1)
 	}
 	return nil, 0, nil

@@ -176,7 +176,7 @@ func TestIteratorProtocolErrors(t *testing.T) {
 		&ScanIter{Rel: r},
 		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&UnionIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
-		&HashSetOpIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
+		&SemiJoinIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}, SetOp: "difference"},
 	}
 	for _, it := range iters {
 		if _, err := it.NextBatch(); err == nil {

@@ -133,91 +133,6 @@ func (u *UnionIter) Close() error {
 // Schema implements BatchIterator.
 func (u *UnionIter) Schema() schema.Schema { return u.Left.Schema() }
 
-// HashSetOpIter implements intersection and difference by building a
-// hash set over the right input, then streaming the left: NextBatch
-// probes a whole left batch against the build set at once
-// (relation.TupleIndex.LookupBatch) and emits survivors into a pooled
-// output batch.
-//
-// Every operator's output is a set (the operators whose construction
-// could create duplicates — Project, Union, the divisions — dedup
-// internally), so the streamed left input is distinct and both
-// results, being subsets of it, need no output dedup — like
-// ProductIter, the emit path trusts that invariant.
-type HashSetOpIter struct {
-	Label       string
-	Left, Right BatchIterator
-	Keep        bool // true: intersect (keep hits); false: diff (keep misses)
-	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
-	windowBatcher
-	rightKeys *relation.TupleIndex
-	ids       []int
-}
-
-// Open implements BatchIterator.
-func (h *HashSetOpIter) Open(ctx context.Context) error {
-	if !h.Left.Schema().EqualSet(h.Right.Schema()) {
-		return schemaErr("set operator", h.Left.Schema(), h.Right.Schema())
-	}
-	if err := h.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := h.Right.Open(ctx); err != nil {
-		return err
-	}
-	pos := h.Right.Schema().Positions(h.Left.Schema().Attrs())
-	h.rightKeys = new(relation.TupleIndex)
-	return drainEvery(ctx, h.Right, h.Every, func(t relation.Tuple) error {
-		h.rightKeys.IDProj(t, pos)
-		return nil
-	})
-}
-
-// NextBatch implements BatchIterator: the whole probe batch is hashed
-// against the build set in one pass, survivors emitted into a pooled
-// output batch. The armed row budget flows to the probe side (the
-// probe phase only shrinks batches).
-func (h *HashSetOpIter) NextBatch() (*relation.Batch, error) {
-	if h.rightKeys == nil {
-		return nil, errNotOpen("HashSetOpIter")
-	}
-	for {
-		ts, err := pull(h.Left, h.budget)
-		if err != nil || ts == nil {
-			return nil, err
-		}
-		h.ids = h.rightKeys.LookupBatch(ts, h.ids[:0])
-		out := h.outBatch()
-		for i, t := range ts {
-			if (h.ids[i] >= 0) == h.Keep {
-				out.Append(t)
-			}
-		}
-		if n := out.Len(); n > 0 {
-			h.Stats.count(h.Label, int64(n))
-			return out, nil
-		}
-	}
-}
-
-// Close implements BatchIterator.
-func (h *HashSetOpIter) Close() error {
-	h.rightKeys, h.ids = nil, nil
-	h.release()
-	err1 := h.Left.Close()
-	err2 := h.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements BatchIterator.
-func (h *HashSetOpIter) Schema() schema.Schema { return h.Left.Schema() }
-
 // ProductIter is a blocking nested-loop Cartesian product: the right
 // input is materialized, the left streamed: NextBatch pulls the probe
 // (left) side a batch at a time and fills a pooled output batch with
@@ -340,7 +255,7 @@ func (p *ProductIter) Schema() schema.Schema {
 
 // HashJoinIter is a natural hash join: build on the right input's
 // common-attribute key, probe with the left: NextBatch streams whole
-// probe batches from the left child, probing each row at its cursor
+// probe batches from its probe source, probing each row at its cursor
 // advance and emitting concatenated matches into a pooled output
 // batch.
 //
@@ -348,12 +263,21 @@ func (p *ProductIter) Schema() schema.Schema {
 // tuples are distinct and each build key's extras are distinct
 // (key+extra is the whole right tuple), making every concatenation
 // distinct — the same invariant ProductIter's emit path trusts.
+//
+// Under a budget the build is charged row by row. At the first refusal
+// the index and the rest of the build side go to spillFanout runs
+// partitioned on the key, and the probe side to the matching runs
+// (grace hash). Each pair of runs is then one smaller instance of the
+// same join: the same build over a reader of its build run, then the
+// same probe loop over a reader of its probe run. A pair whose build
+// overflows again is split one level deeper on fresh hash bits, up to
+// maxSpillDepth.
 type HashJoinIter struct {
 	Label       string
 	Left, Right BatchIterator
 	Stats       *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
+	// Every is the cooperative ctx-poll interval of the build drain and
+	// the spilled runs' reads, in tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the build side: on budget pressure
 	// both sides grace-hash partition to temp files and the partition
@@ -363,27 +287,47 @@ type HashJoinIter struct {
 	Spill *spill.Tracker
 	windowBatcher
 
-	out         schema.Schema
-	leftPos     []int
-	extraPos    []int
-	keyIx       *relation.TupleIndex
-	rows        [][]relation.Tuple
-	cur         relation.Tuple
-	matches     []relation.Tuple
-	mIdx        int
-	isProduct   bool
-	prod        *ProductIter
-	probe       []relation.Tuple
-	pPos        int
-	grace       *graceJoin
-	graceStream bool
-	gctx        context.Context
-	slab        relation.Slab // emit allocator; output tuples are sliced from it
+	out                         schema.Schema
+	leftPos, rightPos, extraPos []int
+	isProduct                   bool
+	prod                        *ProductIter
+	opened                      bool
+
+	// The build: each key indexed once, its rows' extra attributes
+	// carved from store. charged is the build's budget charge, which
+	// includes the tableBytes of the index table charged so far.
+	keyIx      relation.TupleIndex
+	rows       [][]relation.Tuple
+	store      relation.Slab
+	charged    int64
+	tableBytes int64
+
+	// The probe loop. src is Left, a spilled probe run's reader, or nil
+	// between pairs.
+	src     BatchIterator
+	probe   []relation.Tuple
+	pPos    int
+	cur     relation.Tuple
+	matches []relation.Tuple
+	mIdx    int
+	slab    relation.Slab // emit allocator; output tuples are sliced from it
 	// borrowed: the consumer drops each batch's tuples before the next
-	// NextBatch, so the emit slab (not the grace engine's, which also
-	// holds build tuples) is rewound per batch, and the degenerate
-	// product inherits it (set by compile).
+	// NextBatch, so the emit slab is rewound per batch, and the
+	// degenerate product inherits it (set by compile).
 	borrowed bool
+
+	// The spilled pairs still to join, and what reading them shares.
+	pairs []joinPair
+	strs  *spill.StringCache
+	poll  func() error
+	ctx   context.Context
+}
+
+// joinPair is one spilled partition of a join: a build run and the
+// probe run holding the same keys, at a split depth.
+type joinPair struct {
+	build, probe *spill.Run
+	depth        int
 }
 
 // Open implements BatchIterator.
@@ -399,7 +343,7 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	}
 	j.isProduct = false
 	j.leftPos = j.Left.Schema().Positions(common.Attrs())
-	rightPos := j.Right.Schema().Positions(common.Attrs())
+	j.rightPos = j.Right.Schema().Positions(common.Attrs())
 	extra := j.Right.Schema().Minus(common)
 	j.extraPos = j.Right.Schema().Positions(extra.Attrs())
 	j.out = j.Left.Schema().Union(extra)
@@ -410,50 +354,216 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
+	j.ctx, j.poll, j.opened = ctx, poller(ctx, effEvery(j.Every)), true
 	if j.Spill != nil {
 		// Budgeted runs account the emit slab's live chunk too.
 		j.slab.Charge, j.slab.Release = j.Spill.Charge, j.Spill.Release
-		g := &graceJoin{tr: j.Spill, leftPos: j.leftPos, keyPos: identityPos(len(rightPos)), every: effEvery(j.Every)}
-		g.slab.Charge, g.slab.Release = j.Spill.Charge, j.Spill.Release
-		j.grace = g
-		j.gctx = ctx
-		if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) error {
-			return g.addBuild(t, rightPos, j.extraPos)
-		}); err != nil {
-			return err
-		}
-		if g.partitioned {
-			// The build side spilled: partition the probe side the same
-			// way and join the pairs lazily on NextBatch.
-			j.graceStream = true
-			if err := drainEvery(ctx, j.Left, j.Every, g.addProbe); err != nil {
-				return err
-			}
-			j.cur, j.matches, j.mIdx = nil, nil, 0
-			return nil
-		}
-		// Everything fit: probe through the normal streaming path over
-		// the grace-built index; the charge is released on Close.
-		j.keyIx = &g.keyIx
-		j.rows = g.rows
-		j.cur, j.matches, j.mIdx = nil, nil, 0
-		j.probe, j.pPos = nil, 0
-		return nil
 	}
-	j.keyIx = new(relation.TupleIndex)
-	j.rows = nil
-	if err := drainEvery(ctx, j.Right, j.Every, func(t relation.Tuple) error {
-		id, created := j.keyIx.IDProj(t, rightPos)
-		if created {
-			j.rows = append(j.rows, nil)
-		}
-		j.rows[id] = append(j.rows[id], t.Project(j.extraPos))
-		return nil
-	}); err != nil {
+	j.src = j.Left
+	if err := j.build(ctx, j.Right, true); err != nil || j.pairs == nil {
 		return err
 	}
-	j.cur, j.matches, j.mIdx = nil, nil, 0
-	j.probe, j.pPos = nil, 0
+	// The build side spilled: the probe side follows it into the
+	// matching runs, and NextBatch joins the pairs.
+	j.src = nil
+	return drainEvery(ctx, j.Left, j.Every, func(t relation.Tuple) error {
+		return j.pairs[spillPart(t.Hash64Proj(j.leftPos), 0)].probe.Append(t)
+	})
+}
+
+// build drains src into the index: each row's key is indexed once and
+// its extra attributes are copied into the store slab, so src may lend
+// its rows. Under a budget each row is charged before it is indexed,
+// and the index table's growth with the next charge. A refusal is
+// returned, unless spillRest is set: then the index and the rest of src
+// go to depth-0 build runs (see spillIndex).
+func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest bool) error {
+	spilled := false
+	err := drainEvery(ctx, src, j.Every, func(t relation.Tuple) error {
+		if !spilled {
+			err := j.insert(t)
+			if !spillRest || !errors.Is(err, spill.ErrBudget) {
+				return err
+			}
+			if err := j.spillIndex(); err != nil {
+				return err
+			}
+			spilled = true
+		}
+		return j.pairs[spillPart(t.Hash64Proj(j.rightPos), 0)].build.Append(t)
+	})
+	if err != nil || spilled {
+		return err
+	}
+	// Settle the table's growth from the last row.
+	if err = j.charge(0); spillRest && errors.Is(err, spill.ErrBudget) {
+		return j.spillIndex()
+	}
+	return err
+}
+
+// insert indexes one build row, charging it first under a budget; a
+// refused row is not indexed.
+func (j *HashJoinIter) insert(t relation.Tuple) error {
+	if j.Spill != nil {
+		if err := j.charge(t.Footprint()); err != nil {
+			return err
+		}
+	}
+	id, created := j.keyIx.IDProj(t, j.rightPos)
+	if created {
+		j.rows = append(j.rows, nil)
+	}
+	j.rows[id] = append(j.rows[id], j.store.ConcatProj(nil, t, j.extraPos))
+	return nil
+}
+
+// charge charges n bytes plus the index table's growth since the last
+// charge; a refusal charges nothing.
+func (j *HashJoinIter) charge(n int64) error {
+	tb := j.keyIx.TableBytes()
+	n += tb - j.tableBytes
+	if err := j.Spill.Charge(n); err != nil {
+		return err
+	}
+	j.charged += n
+	j.tableBytes = tb
+	return nil
+}
+
+// dropIndex empties the index and gives its charge back.
+func (j *HashJoinIter) dropIndex() {
+	j.Spill.Release(j.charged)
+	j.charged, j.tableBytes = 0, 0
+	j.keyIx = relation.TupleIndex{}
+	j.rows = nil
+	j.store.Close()
+}
+
+// spillIndex moves the index to fresh depth-0 build runs, makes the
+// matching probe runs and releases the index's charge. A build run
+// holds right-schema tuples, rebuilt from key and extras, so a pair's
+// build reads it as it reads the right input.
+func (j *HashJoinIter) spillIndex() error {
+	row := make(relation.Tuple, j.Right.Schema().Len())
+	builds, err := fanOut(j.Spill, func(runs []*spill.Run) error {
+		for id, key := range j.keyIx.Keys() {
+			run := runs[spillPart(key.Hash64(), 0)]
+			for i, p := range j.rightPos {
+				row[p] = key[i]
+			}
+			for _, extra := range j.rows[id] {
+				for i, p := range j.extraPos {
+					row[p] = extra[i]
+				}
+				if err := run.Append(row); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	probes, err := fanOut(j.Spill, func([]*spill.Run) error { return nil })
+	if err != nil {
+		closeRuns(builds)
+		return err
+	}
+	j.pairs = make([]joinPair, spillFanout)
+	for i := range j.pairs {
+		j.pairs[i] = joinPair{build: builds[i], probe: probes[i]}
+	}
+	j.dropIndex()
+	j.strs = j.Spill.NewStringCache()
+	j.Spill.AddPartitions(1)
+	return nil
+}
+
+// nextPair loads the next spilled pair whose sides both hold rows: its
+// build run goes through build, and its probe run becomes the probe
+// source. A pair whose build overflows is split one level deeper and
+// its children go first. It reports false once no pair is left; on an
+// error the failed pair stays queued for Close.
+func (j *HashJoinIter) nextPair() (bool, error) {
+	for len(j.pairs) > 0 {
+		p := j.pairs[0]
+		if p.build.Len() == 0 || p.probe.Len() == 0 {
+			j.pairs = j.pairs[1:]
+			p.build.Close()
+			p.probe.Close()
+			continue
+		}
+		build := j.reader(p.build, j.Right.Schema())
+		err := build.Open(j.ctx)
+		if err == nil {
+			err = j.build(j.ctx, build, false)
+		}
+		if err == nil {
+			err = build.Close()
+		}
+		if err == nil {
+			j.pairs = j.pairs[1:]
+			j.src = j.reader(p.probe, j.Left.Schema())
+			return true, j.src.Open(j.ctx)
+		}
+		j.dropIndex()
+		if !errors.Is(err, spill.ErrBudget) {
+			return false, err
+		}
+		children, err := j.split(p)
+		if err != nil {
+			return false, err
+		}
+		j.pairs = append(children, j.pairs[1:]...)
+	}
+	return false, nil
+}
+
+// split re-partitions both runs of a pair one level deeper on fresh
+// hash bits and closes them.
+func (j *HashJoinIter) split(p joinPair) ([]joinPair, error) {
+	builds, err := splitRun(j.ctx, j.Spill, j.strs, p.build, p.depth, j.Every, func(t relation.Tuple) uint64 {
+		return t.Hash64Proj(j.rightPos)
+	})
+	if err != nil {
+		return nil, err
+	}
+	probes, err := splitRun(j.ctx, j.Spill, j.strs, p.probe, p.depth, j.Every, func(t relation.Tuple) uint64 {
+		return t.Hash64Proj(j.leftPos)
+	})
+	if err != nil {
+		closeRuns(builds)
+		return nil, err
+	}
+	p.build.Close()
+	p.probe.Close()
+	children := make([]joinPair, spillFanout)
+	for i := range children {
+		children[i] = joinPair{build: builds[i], probe: probes[i], depth: p.depth + 1}
+	}
+	j.Spill.AddPartitions(1)
+	return children, nil
+}
+
+// reader returns a reader of one of the join's runs.
+func (j *HashJoinIter) reader(run *spill.Run, sch schema.Schema) *runReader {
+	return &runReader{run: run, sch: sch, strs: j.strs, poll: j.poll, windowBatcher: windowBatcher{BatchSize: j.BatchSize}}
+}
+
+// endProbe ends the probe source: the index and the emit slab give
+// their budget back (emitted tuples stay valid, and blocking consumers
+// downstream get the budget sooner), and a run's reader is closed.
+func (j *HashJoinIter) endProbe() error {
+	j.dropIndex()
+	j.slab.Close()
+	j.matches = nil
+	r, ok := j.src.(*runReader)
+	j.src = nil
+	if ok {
+		return r.Close()
+	}
 	return nil
 }
 
@@ -469,32 +579,14 @@ func (j *HashJoinIter) SetRowBudget(n int64) {
 // NextBatch implements BatchIterator: pending matches of the current
 // probe tuple flush first, then the next probe batch streams through
 // the cursor, each row probed and its matches emitted until the
-// output batch fills. An armed row budget bounds the output batch and
+// output batch fills. When a probe source ends, the next spilled pair,
+// if any, takes over. An armed row budget bounds the output batch and
 // the probe pulls.
 func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 	if j.isProduct {
 		return j.prod.NextBatch()
 	}
-	if j.graceStream {
-		out := j.outBatch()
-		bound := j.effectiveCap()
-		for out.Len() < bound {
-			t, ok, err := j.grace.next(j.gctx)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			out.Append(t)
-		}
-		if out.Len() == 0 {
-			return nil, nil
-		}
-		j.Stats.count(j.Label, int64(out.Len()))
-		return out, nil
-	}
-	if j.keyIx == nil {
+	if !j.opened {
 		return nil, errNotOpen("HashJoinIter")
 	}
 	if j.borrowed {
@@ -509,6 +601,16 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 			continue
 		}
 		if j.pPos >= len(j.probe) {
+			if j.src == nil {
+				ok, err := j.nextPair()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
+				continue
+			}
 			// Pull the next probe batch, row-budgeted by what the output
 			// still needs (a key can match many build rows, so this only
 			// bounds, never starves).
@@ -516,20 +618,15 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 			if j.budget > 0 {
 				fb = int64(bound - out.Len())
 			}
-			ts, err := pull(j.Left, fb)
+			ts, err := pull(j.src, fb)
 			if err != nil {
 				return nil, err
 			}
 			if ts == nil {
-				// Probe side exhausted: no more emissions, so release the
-				// emit slab's and the build index's budget charges early
-				// (already-emitted tuples stay valid; blocking consumers
-				// downstream get the budget back).
-				j.slab.Close()
-				if j.grace != nil {
-					j.grace.close()
+				if err := j.endProbe(); err != nil {
+					return nil, err
 				}
-				break
+				continue
 			}
 			j.probe, j.pPos = ts, 0
 			continue
@@ -560,13 +657,15 @@ func (j *HashJoinIter) Close() error {
 	if j.isProduct {
 		return j.prod.Close()
 	}
-	if j.grace != nil {
-		j.grace.close()
-		j.grace, j.graceStream = nil, false
+	j.endProbe()
+	for _, p := range j.pairs {
+		p.build.Close()
+		p.probe.Close()
 	}
-	j.slab.Close()
-	j.keyIx, j.rows = nil, nil
+	j.pairs = nil
+	j.strs.Close()
 	j.probe, j.pPos = nil, 0
+	j.opened = false
 	j.release()
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
@@ -588,11 +687,19 @@ func (j *HashJoinIter) Schema() schema.Schema {
 // SemiJoinIter streams left tuples that have a partner in the right
 // input on the common attributes. Keep=false turns it into the
 // anti-semi-join.
+//
+// Over one attribute set it is also the intersection and the
+// difference: r ∩ s = r ⋉ s and r − s = r ▷ s. The left input is a set
+// (every operator's output is), so both results, being subsets of it,
+// need no output dedup.
 type SemiJoinIter struct {
 	Label       string
 	Left, Right BatchIterator
 	Keep        bool
-	Stats       *Stats
+	// SetOp, when set, names the set operator the semi-join runs; Open
+	// then rejects inputs over different attribute sets.
+	SetOp string
+	Stats *Stats
 	// Every is the cooperative ctx-poll interval of the build drain, in
 	// tuples; 0 means DefaultCheckEvery.
 	Every int
@@ -606,6 +713,9 @@ type SemiJoinIter struct {
 
 // Open implements BatchIterator.
 func (s *SemiJoinIter) Open(ctx context.Context) error {
+	if s.SetOp != "" && !s.Left.Schema().EqualSet(s.Right.Schema()) {
+		return schemaErr(s.SetOp, s.Left.Schema(), s.Right.Schema())
+	}
 	common := s.Left.Schema().Intersect(s.Right.Schema())
 	if err := s.Left.Open(ctx); err != nil {
 		return err
@@ -782,8 +892,7 @@ type SortIter struct {
 	strs    *spill.StringCache // for reading the runs during the merge
 	slab    relation.Slab      // owns the run tuples the merge emits
 	mh      *sortMerge
-	mctx    context.Context
-	pollN   int
+	poll    func() error // polls the Open ctx during the merge
 }
 
 // Open implements BatchIterator.
@@ -863,7 +972,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 	}
 	s.mh = &sortMerge{srcs: live, cmp: cmp}
 	heap.Init(s.mh)
-	s.mctx = ctx
+	s.poll = poller(ctx, effEvery(s.Every))
 	return nil
 }
 
@@ -892,15 +1001,8 @@ func (s *SortIter) mergeNext() (relation.Tuple, bool, error) {
 	if s.mh.Len() == 0 {
 		return nil, false, nil
 	}
-	every := s.Every
-	if every <= 0 {
-		every = DefaultCheckEvery
-	}
-	if s.pollN++; s.pollN >= every {
-		s.pollN = 0
-		if err := s.mctx.Err(); err != nil {
-			return nil, false, err
-		}
+	if err := s.poll(); err != nil {
+		return nil, false, err
 	}
 	src := s.mh.srcs[0]
 	t := src.head

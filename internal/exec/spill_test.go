@@ -179,6 +179,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rel := randRelation(rng, []string{"a", "b"}, 2000, 500)
 	node := &plan.Sort{Input: plan.NewScan("r", rel), Keys: []plan.SortKey{{Attr: "a"}}}
+	join := &plan.Join{Left: plan.NewScan("r", rel), Right: plan.NewScan("s", randRelation(rng, []string{"b", "c"}, 2000, 500))}
 	const budget = 8 << 10
 
 	check := func(t *testing.T, tr *spill.Tracker) {
@@ -257,6 +258,59 @@ func TestSpillTempFileHygiene(t *testing.T) {
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled merge ended with %v, want context.Canceled", err)
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tr)
+	})
+
+	t.Run("JoinCloseMidStream", func(t *testing.T) {
+		tr := spill.NewTracker(budget)
+		it := CompileWith(join, nil, CompileOptions{Spill: tr})
+		if err := it.Open(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, ok, err := it.Next(); !ok || err != nil {
+				t.Fatalf("Next %d = (%t, %v)", i, ok, err)
+			}
+		}
+		if tr.Snapshot().Spilled == 0 {
+			t.Fatal("fixture did not spill")
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tr)
+	})
+
+	t.Run("JoinCancelMidProbe", func(t *testing.T) {
+		// Cancelled between the first spilled partition pair's output
+		// and the rest: the probe and the later pairs' builds poll the
+		// context, so the drain must stop with the cancellation error.
+		tr := spill.NewTracker(budget)
+		it := CompileWith(join, nil, CompileOptions{Spill: tr})
+		ctx, cancel := context.WithCancel(context.Background())
+		if err := it.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := it.Next(); !ok || err != nil {
+			t.Fatalf("first Next = (%t, %v)", ok, err)
+		}
+		if tr.Snapshot().Spilled == 0 {
+			t.Fatal("fixture did not spill")
+		}
+		cancel()
+		var err error
+		for {
+			var ok bool
+			if _, ok, err = it.Next(); err != nil || !ok {
+				break
+			}
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled join ended with %v, want context.Canceled", err)
 		}
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
@@ -350,6 +404,7 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 		Dividend: plan.NewScan("r1", rel),
 		Divisor:  plan.NewScan("r2", randRelation(rng, []string{"b"}, 2, 500)),
 	}
+	joinNode := &plan.Join{Left: plan.NewScan("r", rel), Right: plan.NewScan("s", randRelation(rng, []string{"b", "c"}, 2000, 500))}
 	const budget = 8 << 10
 
 	expectIO := func(t *testing.T, node plan.Node, arm func(*spill.Tracker)) {
@@ -378,22 +433,59 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 	t.Run("DivideReadFails", func(t *testing.T) {
 		expectIO(t, divNode, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
 	})
+	t.Run("JoinWriteFails", func(t *testing.T) {
+		expectIO(t, joinNode, func(tr *spill.Tracker) { tr.FailWriteAfter(10) })
+	})
+	t.Run("JoinReadFails", func(t *testing.T) {
+		expectIO(t, joinNode, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
+	})
 }
 
-// TestSpillBudgetErrorTyped: a budget below the irreducible state —
-// here, smaller than the divisor itself — must fail with an error
-// wrapping spill.ErrBudget, never succeed quietly or hang.
+// TestSpillBudgetErrorTyped: a budget below the irreducible state
+// must fail with an error wrapping spill.ErrBudget, never succeed
+// quietly or hang. For the division that state is the divisor itself;
+// for the join it is one key group larger than the budget, which every
+// split lands in a single child until maxSpillDepth gives up.
 func TestSpillBudgetErrorTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	node := &plan.Divide{
+	divNode := &plan.Divide{
 		Dividend: plan.NewScan("r1", randRelation(rng, []string{"a", "b"}, 500, 50)),
 		Divisor:  plan.NewScan("r2", randRelation(rng, []string{"b"}, 4, 50)),
 	}
-	tr := spill.NewTracker(64)
-	defer tr.Close()
-	_, err := drainSeqErr(context.Background(), CompileWith(node, nil, CompileOptions{Spill: tr}))
-	if !errors.Is(err, spill.ErrBudget) {
-		t.Fatalf("64-byte budget produced %v, want spill.ErrBudget", err)
+	oneKey := make([][]int64, 1000)
+	for i := range oneKey {
+		oneKey[i] = []int64{1, int64(i)}
+	}
+	joinNode := &plan.Join{
+		Left:  plan.NewScan("l", relation.Ints([]string{"a", "b"}, [][]int64{{0, 1}, {1, 1}, {2, 2}})),
+		Right: plan.NewScan("r", relation.Ints([]string{"b", "c"}, oneKey)),
+	}
+	for _, c := range []struct {
+		name   string
+		node   plan.Node
+		budget int64
+		// splits is the partitioning passes before the error: none for
+		// the divisor, the first overflow and maxSpillDepth splits for
+		// the key group.
+		splits int64
+	}{
+		{"divide", divNode, 64, 0},
+		{"join", joinNode, 8 << 10, 1 + maxSpillDepth},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := spill.NewTracker(c.budget)
+			defer tr.Close()
+			_, err := drainSeqErr(context.Background(), CompileWith(c.node, nil, CompileOptions{Spill: tr}))
+			if !errors.Is(err, spill.ErrBudget) {
+				t.Fatalf("%d-byte budget produced %v, want spill.ErrBudget", c.budget, err)
+			}
+			if n := tr.Snapshot().Partitions; n != c.splits {
+				t.Errorf("%d partitioning passes before the budget error, want %d", n, c.splits)
+			}
+			if n := tr.LiveRuns(); n != 0 {
+				t.Errorf("%d run files leaked after the budget error", n)
+			}
+		})
 	}
 }
 
@@ -471,31 +563,90 @@ func BenchmarkSpillPeakAlloc(b *testing.B) {
 	b.ReportMetric(float64(budget), "budget-B")
 }
 
-// TestBudgetedJoinBuildAllocs: a budgeted hash join whose build side
-// fits indexes each build row without a heap allocation of its own, so
-// ten times the build rows over the same eight keys cost only the
-// slice and slab growth — not one allocation per row.
+// TestBudgetedJoinBuildAllocs: a hash join whose build side fits
+// indexes each build row without a heap allocation of its own, budgeted
+// or not, so ten times the build rows over the same eight keys cost
+// only the slice and slab growth — not one allocation per row.
 func TestBudgetedJoinBuildAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
-		rows := make([][]int64, n)
-		for i := range rows {
-			rows[i] = []int64{int64(i % 8), int64(i)}
-		}
-		node := &plan.Join{
-			Left:  plan.NewScan("probe", relation.Ints([]string{"k", "x"}, [][]int64{{99, 0}})),
-			Right: plan.NewScan("build", relation.Ints([]string{"k", "p"}, rows)),
-		}
-		tr := spill.NewTracker(64 << 20)
-		defer tr.Close()
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Drain(context.Background(), CompileWith(node, nil, CompileOptions{Spill: tr})); err != nil {
-				t.Fatal(err)
+	for _, in := range []struct {
+		name  string
+		limit int64 // passed as a tracker when positive, else as MemoryLimit
+	}{
+		{"budgeted", 64 << 20},
+		{"unbudgeted", -1},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				rows := make([][]int64, n)
+				for i := range rows {
+					rows[i] = []int64{int64(i % 8), int64(i)}
+				}
+				node := &plan.Join{
+					Left:  plan.NewScan("probe", relation.Ints([]string{"k", "x"}, [][]int64{{99, 0}})),
+					Right: plan.NewScan("build", relation.Ints([]string{"k", "p"}, rows)),
+				}
+				opts := CompileOptions{MemoryLimit: in.limit}
+				if in.limit > 0 {
+					tr := spill.NewTracker(in.limit)
+					defer tr.Close()
+					opts = CompileOptions{Spill: tr}
+				}
+				return testing.AllocsPerRun(3, func() {
+					if _, err := Drain(context.Background(), CompileWith(node, nil, opts)); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			small, large := allocs(1000), allocs(10000)
+			t.Logf("1k -> 10k build rows: %.0f -> %.0f allocations", small, large)
+			if grew := large - small; grew > 200 {
+				t.Errorf("1k -> 10k build rows adds %.0f allocations, want at most 200", grew)
 			}
 		})
 	}
-	small, large := allocs(1000), allocs(10000)
-	t.Logf("1k -> 10k build rows: %.0f -> %.0f allocations", small, large)
-	if grew := large - small; grew > 200 {
-		t.Errorf("1k -> 10k build rows adds %.0f allocations, want at most 200", grew)
+}
+
+// TestSpilledJoinBorrowsEmission: a budgeted join that spills runs
+// every partition pair through the join's own build and probe loop, so
+// under the root cursor it emits borrowed like the in-memory join: ten
+// times the output rows may not cost more heap per extra row than a
+// few bytes of slice growth.
+func TestSpilledJoinBorrowsEmission(t *testing.T) {
+	const budget = 64 << 10
+	build := make([][]int64, 4000)
+	for i := range build {
+		build[i] = []int64{int64(i % 400), int64(i)}
+	}
+	right := plan.NewScan("build", relation.Ints([]string{"k", "p"}, build))
+	heapBytes := func(probeRows int) (uint64, int64) {
+		probe := make([][]int64, probeRows)
+		for i := range probe {
+			probe[i] = []int64{int64(i % 400), int64(i)}
+		}
+		node := &plan.Join{Left: plan.NewScan("probe", relation.Ints([]string{"k", "x"}, probe)), Right: right}
+		tr := spill.NewTracker(budget)
+		defer tr.Close()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := Drain(context.Background(), CompileWith(node, nil, CompileOptions{Spill: tr}))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Snapshot().Spilled == 0 {
+			t.Fatal("the fixture did not spill")
+		}
+		return after.TotalAlloc - before.TotalAlloc, n
+	}
+	smallB, smallN := heapBytes(400)
+	largeB, largeN := heapBytes(4000)
+	if smallN != 4000 || largeN != 40000 {
+		t.Fatalf("output rows %d and %d, want 4000 and 40000", smallN, largeN)
+	}
+	perRow := (float64(largeB) - float64(smallB)) / float64(largeN-smallN)
+	t.Logf("%d -> %d output rows: %d -> %d heap bytes, %.1f B per extra row", smallN, largeN, smallB, largeB, perRow)
+	if perRow > 16 {
+		t.Errorf("a spilled join costs %.1f heap bytes per extra output row, want at most 16", perRow)
 	}
 }
