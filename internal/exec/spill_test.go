@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -77,6 +78,64 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 	}
 	if totalSpilled == 0 {
 		t.Fatal("no plan in the sweep ever spilled — the budgets are not forcing out-of-core execution")
+	}
+}
+
+// TestSpillBudgetSweep runs every shape of the equivalence matrix
+// through budgets from 64 B to 24 KiB in ~12% steps at batch size 7,
+// with the hash tables' collision mask off and narrowed. A run may
+// fail only with a typed spill.ErrBudget (one key group, or the ÷
+// divisor, larger than the budget); otherwise it must match
+// plan.Eval. Either way no run file may outlive the query and the
+// tracked peak may not exceed the budget. Under -short it runs two
+// seeds at masks off and 3-bit; the full form runs six seeds and adds
+// a 1-bit mask.
+func TestSpillBudgetSweep(t *testing.T) {
+	seeds, masks := 6, []uint64{0, 0x7, 0x1}
+	if testing.Short() {
+		seeds, masks = 2, masks[:2]
+	}
+	var runs, spilled, refused int
+	for _, mask := range masks {
+		for seed := 1; seed <= seeds; seed++ {
+			restore := hashkey.SetMaskForTesting(mask)
+			for _, c := range equivPlans(rand.New(rand.NewSource(int64(seed)))) {
+				for b := 64.0; b <= 24<<10; b *= 1.12 {
+					budget := int64(b)
+					tr := spill.NewTracker(budget)
+					out, err := drainSeqErr(context.Background(), CompileWith(c.node, nil, CompileOptions{BatchSize: 7, Spill: tr}))
+					st := tr.Snapshot()
+					leaked := tr.LiveRuns()
+					tr.Close()
+					runs++
+					where := fmt.Sprintf("mask %#x seed %d %s (budget %d)", mask, seed, c.name, budget)
+					if leaked != 0 {
+						t.Errorf("%s: %d run files leaked", where, leaked)
+					}
+					if st.Peak > budget {
+						t.Errorf("%s: tracked peak %d exceeds the budget", where, st.Peak)
+					}
+					switch {
+					case errors.Is(err, spill.ErrBudget):
+						refused++
+					case err != nil:
+						t.Fatalf("%s: %v", where, err)
+					default:
+						if st.Spilled > 0 {
+							spilled++
+						}
+						if d := c.diverges(out); d != "" {
+							t.Fatalf("%s: %s", where, d)
+						}
+					}
+				}
+			}
+			restore()
+		}
+	}
+	t.Logf("%d runs: %d spilled, %d refused with spill.ErrBudget", runs, spilled, refused)
+	if spilled == 0 {
+		t.Fatal("no run spilled: the budgets are not forcing out-of-core execution")
 	}
 }
 
