@@ -39,6 +39,9 @@ func writtenRun(t testing.TB, tr *Tracker, tuples []relation.Tuple) *Run {
 func rawRun(t testing.TB, tr *Tracker, data []byte) *Run {
 	t.Helper()
 	run, err := tr.NewRun()
+	if err == nil {
+		err = run.create()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

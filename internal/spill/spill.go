@@ -301,8 +301,10 @@ const maxFrame = 1 << 30
 // A Run is one spill file: a write-once, read-back sequence of tuples
 // in the injective key encoding. Typical life cycle: NewRun, Append
 // until done, Rewind, Next until io.EOF, Close (which deletes the
-// file). Rewind may be called again to re-read from the top. A Run is
-// not safe for concurrent use.
+// file). Rewind may be called again to re-read from the top. The file
+// and its buffer are made by the first Append, so a run that stays
+// empty, as most partitions of a deep grace-hash split do, costs no
+// file, descriptor or buffer. A Run is not safe for concurrent use.
 type Run struct {
 	t       *Tracker
 	f       *os.File
@@ -312,37 +314,52 @@ type Run struct {
 	scratch relation.Tuple // the borrowed tuple Next returns
 	size    int64          // bytes appended
 	tuples  int64
+	read    bool // rewound: Append is refused
 	closed  bool
 }
 
-// NewRun creates a fresh spill file in the tracker's directory. It
+// NewRun returns a fresh run in the tracker's directory (see Run). It
 // panics on a nil tracker: only budgeted queries spill.
 func (t *Tracker) NewRun() (*Run, error) {
 	if t == nil {
 		panic("spill: NewRun on nil Tracker")
 	}
-	dir, err := t.runDir()
-	if err != nil {
+	if _, err := t.runDir(); err != nil {
 		return nil, err
+	}
+	t.liveRuns.Add(1)
+	return &Run{t: t}, nil
+}
+
+// create makes the run's file and its write buffer.
+func (r *Run) create() error {
+	dir, err := r.t.runDir()
+	if err != nil {
+		return err
 	}
 	f, err := os.CreateTemp(dir, "run-*")
 	if err != nil {
-		return nil, fmt.Errorf("%w: create run: %v", ErrIO, err)
+		return fmt.Errorf("%w: create run: %v", ErrIO, err)
 	}
-	t.runs.Add(1)
-	t.liveRuns.Add(1)
-	return &Run{t: t, f: f, w: bufio.NewWriterSize(f, runBufSize)}, nil
+	r.t.runs.Add(1)
+	r.f, r.w = f, bufio.NewWriterSize(f, runBufSize)
+	return nil
 }
 
 // Append writes one tuple frame (see the package comment). The payload
 // is encoded behind a reserved header into which the length prefix is
 // then written right-aligned, so the frame leaves in one Write.
 func (r *Run) Append(t relation.Tuple) error {
-	if r.closed || r.w == nil {
+	if r.closed || r.read {
 		return fmt.Errorf("%w: append to closed or read-mode run", ErrIO)
 	}
 	if countdown(&r.t.failWrite) {
 		return fmt.Errorf("%w: injected write failure", ErrIO)
+	}
+	if r.f == nil {
+		if err := r.create(); err != nil {
+			return err
+		}
 	}
 	const hdr = binary.MaxVarintLen64
 	b := append(r.buf[:0], make([]byte, hdr)...)
@@ -373,6 +390,10 @@ func (r *Run) Len() int64 { return r.tuples }
 func (r *Run) Rewind() error {
 	if r.closed {
 		return fmt.Errorf("%w: rewind closed run", ErrIO)
+	}
+	r.read = true
+	if r.f == nil {
+		return nil // never written: Next reports io.EOF
 	}
 	if r.w != nil {
 		if err := r.w.Flush(); err != nil {
@@ -466,11 +487,14 @@ func (c *StringCache) intern(b []byte) string {
 // c. It returns io.EOF after the last tuple, or an error wrapping
 // ErrIO on a read failure or a corrupt frame.
 func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
-	if r.closed || r.r == nil {
+	if r.closed || !r.read {
 		return nil, fmt.Errorf("%w: read on closed or write-mode run", ErrIO)
 	}
 	if countdown(&r.t.failRead) {
 		return nil, fmt.Errorf("%w: injected read failure", ErrIO)
+	}
+	if r.f == nil {
+		return nil, io.EOF
 	}
 	frameLen, err := binary.ReadUvarint(r.r)
 	if err == io.EOF {
@@ -511,12 +535,15 @@ func (r *Run) Close() error {
 	}
 	r.closed = true
 	r.w, r.r = nil, nil
+	r.t.liveRuns.Add(-1)
+	if r.f == nil {
+		return nil
+	}
 	name := r.f.Name()
 	err := r.f.Close()
 	if rmErr := os.Remove(name); err == nil && rmErr != nil && !os.IsNotExist(rmErr) {
 		err = rmErr
 	}
-	r.t.liveRuns.Add(-1)
 	if err != nil {
 		return fmt.Errorf("%w: close run: %v", ErrIO, err)
 	}

@@ -212,3 +212,34 @@ func TestNewRunAfterCloseFails(t *testing.T) {
 		t.Fatalf("NewRun after Close: got %v, want ErrIO", err)
 	}
 }
+
+// TestEmptyRunMakesNoFile: a run nothing is appended to reads back
+// empty without ever creating its file, so the empty partitions of a
+// grace-hash split cost no file or descriptor.
+func TestEmptyRunMakesNoFile(t *testing.T) {
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	run, err := tr.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Rewind(); err != nil {
+		t.Fatalf("rewind: %v", err)
+	}
+	if _, err := run.Next(nil); err != io.EOF {
+		t.Fatalf("Next on an empty run = %v, want io.EOF", err)
+	}
+	if err := run.Append(relation.Tuple{value.Int(1)}); !errors.Is(err, ErrIO) {
+		t.Fatalf("Append after Rewind = %v, want ErrIO", err)
+	}
+	ents, err := os.ReadDir(tr.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Snapshot().Runs; n != 0 || len(ents) != 0 {
+		t.Errorf("%d runs counted and %d files made for an empty run, want none", n, len(ents))
+	}
+	if err := run.Close(); err != nil || tr.LiveRuns() != 0 {
+		t.Errorf("Close = %v with %d live runs, want nil and 0", err, tr.LiveRuns())
+	}
+}
