@@ -7,6 +7,7 @@ package divlaws
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -124,4 +125,51 @@ func TestCorrelatedOnBoolColumns(t *testing.T) {
 	if got := collect(t, rows); fmt.Sprint(got) != "[a/on c/on]" {
 		t.Errorf("bool correlation = %v, want [a/on c/on]", got)
 	}
+}
+
+// TestCorrelatedQ3SpillsUnderBudget: undetected, Q3 runs as two
+// anti-semi-joins. On 24 suppliers and 24 parts with 60-character
+// identifiers, the inner anti-join's build (one key per supplies row)
+// does not fit in 64 KiB, so it spills, stays within the budget and
+// still returns Q1's rows.
+func TestCorrelatedQ3SpillsUnderBudget(t *testing.T) {
+	const limit = 64 << 10
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(3))
+	id := func(kind string, i int) string { return fmt.Sprintf("%s%059d", kind, i) }
+	var supplies, parts [][]any
+	for p := 0; p < 24; p++ {
+		parts = append(parts, []any{id("p", p), []string{"red", "green", "blue"}[p%3]})
+		for s := 0; s < 24; s++ {
+			if s < 2 || rng.Intn(4) != 0 {
+				supplies = append(supplies, []any{id("s", s), id("p", p)})
+			}
+		}
+	}
+	open := func(opts ...Option) *DB {
+		db := Open(opts...)
+		db.MustRegister("supplies", MustNewRelation([]string{"s#", "p#"}, supplies))
+		db.MustRegister("parts", MustNewRelation([]string{"p#", "color"}, parts))
+		return db
+	}
+	rows, err := open().Query(ctx, apiQ1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collect(t, rows)
+	rows, err = open(WithoutDetection(), WithMemoryLimit(limit)).Query(ctx, apiQ3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, rows); len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Q3 under a %d-byte budget = %v, want Q1's %v", limit, got, want)
+	}
+	st := rows.Stats().Spill
+	if st.SpilledBytes == 0 {
+		t.Error("the anti-joins' builds did not spill")
+	}
+	if st.PeakBytes > st.Limit || st.Limit != limit {
+		t.Errorf("tracked peak %d over the %d-byte limit (want %d)", st.PeakBytes, st.Limit, limit)
+	}
+	t.Logf("%d rows; spilled %d bytes in %d runs, %d partitionings; peak %d", len(want), st.SpilledBytes, st.Runs, st.Partitions, st.PeakBytes)
 }

@@ -157,8 +157,9 @@
 //
 // WithMemoryLimit caps, per query, the bytes of input state the
 // blocking operators may hold live: the sort buffer, a division's
-// buffered inputs and partition states (every worker's), and the hash
-// join's build side. Streaming operators hold O(1) and
+// buffered inputs and partition states (every worker's), and the build
+// side of the hash join family: ⋈, ⋉, ▷, ∩, − and every decorrelated
+// [NOT] EXISTS, all one operator. Streaming operators hold O(1) and
 // top-k holds O(k); neither is charged. Under pressure the engine
 // degrades to disk instead of failing: a sort past its budget spills
 // sorted runs to temp files and k-way merges them back (tie-broken by
@@ -166,9 +167,10 @@
 // to in-memory execution), and the hash division and join operators
 // grace-hash partition their inputs to temp files and recurse per
 // partition, re-partitioning any partition that still exceeds the
-// budget on a fresh hash split. A spilled join joins each partition
-// pair with its own in-memory build and probe loop, so it charges and
-// emits exactly as the in-memory join does. A parallel division spills
+// budget on a fresh hash split. A spilled join — semi-join, anti-join,
+// intersection and difference included — joins each partition pair
+// with its own in-memory build and probe loop, so it charges and emits
+// exactly as the in-memory join does. A parallel division spills
 // through the same partitioner and keeps all its workers: each
 // worker's division state is charged, and a partition that does not
 // fit beside the others' is left to the last worker, which divides the

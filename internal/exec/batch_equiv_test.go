@@ -149,6 +149,9 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	rc := plan.NewScan("rc", gen(rng, []string{"c"}, rng.Intn(5), 6))
 	p := pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(int64(rng.Intn(6))))
 	wide := plan.NewScan("wide", gen(rng, []string{"a", "b"}, 100+rng.Intn(100), 12))
+	// Keys (a, b) at a permuted position among extras: a semi mode's
+	// build of it holds more keys than 4 KiB.
+	wide3 := plan.NewScan("wide3", gen(rng, []string{"b", "c", "a"}, 100+rng.Intn(100), 12))
 	div := &plan.Divide{Dividend: r1, Divisor: r2}
 	join := &plan.Join{Left: r1, Right: r2g}
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
@@ -206,6 +209,17 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		{"project-over-semijoin", &plan.Project{
 			Input: &plan.SemiJoin{Left: r1, Right: r2g}, Attrs: []string{"a"},
 		}, false},
+		// Builds that spill under the 4 KiB sweep: the semi modes' keys,
+		// an owning consumer of a spilled probe run's rows, and a join
+		// whose build side is a join emitting borrowed rows.
+		{"semijoin-spill", &plan.SemiJoin{Left: r1, Right: wide3}, false},
+		{"antisemijoin-spill", &plan.AntiSemiJoin{Left: r1, Right: wide3}, false},
+		{"intersect-spill", plan.Intersect(u, wide), false},
+		{"diff-spill", plan.Diff(u, wide), false},
+		{"sort-over-diff-spill", &plan.Sort{
+			Input: plan.Diff(wide, &plan.Project{Input: wide3, Attrs: []string{"a", "b"}}), Keys: keysA,
+		}, true},
+		{"join-right-join", &plan.Join{Left: r1, Right: &plan.Join{Left: r2g, Right: u}}, false},
 	}...)
 }
 

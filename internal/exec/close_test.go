@@ -46,7 +46,7 @@ func TestIteratorCloseSafety(t *testing.T) {
 			return &UnionIter{Label: "u", Left: scan(ab), Right: scan(ab2)}
 		}},
 		{"HashSetOpIter", func() BatchIterator {
-			return &SemiJoinIter{Label: "s", Left: scan(ab), Right: scan(ab2), Keep: true, SetOp: "intersection"}
+			return &HashJoinIter{Label: "s", Left: scan(ab), Right: scan(ab2), Mode: JoinSemi, SetOp: "intersection"}
 		}},
 		{"ProductIter", func() BatchIterator {
 			return &ProductIter{Label: "x", Left: scan(ab), Right: scan(cd)}
@@ -55,7 +55,7 @@ func TestIteratorCloseSafety(t *testing.T) {
 			return &HashJoinIter{Label: "j", Left: scan(ab), Right: scan(bc)}
 		}},
 		{"SemiJoinIter", func() BatchIterator {
-			return &SemiJoinIter{Label: "sj", Left: scan(ab), Right: scan(bc), Keep: true}
+			return &HashJoinIter{Label: "sj", Left: scan(ab), Right: scan(bc), Mode: JoinSemi}
 		}},
 		{"ThetaJoinIter", func() BatchIterator {
 			return &ThetaJoinIter{Label: "tj", Left: scan(ab), Right: scan(cd), Pred: pred.Literal(true)}

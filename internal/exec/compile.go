@@ -89,18 +89,20 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 //   - Drops its input, so the child may borrow: the root cursor, the
 //     ÷/÷* dividend unbudgeted at one worker (the division states do
 //     not retain a dividend tuple), the ÷ divisor likewise (its index
-//     copies the B projection), and the probe sides of the product and
-//     the hash join (each probe tuple is only concatenated).
+//     copies the B projection), the probe sides of the product and the
+//     natural join (each probe tuple is only concatenated), and the
+//     build side of ⋈, ⋉, ▷, ∩ and − (the key index and the extras slab
+//     copy what they keep).
 //   - Forwards the flag to its child, passing the child's tuples on as
 //     its own output: Filter, Rename, Limit, Project, the theta join's
-//     inner product, and the semi-join probe. (Only a full-width
-//     Project passes tuples on; a narrowing one copies what it emits,
-//     so forwarding is merely conservative for it.)
+//     inner product, and the probe side of ⋉, ▷, ∩ and −. (Only a
+//     full-width Project passes tuples on; a narrowing one copies what
+//     it emits, so forwarding is merely conservative for it.)
 //   - Keeps the child's tuples, so the child is always owned: everything
 //     else — a budgeted or parallel division's buffers, the ÷* divisor,
-//     the product's right side, Sort, TopK, Group and the set
-//     operators. An operator not yet checked by reading its code
-//     belongs here.
+//     the right side of the product (a join without common attributes
+//     included), Sort, TopK, Group and Union. An operator not yet
+//     checked by reading its code belongs here.
 func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) BatchIterator {
 	switch t := n.(type) {
 	case *plan.Scan:
@@ -168,17 +170,14 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Set:
-		l := compile(t.Left, stats, label+".0", opts, false)
-		r := compile(t.Right, stats, label+".1", opts, false)
-		wb := windowBatcher{BatchSize: opts.BatchSize}
 		switch t.Op {
-		case plan.UnionOp:
-			return &UnionIter{Label: label + "/union", Left: l, Right: r, Stats: stats, windowBatcher: wb}
 		case plan.IntersectOp:
-			return &SemiJoinIter{Label: label + "/intersect", Left: l, Right: r, Keep: true, SetOp: "intersection", Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
-		default:
-			return &SemiJoinIter{Label: label + "/diff", Left: l, Right: r, Keep: false, SetOp: "difference", Stats: stats, Every: opts.CheckEvery, windowBatcher: wb}
+			return compileJoin("intersect", JoinSemi, "intersection", t.Left, t.Right, stats, label, opts, borrow)
+		case plan.DiffOp:
+			return compileJoin("diff", JoinAnti, "difference", t.Left, t.Right, stats, label, opts, borrow)
 		}
+		l, r := compile(t.Left, stats, label+".0", opts, false), compile(t.Right, stats, label+".1", opts, false)
+		return &UnionIter{Label: label + "/union", Left: l, Right: r, Stats: stats, windowBatcher: windowBatcher{BatchSize: opts.BatchSize}}
 	case *plan.Product:
 		return &ProductIter{
 			Label:         label + "/product",
@@ -190,16 +189,13 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 			borrowed:      borrow,
 		}
 	case *plan.Join:
-		return &HashJoinIter{
-			Label:         label + "/hashjoin",
-			Left:          compile(t.Left, stats, label+".0", opts, true),
-			Right:         compile(t.Right, stats, label+".1", opts, false),
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			Spill:         opts.Spill,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-			borrowed:      borrow,
+		if t.Left.Schema().DisjointFrom(t.Right.Schema()) {
+			// The product the join degenerates to, under the join's label.
+			p := compile(&plan.Product{Left: t.Left, Right: t.Right}, stats, label, opts, borrow).(*ProductIter)
+			p.Label = label + "/hashjoin"
+			return p
 		}
+		return compileJoin("hashjoin", JoinInner, "", t.Left, t.Right, stats, label, opts, borrow)
 	case *plan.ThetaJoin:
 		return &ThetaJoinIter{
 			Label:         label + "/thetajoin",
@@ -212,25 +208,9 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 			borrowed:      borrow,
 		}
 	case *plan.SemiJoin:
-		return &SemiJoinIter{
-			Label:         label + "/semijoin",
-			Left:          compile(t.Left, stats, label+".0", opts, borrow),
-			Right:         compile(t.Right, stats, label+".1", opts, false),
-			Keep:          true,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+		return compileJoin("semijoin", JoinSemi, "", t.Left, t.Right, stats, label, opts, borrow)
 	case *plan.AntiSemiJoin:
-		return &SemiJoinIter{
-			Label:         label + "/antisemijoin",
-			Left:          compile(t.Left, stats, label+".0", opts, borrow),
-			Right:         compile(t.Right, stats, label+".1", opts, false),
-			Keep:          false,
-			Stats:         stats,
-			Every:         opts.CheckEvery,
-			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
-		}
+		return compileJoin("antisemijoin", JoinAnti, "", t.Left, t.Right, stats, label, opts, borrow)
 	case *plan.Divide:
 		if t.Algo == division.AlgoMergeSort {
 			// Sort the dividend on A so the group-preserving
@@ -279,6 +259,26 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 		}
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
+	}
+}
+
+// compileJoin lowers ⋈, ⋉, ▷, ∩ or − to the HashJoinIter labelled
+// kind, running mode. The join's probe rows are only concatenated, so
+// its left input may borrow; a semi mode passes its probe rows on, so
+// it forwards borrow. The build side borrows: the key index and the
+// extras slab copy what they keep.
+func compileJoin(kind string, mode JoinMode, setOp string, left, right plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) *HashJoinIter {
+	return &HashJoinIter{
+		Label:         label + "/" + kind,
+		Left:          compile(left, stats, label+".0", opts, mode == JoinInner || borrow),
+		Right:         compile(right, stats, label+".1", opts, true),
+		Mode:          mode,
+		SetOp:         setOp,
+		Stats:         stats,
+		Every:         opts.CheckEvery,
+		Spill:         opts.Spill,
+		windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+		borrowed:      borrow,
 	}
 }
 

@@ -36,9 +36,10 @@ func (truePred) Attrs() []string                         { return nil }
 func (truePred) String() string                          { return "TRUE" }
 
 func TestHashSetOpIncompatibleSchemas(t *testing.T) {
-	op := &SemiJoinIter{
+	op := &HashJoinIter{
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, nil)},
 		Right: &ScanIter{Rel: relation.Ints([]string{"z"}, nil)},
+		Mode:  JoinAnti,
 		SetOp: "difference",
 	}
 	if err := op.Open(context.Background()); err == nil {
@@ -84,7 +85,7 @@ func TestDivideItersNotOpen(t *testing.T) {
 			Dividend: &ScanIter{Rel: relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}})},
 			Divisor:  &ScanIter{Rel: relation.Ints([]string{"b", "c"}, [][]int64{{1, 1}})},
 		},
-		&SemiJoinIter{Left: r1, Right: r2},
+		&HashJoinIter{Left: r1, Right: r2, Mode: JoinAnti},
 		&GroupIter{Input: r1, By: []string{"a"}},
 		&ThetaJoinIter{Left: r1, Right: r2, Pred: truePred{}},
 	} {
@@ -95,9 +96,10 @@ func TestDivideItersNotOpen(t *testing.T) {
 }
 
 func TestRunPropagatesOpenError(t *testing.T) {
-	op := &SemiJoinIter{
+	op := &HashJoinIter{
 		Left:  &ScanIter{Rel: relation.Ints([]string{"a"}, nil)},
 		Right: &ScanIter{Rel: relation.Ints([]string{"z"}, nil)},
+		Mode:  JoinAnti,
 		SetOp: "difference",
 	}
 	if _, err := Run(context.Background(), &FromBatch{Input: op}); err == nil {

@@ -176,7 +176,7 @@ func TestIteratorProtocolErrors(t *testing.T) {
 		&ScanIter{Rel: r},
 		&ProjectBatch{Input: &ScanIter{Rel: r}, Attrs: []string{"a"}},
 		&UnionIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}},
-		&SemiJoinIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}, SetOp: "difference"},
+		&HashJoinIter{Left: &ScanIter{Rel: r}, Right: &ScanIter{Rel: r}, Mode: JoinAnti, SetOp: "difference"},
 	}
 	for _, it := range iters {
 		if _, err := it.NextBatch(); err == nil {

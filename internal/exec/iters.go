@@ -253,49 +253,67 @@ func (p *ProductIter) Schema() schema.Schema {
 	return p.Left.Schema().Concat(p.Right.Schema())
 }
 
-// HashJoinIter is a natural hash join: build on the right input's
-// common-attribute key, probe with the left: NextBatch streams whole
-// probe batches from its probe source, probing each row at its cursor
-// advance and emitting concatenated matches into a pooled output
-// batch.
+// JoinMode is what a HashJoinIter emits for a probe row: the natural
+// join's concatenations (JoinInner), or the row itself when a build row
+// shares its key (JoinSemi: ⋉, ∩) or when none does (JoinAnti: ▷, −).
+type JoinMode uint8
+
+const (
+	JoinInner JoinMode = iota
+	JoinSemi
+	JoinAnti
+)
+
+// HashJoinIter is the hash join family, ⋈, ⋉, ▷, ∩ and −: build on the
+// right input's common-attribute key, probe with the left, emit by
+// Mode. The natural join streams whole probe batches from its probe
+// source, probing each row at its cursor advance and emitting
+// concatenated matches into a pooled output batch; a semi mode indexes
+// keys only and looks a whole probe batch up in one pass. With no
+// common attribute every row has the empty key: the join is the
+// product (which compile runs as a ProductIter), and a semi mode's
+// match is "the right input has a row", which one pulled row decides.
 //
-// The output needs no dedup: operator outputs are sets, so left
-// tuples are distinct and each build key's extras are distinct
-// (key+extra is the whole right tuple), making every concatenation
-// distinct — the same invariant ProductIter's emit path trusts.
+// No mode needs output dedup: operator outputs are sets, so left tuples
+// are distinct and each build key's extras are distinct (key+extra is
+// the whole right tuple), making every concatenation distinct — the
+// same invariant ProductIter's emit path trusts — and a semi mode emits
+// a subset of the left input. Over one attribute set the semi modes are
+// the intersection and the difference: r ∩ s = r ⋉ s, r − s = r ▷ s.
 //
-// Under a budget the build is charged row by row. At the first refusal
-// the index and the rest of the build side go to spillFanout runs
-// partitioned on the key, and the probe side to the matching runs
-// (grace hash). Each pair of runs is then one smaller instance of the
-// same join: the same build over a reader of its build run, then the
-// same probe loop over a reader of its probe run. A pair whose build
-// overflows again is split one level deeper on fresh hash bits, up to
-// maxSpillDepth.
+// Under a budget the build is charged row by row (a semi mode: key by
+// key). At the first refusal the index and the rest of the build side
+// go to spillFanout runs partitioned on the key, and the probe side to
+// the matching runs (grace hash). Each pair of runs is then one smaller
+// instance of the same join: the same build over a reader of its build
+// run, then the same probe loop over a reader of its probe run. A pair
+// with an empty side emits nothing, except that the anti mode emits an
+// unmatched probe run whole. A pair whose build overflows again is
+// split one level deeper on fresh hash bits, up to maxSpillDepth.
 type HashJoinIter struct {
 	Label       string
 	Left, Right BatchIterator
-	Stats       *Stats
+	Mode        JoinMode
+	// SetOp, when set, names the set operator a semi mode runs; Open
+	// then rejects inputs over different attribute sets.
+	SetOp string
+	Stats *Stats
 	// Every is the cooperative ctx-poll interval of the build drain and
 	// the spilled runs' reads, in tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the build side: on budget pressure
 	// both sides grace-hash partition to temp files and the partition
-	// pairs are joined independently. The degenerate product case is
-	// exempt (it holds only one right-side materialization the budget
-	// cannot shrink by partitioning).
+	// pairs are joined independently.
 	Spill *spill.Tracker
 	windowBatcher
 
 	out                         schema.Schema
 	leftPos, rightPos, extraPos []int
-	isProduct                   bool
-	prod                        *ProductIter
 	opened                      bool
 
-	// The build: each key indexed once, its rows' extra attributes
-	// carved from store. charged is the build's budget charge, which
-	// includes the tableBytes of the index table charged so far.
+	// The build: each key indexed once, the join's rows' extra
+	// attributes carved from store. charged is the build's budget charge,
+	// which includes the tableBytes of the index table charged so far.
 	keyIx      relation.TupleIndex
 	rows       [][]relation.Tuple
 	store      relation.Slab
@@ -310,10 +328,10 @@ type HashJoinIter struct {
 	cur     relation.Tuple
 	matches []relation.Tuple
 	mIdx    int
+	ids     []int         // a semi mode's batch lookup
 	slab    relation.Slab // emit allocator; output tuples are sliced from it
 	// borrowed: the consumer drops each batch's tuples before the next
-	// NextBatch, so the emit slab is rewound per batch, and the
-	// degenerate product inherits it (set by compile).
+	// NextBatch, so the emit slab is rewound per batch (set by compile).
 	borrowed bool
 
 	// The spilled pairs still to join, and what reading them shares.
@@ -332,21 +350,14 @@ type joinPair struct {
 
 // Open implements BatchIterator.
 func (j *HashJoinIter) Open(ctx context.Context) error {
-	common := j.Left.Schema().Intersect(j.Right.Schema())
-	if common.Len() == 0 {
-		// Degenerate to a product, as the logical definition does.
-		j.isProduct = true
-		j.prod = &ProductIter{Label: j.Label, Left: j.Left, Right: j.Right, Stats: j.Stats, Every: j.Every,
-			windowBatcher: windowBatcher{BatchSize: j.BatchSize}, borrowed: j.borrowed}
-		j.out = j.Left.Schema().Concat(j.Right.Schema())
-		return j.prod.Open(ctx)
+	if j.SetOp != "" && !j.Left.Schema().EqualSet(j.Right.Schema()) {
+		return schemaErr(j.SetOp, j.Left.Schema(), j.Right.Schema())
 	}
-	j.isProduct = false
+	common := j.Left.Schema().Intersect(j.Right.Schema())
 	j.leftPos = j.Left.Schema().Positions(common.Attrs())
 	j.rightPos = j.Right.Schema().Positions(common.Attrs())
 	extra := j.Right.Schema().Minus(common)
 	j.extraPos = j.Right.Schema().Positions(extra.Attrs())
-	j.out = j.Left.Schema().Union(extra)
 
 	if err := j.Left.Open(ctx); err != nil {
 		return err
@@ -360,6 +371,14 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 		j.slab.Charge, j.slab.Release = j.Spill.Charge, j.Spill.Release
 	}
 	j.src = j.Left
+	if common.Len() == 0 && j.Mode != JoinInner {
+		// One right row decides every match: each row has the empty key.
+		ts, err := pull(j.Right, 1)
+		if len(ts) > 0 {
+			j.keyIx.IDProj(ts[0], nil)
+		}
+		return err
+	}
 	if err := j.build(ctx, j.Right, true); err != nil || j.pairs == nil {
 		return err
 	}
@@ -371,12 +390,11 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	})
 }
 
-// build drains src into the index: each row's key is indexed once and
-// its extra attributes are copied into the store slab, so src may lend
-// its rows. Under a budget each row is charged before it is indexed,
-// and the index table's growth with the next charge. A refusal is
-// returned, unless spillRest is set: then the index and the rest of src
-// go to depth-0 build runs (see spillIndex).
+// build drains src into the index; the index copies what it keeps, so
+// src may lend its rows. Under a budget each row is charged when it is
+// indexed, and the index table's growth with the next charge. A refusal
+// is returned, unless spillRest is set: then the index and the rest of
+// src go to depth-0 build runs (see spillIndex).
 func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest bool) error {
 	spilled := false
 	err := drainEvery(ctx, src, j.Every, func(t relation.Tuple) error {
@@ -402,9 +420,17 @@ func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest b
 	return err
 }
 
-// insert indexes one build row, charging it first under a budget; a
-// refused row is not indexed.
+// insert indexes one build row under a budget. The join charges the
+// row first and keeps its key and extras; a refused row is not indexed.
+// A semi mode keeps the key alone and charges it once it is new; a
+// refused key leaves with the index, spilled or dropped.
 func (j *HashJoinIter) insert(t relation.Tuple) error {
+	if j.Mode != JoinInner {
+		if id, created := j.keyIx.IDProj(t, j.rightPos); created && j.Spill != nil {
+			return j.charge(j.keyIx.Key(id).Footprint())
+		}
+		return nil
+	}
 	if j.Spill != nil {
 		if err := j.charge(t.Footprint()); err != nil {
 			return err
@@ -443,7 +469,8 @@ func (j *HashJoinIter) dropIndex() {
 // spillIndex moves the index to fresh depth-0 build runs, makes the
 // matching probe runs and releases the index's charge. A build run
 // holds right-schema tuples, rebuilt from key and extras, so a pair's
-// build reads it as it reads the right input.
+// build reads it as it reads the right input; a semi mode writes each
+// key once, with nulls for the attributes it does not keep.
 func (j *HashJoinIter) spillIndex() error {
 	row := make(relation.Tuple, j.Right.Schema().Len())
 	builds, err := fanOut(j.Spill, func(runs []*spill.Run) error {
@@ -451,6 +478,12 @@ func (j *HashJoinIter) spillIndex() error {
 			run := runs[spillPart(key.Hash64(), 0)]
 			for i, p := range j.rightPos {
 				row[p] = key[i]
+			}
+			if j.Mode != JoinInner {
+				if err := run.Append(row); err != nil {
+					return err
+				}
+				continue
 			}
 			for _, extra := range j.rows[id] {
 				for i, p := range j.extraPos {
@@ -481,15 +514,15 @@ func (j *HashJoinIter) spillIndex() error {
 	return nil
 }
 
-// nextPair loads the next spilled pair whose sides both hold rows: its
-// build run goes through build, and its probe run becomes the probe
-// source. A pair whose build overflows is split one level deeper and
-// its children go first. It reports false once no pair is left; on an
-// error the failed pair stays queued for Close.
+// nextPair loads the next spilled pair that can emit: its build run
+// goes through build, and its probe run becomes the probe source. A
+// pair whose build overflows is split one level deeper and its children
+// go first. It reports false once no pair is left; on an error the
+// failed pair stays queued for Close.
 func (j *HashJoinIter) nextPair() (bool, error) {
 	for len(j.pairs) > 0 {
 		p := j.pairs[0]
-		if p.build.Len() == 0 || p.probe.Len() == 0 {
+		if p.probe.Len() == 0 || (p.build.Len() == 0 && j.Mode != JoinAnti) {
 			j.pairs = j.pairs[1:]
 			p.build.Close()
 			p.probe.Close()
@@ -567,25 +600,14 @@ func (j *HashJoinIter) endProbe() error {
 	return nil
 }
 
-// SetRowBudget implements rowBudgeter; the degenerate product carries
-// its own budget.
-func (j *HashJoinIter) SetRowBudget(n int64) {
-	j.windowBatcher.SetRowBudget(n)
-	if j.isProduct && j.prod != nil {
-		j.prod.SetRowBudget(n)
-	}
-}
-
 // NextBatch implements BatchIterator: pending matches of the current
 // probe tuple flush first, then the next probe batch streams through
 // the cursor, each row probed and its matches emitted until the
-// output batch fills. When a probe source ends, the next spilled pair,
-// if any, takes over. An armed row budget bounds the output batch and
-// the probe pulls.
+// output batch fills; a semi mode filters the whole batch and returns
+// what passed. When a probe source ends, the next spilled pair, if any,
+// takes over. An armed row budget bounds the output batch and the probe
+// pulls.
 func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
-	if j.isProduct {
-		return j.prod.NextBatch()
-	}
 	if !j.opened {
 		return nil, errNotOpen("HashJoinIter")
 	}
@@ -628,7 +650,26 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 				}
 				continue
 			}
-			j.probe, j.pPos = ts, 0
+			if j.Mode == JoinInner {
+				j.probe, j.pPos = ts, 0
+				continue
+			}
+			// A semi mode looks the whole batch up in one pass. A row of a
+			// spilled probe run is borrowed from the run's reader, so it is
+			// copied through the emit slab.
+			j.ids = j.keyIx.LookupProjBatch(ts, j.leftPos, j.ids[:0])
+			_, spilled := j.src.(*runReader)
+			for i, t := range ts {
+				if (j.ids[i] >= 0) == (j.Mode == JoinSemi) {
+					if spilled {
+						t = j.slab.Concat(t, nil)
+					}
+					out.Append(t)
+				}
+			}
+			if out.Len() > 0 {
+				break
+			}
 			continue
 		}
 		// Probe at the cursor advance rather than materializing ids or
@@ -654,9 +695,6 @@ func (j *HashJoinIter) NextBatch() (*relation.Batch, error) {
 
 // Close implements BatchIterator.
 func (j *HashJoinIter) Close() error {
-	if j.isProduct {
-		return j.prod.Close()
-	}
 	j.endProbe()
 	for _, p := range j.pairs {
 		p.build.Close()
@@ -665,6 +703,7 @@ func (j *HashJoinIter) Close() error {
 	j.pairs = nil
 	j.strs.Close()
 	j.probe, j.pPos = nil, 0
+	j.ids = nil
 	j.opened = false
 	j.release()
 	err1 := j.Left.Close()
@@ -677,120 +716,14 @@ func (j *HashJoinIter) Close() error {
 
 // Schema implements BatchIterator.
 func (j *HashJoinIter) Schema() schema.Schema {
+	if j.Mode != JoinInner {
+		return j.Left.Schema()
+	}
 	if j.out.Len() == 0 {
-		common := j.Left.Schema().Intersect(j.Right.Schema())
-		j.out = j.Left.Schema().Union(j.Right.Schema().Minus(common))
+		j.out = j.Left.Schema().Union(j.Right.Schema())
 	}
 	return j.out
 }
-
-// SemiJoinIter streams left tuples that have a partner in the right
-// input on the common attributes. Keep=false turns it into the
-// anti-semi-join.
-//
-// Over one attribute set it is also the intersection and the
-// difference: r ∩ s = r ⋉ s and r − s = r ▷ s. The left input is a set
-// (every operator's output is), so both results, being subsets of it,
-// need no output dedup.
-type SemiJoinIter struct {
-	Label       string
-	Left, Right BatchIterator
-	Keep        bool
-	// SetOp, when set, names the set operator the semi-join runs; Open
-	// then rejects inputs over different attribute sets.
-	SetOp string
-	Stats *Stats
-	// Every is the cooperative ctx-poll interval of the build drain, in
-	// tuples; 0 means DefaultCheckEvery.
-	Every int
-	windowBatcher
-	keys       *relation.TupleIndex
-	leftPos    []int
-	degenerate bool // no common attributes
-	rightAny   bool
-	ids        []int
-}
-
-// Open implements BatchIterator.
-func (s *SemiJoinIter) Open(ctx context.Context) error {
-	if s.SetOp != "" && !s.Left.Schema().EqualSet(s.Right.Schema()) {
-		return schemaErr(s.SetOp, s.Left.Schema(), s.Right.Schema())
-	}
-	common := s.Left.Schema().Intersect(s.Right.Schema())
-	if err := s.Left.Open(ctx); err != nil {
-		return err
-	}
-	if err := s.Right.Open(ctx); err != nil {
-		return err
-	}
-	s.keys = new(relation.TupleIndex)
-	if common.Len() == 0 {
-		s.degenerate = true
-		ts, err := pull(s.Right, 1)
-		if err != nil {
-			return err
-		}
-		s.rightAny = ts != nil
-		return nil
-	}
-	s.degenerate = false
-	s.leftPos = s.Left.Schema().Positions(common.Attrs())
-	rightPos := s.Right.Schema().Positions(common.Attrs())
-	return drainEvery(ctx, s.Right, s.Every, func(t relation.Tuple) error {
-		s.keys.IDProj(t, rightPos)
-		return nil
-	})
-}
-
-// NextBatch implements BatchIterator: a whole probe batch is hashed
-// against the build keys in one pass, survivors emitted into a pooled
-// output batch. The armed row budget flows to the probe side (a
-// semi-join only shrinks batches).
-func (s *SemiJoinIter) NextBatch() (*relation.Batch, error) {
-	if s.keys == nil {
-		return nil, errNotOpen("SemiJoinIter")
-	}
-	for {
-		ts, err := pull(s.Left, s.budget)
-		if err != nil || ts == nil {
-			return nil, err
-		}
-		out := s.outBatch()
-		if s.degenerate {
-			if s.rightAny == s.Keep {
-				for _, t := range ts {
-					out.Append(t)
-				}
-			}
-		} else {
-			s.ids = s.keys.LookupProjBatch(ts, s.leftPos, s.ids[:0])
-			for i, t := range ts {
-				if (s.ids[i] >= 0) == s.Keep {
-					out.Append(t)
-				}
-			}
-		}
-		if n := out.Len(); n > 0 {
-			s.Stats.count(s.Label, int64(n))
-			return out, nil
-		}
-	}
-}
-
-// Close implements BatchIterator.
-func (s *SemiJoinIter) Close() error {
-	s.keys, s.ids = nil, nil
-	s.release()
-	err1 := s.Left.Close()
-	err2 := s.Right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Schema implements BatchIterator.
-func (s *SemiJoinIter) Schema() schema.Schema { return s.Left.Schema() }
 
 // GroupIter is the blocking grouping operator; it materializes its
 // input and delegates to algebra.Group.

@@ -22,17 +22,19 @@ import (
 // Budget model: only the operators whose live state grows with input
 // size charge the tracker — SortIter's sort buffer, DivideIter's
 // buffered inputs and every partition's division state (each worker's
-// included), and the hash join's build, whether it reads the right
-// input or a spilled pair's build run: each row is charged before it
-// is indexed, the index table's growth with the next charge. The
-// emit slabs charge their one live chunk (on refill, released on
-// retire — a slab that the budget refuses degrades to exact uncharged
-// allocations, so output equivalence is unaffected); the join has one,
-// whether it emits from memory or from spilled pairs. Streaming
-// operators (selection, projection, merge division, top-k's O(k) heap,
-// the run readers' per-batch copies) and the degenerate product join
-// stay uncharged; the budget governs the dominant spillable state, not
-// every transient allocation.
+// included), and the build of the hash join family — ⋈, and in its
+// semi modes ⋉, ▷, ∩, − and every decorrelated [NOT] EXISTS — whether
+// it reads the right input or a spilled pair's build run: the join
+// charges each row before it is indexed, a semi mode each new key, and
+// the index table's growth rides on the next charge. The emit slabs
+// charge their one live chunk (on refill, released on retire — a slab
+// that the budget refuses degrades to exact uncharged allocations, so
+// output equivalence is unaffected); the join family has one, whether
+// it emits from memory or from spilled pairs. Streaming operators
+// (selection, projection, merge division, top-k's O(k) heap, the run
+// readers' per-batch copies) and the degenerate joins (the product, a
+// semi mode's one empty key) stay uncharged; the budget governs the
+// dominant spillable state, not every transient allocation.
 
 // spillFanout is the number of partitions each grace-hash split
 // produces. It is a power of two so successive splits can consume

@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"divlaws/internal/datagen"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
+	"divlaws/internal/schema"
 	"divlaws/internal/spill"
 )
 
@@ -58,6 +60,7 @@ func drainSeqErr(ctx context.Context, it *FromBatch) ([]relation.Tuple, error) {
 func TestSpillMatchesUnlimited(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	var totalSpilled int64
+	spilledAt4K := map[string]int64{}
 	for trial := 0; trial < 10; trial++ {
 		for _, c := range equivPlans(rng) {
 			for _, budget := range []int64{4 << 10, 32 << 10} {
@@ -65,6 +68,9 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 					tr := spill.NewTracker(budget)
 					out := drainSeq(t, CompileWith(c.node, nil, CompileOptions{BatchSize: size, Spill: tr}))
 					totalSpilled += tr.Snapshot().Spilled
+					if budget == 4<<10 {
+						spilledAt4K[c.name] += tr.Snapshot().Spilled
+					}
 					if n := tr.LiveRuns(); n != 0 {
 						t.Errorf("trial %d %s (budget %d): %d run files leaked", trial, c.name, budget, n)
 					}
@@ -79,6 +85,11 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 	if totalSpilled == 0 {
 		t.Fatal("no plan in the sweep ever spilled — the budgets are not forcing out-of-core execution")
 	}
+	for _, name := range []string{"semijoin-spill", "antisemijoin-spill", "intersect-spill", "diff-spill"} {
+		if spilledAt4K[name] == 0 {
+			t.Errorf("%s never spilled under 4 KiB", name)
+		}
+	}
 }
 
 // TestSpillBudgetSweep runs every shape of the equivalence matrix
@@ -87,18 +98,19 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 // fail only with a typed spill.ErrBudget (one key group, or the ÷
 // divisor, larger than the budget); otherwise it must match
 // plan.Eval. Either way no run file may outlive the query and the
-// tracked peak may not exceed the budget. Under -short it runs two
-// seeds at masks off and 3-bit; the full form runs six seeds and adds
-// a 1-bit mask.
+// tracked peak may not exceed the budget. Under -short or -race it
+// runs two seeds at masks off and 3-bit; the full form runs six seeds
+// and adds a 1-bit mask.
 func TestSpillBudgetSweep(t *testing.T) {
 	seeds, masks := 6, []uint64{0, 0x7, 0x1}
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		seeds, masks = 2, masks[:2]
 	}
 	var runs, spilled, refused int
+	defer hashkey.SetMaskForTesting(0)() // the caller's mask again, even after a Fatal
 	for _, mask := range masks {
+		hashkey.SetMaskForTesting(mask)
 		for seed := 1; seed <= seeds; seed++ {
-			restore := hashkey.SetMaskForTesting(mask)
 			for _, c := range equivPlans(rand.New(rand.NewSource(int64(seed)))) {
 				for b := 64.0; b <= 24<<10; b *= 1.12 {
 					budget := int64(b)
@@ -130,7 +142,6 @@ func TestSpillBudgetSweep(t *testing.T) {
 					}
 				}
 			}
-			restore()
 		}
 	}
 	t.Logf("%d runs: %d spilled, %d refused with spill.ErrBudget", runs, spilled, refused)
@@ -238,7 +249,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rel := randRelation(rng, []string{"a", "b"}, 2000, 500)
 	node := &plan.Sort{Input: plan.NewScan("r", rel), Keys: []plan.SortKey{{Attr: "a"}}}
-	join := &plan.Join{Left: plan.NewScan("r", rel), Right: plan.NewScan("s", randRelation(rng, []string{"b", "c"}, 2000, 500))}
+	joins := hashJoinShapes(rng, rel)
 	const budget = 8 << 10
 
 	check := func(t *testing.T, tr *spill.Tracker) {
@@ -324,58 +335,60 @@ func TestSpillTempFileHygiene(t *testing.T) {
 		check(t, tr)
 	})
 
-	t.Run("JoinCloseMidStream", func(t *testing.T) {
-		tr := spill.NewTracker(budget)
-		it := CompileWith(join, nil, CompileOptions{Spill: tr})
-		if err := it.Open(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			if _, ok, err := it.Next(); !ok || err != nil {
-				t.Fatalf("Next %d = (%t, %v)", i, ok, err)
+	for _, c := range joins {
+		t.Run(c.name+"CloseMidStream", func(t *testing.T) {
+			tr := spill.NewTracker(budget)
+			it := CompileWith(c.node, nil, CompileOptions{Spill: tr})
+			if err := it.Open(context.Background()); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if tr.Snapshot().Spilled == 0 {
-			t.Fatal("fixture did not spill")
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		check(t, tr)
-	})
+			for i := 0; i < 5; i++ {
+				if _, ok, err := it.Next(); !ok || err != nil {
+					t.Fatalf("Next %d = (%t, %v)", i, ok, err)
+				}
+			}
+			if tr.Snapshot().Spilled == 0 {
+				t.Fatal("fixture did not spill")
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tr)
+		})
 
-	t.Run("JoinCancelMidProbe", func(t *testing.T) {
-		// Cancelled between the first spilled partition pair's output
-		// and the rest: the probe and the later pairs' builds poll the
-		// context, so the drain must stop with the cancellation error.
-		tr := spill.NewTracker(budget)
-		it := CompileWith(join, nil, CompileOptions{Spill: tr})
-		ctx, cancel := context.WithCancel(context.Background())
-		if err := it.Open(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := it.Next(); !ok || err != nil {
-			t.Fatalf("first Next = (%t, %v)", ok, err)
-		}
-		if tr.Snapshot().Spilled == 0 {
-			t.Fatal("fixture did not spill")
-		}
-		cancel()
-		var err error
-		for {
-			var ok bool
-			if _, ok, err = it.Next(); err != nil || !ok {
-				break
+		t.Run(c.name+"CancelMidProbe", func(t *testing.T) {
+			// Cancelled between the first spilled partition pair's output
+			// and the rest: the probe and the later pairs' builds poll the
+			// context, so the drain must stop with the cancellation error.
+			tr := spill.NewTracker(budget)
+			it := CompileWith(c.node, nil, CompileOptions{Spill: tr})
+			ctx, cancel := context.WithCancel(context.Background())
+			if err := it.Open(ctx); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled join ended with %v, want context.Canceled", err)
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		check(t, tr)
-	})
+			if _, ok, err := it.Next(); !ok || err != nil {
+				t.Fatalf("first Next = (%t, %v)", ok, err)
+			}
+			if tr.Snapshot().Spilled == 0 {
+				t.Fatal("fixture did not spill")
+			}
+			cancel()
+			var err error
+			for {
+				var ok bool
+				if _, ok, err = it.Next(); err != nil || !ok {
+					break
+				}
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled %s ended with %v, want context.Canceled", c.name, err)
+			}
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tr)
+		})
+	}
 
 	t.Run("GraceDivideWorkerError", func(t *testing.T) {
 		// A budgeted parallel divide that overflows into the inline
@@ -463,7 +476,7 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 		Dividend: plan.NewScan("r1", rel),
 		Divisor:  plan.NewScan("r2", randRelation(rng, []string{"b"}, 2, 500)),
 	}
-	joinNode := &plan.Join{Left: plan.NewScan("r", rel), Right: plan.NewScan("s", randRelation(rng, []string{"b", "c"}, 2000, 500))}
+	joins := hashJoinShapes(rng, rel)
 	const budget = 8 << 10
 
 	expectIO := func(t *testing.T, node plan.Node, arm func(*spill.Tracker)) {
@@ -492,12 +505,37 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 	t.Run("DivideReadFails", func(t *testing.T) {
 		expectIO(t, divNode, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
 	})
-	t.Run("JoinWriteFails", func(t *testing.T) {
-		expectIO(t, joinNode, func(tr *spill.Tracker) { tr.FailWriteAfter(10) })
-	})
-	t.Run("JoinReadFails", func(t *testing.T) {
-		expectIO(t, joinNode, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
-	})
+	for _, c := range joins {
+		t.Run(c.name+"WriteFails", func(t *testing.T) {
+			expectIO(t, c.node, func(tr *spill.Tracker) { tr.FailWriteAfter(10) })
+		})
+		t.Run(c.name+"ReadFails", func(t *testing.T) {
+			expectIO(t, c.node, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
+		})
+	}
+}
+
+// hashJoinShapes is the hash join family over a spill fixture r over
+// (a, b), named as the fault and hygiene subtests are: ⋈, ⋉ and ▷ build
+// on a random s over (b, c), ∩ and − on every other row of r. Each
+// build is larger than 8 KiB.
+func hashJoinShapes(rng *rand.Rand, r *relation.Relation) []equivPlan {
+	rs := plan.NewScan("r", r)
+	s := plan.NewScan("s", randRelation(rng, []string{"b", "c"}, r.Len(), 500))
+	half := relation.New(r.Schema())
+	for i, t := range r.Tuples() {
+		if i%2 == 0 {
+			half.Insert(t)
+		}
+	}
+	hs := plan.NewScan("half", half)
+	return []equivPlan{
+		{"Join", &plan.Join{Left: rs, Right: s}, false},
+		{"SemiJoin", &plan.SemiJoin{Left: rs, Right: s}, false},
+		{"AntiSemiJoin", &plan.AntiSemiJoin{Left: rs, Right: s}, false},
+		{"Intersect", plan.Intersect(rs, hs), false},
+		{"Diff", plan.Diff(rs, hs), false},
+	}
 }
 
 // TestSpillBudgetErrorTyped: a budget below the irreducible state
@@ -519,6 +557,12 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 		Left:  plan.NewScan("l", relation.Ints([]string{"a", "b"}, [][]int64{{0, 1}, {1, 1}, {2, 2}})),
 		Right: plan.NewScan("r", relation.Ints([]string{"b", "c"}, oneKey)),
 	}
+	// A semi mode indexes each key once, so its irreducible state is one
+	// key larger than the budget, present on both sides.
+	big := strings.Repeat("k", 16<<10)
+	probe := plan.NewScan("l", relation.FromRows(schema.New("a", "b"), [][]any{{"x", big}, {"y", "z"}}))
+	build := plan.NewScan("r", relation.FromRows(schema.New("b", "c"), [][]any{{big, "w"}}))
+	bigKey := plan.NewScan("k", relation.FromRows(schema.New("b"), [][]any{{big}}))
 	for _, c := range []struct {
 		name   string
 		node   plan.Node
@@ -530,6 +574,10 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 	}{
 		{"divide", divNode, 64, 0},
 		{"join", joinNode, 8 << 10, 1 + maxSpillDepth},
+		{"semijoin", &plan.SemiJoin{Left: probe, Right: build}, 8 << 10, 1 + maxSpillDepth},
+		{"antisemijoin", &plan.AntiSemiJoin{Left: probe, Right: build}, 8 << 10, 1 + maxSpillDepth},
+		{"intersect", plan.Intersect(bigKey, bigKey), 8 << 10, 1 + maxSpillDepth},
+		{"diff", plan.Diff(bigKey, bigKey), 8 << 10, 1 + maxSpillDepth},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tr := spill.NewTracker(c.budget)
