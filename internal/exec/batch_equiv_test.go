@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/division"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
@@ -156,6 +157,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	join := &plan.Join{Left: r1, Right: r2g}
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
 	shapes := append(projectShapes(rng, r1, r2g), borrowShapes(rng, gen, r1, r2, r2g, rc, keysA)...)
+	shapes = append(shapes, groupShapes(gen(rng, []string{"a", "b"}, 0, 6), r1, wide3, keysA)...)
 	return append(shapes, []equivPlan{
 		{"scan", r1, false},
 		{"filter", &plan.Select{Input: r1, Pred: p}, false},
@@ -221,6 +223,32 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		}, true},
 		{"join-right-join", &plan.Join{Left: r1, Right: &plan.Join{Left: r2g, Right: u}}, false},
 	}...)
+}
+
+// groupShapes is the grouping corner of the matrix: every aggregate
+// over r1 (string min and max under the wide generator), global
+// aggregation over an empty and a non-empty input, and a group over
+// wide3's (a, b), whose keys alone are more than 4 KiB, with an owning
+// consumer above it.
+func groupShapes(empty *relation.Relation, r1, wide3 plan.Node, keys []plan.SortKey) []equivPlan {
+	aggs := []algebra.AggSpec{
+		{Func: algebra.Count, As: "n"},
+		{Func: algebra.Count, Attr: "b", As: "nb"},
+		{Func: algebra.Sum, Attr: "b", As: "sum"},
+		{Func: algebra.Min, Attr: "b", As: "lo"},
+		{Func: algebra.Max, Attr: "b", As: "hi"},
+		{Func: algebra.Avg, Attr: "b", As: "avg"},
+	}
+	big := &plan.Group{Input: wide3, By: []string{"a", "b"}, Aggs: []algebra.AggSpec{
+		{Func: algebra.Count, As: "n"}, {Func: algebra.Max, Attr: "c", As: "hi"},
+	}}
+	return []equivPlan{
+		{"group-aggregates", &plan.Group{Input: r1, By: []string{"a"}, Aggs: aggs}, false},
+		{"group-global", &plan.Group{Input: r1, Aggs: aggs}, false},
+		{"group-global-empty", &plan.Group{Input: plan.NewScan("empty", empty), Aggs: aggs}, false},
+		{"group-spill", big, false},
+		{"sort-over-group-spill", &plan.Sort{Input: big, Keys: keys}, true},
+	}
 }
 
 // borrowShapes is the borrowed-emission corner of the matrix (see
