@@ -157,10 +157,11 @@
 //
 // WithMemoryLimit caps, per query, the bytes of input state the
 // blocking operators may hold live: the sort buffer, a division's
-// buffered inputs and partition states (every worker's), and the build
-// side of the hash join family: ⋈, ⋉, ▷, ∩, − and every decorrelated
-// [NOT] EXISTS, all one operator. Streaming operators hold O(1) and
-// top-k holds O(k); neither is charged. Under pressure the engine
+// buffered inputs and partition states (every worker's), the build
+// side of the hash join family (⋈, ⋉, ▷, ∩, − and every decorrelated
+// [NOT] EXISTS, all one operator), and the grouping's table of keys
+// and aggregate states. Streaming operators hold O(1) and top-k holds
+// O(k); neither is charged. Under pressure the engine
 // degrades to disk instead of failing: a sort past its budget spills
 // sorted runs to temp files and k-way merges them back (tie-broken by
 // the engine's canonical tuple order, so ORDER BY output is identical
@@ -170,15 +171,21 @@
 // budget on a fresh hash split. A spilled join — semi-join, anti-join,
 // intersection and difference included — joins each partition pair
 // with its own in-memory build and probe loop, so it charges and emits
-// exactly as the in-memory join does. A parallel division spills
+// exactly as the in-memory join does. A grouping that runs out of
+// budget keeps folding the groups it holds, sends the rows of every
+// other group to partitions on the GROUP BY key, and aggregates each
+// partition once its groups are out. A sort over any of these
+// operators (ORDER BY over a division, join or GROUP BY) flushes its
+// buffer at half the budget, so the operator below keeps the other
+// half. A parallel division spills
 // through the same partitioner and keeps all its workers: each
 // worker's division state is charged, and a partition that does not
 // fit beside the others' is left to the last worker, which divides the
 // left-overs one at a time with the whole budget.
 //
 // Results are always identical to unlimited execution. A query whose
-// irreducible state — the divisor, or a single key group after
-// maximal recursive partitioning — cannot fit returns an error
+// irreducible state — the divisor, or a single key group, which fails
+// without partitioning — cannot fit returns an error
 // matching ErrMemoryBudget; a temp-file failure while spilling
 // (disk full) surfaces as an error matching ErrSpillIO. Both arrive
 // through the ordinary error returns (DB.Query, Rows.Err), never as

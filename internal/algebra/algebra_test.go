@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
@@ -217,7 +218,7 @@ func TestGroupPaperFigure10(t *testing.T) {
 		[]int64{1, 1}, []int64{1, 2}, []int64{1, 3},
 		[]int64{2, 1}, []int64{2, 3},
 		[]int64{3, 1}, []int64{3, 3}, []int64{3, 4})
-	got := Group(r0, []string{"a"}, []AggSpec{{Func: Sum, Attr: "x", As: "b"}})
+	got := Group(r0, []string{"a"}, []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}})
 	want := ints([]string{"a", "b"}, []int64{1, 6}, []int64{2, 4}, []int64{3, 8})
 	if !got.Equal(want) {
 		t.Errorf("Group sum = %v want %v", got, want)
@@ -227,12 +228,12 @@ func TestGroupPaperFigure10(t *testing.T) {
 func TestGroupAggregates(t *testing.T) {
 	r := ints([]string{"g", "x"},
 		[]int64{1, 4}, []int64{1, 2}, []int64{2, 10})
-	got := Group(r, []string{"g"}, []AggSpec{
-		{Func: Count, As: "c"},
-		{Func: Sum, Attr: "x", As: "s"},
-		{Func: Min, Attr: "x", As: "lo"},
-		{Func: Max, Attr: "x", As: "hi"},
-		{Func: Avg, Attr: "x", As: "m"},
+	got := Group(r, []string{"g"}, []agg.AggSpec{
+		{Func: agg.Count, As: "c"},
+		{Func: agg.Sum, Attr: "x", As: "s"},
+		{Func: agg.Min, Attr: "x", As: "lo"},
+		{Func: agg.Max, Attr: "x", As: "hi"},
+		{Func: agg.Avg, Attr: "x", As: "m"},
 	})
 	if got.Len() != 2 {
 		t.Fatalf("groups = %d", got.Len())
@@ -247,7 +248,7 @@ func TestGroupAggregates(t *testing.T) {
 func TestGroupCountAttr(t *testing.T) {
 	// count(B) with explicit attribute, as in Law 11's side condition.
 	r := ints([]string{"b"}, []int64{1}, []int64{3})
-	got := Group(r, nil, []AggSpec{{Func: Count, Attr: "b", As: "c"}})
+	got := Group(r, nil, []agg.AggSpec{{Func: agg.Count, Attr: "b", As: "c"}})
 	if got.Len() != 1 || !got.Tuples()[0][0].Equal(value.Int(2)) {
 		t.Errorf("global count = %v", got)
 	}
@@ -255,9 +256,9 @@ func TestGroupCountAttr(t *testing.T) {
 
 func TestGroupGlobalOnEmpty(t *testing.T) {
 	r := relation.New(schema.New("x"))
-	got := Group(r, nil, []AggSpec{
-		{Func: Count, As: "c"},
-		{Func: Sum, Attr: "x", As: "s"},
+	got := Group(r, nil, []agg.AggSpec{
+		{Func: agg.Count, As: "c"},
+		{Func: agg.Sum, Attr: "x", As: "s"},
 	})
 	if got.Len() != 1 {
 		t.Fatalf("global agg over empty = %v", got)
@@ -270,27 +271,9 @@ func TestGroupGlobalOnEmpty(t *testing.T) {
 
 func TestGroupByEmptyInputWithKeys(t *testing.T) {
 	r := relation.New(schema.New("g", "x"))
-	got := Group(r, []string{"g"}, []AggSpec{{Func: Count, As: "c"}})
+	got := Group(r, []string{"g"}, []agg.AggSpec{{Func: agg.Count, As: "c"}})
 	if !got.Empty() {
 		t.Errorf("grouped agg over empty should be empty, got %v", got)
-	}
-}
-
-func TestAggSpecString(t *testing.T) {
-	if got := (AggSpec{Func: Sum, Attr: "x", As: "b"}).String(); got != "sum(x)->b" {
-		t.Errorf("AggSpec String = %q", got)
-	}
-	if got := (AggSpec{Func: Count, As: "c"}).String(); got != "count(*)->c" {
-		t.Errorf("Count String = %q", got)
-	}
-}
-
-func TestAggFuncString(t *testing.T) {
-	names := map[AggFunc]string{Count: "count", Sum: "sum", Min: "min", Max: "max", Avg: "avg", AggFunc(9): "agg(9)"}
-	for f, want := range names {
-		if f.String() != want {
-			t.Errorf("AggFunc(%d) = %q want %q", f, f.String(), want)
-		}
 	}
 }
 
@@ -353,11 +336,11 @@ func TestGroupNonNumericAggregatesYieldNull(t *testing.T) {
 	r := relation.FromRows(schema.New("g", "s"), [][]any{
 		{1, "b"}, {1, "a"},
 	})
-	got := Group(r, []string{"g"}, []AggSpec{
-		{Func: Sum, Attr: "s", As: "sum"},
-		{Func: Avg, Attr: "s", As: "avg"},
-		{Func: Min, Attr: "s", As: "lo"},
-		{Func: Max, Attr: "s", As: "hi"},
+	got := Group(r, []string{"g"}, []agg.AggSpec{
+		{Func: agg.Sum, Attr: "s", As: "sum"},
+		{Func: agg.Avg, Attr: "s", As: "avg"},
+		{Func: agg.Min, Attr: "s", As: "lo"},
+		{Func: agg.Max, Attr: "s", As: "hi"},
 	})
 	tpl := got.Tuples()[0]
 	if !tpl[1].IsNull() || !tpl[2].IsNull() {

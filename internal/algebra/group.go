@@ -1,168 +1,49 @@
 package algebra
 
 import (
-	"fmt"
-
+	"divlaws/internal/agg"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
-	"divlaws/internal/value"
 )
-
-// AggFunc identifies an aggregation function for the grouping
-// operator GγF (paper Appendix A).
-type AggFunc uint8
-
-// The supported aggregation functions.
-const (
-	Count AggFunc = iota // count of tuples in the group
-	Sum
-	Min
-	Max
-	Avg
-)
-
-// String returns the SQL name of the aggregate.
-func (f AggFunc) String() string {
-	switch f {
-	case Count:
-		return "count"
-	case Sum:
-		return "sum"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	case Avg:
-		return "avg"
-	default:
-		return fmt.Sprintf("agg(%d)", uint8(f))
-	}
-}
-
-// AggSpec is one entry of the aggregation list F: Func applied to
-// input attribute Attr, producing output attribute As. Count ignores
-// Attr (it counts tuples; the paper writes count(B) but relations are
-// sets so the count of tuples equals the count of attribute values).
-type AggSpec struct {
-	Func AggFunc
-	Attr string // input attribute; unused for Count
-	As   string // output attribute name
-}
-
-// String renders the spec like the paper: sum(x)→b.
-func (a AggSpec) String() string {
-	in := a.Attr
-	if a.Func == Count && in == "" {
-		in = "*"
-	}
-	return fmt.Sprintf("%s(%s)->%s", a.Func, in, a.As)
-}
-
-type aggState struct {
-	count int64
-	sum   value.Value
-	min   value.Value
-	max   value.Value
-	init  bool
-}
-
-func (s *aggState) add(v value.Value) {
-	s.count++
-	if !s.init {
-		s.sum, s.min, s.max, s.init = v, v, v, true
-		return
-	}
-	if v.IsNumeric() && s.sum.IsNumeric() {
-		s.sum = value.Add(s.sum, v)
-	}
-	s.min = value.Min(s.min, v)
-	s.max = value.Max(s.max, v)
-}
-
-func (s *aggState) result(f AggFunc) value.Value {
-	switch f {
-	case Count:
-		return value.Int(s.count)
-	case Sum:
-		if !s.init || !s.sum.IsNumeric() {
-			// SUM over non-numeric values is NULL, like SQL engines
-			// that reject it at runtime rather than crash.
-			return value.Null
-		}
-		return s.sum
-	case Min:
-		if !s.init {
-			return value.Null
-		}
-		return s.min
-	case Max:
-		if !s.init {
-			return value.Null
-		}
-		return s.max
-	case Avg:
-		if !s.init || s.count == 0 || !s.sum.IsNumeric() {
-			return value.Null
-		}
-		return value.Float(s.sum.AsFloat() / float64(s.count))
-	default:
-		panic(fmt.Sprintf("algebra: unknown aggregate %d", uint8(f)))
-	}
-}
 
 // Group implements the grouping operator GγF(r): group r's tuples by
 // the attributes in by and evaluate each AggSpec within each group.
 // The result schema is by ∪ the output names, in that order. With an
 // empty by list it produces a single tuple over the whole relation
 // (global aggregation), even for an empty input.
-func Group(r *relation.Relation, by []string, aggs []AggSpec) *relation.Relation {
-	outAttrs := append(append([]string(nil), by...), make([]string, 0, len(aggs))...)
+func Group(r *relation.Relation, by []string, aggs []agg.AggSpec) *relation.Relation {
+	outAttrs := append([]string(nil), by...)
 	for _, a := range aggs {
 		outAttrs = append(outAttrs, a.As)
 	}
 	out := relation.New(schema.New(outAttrs...))
 
 	byPos := r.Schema().Positions(by)
-	inPos := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Func == Count && a.Attr == "" {
-			inPos[i] = -1
-			continue
-		}
-		inPos[i] = r.Schema().MustIndex(a.Attr)
-	}
+	in := agg.Inputs(r.Schema(), aggs)
 
 	// Group keys get dense ids in first-seen order (the deterministic
-	// output order); states[id] holds that group's aggregate states.
+	// output order); states[id*len(aggs):] holds that group's
+	// aggregate states.
 	var keyIx relation.TupleIndex
-	var states [][]aggState
+	var states []agg.State
+	zero := make([]agg.State, len(aggs))
 	for _, t := range r.Tuples() {
 		id, created := keyIx.IDProj(t, byPos)
 		if created {
-			states = append(states, make([]aggState, len(aggs)))
+			states = append(states, zero...)
 		}
-		st := states[id]
-		for i := range aggs {
-			if inPos[i] < 0 {
-				st[i].count++
-				continue
-			}
-			st[i].add(t[inPos[i]])
-		}
+		agg.Fold(states[id*len(aggs):], t, in)
 	}
 	if len(by) == 0 && keyIx.Len() == 0 {
 		// Global aggregation over an empty relation yields one tuple
 		// of aggregate identities (count = 0, others NULL).
 		keyIx.ID(relation.Tuple{})
-		states = append(states, make([]aggState, len(aggs)))
+		states = append(states, zero...)
 	}
-	for id, st := range states {
-		key := keyIx.Key(id)
-		row := make(relation.Tuple, 0, len(key)+len(aggs))
-		row = append(row, key...)
-		for i, a := range aggs {
-			row = append(row, st[i].result(a.Func))
-		}
+	for id, key := range keyIx.Keys() {
+		row := make(relation.Tuple, len(key)+len(aggs))
+		copy(row, key)
+		agg.Finish(row[len(key):], states[id*len(aggs):], aggs)
 		out.InsertOwned(row)
 	}
 	return out

@@ -3,6 +3,7 @@ package division
 import (
 	"sort"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/relation"
 )
@@ -197,7 +198,7 @@ func CountDivide(r1, r2 *relation.Relation) *relation.Relation {
 	}
 	matched := algebra.SemiJoin(r1, r2)
 	counted := algebra.Group(matched, split.A.Attrs(),
-		[]algebra.AggSpec{{Func: algebra.Count, As: "·count"}})
+		[]agg.AggSpec{{Func: agg.Count, As: "·count"}})
 	out := relation.New(split.A)
 	n := int64(r2.Len())
 	last := counted.Schema().Len() - 1

@@ -8,7 +8,7 @@ import (
 	"runtime"
 	"testing"
 
-	"divlaws/internal/algebra"
+	"divlaws/internal/agg"
 	"divlaws/internal/division"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
@@ -231,16 +231,16 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 // wide3's (a, b), whose keys alone are more than 4 KiB, with an owning
 // consumer above it.
 func groupShapes(empty *relation.Relation, r1, wide3 plan.Node, keys []plan.SortKey) []equivPlan {
-	aggs := []algebra.AggSpec{
-		{Func: algebra.Count, As: "n"},
-		{Func: algebra.Count, Attr: "b", As: "nb"},
-		{Func: algebra.Sum, Attr: "b", As: "sum"},
-		{Func: algebra.Min, Attr: "b", As: "lo"},
-		{Func: algebra.Max, Attr: "b", As: "hi"},
-		{Func: algebra.Avg, Attr: "b", As: "avg"},
+	aggs := []agg.AggSpec{
+		{Func: agg.Count, As: "n"},
+		{Func: agg.Count, Attr: "b", As: "nb"},
+		{Func: agg.Sum, Attr: "b", As: "sum"},
+		{Func: agg.Min, Attr: "b", As: "lo"},
+		{Func: agg.Max, Attr: "b", As: "hi"},
+		{Func: agg.Avg, Attr: "b", As: "avg"},
 	}
-	big := &plan.Group{Input: wide3, By: []string{"a", "b"}, Aggs: []algebra.AggSpec{
-		{Func: algebra.Count, As: "n"}, {Func: algebra.Max, Attr: "c", As: "hi"},
+	big := &plan.Group{Input: wide3, By: []string{"a", "b"}, Aggs: []agg.AggSpec{
+		{Func: agg.Count, As: "n"}, {Func: agg.Max, Attr: "c", As: "hi"},
 	}}
 	return []equivPlan{
 		{"group-aggregates", &plan.Group{Input: r1, By: []string{"a"}, Aggs: aggs}, false},

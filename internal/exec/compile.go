@@ -90,9 +90,10 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 //     ÷/÷* dividend unbudgeted at one worker (the division states do
 //     not retain a dividend tuple), the ÷ divisor likewise (its index
 //     copies the B projection), the probe sides of the product and the
-//     natural join (each probe tuple is only concatenated), and the
-//     build side of ⋈, ⋉, ▷, ∩ and − (the key index and the extras slab
-//     copy what they keep).
+//     natural join (each probe tuple is only concatenated), the build
+//     side of ⋈, ⋉, ▷, ∩ and − (the key index and the extras slab copy
+//     what they keep), and the input of γ (the index copies the keys
+//     it keeps, and the states fold values).
 //   - Forwards the flag to its child, passing the child's tuples on as
 //     its own output: Filter, Rename, Limit, Project, the theta join's
 //     inner product, and the probe side of ⋉, ▷, ∩ and −. (Only a
@@ -101,7 +102,7 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 //   - Keeps the child's tuples, so the child is always owned: everything
 //     else — a budgeted or parallel division's buffers, the ÷* divisor,
 //     the right side of the product (a join without common attributes
-//     included), Sort, TopK, Group and Union. An operator not yet
+//     included), Sort, TopK and Union. An operator not yet
 //     checked by reading its code belongs here.
 func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) BatchIterator {
 	switch t := n.(type) {
@@ -144,6 +145,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 			Stats:         stats,
 			Every:         opts.CheckEvery,
 			Spill:         opts.Spill,
+			half:          opts.Spill != nil && holdsBudgeted(t.Input),
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.TopK:
@@ -224,6 +226,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 					Stats:         stats,
 					Every:         opts.CheckEvery,
 					Spill:         opts.Spill,
+					half:          opts.Spill != nil && holdsBudgeted(t.Dividend),
 					windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 				}
 				return &MergeGroupDivideIter{
@@ -244,11 +247,12 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 	case *plan.Group:
 		return &GroupIter{
 			Label:         label + "/group",
-			Input:         compile(t.Input, stats, label+".0", opts, false),
+			Input:         compile(t.Input, stats, label+".0", opts, true),
 			By:            t.By,
 			Aggs:          t.Aggs,
 			Stats:         stats,
 			Every:         opts.CheckEvery,
+			Spill:         opts.Spill,
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
 		}
 	case *plan.Rename:
@@ -260,6 +264,32 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 	default:
 		panic(fmt.Sprintf("exec: cannot compile %T", n))
 	}
+}
+
+// holdsBudgeted reports whether n's subtree holds a blocking operator
+// that charges the budget for its own state: ÷, ÷*, the hash join
+// family or γ. A sort above one flushes its buffer at half the budget,
+// so the operator below keeps the other half (see SortIter.half).
+func holdsBudgeted(n plan.Node) bool {
+	switch t := n.(type) {
+	case *plan.Divide, *plan.GreatDivide, *plan.ParallelDivide, *plan.ParallelGreatDivide,
+		*plan.SemiJoin, *plan.AntiSemiJoin, *plan.Group:
+		return true
+	case *plan.Join:
+		if !t.Left.Schema().DisjointFrom(t.Right.Schema()) {
+			return true
+		}
+	case *plan.Set:
+		if t.Op != plan.UnionOp {
+			return true
+		}
+	}
+	for _, c := range n.Children() {
+		if holdsBudgeted(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // compileJoin lowers ⋈, ⋉, ▷, ∩ or − to the HashJoinIter labelled

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/division"
 	"divlaws/internal/plan"
@@ -80,8 +81,8 @@ func TestCompileMatchesReferenceInterpreter(t *testing.T) {
 			&plan.Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoMergeSort},
 			&plan.GreatDivide{Dividend: r1, Divisor: r2g},
 			&plan.SemiJoin{Left: &plan.Divide{Dividend: r1, Divisor: r2}, Right: r3},
-			&plan.Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{
-				{Func: algebra.Count, As: "c"}, {Func: algebra.Sum, Attr: "b", As: "s"},
+			&plan.Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{
+				{Func: agg.Count, As: "c"}, {Func: agg.Sum, Attr: "b", As: "s"},
 			}},
 			&plan.Rename{Input: r2, From: "b", To: "x"},
 			&plan.ThetaJoin{

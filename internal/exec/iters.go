@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"sort"
 
-	"divlaws/internal/algebra"
+	"divlaws/internal/agg"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/spill"
+	"divlaws/internal/value"
 )
 
 // ScanIter streams a materialized relation in zero-copy windows over
@@ -289,7 +290,9 @@ const (
 // run, then the same probe loop over a reader of its probe run. A pair
 // with an empty side emits nothing, except that the anti mode emits an
 // unmatched probe run whole. A pair whose build overflows again is
-// split one level deeper on fresh hash bits, up to maxSpillDepth.
+// split one level deeper on fresh hash bits, up to maxSpillDepth. A
+// build refused for one key alone larger than the budget fails at once
+// with errOneKey: no split separates one key.
 type HashJoinIter struct {
 	Label       string
 	Left, Right BatchIterator
@@ -312,13 +315,11 @@ type HashJoinIter struct {
 	opened                      bool
 
 	// The build: each key indexed once, the join's rows' extra
-	// attributes carved from store. charged is the build's budget charge,
-	// which includes the tableBytes of the index table charged so far.
-	keyIx      relation.TupleIndex
-	rows       [][]relation.Tuple
-	store      relation.Slab
-	charged    int64
-	tableBytes int64
+	// attributes carved from store, and what they hold of the budget.
+	keyIx relation.TupleIndex
+	rows  [][]relation.Tuple
+	store relation.Slab
+	cost  tableCharge
 
 	// The probe loop. src is Left, a spilled probe run's reader, or nil
 	// between pairs.
@@ -400,7 +401,7 @@ func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest b
 	err := drainEvery(ctx, src, j.Every, func(t relation.Tuple) error {
 		if !spilled {
 			err := j.insert(t)
-			if !spillRest || !errors.Is(err, spill.ErrBudget) {
+			if !spillRest || !splittable(err) {
 				return err
 			}
 			if err := j.spillIndex(); err != nil {
@@ -414,7 +415,7 @@ func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest b
 		return err
 	}
 	// Settle the table's growth from the last row.
-	if err = j.charge(0); spillRest && errors.Is(err, spill.ErrBudget) {
+	if err = j.cost.charge(j.Spill, &j.keyIx, 0, false); spillRest && errors.Is(err, spill.ErrBudget) {
 		return j.spillIndex()
 	}
 	return err
@@ -423,16 +424,19 @@ func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest b
 // insert indexes one build row under a budget. The join charges the
 // row first and keeps its key and extras; a refused row is not indexed.
 // A semi mode keeps the key alone and charges it once it is new; a
-// refused key leaves with the index, spilled or dropped.
+// refused key leaves with the index, spilled or dropped. A refusal
+// that one key alone makes is errOneKey (see tableCharge.charge).
 func (j *HashJoinIter) insert(t relation.Tuple) error {
 	if j.Mode != JoinInner {
 		if id, created := j.keyIx.IDProj(t, j.rightPos); created && j.Spill != nil {
-			return j.charge(j.keyIx.Key(id).Footprint())
+			return j.cost.charge(j.Spill, &j.keyIx, j.keyIx.Key(id).Footprint(), id == 0)
 		}
 		return nil
 	}
 	if j.Spill != nil {
-		if err := j.charge(t.Footprint()); err != nil {
+		n := j.keyIx.Len()
+		alone := n == 0 || n == 1 && j.keyIx.LookupProj(t, j.rightPos) == 0
+		if err := j.cost.charge(j.Spill, &j.keyIx, t.Footprint(), alone); err != nil {
 			return err
 		}
 	}
@@ -444,23 +448,9 @@ func (j *HashJoinIter) insert(t relation.Tuple) error {
 	return nil
 }
 
-// charge charges n bytes plus the index table's growth since the last
-// charge; a refusal charges nothing.
-func (j *HashJoinIter) charge(n int64) error {
-	tb := j.keyIx.TableBytes()
-	n += tb - j.tableBytes
-	if err := j.Spill.Charge(n); err != nil {
-		return err
-	}
-	j.charged += n
-	j.tableBytes = tb
-	return nil
-}
-
 // dropIndex empties the index and gives its charge back.
 func (j *HashJoinIter) dropIndex() {
-	j.Spill.Release(j.charged)
-	j.charged, j.tableBytes = 0, 0
+	j.cost.release(j.Spill)
 	j.keyIx = relation.TupleIndex{}
 	j.rows = nil
 	j.store.Close()
@@ -542,7 +532,7 @@ func (j *HashJoinIter) nextPair() (bool, error) {
 			return true, j.src.Open(j.ctx)
 		}
 		j.dropIndex()
-		if !errors.Is(err, spill.ErrBudget) {
+		if !splittable(err) {
 			return false, err
 		}
 		children, err := j.split(p)
@@ -725,67 +715,252 @@ func (j *HashJoinIter) Schema() schema.Schema {
 	return j.out
 }
 
-// GroupIter is the blocking grouping operator; it materializes its
-// input and delegates to algebra.Group.
+// GroupIter is the grouping operator GγF, the hash family's
+// aggregation. It folds its input batch by batch into one table, an
+// index of the By keys with len(Aggs) agg.States per group, and emits
+// one row per group: its key, then its aggregates. Operator outputs
+// are sets, so each input row is folded as it comes, with no dedup;
+// the index copies the keys it keeps, so the input may lend its rows.
+// Unbudgeted it emits the groups in first-seen order, as algebra.Group
+// does. With By empty it emits one row even for an empty input
+// (global aggregation).
+//
+// Under a budget each new group charges its key and its states before
+// it is made, and the index table's growth rides on the next charge,
+// as a semi mode's keys do. After the first refused group a pass makes
+// no new group: rows of the groups in the table keep folding, and
+// every other row goes to the spillFanout runs for its By hash at the
+// pass's depth. When the pass's input is drained its groups are final:
+// they become output rows, which keep the table's charge until they
+// are emitted. Each run is then aggregated by the same pass one level
+// deeper, up to maxSpillDepth. A group is folded whole within one
+// pass, so no partial state is ever written to disk. A pass whose
+// first group alone is larger than the budget fails at once
+// (errOneKey).
 type GroupIter struct {
 	Label string
 	Input BatchIterator
 	By    []string
-	Aggs  []algebra.AggSpec
+	Aggs  []agg.AggSpec
 	Stats *Stats
-	// Every is the cooperative ctx-poll interval of the input drain, in
-	// tuples; 0 means DefaultCheckEvery.
+	// Every is the cooperative ctx-poll interval of the input drain and
+	// the spilled runs' reads, in tuples; 0 means DefaultCheckEvery.
 	Every int
+	// Spill, when non-nil, bounds the table: on budget pressure the rows
+	// of groups outside it grace-hash partition to temp files, which are
+	// aggregated once the table's groups are emitted.
+	Spill *spill.Tracker
 	windowBatcher
-	rows  []relation.Tuple
-	pos   int
-	outSc schema.Schema
+
+	out       schema.Schema
+	byPos, in []int
+	opened    bool
+
+	// The table: group id's states are states[id*len(Aggs):], zero is
+	// a new group's, and cost is what the table holds of the budget,
+	// kept by its output rows until they are emitted.
+	keyIx  relation.TupleIndex
+	states []agg.State
+	zero   []agg.State
+	cost   tableCharge
+	rows   []relation.Tuple
+	pos    int
+
+	// The spilled partitions still to aggregate, and what reading them
+	// shares.
+	runs []groupRun
+	strs *spill.StringCache
+	poll func() error
+	ctx  context.Context
 }
 
-// Open implements BatchIterator.
+// groupRun is one spilled partition of a grouping: input rows whose By
+// hash selects it at depth.
+type groupRun struct {
+	run   *spill.Run
+	depth int
+}
+
+// Open implements BatchIterator: it aggregates the whole input.
 func (g *GroupIter) Open(ctx context.Context) error {
+	sch := g.Input.Schema()
+	g.byPos, g.in = sch.Positions(g.By), agg.Inputs(sch, g.Aggs)
+	g.zero = make([]agg.State, len(g.Aggs))
 	if err := g.Input.Open(ctx); err != nil {
 		return err
 	}
-	in := relation.New(g.Input.Schema())
-	if err := drainEvery(ctx, g.Input, g.Every, func(t relation.Tuple) error {
-		in.InsertOwned(t)
+	g.ctx, g.poll, g.opened = ctx, poller(ctx, effEvery(g.Every)), true
+	return g.pass(g.Input, 0)
+}
+
+// pass folds src into the empty table at depth and turns the final
+// groups into output rows. The rows of groups it cannot make go to
+// fresh runs, queued before the older ones.
+func (g *GroupIter) pass(src BatchIterator, depth int) error {
+	var runs []*spill.Run
+	err := drainEvery(g.ctx, src, g.Every, func(t relation.Tuple) error {
+		h := t.Hash64Proj(g.byPos)
+		id := g.keyIx.LookupProjHashed(h, t, g.byPos)
+		if id < 0 && runs == nil {
+			var err error
+			if id, err = g.admit(t); err != nil {
+				if runs, err = g.overflow(err, depth); err != nil {
+					return err
+				}
+			}
+		}
+		if id < 0 {
+			return runs[spillPart(h, depth)].Append(t)
+		}
+		agg.Fold(g.states[id*len(g.Aggs):], t, g.in)
 		return nil
-	}); err != nil {
+	})
+	children := make([]groupRun, len(runs))
+	for i, r := range runs {
+		children[i] = groupRun{run: r, depth: depth}
+	}
+	g.runs = append(children, g.runs...)
+	if err != nil {
 		return err
 	}
-	out := algebra.Group(in, g.By, g.Aggs)
-	g.rows = out.Tuples()
-	g.outSc = out.Schema()
-	g.pos = 0
+	if len(g.By) == 0 && depth == 0 && runs == nil && g.keyIx.Len() == 0 {
+		// Global aggregation over an empty input is one row of
+		// aggregate identities (count = 0, others NULL).
+		if _, err := g.admit(relation.Tuple{}); err != nil {
+			return err
+		}
+	}
+	// Settle the table's growth from the last group. Tracker.Charge
+	// refuses only for budget, and a refusal here leaves the growth
+	// uncharged: the groups are final, and the table goes now.
+	_ = g.cost.charge(g.Spill, &g.keyIx, 0, false)
+
+	w := len(g.By) + len(g.Aggs)
+	vals := make([]value.Value, g.keyIx.Len()*w)
+	g.rows, g.pos = make([]relation.Tuple, g.keyIx.Len()), 0
+	for id, key := range g.keyIx.Keys() {
+		row := relation.Tuple(vals[id*w : id*w+w : id*w+w])
+		copy(row, key)
+		agg.Finish(row[len(key):], g.states[id*len(g.Aggs):], g.Aggs)
+		g.rows[id] = row
+	}
+	g.keyIx, g.states = relation.TupleIndex{}, nil
 	return nil
 }
 
-// NextBatch implements BatchIterator.
+// admit makes t's group. Under a budget it charges the group's key and
+// states first; a refused group is not made, and admit returns -1 with
+// the refusal.
+func (g *GroupIter) admit(t relation.Tuple) (int, error) {
+	if g.Spill != nil {
+		n := t.FootprintProj(g.byPos) + int64(len(g.Aggs))*agg.StateBytes
+		if err := g.cost.charge(g.Spill, &g.keyIx, n, g.keyIx.Len() == 0); err != nil {
+			return -1, err
+		}
+	}
+	id, _ := g.keyIx.IDProj(t, g.byPos)
+	g.states = append(g.states, g.zero...)
+	return id, nil
+}
+
+// overflow answers a pass's first refused group with the runs for the
+// rest of the pass, or with the query's error when splitting cannot
+// help: a refusal that is not the budget's, one group larger than the
+// budget, or a pass already maxSpillDepth splits deep.
+func (g *GroupIter) overflow(err error, depth int) ([]*spill.Run, error) {
+	if !splittable(err) {
+		return nil, err
+	}
+	if depth > maxSpillDepth {
+		return nil, errSplitDepth
+	}
+	runs, err := fanOut(g.Spill, func([]*spill.Run) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	if g.strs == nil {
+		g.strs = g.Spill.NewStringCache()
+	}
+	g.Spill.AddPartitions(1)
+	return runs, nil
+}
+
+// nextRun gives back what is left of the emitted rows' charge and
+// aggregates the next non-empty run, one level deeper; it reports
+// false once no run is left.
+func (g *GroupIter) nextRun() (bool, error) {
+	g.cost.release(g.Spill)
+	g.rows, g.pos = nil, 0
+	for len(g.runs) > 0 {
+		r := g.runs[0]
+		g.runs = g.runs[1:]
+		if r.run.Len() == 0 {
+			r.run.Close()
+			continue
+		}
+		src := &runReader{run: r.run, sch: g.Input.Schema(), strs: g.strs, poll: g.poll, windowBatcher: windowBatcher{BatchSize: g.BatchSize}}
+		err := src.Open(g.ctx)
+		if err == nil {
+			err = g.pass(src, r.depth+1)
+		}
+		if cerr := src.Close(); err == nil {
+			err = cerr
+		}
+		return err == nil, err
+	}
+	return false, nil
+}
+
+// NextBatch implements BatchIterator: the output rows of a pass are
+// served in zero-copy windows, each giving its rows' footprint of the
+// charge back (the consumer accounts what it keeps); when they are all
+// out, the next spilled run, if any, is aggregated and takes over.
 func (g *GroupIter) NextBatch() (*relation.Batch, error) {
-	if g.outSc.Len() == 0 && g.rows == nil {
+	if !g.opened {
 		return nil, errNotOpen("GroupIter")
 	}
-	b := g.window(g.rows, &g.pos)
-	if b != nil {
-		g.Stats.count(g.Label, int64(b.Len()))
+	for g.pos == len(g.rows) {
+		if ok, err := g.nextRun(); !ok {
+			return nil, err
+		}
 	}
+	b := g.window(g.rows, &g.pos)
+	if g.Spill != nil {
+		var n int64
+		for _, t := range b.Tuples() {
+			n += t.Footprint()
+		}
+		g.cost.give(g.Spill, n)
+	}
+	g.Stats.count(g.Label, int64(b.Len()))
 	return b, nil
 }
 
 // Close implements BatchIterator.
-func (g *GroupIter) Close() error { g.rows = nil; g.release(); return g.Input.Close() }
+func (g *GroupIter) Close() error {
+	g.cost.release(g.Spill)
+	g.keyIx, g.states, g.rows, g.pos = relation.TupleIndex{}, nil, nil, 0
+	for _, r := range g.runs {
+		r.run.Close()
+	}
+	g.runs = nil
+	g.strs.Close()
+	g.strs = nil
+	g.opened = false
+	g.release()
+	return g.Input.Close()
+}
 
 // Schema implements BatchIterator.
 func (g *GroupIter) Schema() schema.Schema {
-	if g.outSc.Len() > 0 {
-		return g.outSc
+	if g.out.Len() == 0 {
+		attrs := append([]string(nil), g.By...)
+		for _, a := range g.Aggs {
+			attrs = append(attrs, a.As)
+		}
+		g.out = schema.New(attrs...)
 	}
-	attrs := append([]string(nil), g.By...)
-	for _, a := range g.Aggs {
-		attrs = append(attrs, a.As)
-	}
-	return schema.New(attrs...)
+	return g.out
 }
 
 // SortIter is the blocking physical ordering operator: it
@@ -815,6 +990,10 @@ type SortIter struct {
 	// Spill, when non-nil, bounds the sort buffer: on budget pressure
 	// sorted runs spill to temp files and are merged on emit.
 	Spill *spill.Tracker
+	// half, set by compile when the input's subtree holds a budgeted
+	// blocking operator, flushes the buffer before it passes half the
+	// budget, so that operator keeps the other half for its own state.
+	half bool
 	windowBatcher
 	rows []relation.Tuple
 	pos  int
@@ -849,14 +1028,16 @@ func (s *SortIter) Open(ctx context.Context) error {
 	}
 	if err := drainEvery(ctx, s.Input, s.Every, func(t relation.Tuple) error {
 		fp := t.Footprint()
-		err := s.Spill.Charge(fp)
-		if err == nil {
-			s.charged += fp
-			s.rows = append(s.rows, t)
-			return nil
-		}
-		if !errors.Is(err, spill.ErrBudget) {
-			return err
+		if !s.half || s.charged == 0 || s.charged+fp <= s.Spill.Limit()/2 {
+			err := s.Spill.Charge(fp)
+			if err == nil {
+				s.charged += fp
+				s.rows = append(s.rows, t)
+				return nil
+			}
+			if !errors.Is(err, spill.ErrBudget) {
+				return err
+			}
 		}
 		if err := s.spillBuffer(cmp); err != nil {
 			return err

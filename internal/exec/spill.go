@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,26 +16,34 @@ import (
 
 // This file holds the out-of-core machinery shared by the blocking
 // operators: the external-sort merge used by SortIter, and the grace-hash
-// fan-out, recursive split and run reader used by the division and
-// join operators. (A compile-owned spill.Tracker's lifetime is tied to
-// the root cursor's Close; see FromBatch.)
+// fan-out, recursive split and run reader used by the division, the
+// join family and the grouping. (A compile-owned spill.Tracker's
+// lifetime is tied to the root cursor's Close; see FromBatch.)
 //
 // Budget model: only the operators whose live state grows with input
 // size charge the tracker — SortIter's sort buffer, DivideIter's
 // buffered inputs and every partition's division state (each worker's
-// included), and the build of the hash join family — ⋈, and in its
-// semi modes ⋉, ▷, ∩, − and every decorrelated [NOT] EXISTS — whether
-// it reads the right input or a spilled pair's build run: the join
-// charges each row before it is indexed, a semi mode each new key, and
-// the index table's growth rides on the next charge. The emit slabs
-// charge their one live chunk (on refill, released on retire — a slab
-// that the budget refuses degrades to exact uncharged allocations, so
-// output equivalence is unaffected); the join family has one, whether
-// it emits from memory or from spilled pairs. Streaming operators
-// (selection, projection, merge division, top-k's O(k) heap, the run
-// readers' per-batch copies) and the degenerate joins (the product, a
-// semi mode's one empty key) stay uncharged; the budget governs the
-// dominant spillable state, not every transient allocation.
+// included), the build of the hash join family — ⋈, and in its semi
+// modes ⋉, ▷, ∩, − and every decorrelated [NOT] EXISTS — whether it
+// reads the right input or a spilled pair's build run, and γ's table,
+// whether it reads the input or a spilled run. The join charges each
+// row before it is indexed, a semi mode each new key, γ each new
+// group's key and states; the index table's growth rides on the next
+// charge (tableCharge). A refusal that one key alone makes beyond the
+// whole budget fails at once (errOneKey); any other refusal partitions
+// through fanOut and runReader, deeper with spillPart's next hash bits,
+// up to maxSpillDepth. A sort over a subtree holding one of these
+// operators flushes at half the budget, leaving them the other half.
+// The emit slabs charge their one live chunk (on refill, released on
+// retire — a slab that the budget refuses degrades to exact uncharged
+// allocations, so output equivalence is unaffected); the join family
+// has one, whether it emits from memory or from spilled pairs, and γ's
+// output rows keep its table's charge until they are emitted.
+// Streaming operators (selection, projection, merge division, top-k's
+// O(k) heap, the run readers' per-batch copies) and the degenerate
+// joins (the product, a semi mode's one empty key) stay uncharged; the
+// budget governs the dominant spillable state, not every transient
+// allocation.
 
 // spillFanout is the number of partitions each grace-hash split
 // produces. It is a power of two so successive splits can consume
@@ -46,10 +55,65 @@ const spillFanout = 8
 const spillFanoutBits = 3
 
 // maxSpillDepth bounds grace-hash recursion. A partition that still
-// exceeds the budget after this many splits is dominated by a single
-// key group (every split lands its tuples in one child), so deeper
-// recursion cannot help and the query fails with a budget error.
+// exceeds the budget after this many splits fails with errSplitDepth.
 const maxSpillDepth = 6
+
+// errSplitDepth is the budget error of a partition that still
+// overflows after maxSpillDepth splits: budget held elsewhere, or keys
+// whose hashes agree on every bit the splits consumed.
+var errSplitDepth = fmt.Errorf("exec: partition still exceeds the memory budget after %d recursive splits: %w", maxSpillDepth, spill.ErrBudget)
+
+// errOneKey is the budget error of a hash operator whose refused state
+// is one key's alone and larger than the whole budget. Every split
+// lands a key in one child, so the operator fails at once rather than
+// splitting to maxSpillDepth for nothing.
+var errOneKey = fmt.Errorf("exec: one key group is larger than the memory budget: %w", spill.ErrBudget)
+
+// splittable reports whether splitting may meet a refused charge: a
+// budget refusal, unless it is errOneKey.
+func splittable(err error) bool {
+	return errors.Is(err, spill.ErrBudget) && !errors.Is(err, errOneKey)
+}
+
+// tableCharge is what a hash operator's table holds of the budget: the
+// bytes charged for its keys, rows or states, including the index's
+// hash table as of the last charge (the table's growth rides on the
+// next one).
+type tableCharge struct{ charged, tableBytes int64 }
+
+// charge charges n bytes plus the growth of ix's hash table since the
+// last charge; a refusal charges nothing. alone reports that the
+// refused bytes belong to the only key ix holds or is about to hold:
+// if they exceed the whole budget with what the table holds already,
+// no split can separate that key and the refusal is errOneKey. A
+// refusal caused by budget that other operators hold is returned as
+// is, and the operator splits.
+func (c *tableCharge) charge(tr *spill.Tracker, ix *relation.TupleIndex, n int64, alone bool) error {
+	tb := ix.TableBytes()
+	n += tb - c.tableBytes
+	if err := tr.Charge(n); err != nil {
+		if alone && errors.Is(err, spill.ErrBudget) && c.charged+n > tr.Limit() {
+			return fmt.Errorf("%w (%d bytes, budget %d)", errOneKey, c.charged+n, tr.Limit())
+		}
+		return err
+	}
+	c.charged += n
+	c.tableBytes = tb
+	return nil
+}
+
+// give gives up to n bytes of the charge back.
+func (c *tableCharge) give(tr *spill.Tracker, n int64) {
+	n = min(n, c.charged)
+	tr.Release(n)
+	c.charged -= n
+}
+
+// release gives the whole charge back.
+func (c *tableCharge) release(tr *spill.Tracker) {
+	tr.Release(c.charged)
+	*c = tableCharge{}
+}
 
 // effEvery resolves a ctx-poll interval, 0 meaning DefaultCheckEvery.
 func effEvery(n int) int {
@@ -154,14 +218,13 @@ func fanOut(tr *spill.Tracker, fill func([]*spill.Run) error) ([]*spill.Run, err
 }
 
 // splitRun redistributes a partition run into spillFanout children at
-// depth+1 using a fresh slice of the given hash. It fails when the
-// recursion depth is exhausted — at that point the partition is
-// dominated by a single key group and splitting cannot shrink it.
+// depth+1 using a fresh slice of the given hash. It fails with
+// errSplitDepth when the recursion depth is exhausted.
 // Tuples are read borrowed: Append encodes them before the next read.
 func splitRun(ctx context.Context, tr *spill.Tracker, strs *spill.StringCache, run *spill.Run, depth, every int, hash func(relation.Tuple) uint64) ([]*spill.Run, error) {
 	next := depth + 1
 	if next > maxSpillDepth {
-		return nil, fmt.Errorf("exec: partition still exceeds the memory budget after %d recursive splits (one key group is larger than the budget): %w", maxSpillDepth, spill.ErrBudget)
+		return nil, errSplitDepth
 	}
 	if err := run.Rewind(); err != nil {
 		return nil, err

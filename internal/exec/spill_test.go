@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/datagen"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
@@ -85,7 +86,7 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 	if totalSpilled == 0 {
 		t.Fatal("no plan in the sweep ever spilled — the budgets are not forcing out-of-core execution")
 	}
-	for _, name := range []string{"semijoin-spill", "antisemijoin-spill", "intersect-spill", "diff-spill"} {
+	for _, name := range []string{"semijoin-spill", "antisemijoin-spill", "intersect-spill", "diff-spill", "group-spill"} {
 		if spilledAt4K[name] == 0 {
 			t.Errorf("%s never spilled under 4 KiB", name)
 		}
@@ -249,7 +250,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	rel := randRelation(rng, []string{"a", "b"}, 2000, 500)
 	node := &plan.Sort{Input: plan.NewScan("r", rel), Keys: []plan.SortKey{{Attr: "a"}}}
-	joins := hashJoinShapes(rng, rel)
+	hashes := hashShapes(rng, rel)
 	const budget = 8 << 10
 
 	check := func(t *testing.T, tr *spill.Tracker) {
@@ -335,7 +336,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 		check(t, tr)
 	})
 
-	for _, c := range joins {
+	for _, c := range hashes {
 		t.Run(c.name+"CloseMidStream", func(t *testing.T) {
 			tr := spill.NewTracker(budget)
 			it := CompileWith(c.node, nil, CompileOptions{Spill: tr})
@@ -476,7 +477,7 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 		Dividend: plan.NewScan("r1", rel),
 		Divisor:  plan.NewScan("r2", randRelation(rng, []string{"b"}, 2, 500)),
 	}
-	joins := hashJoinShapes(rng, rel)
+	hashes := hashShapes(rng, rel)
 	const budget = 8 << 10
 
 	expectIO := func(t *testing.T, node plan.Node, arm func(*spill.Tracker)) {
@@ -505,7 +506,7 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 	t.Run("DivideReadFails", func(t *testing.T) {
 		expectIO(t, divNode, func(tr *spill.Tracker) { tr.FailReadAfter(10) })
 	})
-	for _, c := range joins {
+	for _, c := range hashes {
 		t.Run(c.name+"WriteFails", func(t *testing.T) {
 			expectIO(t, c.node, func(tr *spill.Tracker) { tr.FailWriteAfter(10) })
 		})
@@ -515,11 +516,11 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 	}
 }
 
-// hashJoinShapes is the hash join family over a spill fixture r over
-// (a, b), named as the fault and hygiene subtests are: ⋈, ⋉ and ▷ build
-// on a random s over (b, c), ∩ and − on every other row of r. Each
-// build is larger than 8 KiB.
-func hashJoinShapes(rng *rand.Rand, r *relation.Relation) []equivPlan {
+// hashShapes is the hash family over a spill fixture r over (a, b),
+// named as the fault and hygiene subtests are: ⋈, ⋉ and ▷ build on a
+// random s over (b, c), ∩ and − on every other row of r, and γ groups
+// r on a. Each build, and the group's table, is larger than 8 KiB.
+func hashShapes(rng *rand.Rand, r *relation.Relation) []equivPlan {
 	rs := plan.NewScan("r", r)
 	s := plan.NewScan("s", randRelation(rng, []string{"b", "c"}, r.Len(), 500))
 	half := relation.New(r.Schema())
@@ -535,14 +536,18 @@ func hashJoinShapes(rng *rand.Rand, r *relation.Relation) []equivPlan {
 		{"AntiSemiJoin", &plan.AntiSemiJoin{Left: rs, Right: s}, false},
 		{"Intersect", plan.Intersect(rs, hs), false},
 		{"Diff", plan.Diff(rs, hs), false},
+		{"Group", &plan.Group{Input: rs, By: []string{"a"}, Aggs: []agg.AggSpec{
+			{Func: agg.Count, As: "n"}, {Func: agg.Sum, Attr: "b", As: "sum"},
+		}}, false},
 	}
 }
 
 // TestSpillBudgetErrorTyped: a budget below the irreducible state
 // must fail with an error wrapping spill.ErrBudget, never succeed
 // quietly or hang. For the division that state is the divisor itself;
-// for the join it is one key group larger than the budget, which every
-// split lands in a single child until maxSpillDepth gives up.
+// for the hash family it is one key group larger than the budget,
+// which no split can separate, so the operator fails at its first
+// refusal without a partitioning pass.
 func TestSpillBudgetErrorTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	divNode := &plan.Divide{
@@ -563,21 +568,22 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 	probe := plan.NewScan("l", relation.FromRows(schema.New("a", "b"), [][]any{{"x", big}, {"y", "z"}}))
 	build := plan.NewScan("r", relation.FromRows(schema.New("b", "c"), [][]any{{big, "w"}}))
 	bigKey := plan.NewScan("k", relation.FromRows(schema.New("b"), [][]any{{big}}))
+	bigGroup := &plan.Group{Input: probe, By: []string{"b"}, Aggs: []agg.AggSpec{{Func: agg.Count, As: "n"}}}
 	for _, c := range []struct {
 		name   string
 		node   plan.Node
 		budget int64
-		// splits is the partitioning passes before the error: none for
-		// the divisor, the first overflow and maxSpillDepth splits for
-		// the key group.
+		// splits is the partitioning passes before the error: none,
+		// since splitting never shrinks the divisor or one key group.
 		splits int64
 	}{
 		{"divide", divNode, 64, 0},
-		{"join", joinNode, 8 << 10, 1 + maxSpillDepth},
-		{"semijoin", &plan.SemiJoin{Left: probe, Right: build}, 8 << 10, 1 + maxSpillDepth},
-		{"antisemijoin", &plan.AntiSemiJoin{Left: probe, Right: build}, 8 << 10, 1 + maxSpillDepth},
-		{"intersect", plan.Intersect(bigKey, bigKey), 8 << 10, 1 + maxSpillDepth},
-		{"diff", plan.Diff(bigKey, bigKey), 8 << 10, 1 + maxSpillDepth},
+		{"join", joinNode, 8 << 10, 0},
+		{"semijoin", &plan.SemiJoin{Left: probe, Right: build}, 8 << 10, 0},
+		{"antisemijoin", &plan.AntiSemiJoin{Left: probe, Right: build}, 8 << 10, 0},
+		{"intersect", plan.Intersect(bigKey, bigKey), 8 << 10, 0},
+		{"diff", plan.Diff(bigKey, bigKey), 8 << 10, 0},
+		{"group", bigGroup, 8 << 10, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tr := spill.NewTracker(c.budget)

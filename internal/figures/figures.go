@@ -8,6 +8,7 @@ package figures
 import (
 	"strings"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/division"
 	"divlaws/internal/pred"
@@ -283,7 +284,7 @@ func Figure10() string {
 	r0 := relation.Ints([]string{"a", "x"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
 	})
-	r1 := algebra.Group(r0, []string{"a"}, []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "b"}})
+	r1 := algebra.Group(r0, []string{"a"}, []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}})
 	r2 := relation.Ints([]string{"b"}, [][]int64{{4}})
 	semi := algebra.SemiJoin(r1, r2)
 	result := algebra.Project(semi, "a")
@@ -302,7 +303,7 @@ func Figure11() string {
 	r0 := relation.Ints([]string{"x", "b"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
 	})
-	r1 := algebra.Group(r0, []string{"b"}, []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}})
+	r1 := algebra.Group(r0, []string{"b"}, []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}})
 	r1 = r1.Reorder([]string{"a", "b"})
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
 	semi := algebra.SemiJoin(r1, r2)

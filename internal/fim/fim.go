@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/division"
 	"divlaws/internal/pred"
@@ -193,7 +194,7 @@ func (DivideMiner) Mine(t *Transactions, minSupport int) []Result {
 
 		// Support = count of tid per itemset; keep frequent ones.
 		counted := algebra.Group(quotient, []string{"itemset"},
-			[]algebra.AggSpec{{Func: algebra.Count, As: "support"}})
+			[]agg.AggSpec{{Func: agg.Count, As: "support"}})
 		frequent := algebra.Select(counted,
 			pred.Compare(pred.Attr("support"), pred.Ge, pred.ConstInt(int64(minSupport))))
 

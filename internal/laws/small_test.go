@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/plan"
 	"divlaws/internal/pred"
@@ -543,7 +544,7 @@ func TestLaw11Figure10(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"a"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "b"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{4}})
 	lhs := &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}
@@ -562,7 +563,7 @@ func TestLaw11Cases(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"a"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "b"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}},
 	}
 	// Case 1: empty divisor → quotient is r1 itself.
 	empty := relation.New(schema.New("b"))
@@ -587,7 +588,7 @@ func TestLaw11RejectsWrongGroupShape(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"b"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}})
 	mustReject(t, Law11(), &plan.Divide{Dividend: group, Divisor: scan("r2", r2)})
@@ -601,7 +602,7 @@ func TestLaw12Figure11(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"b"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
 	lhs := &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}
@@ -622,7 +623,7 @@ func TestLaw12EmptyWhenGroupsDiffer(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"b"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
 	lhs := &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}
@@ -637,7 +638,7 @@ func TestLaw12RejectsWithoutForeignKey(t *testing.T) {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"b"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 	}
 	// r2 has value 9 not present in r1.b: FK premise fails.
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {9}})
@@ -652,7 +653,7 @@ func TestLaw12Property(t *testing.T) {
 		group := &plan.Group{
 			Input: scan("r0", r0),
 			By:    []string{"b"},
-			Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+			Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 		}
 		r2 := randRelation(rng, []string{"b"}, 1+rng.Intn(3), 5)
 		lhs := &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}

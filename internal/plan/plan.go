@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"strings"
 
-	"divlaws/internal/algebra"
+	"divlaws/internal/agg"
 	"divlaws/internal/division"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
@@ -322,7 +322,7 @@ func (d *GreatDivide) String() string { return "GreatDivide" }
 type Group struct {
 	Input Node
 	By    []string
-	Aggs  []algebra.AggSpec
+	Aggs  []agg.AggSpec
 }
 
 // Schema implements Node.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/division"
 	"divlaws/internal/pred"
@@ -38,7 +39,7 @@ func TestSchemas(t *testing.T) {
 		{&SemiJoin{Left: r1, Right: r2}, schema.New("a", "b")},
 		{&AntiSemiJoin{Left: r1, Right: r2}, schema.New("a", "b")},
 		{&Divide{Dividend: r1, Divisor: r2}, schema.New("a")},
-		{&Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{{Func: algebra.Count, As: "c"}}}, schema.New("a", "c")},
+		{&Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Count, As: "c"}}}, schema.New("a", "c")},
 		{&Rename{Input: r2, From: "b", To: "x"}, schema.New("x")},
 	}
 	for _, tc := range cases {
@@ -109,7 +110,7 @@ func TestEvalMatchesAlgebra(t *testing.T) {
 		t.Error("Eval(AntiSemiJoin) mismatch")
 	}
 
-	grp := &Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{{Func: algebra.Count, As: "c"}}}
+	grp := &Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Count, As: "c"}}}
 	if got := Eval(grp); !got.Equal(algebra.Group(r1.Rel, grp.By, grp.Aggs)) {
 		t.Error("Eval(Group) mismatch")
 	}
@@ -170,7 +171,7 @@ func TestStringForms(t *testing.T) {
 		{&Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoHash}, "Divide[hash]"},
 		{&GreatDivide{Dividend: r1, Divisor: r2}, "GreatDivide"},
 		{&Rename{Input: r1, From: "a", To: "z"}, "Rename[a->z]"},
-		{&Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{{Func: algebra.Sum, Attr: "b", As: "s"}}},
+		{&Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Sum, Attr: "b", As: "s"}}},
 			"Group[by=(a); sum(b)->s]"},
 	}
 	for _, tc := range cases {
@@ -279,7 +280,7 @@ func TestWithChildrenRoundTripAllNodes(t *testing.T) {
 		&AntiSemiJoin{Left: r1, Right: r2},
 		&Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoCount},
 		&GreatDivide{Dividend: r1, Divisor: r2g},
-		&Group{Input: r1, By: []string{"a"}, Aggs: []algebra.AggSpec{{Func: algebra.Count, As: "c"}}},
+		&Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Count, As: "c"}}},
 		&Rename{Input: r2, From: "b", To: "x"},
 	}
 	for _, n := range nodes {

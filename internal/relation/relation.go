@@ -130,14 +130,26 @@ func (t Tuple) Project(pos []int) Tuple {
 	return out
 }
 
+// sliceHeader is the bytes of a tuple's slice header, for Footprint.
+const sliceHeader = 24
+
 // Footprint approximates the live heap bytes held by the tuple: the
 // slice header and backing array plus each value's payload. Operators
 // charge this against a memory budget, so it deliberately rounds up.
 func (t Tuple) Footprint() int64 {
-	const sliceHeader = 24
 	n := int64(sliceHeader)
 	for _, v := range t {
 		n += v.Footprint()
+	}
+	return n
+}
+
+// FootprintProj is the Footprint of the projection t[pos...], computed
+// without materializing it.
+func (t Tuple) FootprintProj(pos []int) int64 {
+	n := int64(sliceHeader)
+	for _, p := range pos {
+		n += t[p].Footprint()
 	}
 	return n
 }

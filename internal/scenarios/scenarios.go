@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"divlaws/internal/agg"
 	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
 	"divlaws/internal/laws"
@@ -272,7 +273,7 @@ func buildLaw11(scale int, seed int64) plan.Node {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"a"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "b"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{64}})
 	return &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}
@@ -290,7 +291,7 @@ func buildLaw12(scale int, seed int64) plan.Node {
 	group := &plan.Group{
 		Input: scan("r0", r0),
 		By:    []string{"b"},
-		Aggs:  []algebra.AggSpec{{Func: algebra.Sum, Attr: "x", As: "a"}},
+		Aggs:  []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}},
 	}
 	r2 := relation.Ints([]string{"b"}, [][]int64{{0}, {1}})
 	return &plan.Divide{Dividend: group, Divisor: scan("r2", r2)}

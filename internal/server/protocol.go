@@ -59,8 +59,7 @@ type Line struct {
 const (
 	// CodeMemoryBudget: the query cannot run under the engine's
 	// per-query memory budget even after spilling — its irreducible
-	// state (the divisor, or one key group after maximal recursive
-	// partitioning) exceeds the limit.
+	// state (the divisor, or one key group) exceeds the limit.
 	CodeMemoryBudget = "memory_budget"
 	// CodeSpillIO: the engine tried to spill but the temp-file I/O
 	// failed (disk full, permissions).

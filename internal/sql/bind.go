@@ -8,7 +8,7 @@ import (
 	"strings"
 	"sync"
 
-	"divlaws/internal/algebra"
+	"divlaws/internal/agg"
 	"divlaws/internal/plan"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
@@ -253,7 +253,7 @@ func (db *DB) bindTableRef(ref TableRef) (plan.Node, error) {
 
 // qualifiedScan scans a base table with attributes renamed to
 // alias.column. The rename is a schema-only view of the registered
-// relation (algebra.RenameAll), so a table reference costs the same
+// relation (relation.WithSchema), so a table reference costs the same
 // to bind at any cardinality.
 func qualifiedScan(name, alias string, rel *relation.Relation) plan.Node {
 	attrs := rel.Schema().Attrs()
@@ -261,7 +261,7 @@ func qualifiedScan(name, alias string, rel *relation.Relation) plan.Node {
 	for i, a := range attrs {
 		qualified[i] = alias + "." + a
 	}
-	return plan.NewScan(name, algebra.RenameAll(rel, qualified...))
+	return plan.NewScan(name, rel.WithSchema(schema.New(qualified...)))
 }
 
 // bindDivide lowers the paper's <quotient> construct. Following §4,
@@ -365,7 +365,7 @@ func (db *DB) bindGrouped(q *Query, node plan.Node, aggs []*AggCall) (plan.Node,
 	}
 
 	// One AggSpec per distinct aggregate expression.
-	specs := make([]algebra.AggSpec, 0, len(aggs))
+	specs := make([]agg.AggSpec, 0, len(aggs))
 	internal := make(map[string]string) // AggCall.String() -> output attr
 	for _, call := range aggs {
 		key := call.String()
@@ -373,10 +373,10 @@ func (db *DB) bindGrouped(q *Query, node plan.Node, aggs []*AggCall) (plan.Node,
 			continue
 		}
 		name := fmt.Sprintf("·agg%d", len(specs))
-		spec := algebra.AggSpec{As: name}
+		spec := agg.AggSpec{As: name}
 		switch call.Func {
 		case "count":
-			spec.Func = algebra.Count
+			spec.Func = agg.Count
 			if !call.Star {
 				attr, err := resolveColumn(inSchema, call.Arg)
 				if err != nil {
@@ -395,13 +395,13 @@ func (db *DB) bindGrouped(q *Query, node plan.Node, aggs []*AggCall) (plan.Node,
 			spec.Attr = attr
 			switch call.Func {
 			case "sum":
-				spec.Func = algebra.Sum
+				spec.Func = agg.Sum
 			case "min":
-				spec.Func = algebra.Min
+				spec.Func = agg.Min
 			case "max":
-				spec.Func = algebra.Max
+				spec.Func = agg.Max
 			default:
-				spec.Func = algebra.Avg
+				spec.Func = agg.Avg
 			}
 		default:
 			return nil, nil, fmt.Errorf("sql: unknown aggregate %q", call.Func)

@@ -6,6 +6,7 @@ package divlaws
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -147,4 +148,45 @@ func TestQueryOrderByLimitTopKOverParallel(t *testing.T) {
 	if parts < 2 {
 		t.Fatalf("query did not run as a parallel top-k (%d partitions)", parts)
 	}
+}
+
+// TestGroupByOrderBySpillsUnderBudget: a grouping whose table is
+// several times the budget, under ORDER BY, spills and streams the
+// same sequence as unlimited execution, with the tracked peak inside
+// the limit. The sort above the group keeps half the budget for it.
+func TestGroupByOrderBySpillsUnderBudget(t *testing.T) {
+	const limit = 64 << 10
+	const q = "SELECT a, count(*) FROM r1 GROUP BY a ORDER BY a"
+	run := func(opts ...Option) ([]string, *Rows) {
+		rows, err := openDividePair(opts...).Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		var out []string
+		for rows.Next() {
+			var a, n int64
+			if err := rows.Scan(&a, &n); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, fmt.Sprintf("%d/%d", a, n))
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out, rows
+	}
+	want, _ := run(WithMemoryLimit(-1))
+	got, rows := run(WithMemoryLimit(limit))
+	if len(want) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("budgeted GROUP BY … ORDER BY returned %d rows, diverging from the unlimited %d", len(got), len(want))
+	}
+	st := rows.Stats().Spill
+	if st.Partitions == 0 {
+		t.Error("the grouping did not spill")
+	}
+	if st.PeakBytes > st.Limit || st.Limit != limit {
+		t.Errorf("tracked peak %d over the %d-byte limit (want %d)", st.PeakBytes, st.Limit, limit)
+	}
+	t.Logf("%d groups; spilled %d bytes in %d runs, %d partitionings; peak %d", len(got), st.SpilledBytes, st.Runs, st.Partitions, st.PeakBytes)
 }
