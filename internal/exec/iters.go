@@ -830,11 +830,6 @@ func (g *GroupIter) pass(src BatchIterator, depth int) error {
 			return err
 		}
 	}
-	// Settle the table's growth from the last group. Tracker.Charge
-	// refuses only for budget, and a refusal here leaves the growth
-	// uncharged: the groups are final, and the table goes now.
-	_ = g.cost.charge(g.Spill, &g.keyIx, 0, false)
-
 	w := len(g.By) + len(g.Aggs)
 	vals := make([]value.Value, g.keyIx.Len()*w)
 	g.rows, g.pos = make([]relation.Tuple, g.keyIx.Len()), 0
