@@ -434,8 +434,8 @@ func (j *HashJoinIter) insert(t relation.Tuple) error {
 		return nil
 	}
 	if j.Spill != nil {
-		n := j.keyIx.Len()
-		alone := n == 0 || n == 1 && j.keyIx.LookupProj(t, j.rightPos) == 0
+		keys := j.keyIx.Len()
+		alone := keys == 0 || keys == 1 && j.keyIx.LookupProj(t, j.rightPos) == 0
 		if err := j.cost.charge(j.Spill, &j.keyIx, t.Footprint(), alone); err != nil {
 			return err
 		}
