@@ -14,6 +14,7 @@ import (
 	"divlaws/internal/datagen"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/plan"
+	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/spill"
@@ -599,6 +600,44 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 				t.Errorf("%d run files leaked after the budget error", n)
 			}
 		})
+	}
+}
+
+// TestSortHalvesOnlyOverBudgetedProducers: compile caps a budgeted
+// sort's buffer at half the budget exactly when its input holds an
+// operator that charges the budget for its own state, so a sort over a
+// scan or a union keeps the whole budget, and nothing is capped
+// unbudgeted.
+func TestSortHalvesOnlyOverBudgetedProducers(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	r := plan.NewScan("r", randRelation(rng, []string{"a", "b"}, 20, 6))
+	s := plan.NewScan("s", randRelation(rng, []string{"b", "c"}, 20, 6))
+	c := plan.NewScan("c", randRelation(rng, []string{"c"}, 3, 6))
+	tr := spill.NewTracker(64 << 10)
+	defer tr.Close()
+	for _, in := range []struct {
+		name  string
+		input plan.Node
+		half  bool
+	}{
+		{"scan", r, false},
+		{"union", plan.Union(r, r), false},
+		{"product", &plan.Join{Left: r, Right: c}, false},
+		{"join", &plan.Join{Left: r, Right: s}, true},
+		{"diff", plan.Diff(r, r), true},
+		{"divide-under-filter", &plan.Select{
+			Input: &plan.Divide{Dividend: r, Divisor: plan.NewScan("d", randRelation(rng, []string{"b"}, 2, 6))},
+			Pred:  pred.Compare(pred.Attr("a"), pred.Gt, pred.ConstInt(0)),
+		}, true},
+		{"group", &plan.Group{Input: r, By: []string{"a"}}, true},
+	} {
+		node := &plan.Sort{Input: in.input, Keys: []plan.SortKey{{Attr: in.input.Schema().Attrs()[0]}}}
+		if got := compile(node, nil, "root", CompileOptions{Spill: tr}, true).(*SortIter).half; got != in.half {
+			t.Errorf("sort over %s: half = %t under a budget, want %t", in.name, got, in.half)
+		}
+		if compile(node, nil, "root", CompileOptions{}, true).(*SortIter).half {
+			t.Errorf("sort over %s: half set without a budget", in.name)
+		}
 	}
 }
 
