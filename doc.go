@@ -184,9 +184,11 @@
 // left-overs one at a time with the whole budget.
 //
 // Results are always identical to unlimited execution. A query whose
-// irreducible state — the divisor, or a single key group, which fails
-// without partitioning — cannot fit returns an error
-// matching ErrMemoryBudget; a temp-file failure while spilling
+// irreducible state cannot fit returns an error matching
+// ErrMemoryBudget: the divisor, a single GROUP BY group, or a single
+// join key whose build rows exceed the budget and which the probe side
+// also holds (a join key absent from the probe side is dropped from
+// the build, since it matches nothing); a temp-file failure while spilling
 // (disk full) surfaces as an error matching ErrSpillIO. Both arrive
 // through the ordinary error returns (DB.Query, Rows.Err), never as
 // a panic or a killed process. Rows.Stats reports the query's spill

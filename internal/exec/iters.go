@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 	"sort"
 
 	"divlaws/internal/agg"
@@ -291,8 +293,11 @@ const (
 // with an empty side emits nothing, except that the anti mode emits an
 // unmatched probe run whole. A pair whose build overflows again is
 // split one level deeper on fresh hash bits, up to maxSpillDepth. A
-// build refused for one key alone larger than the budget fails at once
-// with errOneKey: no split separates one key.
+// pair build refused for one key alone larger than the budget
+// (errOneKey) is not split, since no split separates one key: if a row
+// of the pair's probe run has that key's hash the join fails, and
+// otherwise the key's build rows match nothing in any mode, so the
+// pair is built again without them.
 type HashJoinIter struct {
 	Label       string
 	Left, Right BatchIterator
@@ -336,17 +341,23 @@ type HashJoinIter struct {
 	borrowed bool
 
 	// The spilled pairs still to join, and what reading them shares.
+	// skip is the build key hashes the current pair's build drops, and
+	// hot the key hash of the last errOneKey refusal.
 	pairs []joinPair
+	skip  []uint64
+	hot   uint64
 	strs  *spill.StringCache
 	poll  func() error
 	ctx   context.Context
 }
 
 // joinPair is one spilled partition of a join: a build run and the
-// probe run holding the same keys, at a split depth.
+// probe run holding the same keys, at a split depth, and the hashes of
+// the build keys too large for the budget that no probe row has.
 type joinPair struct {
 	build, probe *spill.Run
 	depth        int
+	skip         []uint64
 }
 
 // Open implements BatchIterator.
@@ -391,17 +402,25 @@ func (j *HashJoinIter) Open(ctx context.Context) error {
 	})
 }
 
-// build drains src into the index; the index copies what it keeps, so
-// src may lend its rows. Under a budget each row is charged when it is
-// indexed, and the index table's growth with the next charge. A refusal
-// is returned, unless spillRest is set: then the index and the rest of
-// src go to depth-0 build runs (see spillIndex).
+// build drains src into the index, dropping the rows whose key hash is
+// in skip; the index copies what it keeps, so src may lend its rows.
+// Under a budget each row is charged when it is indexed, and the index
+// table's growth with the next charge. A refusal is returned, unless
+// spillRest is set: then the index and the rest of src go to depth-0
+// build runs (see spillIndex), even for one key too large for the
+// budget, since only the probe side tells whether that key matters.
 func (j *HashJoinIter) build(ctx context.Context, src BatchIterator, spillRest bool) error {
 	spilled := false
 	err := drainEvery(ctx, src, j.Every, func(t relation.Tuple) error {
 		if !spilled {
+			if len(j.skip) > 0 && slices.Contains(j.skip, t.Hash64Proj(j.rightPos)) {
+				return nil
+			}
 			err := j.insert(t)
-			if !spillRest || !splittable(err) {
+			if errors.Is(err, errOneKey) {
+				j.hot = t.Hash64Proj(j.rightPos)
+			}
+			if !spillRest || !errors.Is(err, spill.ErrBudget) {
 				return err
 			}
 			if err := j.spillIndex(); err != nil {
@@ -507,7 +526,9 @@ func (j *HashJoinIter) spillIndex() error {
 // nextPair loads the next spilled pair that can emit: its build run
 // goes through build, and its probe run becomes the probe source. A
 // pair whose build overflows is split one level deeper and its children
-// go first. It reports false once no pair is left; on an error the
+// go first, unless one key alone overflowed: the pair is then built
+// again without that key if no probe row has its hash, and fails
+// otherwise. It reports false once no pair is left; on an error the
 // failed pair stays queued for Close.
 func (j *HashJoinIter) nextPair() (bool, error) {
 	for len(j.pairs) > 0 {
@@ -519,6 +540,7 @@ func (j *HashJoinIter) nextPair() (bool, error) {
 			continue
 		}
 		build := j.reader(p.build, j.Right.Schema())
+		j.skip = p.skip
 		err := build.Open(j.ctx)
 		if err == nil {
 			err = j.build(j.ctx, build, false)
@@ -526,13 +548,25 @@ func (j *HashJoinIter) nextPair() (bool, error) {
 		if err == nil {
 			err = build.Close()
 		}
+		j.skip = nil
 		if err == nil {
 			j.pairs = j.pairs[1:]
 			j.src = j.reader(p.probe, j.Left.Schema())
 			return true, j.src.Open(j.ctx)
 		}
 		j.dropIndex()
-		if !splittable(err) {
+		if errors.Is(err, errOneKey) {
+			probed, perr := j.probed(p.probe, j.hot)
+			if perr != nil {
+				return false, perr
+			}
+			if probed {
+				return false, err
+			}
+			j.pairs[0].skip = append(p.skip, j.hot)
+			continue
+		}
+		if !errors.Is(err, spill.ErrBudget) {
 			return false, err
 		}
 		children, err := j.split(p)
@@ -564,10 +598,32 @@ func (j *HashJoinIter) split(p joinPair) ([]joinPair, error) {
 	p.probe.Close()
 	children := make([]joinPair, spillFanout)
 	for i := range children {
-		children[i] = joinPair{build: builds[i], probe: probes[i], depth: p.depth + 1}
+		children[i] = joinPair{build: builds[i], probe: probes[i], depth: p.depth + 1, skip: slices.Clip(p.skip)}
 	}
 	j.Spill.AddPartitions(1)
 	return children, nil
+}
+
+// probed reports whether a row of the probe run has key hash h.
+func (j *HashJoinIter) probed(run *spill.Run, h uint64) (bool, error) {
+	if err := run.Rewind(); err != nil {
+		return false, err
+	}
+	for {
+		t, err := run.Next(j.strs)
+		if err == io.EOF {
+			return false, nil
+		}
+		if err == nil {
+			err = j.poll()
+		}
+		if err != nil {
+			return false, err
+		}
+		if t.Hash64Proj(j.leftPos) == h {
+			return true, nil
+		}
+	}
 }
 
 // reader returns a reader of one of the join's runs.
@@ -863,7 +919,7 @@ func (g *GroupIter) admit(t relation.Tuple) (int, error) {
 // help: a refusal that is not the budget's, one group larger than the
 // budget, or a pass already maxSpillDepth splits deep.
 func (g *GroupIter) overflow(err error, depth int) ([]*spill.Run, error) {
-	if !splittable(err) {
+	if !errors.Is(err, spill.ErrBudget) || errors.Is(err, errOneKey) {
 		return nil, err
 	}
 	if depth > maxSpillDepth {

@@ -29,10 +29,12 @@ import (
 // whether it reads the input or a spilled run. The join charges each
 // row before it is indexed, a semi mode each new key, γ each new
 // group's key and states; the index table's growth rides on the next
-// charge (tableCharge). A refusal that one key alone makes beyond the
-// whole budget fails at once (errOneKey); any other refusal partitions
-// through fanOut and runReader, deeper with spillPart's next hash bits,
-// up to maxSpillDepth. A sort over a subtree holding one of these
+// charge (tableCharge). A refusal partitions through fanOut and
+// runReader, deeper with spillPart's next hash bits, up to
+// maxSpillDepth, except that one key alone beyond the whole budget
+// (errOneKey) is never split: γ fails at once, and a join pair whose
+// probe run has no row of that key's hash is built again without the
+// key, failing otherwise. A sort over a subtree holding one of these
 // operators flushes at half the budget, leaving them the other half.
 // The emit slabs charge their one live chunk (on refill, released on
 // retire — a slab that the budget refuses degrades to exact uncharged
@@ -65,15 +67,10 @@ var errSplitDepth = fmt.Errorf("exec: partition still exceeds the memory budget 
 
 // errOneKey is the budget error of a hash operator whose refused state
 // is one key's alone and larger than the whole budget. Every split
-// lands a key in one child, so the operator fails at once rather than
-// splitting to maxSpillDepth for nothing.
+// lands a key in one child, so no split helps: γ fails at once, and a
+// join pair drops the key's build rows when no probe row can match
+// them, failing otherwise.
 var errOneKey = fmt.Errorf("exec: one key group is larger than the memory budget: %w", spill.ErrBudget)
-
-// splittable reports whether splitting may meet a refused charge: a
-// budget refusal, unless it is errOneKey.
-func splittable(err error) bool {
-	return errors.Is(err, spill.ErrBudget) && !errors.Is(err, errOneKey)
-}
 
 // tableCharge is what a hash operator's table holds of the budget: the
 // bytes charged for its keys, rows or states, including the index's
@@ -87,7 +84,7 @@ type tableCharge struct{ charged, tableBytes int64 }
 // if they exceed the whole budget with what the table holds already,
 // no split can separate that key and the refusal is errOneKey. A
 // refusal caused by budget that other operators hold is returned as
-// is, and the operator splits.
+// is, and the operator may split.
 func (c *tableCharge) charge(tr *spill.Tracker, ix *relation.TupleIndex, n int64, alone bool) error {
 	tb := ix.TableBytes()
 	n += tb - c.tableBytes

@@ -547,8 +547,10 @@ func hashShapes(rng *rand.Rand, r *relation.Relation) []equivPlan {
 // must fail with an error wrapping spill.ErrBudget, never succeed
 // quietly or hang. For the division that state is the divisor itself;
 // for the hash family it is one key group larger than the budget,
-// which no split can separate, so the operator fails at its first
-// refusal without a partitioning pass.
+// which no split can separate. γ fails at its first refusal without a
+// partitioning pass; the join family partitions once, since only the
+// probe side tells whether the key matters, and fails at the pair
+// whose probe run holds it (see TestSpillOversizedKeyAbsentFromProbe).
 func TestSpillBudgetErrorTyped(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	divNode := &plan.Divide{
@@ -574,16 +576,17 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 		name   string
 		node   plan.Node
 		budget int64
-		// splits is the partitioning passes before the error: none,
-		// since splitting never shrinks the divisor or one key group.
+		// splits is the partitioning passes before the error: none
+		// beyond the join family's first, since splitting never shrinks
+		// the divisor or one key group.
 		splits int64
 	}{
 		{"divide", divNode, 64, 0},
-		{"join", joinNode, 8 << 10, 0},
-		{"semijoin", &plan.SemiJoin{Left: probe, Right: build}, 8 << 10, 0},
-		{"antisemijoin", &plan.AntiSemiJoin{Left: probe, Right: build}, 8 << 10, 0},
-		{"intersect", plan.Intersect(bigKey, bigKey), 8 << 10, 0},
-		{"diff", plan.Diff(bigKey, bigKey), 8 << 10, 0},
+		{"join", joinNode, 8 << 10, 1},
+		{"semijoin", &plan.SemiJoin{Left: probe, Right: build}, 8 << 10, 1},
+		{"antisemijoin", &plan.AntiSemiJoin{Left: probe, Right: build}, 8 << 10, 1},
+		{"intersect", plan.Intersect(bigKey, bigKey), 8 << 10, 1},
+		{"diff", plan.Diff(bigKey, bigKey), 8 << 10, 1},
 		{"group", bigGroup, 8 << 10, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -598,6 +601,80 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 			}
 			if n := tr.LiveRuns(); n != 0 {
 				t.Errorf("%d run files leaked after the budget error", n)
+			}
+		})
+	}
+}
+
+// TestSpillOversizedKeyAbsentFromProbe: a build key whose rows alone
+// exceed the budget matches nothing when no probe row holds it, so
+// every mode of the hash join family must still return the unlimited
+// result under that budget, after partitioning: when the key shares its
+// partition with keys that do match, and when the probe side is empty.
+func TestSpillOversizedKeyAbsentFromProbe(t *testing.T) {
+	// Ints, for the join: key b = 1 has 1,000 build rows, b = 2..59 one
+	// each, and the probe side holds b = 2..119 but not 1.
+	var build, probe [][]int64
+	for i := 0; i < 1000; i++ {
+		build = append(build, []int64{1, int64(i)})
+	}
+	for k := 2; k < 60; k++ {
+		build = append(build, []int64{int64(k), -1})
+	}
+	for k := 2; k < 120; k++ {
+		probe = append(probe, []int64{int64(k % 7), int64(k)})
+	}
+	r := plan.NewScan("r", relation.Ints([]string{"b", "c"}, build))
+	l := plan.NewScan("l", relation.Ints([]string{"a", "b"}, probe))
+	empty := plan.NewScan("e", relation.Ints([]string{"a", "b"}, nil))
+	// Strings, for every mode (a semi mode keeps each key once): one
+	// 16 KiB key on the build side only, beside 40 small keys of which
+	// the probe side holds every other one.
+	big := strings.Repeat("k", 16<<10)
+	keys, rows, sbuild := [][]any{{big}}, [][]any{}, [][]any{{big, "w"}}
+	for k := 0; k < 80; k++ {
+		if k < 40 {
+			keys = append(keys, []any{fmt.Sprint("s", k)})
+			sbuild = append(sbuild, []any{fmt.Sprint("s", k), "w"})
+		}
+		if k%2 == 0 {
+			rows = append(rows, []any{fmt.Sprint("s", k)})
+		}
+	}
+	sr := plan.NewScan("sr", relation.FromRows(schema.New("b", "c"), sbuild))
+	sl := plan.NewScan("sl", relation.FromRows(schema.New("b"), rows))
+	sk := plan.NewScan("sk", relation.FromRows(schema.New("b"), keys))
+	sEmpty := plan.NewScan("se", relation.FromRows(schema.New("b"), nil))
+	for _, c := range []equivPlan{
+		{"join", &plan.Join{Left: l, Right: r}, false},
+		{"join-empty-probe", &plan.Join{Left: empty, Right: r}, false},
+		{"string-join", &plan.Join{Left: sl, Right: sr}, false},
+		{"string-semijoin", &plan.SemiJoin{Left: sl, Right: sr}, false},
+		{"string-antisemijoin", &plan.AntiSemiJoin{Left: sl, Right: sr}, false},
+		{"string-antisemijoin-empty-probe", &plan.AntiSemiJoin{Left: sEmpty, Right: sr}, false},
+		{"intersect", plan.Intersect(sl, sk), false},
+		{"diff", plan.Diff(sl, sk), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const budget = 8 << 10
+			tr := spill.NewTracker(budget)
+			defer tr.Close()
+			out, err := drainSeqErr(context.Background(), CompileWith(c.node, nil, CompileOptions{BatchSize: 7, Spill: tr}))
+			if err != nil {
+				t.Fatalf("%d-byte budget: %v", budget, err)
+			}
+			if d := c.diverges(out); d != "" {
+				t.Fatal(d)
+			}
+			st := tr.Snapshot()
+			if st.Partitions == 0 {
+				t.Error("the oversized key never made the build partition")
+			}
+			if st.Peak > budget {
+				t.Errorf("tracked peak %d exceeds the budget", st.Peak)
+			}
+			if n := tr.LiveRuns(); n != 0 {
+				t.Errorf("%d run files leaked", n)
 			}
 		})
 	}
