@@ -859,7 +859,7 @@ func (g *GroupIter) pass(src BatchIterator, depth int) error {
 		id := g.keyIx.LookupProjHashed(h, t, g.byPos)
 		if id < 0 && runs == nil {
 			var err error
-			if id, err = g.admit(t); err != nil {
+			if id, err = g.admit(h, t); err != nil {
 				if runs, err = g.overflow(err, depth); err != nil {
 					return err
 				}
@@ -882,7 +882,7 @@ func (g *GroupIter) pass(src BatchIterator, depth int) error {
 	if len(g.By) == 0 && depth == 0 && runs == nil && g.keyIx.Len() == 0 {
 		// Global aggregation over an empty input is one row of
 		// aggregate identities (count = 0, others NULL).
-		if _, err := g.admit(relation.Tuple{}); err != nil {
+		if _, err := g.admit(relation.Tuple{}.Hash64Proj(nil), relation.Tuple{}); err != nil {
 			return err
 		}
 	}
@@ -899,17 +899,17 @@ func (g *GroupIter) pass(src BatchIterator, depth int) error {
 	return nil
 }
 
-// admit makes t's group. Under a budget it charges the group's key and
-// states first; a refused group is not made, and admit returns -1 with
-// the refusal.
-func (g *GroupIter) admit(t relation.Tuple) (int, error) {
+// admit makes t's group, whose By hash is h. Under a budget it charges
+// the group's key and states first; a refused group is not made, and
+// admit returns -1 with the refusal.
+func (g *GroupIter) admit(h uint64, t relation.Tuple) (int, error) {
 	if g.Spill != nil {
 		n := t.FootprintProj(g.byPos) + int64(len(g.Aggs))*agg.StateBytes
 		if err := g.cost.charge(g.Spill, &g.keyIx, n, g.keyIx.Len() == 0); err != nil {
 			return -1, err
 		}
 	}
-	id, _ := g.keyIx.IDProj(t, g.byPos)
+	id, _ := g.keyIx.IDProjHashed(h, t, g.byPos)
 	g.states = append(g.states, g.zero...)
 	return id, nil
 }

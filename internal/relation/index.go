@@ -58,7 +58,7 @@ func (ix *TupleIndex) ID(t Tuple) (id int, created bool) {
 // IDProj is ID for the projection t[pos...]; the projection is
 // materialized only when it is new.
 func (ix *TupleIndex) IDProj(t Tuple, pos []int) (id int, created bool) {
-	return ix.idProjHashed(t.Hash64Proj(pos), t, pos)
+	return ix.IDProjHashed(t.Hash64Proj(pos), t, pos)
 }
 
 // Lookup returns t's id, or -1 if t is not indexed. It allocates
@@ -101,7 +101,7 @@ func (ix *TupleIndex) IDBatch(ts []Tuple, ids []int, created []bool) ([]int, []b
 func (ix *TupleIndex) IDProjBatch(ts []Tuple, pos []int, ids []int, created []bool) ([]int, []bool) {
 	ix.hashes = Hash64ProjBatch(ts, pos, ix.hashes[:0])
 	for i, t := range ts {
-		id, c := ix.idProjHashed(ix.hashes[i], t, pos)
+		id, c := ix.IDProjHashed(ix.hashes[i], t, pos)
 		ids = append(ids, id)
 		created = append(created, c)
 	}
@@ -126,8 +126,9 @@ func (ix *TupleIndex) idHashed(h uint64, t Tuple) (id int, created bool) {
 	return id, true
 }
 
-// idProjHashed is IDProj with the projection's hash already computed.
-func (ix *TupleIndex) idProjHashed(h uint64, t Tuple, pos []int) (id int, created bool) {
+// IDProjHashed is IDProj with the projection's hash, h, already
+// computed.
+func (ix *TupleIndex) IDProjHashed(h uint64, t Tuple, pos []int) (id int, created bool) {
 	p := ix.table.Probe(h)
 	for {
 		v, ok := p.Next()
