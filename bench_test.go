@@ -2,10 +2,9 @@
 //
 //   - BenchmarkLaw*/lhs vs /rhs: evaluation cost of each law's two
 //     sides (the paper's per-law optimization argument, §5).
-//   - BenchmarkSmallDivideAlgos: the physical algorithm ablation the
-//     paper cites from Graefe [14] and Graefe & Cole [16].
-//   - BenchmarkGreatDivideDefs: Theorem 1's three definitions plus
-//     the hash operator.
+//   - BenchmarkSmallDivideAlgos: hash-division (Graefe [14]) against
+//     the reference's merge-sort division (Graefe & Cole [16]).
+//   - BenchmarkGreatDivideDefs: the same pair for the great divide.
 //   - BenchmarkFirstClassVsSimulated: the quadratic-intermediate
 //     result of Leinders & Van den Bussche [25].
 //   - BenchmarkQ1DivideVsQ3NotExists: the §4 SQL comparison.
@@ -18,6 +17,7 @@ import (
 	"runtime"
 	"testing"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
 	"divlaws/internal/division"
 	"divlaws/internal/exec"
@@ -57,39 +57,53 @@ func BenchmarkLaws(b *testing.B) {
 	}
 }
 
-// BenchmarkSmallDivideAlgos ablates the physical small-divide
-// algorithms across group counts.
+// smallDivides and greatDivides are the two materialized divisions
+// of each kind: the engine's hash kernel and the reference's
+// sort-merge.
+var (
+	smallDivides = []struct {
+		name string
+		fn   func(r1, r2 *relation.Relation) *relation.Relation
+	}{{"hash", division.HashDivide}, {"reference", algebra.Divide}}
+	greatDivides = []struct {
+		name string
+		fn   func(r1, r2 *relation.Relation) *relation.Relation
+	}{{"hash", division.HashGreatDivide}, {"reference", algebra.GreatDivide}}
+)
+
+// BenchmarkSmallDivideAlgos times hash-division against the
+// reference's merge-sort division across group counts.
 func BenchmarkSmallDivideAlgos(b *testing.B) {
 	for _, groups := range []int{100, 1000} {
 		r1, r2 := datagen.DividePair{
 			Groups: groups, GroupSize: 10, DivisorSize: 10,
 			Domain: 100, HitRate: 0.3, Seed: 1,
 		}.Generate()
-		for _, algo := range division.Algorithms() {
-			b.Run(fmt.Sprintf("%s/groups=%d", algo, groups), func(b *testing.B) {
+		for _, d := range smallDivides {
+			b.Run(fmt.Sprintf("%s/groups=%d", d.name, groups), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ReportMetric(float64(r1.Len()), "dividend-rows")
 				for i := 0; i < b.N; i++ {
-					division.DivideWith(algo, r1, r2)
+					d.fn(r1, r2)
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkGreatDivideDefs times the three equivalent definitions of
-// Theorem 1 and the hash operator.
+// BenchmarkGreatDivideDefs times the counting hash great divide
+// against the reference's merge-sort set-containment division.
 func BenchmarkGreatDivideDefs(b *testing.B) {
 	r1, r2 := datagen.GreatDividePair{
 		Groups: 400, GroupSize: 8,
 		DivisorGroups: 10, DivisorGroupSize: 5,
 		Domain: 80, HitRate: 0.3, Seed: 1,
 	}.Generate()
-	for _, algo := range division.GreatAlgorithms() {
-		b.Run(string(algo), func(b *testing.B) {
+	for _, d := range greatDivides {
+		b.Run(d.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				division.GreatDivideWith(algo, r1, r2)
+				d.fn(r1, r2)
 			}
 		})
 	}

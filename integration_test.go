@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
 	"divlaws/internal/exec"
 	"divlaws/internal/figures"
 	"divlaws/internal/fim"
@@ -137,7 +137,7 @@ func TestParallelAgreesUnderLoad(t *testing.T) {
 	par, err := exec.Run(context.Background(), exec.CompileWith(&plan.ParallelDivide{
 		Dividend: plan.NewScan("r1", r1), Divisor: plan.NewScan("r2", r2), Workers: 8,
 	}, nil, exec.CompileOptions{}))
-	if err != nil || !par.Equal(division.Divide(r1, r2)) {
+	if err != nil || !par.Equal(algebra.Divide(r1, r2)) {
 		t.Errorf("parallel divide diverged under load (err %v)", err)
 	}
 	g1, g2 := datagen.GreatDividePair{
@@ -148,7 +148,7 @@ func TestParallelAgreesUnderLoad(t *testing.T) {
 	par, err = exec.Run(context.Background(), exec.CompileWith(&plan.ParallelGreatDivide{
 		Dividend: plan.NewScan("g1", g1), Divisor: plan.NewScan("g2", g2), Workers: 8,
 	}, nil, exec.CompileOptions{}))
-	if err != nil || !par.EquivalentTo(division.GreatDivide(g1, g2)) {
+	if err != nil || !par.EquivalentTo(algebra.GreatDivide(g1, g2)) {
 		t.Errorf("parallel great divide diverged under load (err %v)", err)
 	}
 }

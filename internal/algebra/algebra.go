@@ -4,8 +4,10 @@
 // natural join, semi-join, anti-semi-join, left outer join, grouping
 // with aggregation, and rename.
 //
-// Division (small and great divide) is a derived operator built on
-// these; it lives in package division.
+// Small and great divide are here too (divide.go): they divide by
+// sorting and merging, so they share no kernel with the engine's
+// hash-division in package division. plan.Eval, the reference
+// interpreter, is the package's only non-test caller.
 package algebra
 
 import (
@@ -13,7 +15,6 @@ import (
 
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
-	"divlaws/internal/schema"
 	"divlaws/internal/value"
 )
 
@@ -205,14 +206,4 @@ func LeftOuterJoin(r, s *relation.Relation) *relation.Relation {
 // (relation.WithSchema), not a copy.
 func Rename(r *relation.Relation, from, to string) *relation.Relation {
 	return r.WithSchema(r.Schema().Rename(from, to))
-}
-
-// RenameAll returns r with its schema replaced by the given attribute
-// names (same arity), used to qualify operands apart before products.
-// Like Rename it is an O(1) view, whatever r's cardinality.
-func RenameAll(r *relation.Relation, attrs ...string) *relation.Relation {
-	if len(attrs) != r.Schema().Len() {
-		panic(fmt.Sprintf("algebra: RenameAll arity %d vs schema %v", len(attrs), r.Schema()))
-	}
-	return r.WithSchema(schema.New(attrs...))
 }

@@ -200,16 +200,6 @@ func TestRename(t *testing.T) {
 	if !got.Schema().Equal(schema.New("a", "c")) {
 		t.Errorf("Rename schema = %v", got.Schema())
 	}
-	got2 := RenameAll(r, "x", "y")
-	if !got2.Schema().Equal(schema.New("x", "y")) {
-		t.Errorf("RenameAll schema = %v", got2.Schema())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("RenameAll arity mismatch should panic")
-		}
-	}()
-	RenameAll(r, "x")
 }
 
 func TestGroupPaperFigure10(t *testing.T) {
@@ -320,7 +310,7 @@ func TestJoinDecompositionProperty(t *testing.T) {
 		r := randRel([]string{"a", "b"}, xs, 2)
 		s := randRel([]string{"b", "c"}, ys, 2)
 		viaJoin := NaturalJoin(r, s)
-		s2 := RenameAll(s, "b2", "c")
+		s2 := s.WithSchema(schema.New("b2", "c"))
 		eq := pred.Compare(pred.Attr("b"), pred.Eq, pred.Attr("b2"))
 		viaProduct := Project(Select(Product(r, s2), eq), "a", "b", "c")
 		return viaJoin.Equal(viaProduct)

@@ -3,7 +3,7 @@ package datagen
 import (
 	"testing"
 
-	"divlaws/internal/division"
+	"divlaws/internal/algebra"
 	"divlaws/internal/schema"
 )
 
@@ -36,7 +36,7 @@ func TestSuppliersPartsDivisible(t *testing.T) {
 	// The generator biases toward whole-color coverage; the great
 	// divide over its output must be nonempty.
 	supplies, parts := SuppliersParts{Suppliers: 40, Parts: 30, Colors: 3, AvgSupplied: 8, Seed: 7}.Generate()
-	q := division.GreatDivide(supplies, parts.Reorder([]string{"p#", "color"}))
+	q := algebra.GreatDivide(supplies, parts.Reorder([]string{"p#", "color"}))
 	if q.Empty() {
 		t.Error("generated scenario yields an empty quotient; bias failed")
 	}
@@ -106,7 +106,7 @@ func TestDividePairHitRate(t *testing.T) {
 	if r2.Len() != 6 {
 		t.Fatalf("divisor Len = %d", r2.Len())
 	}
-	q := division.Divide(r1, r2)
+	q := algebra.Divide(r1, r2)
 	frac := float64(q.Len()) / 200
 	// Constructed hits are 30%; random extras may add a few.
 	if frac < 0.2 || frac > 0.7 {
@@ -114,7 +114,7 @@ func TestDividePairHitRate(t *testing.T) {
 	}
 	// Zero hit rate with a large domain yields a mostly-empty quotient.
 	r1z, r2z := DividePair{Groups: 100, GroupSize: 3, DivisorSize: 8, Domain: 1000, HitRate: 0, Seed: 9}.Generate()
-	if q := division.Divide(r1z, r2z); q.Len() > 5 {
+	if q := algebra.Divide(r1z, r2z); q.Len() > 5 {
 		t.Errorf("zero hit rate should give few quotients, got %d", q.Len())
 	}
 }
@@ -129,7 +129,7 @@ func TestGreatDividePair(t *testing.T) {
 	if got := r2.Len(); got != 20 {
 		t.Fatalf("divisor tuples = %d, want 20", got)
 	}
-	q := division.GreatDivide(r1, r2)
+	q := algebra.GreatDivide(r1, r2)
 	if q.Empty() {
 		t.Error("expected nonempty great-divide quotient")
 	}

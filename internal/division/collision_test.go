@@ -1,12 +1,13 @@
-package division
+package division_test
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"divlaws/internal/algebra"
+	"divlaws/internal/division"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
@@ -15,126 +16,21 @@ import (
 
 // These tests degrade every hashkey table to a handful of distinct
 // hash values (SetMaskForTesting), so almost every probe walks a
-// collision chain, and assert that the hash-based operators still
-// agree with independent string-keyed reference implementations that
-// use nothing but Go maps and Tuple.Key. That proves the collision
-// verification — not hash uniqueness — carries the correctness.
-
-// keySet renders a relation as its sorted set of injective tuple
-// keys, an oracle independent of hash-based Equal/Contains.
-func keySet(r *relation.Relation) string {
-	keys := make([]string, 0, r.Len())
-	for _, t := range r.Tuples() {
-		keys = append(keys, t.Key())
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
-}
-
-// stringKeyDivide is the reference small divide: image sets held in
-// Go maps keyed on Tuple.Key strings. It returns the quotient's key
-// set.
-func stringKeyDivide(r1, r2 *relation.Relation) string {
-	split := mustSmallSplit(r1, r2)
-	aPos := r1.Schema().Positions(split.A.Attrs())
-	bPos := r1.Schema().Positions(split.B.Attrs())
-	bOrder := r2.Schema().Positions(split.B.Attrs())
-
-	divisor := map[string]bool{}
-	for _, d := range r2.Tuples() {
-		divisor[d.Project(bOrder).Key()] = true
-	}
-	images := map[string]map[string]bool{}
-	for _, t := range r1.Tuples() {
-		ak := t.Project(aPos).Key()
-		if images[ak] == nil {
-			images[ak] = map[string]bool{}
-		}
-		images[ak][t.Project(bPos).Key()] = true
-	}
-	var quotient []string
-	for ak, img := range images {
-		all := true
-		for bk := range divisor {
-			if !img[bk] {
-				all = false
-				break
-			}
-		}
-		if all {
-			quotient = append(quotient, ak)
-		}
-	}
-	sort.Strings(quotient)
-	return strings.Join(quotient, "|")
-}
-
-// stringKeyGreatDivide is the reference great divide over string
-// keys: per divisor group (C key), check set containment of its B
-// set in each dividend image.
-func stringKeyGreatDivide(r1, r2 *relation.Relation) string {
-	split := mustGreatSplit(r1, r2)
-	aPos := r1.Schema().Positions(split.A.Attrs())
-	b1Pos := r1.Schema().Positions(split.B.Attrs())
-	b2Pos := r2.Schema().Positions(split.B.Attrs())
-	cPos := r2.Schema().Positions(split.C.Attrs())
-
-	groups := map[string]map[string]bool{}
-	for _, t := range r2.Tuples() {
-		ck := t.Project(cPos).Key()
-		if groups[ck] == nil {
-			groups[ck] = map[string]bool{}
-		}
-		groups[ck][t.Project(b2Pos).Key()] = true
-	}
-	images := map[string]map[string]bool{}
-	for _, t := range r1.Tuples() {
-		ak := t.Project(aPos).Key()
-		if images[ak] == nil {
-			images[ak] = map[string]bool{}
-		}
-		images[ak][t.Project(b1Pos).Key()] = true
-	}
-	var quotient []string
-	for ak, img := range images {
-		for ck, bs := range groups {
-			all := true
-			for bk := range bs {
-				if !img[bk] {
-					all = false
-					break
-				}
-			}
-			if all {
-				quotient = append(quotient, ak+ck)
-			}
-		}
-	}
-	sort.Strings(quotient)
-	return strings.Join(quotient, "|")
-}
+// collision chain, and assert that every division, its definitions
+// as plans through plan.Eval and exec included, still agrees with the
+// reference. The reference decides membership by comparison alone and
+// the results are compared by their injective keys: the collision
+// verification, not hash uniqueness, carries the correctness.
 
 func TestSmallDivideUnderForcedCollisions(t *testing.T) {
 	restore := hashkey.SetMaskForTesting(0x7) // 8 distinct hashes total
 	defer restore()
 	rng := rand.New(rand.NewSource(99))
+	impls := smallImpls()
 	for trial := 0; trial < 150; trial++ {
 		r1, r2full := randDatabase(rng, 1+rng.Intn(40), 1+rng.Intn(8), 5, 6, 1)
-		r2 := relation.New(schema.New("b"))
-		for _, tp := range r2full.Tuples() {
-			r2.Insert(tp[:1])
-		}
-		if r1.Empty() || r2.Empty() {
-			continue
-		}
-		want := stringKeyDivide(r1, r2)
-		for _, algo := range Algorithms() {
-			got := keySet(DivideWith(algo, r1, r2))
-			if got != want {
-				t.Fatalf("trial %d: %s quotient %q, reference %q\nr1=%v\nr2=%v",
-					trial, algo, got, want, r1, r2)
-			}
-		}
+		r2 := projectB(r2full)
+		checkAgainst(t, impls, r1, r2, algebra.Divide(r1, r2))
 	}
 }
 
@@ -142,19 +38,10 @@ func TestGreatDivideUnderForcedCollisions(t *testing.T) {
 	restore := hashkey.SetMaskForTesting(0x7)
 	defer restore()
 	rng := rand.New(rand.NewSource(101))
+	impls := greatImpls()
 	for trial := 0; trial < 150; trial++ {
 		r1, r2 := randDatabase(rng, 1+rng.Intn(40), 1+rng.Intn(12), 4, 5, 3)
-		if r1.Empty() || r2.Empty() {
-			continue
-		}
-		want := stringKeyGreatDivide(r1, r2)
-		for _, algo := range GreatAlgorithms() {
-			got := keySet(GreatDivideWith(algo, r1, r2))
-			if got != want {
-				t.Fatalf("trial %d: %s quotient %q, reference %q\nr1=%v\nr2=%v",
-					trial, algo, got, want, r1, r2)
-			}
-		}
+		checkAgainst(t, impls, r1, r2, algebra.GreatDivide(r1, r2))
 	}
 }
 
@@ -170,6 +57,7 @@ func TestDivisionUnderForcedCollisionsStringKeys(t *testing.T) {
 	sv := func(prefix string, n int) value.Value {
 		return value.String(prefix + strings.Repeat("x", n%9) + "-" + strconv.Itoa(n))
 	}
+	small, great := smallImpls(), greatImpls()
 	for trial := 0; trial < 60; trial++ {
 		r1 := relation.New(schema.New("a", "b"))
 		r2 := relation.New(schema.New("b"))
@@ -183,20 +71,8 @@ func TestDivisionUnderForcedCollisionsStringKeys(t *testing.T) {
 		for i := 0; i < 5+rng.Intn(40); i++ {
 			r1.Insert(relation.Tuple{sv("supplier-", rng.Intn(8)), sv("part-", rng.Intn(8))})
 		}
-		want := stringKeyDivide(r1, r2)
-		for _, algo := range Algorithms() {
-			if got := keySet(DivideWith(algo, r1, r2)); got != want {
-				t.Fatalf("trial %d: %s quotient %q, reference %q\nr1=%v\nr2=%v",
-					trial, algo, got, want, r1, r2)
-			}
-		}
-		wantG := stringKeyGreatDivide(r1, r2g)
-		for _, algo := range GreatAlgorithms() {
-			if got := keySet(GreatDivideWith(algo, r1, r2g)); got != wantG {
-				t.Fatalf("trial %d: great %s quotient %q, reference %q\nr1=%v\nr2=%v",
-					trial, algo, got, wantG, r1, r2g)
-			}
-		}
+		checkAgainst(t, small, r1, r2, algebra.Divide(r1, r2))
+		checkAgainst(t, great, r1, r2g, algebra.GreatDivide(r1, r2g))
 	}
 }
 
@@ -212,7 +88,7 @@ func TestStreamingStatesAbsorbDuplicates(t *testing.T) {
 		if r1.Empty() || r2.Empty() {
 			continue
 		}
-		st, err := NewGreatDivideState(r1.Schema(), r2.Schema())
+		st, err := division.NewGreatDivideState(r1.Schema(), r2.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,15 +103,12 @@ func TestStreamingStatesAbsorbDuplicates(t *testing.T) {
 				st.AddDividend(tp)
 			}
 		}
-		if got, want := keySet(st.Result()), stringKeyGreatDivide(r1, r2); got != want {
+		if got, want := keySet(st.Result()), keySet(algebra.GreatDivide(r1, r2)); got != want {
 			t.Fatalf("trial %d: streamed great divide %q, reference %q", trial, got, want)
 		}
 
-		r2small := relation.New(schema.New("b"))
-		for _, tp := range r2.Tuples() {
-			r2small.Insert(tp[:1])
-		}
-		sst, err := NewDivideState(r1.Schema(), r2small.Schema())
+		r2small := projectB(r2)
+		sst, err := division.NewDivideState(r1.Schema(), r2small.Schema())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,15 +122,16 @@ func TestStreamingStatesAbsorbDuplicates(t *testing.T) {
 				sst.AddDividend(tp)
 			}
 		}
-		if got, want := keySet(sst.Result()), stringKeyDivide(r1, r2small); got != want {
+		if got, want := keySet(sst.Result()), keySet(algebra.Divide(r1, r2small)); got != want {
 			t.Fatalf("trial %d: streamed small divide %q, reference %q", trial, got, want)
 		}
 	}
 }
 
 // FuzzDivideUnderCollisions is the fuzz entry point: arbitrary byte
-// strings become small dividend/divisor pairs, every algorithm must
-// match the string-keyed reference while hashes are masked to 3 bits.
+// strings become small dividend/divisor pairs, and every division and
+// definition must match the reference while hashes are masked to 3
+// bits.
 func FuzzDivideUnderCollisions(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, []byte{1, 2})
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 1}, []byte{0, 1})
@@ -269,12 +143,7 @@ func FuzzDivideUnderCollisions(f *testing.F) {
 		if r1.Empty() || r2.Empty() {
 			return
 		}
-		want := stringKeyDivide(r1, r2)
-		for _, algo := range Algorithms() {
-			if got := keySet(DivideWith(algo, r1, r2)); got != want {
-				t.Fatalf("%s quotient %q, reference %q", algo, got, want)
-			}
-		}
+		checkAgainst(t, smallImpls(), r1, r2, algebra.Divide(r1, r2))
 	})
 }
 

@@ -1,16 +1,19 @@
-// Package division implements the paper's two division operators as
-// first-class physical algorithms:
+// Package division holds what the engine runs of the paper's two
+// division operators, small divide r1 ÷ r2 (Codd's relational
+// division, §2.1) and great divide r1 ÷* r2 (§2.2):
 //
-//   - small divide r1 ÷ r2 (Codd's relational division, §2.1), with
-//     the three equivalent logical definitions (Codd, Healy, Maier)
-//     plus the efficient special-purpose algorithms the paper cites:
-//     hash-division, merge-sort division, and counting division
-//     (Graefe; Graefe & Cole; Rantzau et al.).
+//   - the schema split into the paper's attribute sets A, B and C
+//     (SmallSplit, GreatSplit, SplitOf);
+//   - the streaming hash divisions exec feeds from its iterators,
+//     DivideState (Graefe's hash-division) and GreatDivideState
+//     (counting set-containment division), and HashDivide and
+//     HashGreatDivide, which run them over materialized relations.
 //
-//   - great divide r1 ÷* r2 (§2.2), with the three equivalent
-//     definitions of Theorem 1 — set containment division (Def. 4),
-//     Demolombe's generalized division (Def. 5), Todd's great divide
-//     (Def. 6) — plus a hash-based many-to-many algorithm.
+// The reference the engine is checked against divides by sorting and
+// merging instead (algebra.Divide, algebra.GreatDivide). The paper's
+// other definitions of ÷ (Healy's, Maier's, counting division) and of
+// ÷* (Theorem 1's Definitions 4–6) are plans in this package's tests,
+// checked against the reference through plan.Eval and exec.
 //
 // Schema conventions follow the paper. For the small divide, the
 // dividend r1 has schema A ∪ B and the divisor r2 has schema B, with
@@ -88,104 +91,52 @@ func (s Split) Quotient() schema.Schema {
 	return s.A.Concat(s.C)
 }
 
-// mustSmallSplit panics on invalid schemas; the division operators
-// treat schema violations as programming errors, like package algebra.
-func mustSmallSplit(r1, r2 *relation.Relation) Split {
-	s, err := SmallSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func mustGreatSplit(r1, r2 *relation.Relation) Split {
-	s, err := GreatSplit(r1.Schema(), r2.Schema())
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Algorithm names a physical small-divide implementation.
+// Algorithm names a physical division implementation; a plan.Divide
+// may pin one for the engine.
 type Algorithm string
 
-// The registered small-divide algorithms.
+// The algorithms the engine runs: hash-division for ÷ and ÷* (the
+// streaming states of this package) and the group-preserving merge
+// division exec runs over a dividend sorted on A.
 const (
-	AlgoNaive     Algorithm = "naive"      // Codd's image-set definition, nested loops
-	AlgoHealy     Algorithm = "healy"      // Healy's algebraic simulation (Definition 2)
-	AlgoMaier     Algorithm = "maier"      // Maier's per-divisor intersection (Definition 3)
 	AlgoHash      Algorithm = "hash"       // Graefe's hash-division
 	AlgoMergeSort Algorithm = "merge-sort" // sort-based group scan
-	AlgoCount     Algorithm = "count"      // counting division (semi-join + group count)
+	GreatAlgoHash Algorithm = "hash"       // counting set-containment division
 )
 
-// Algorithms lists the registered small-divide algorithms in a
-// stable order.
-func Algorithms() []Algorithm {
-	return []Algorithm{AlgoNaive, AlgoHealy, AlgoMaier, AlgoHash, AlgoMergeSort, AlgoCount}
-}
-
-// Divide computes r1 ÷ r2 with the default algorithm
-// (hash-division). It panics on schema violations.
-func Divide(r1, r2 *relation.Relation) *relation.Relation {
-	return HashDivide(r1, r2)
-}
-
-// DivideWith computes r1 ÷ r2 using the named algorithm.
-func DivideWith(algo Algorithm, r1, r2 *relation.Relation) *relation.Relation {
-	switch algo {
-	case AlgoNaive:
-		return NaiveDivide(r1, r2)
-	case AlgoHealy:
-		return HealyDivide(r1, r2)
-	case AlgoMaier:
-		return MaierDivide(r1, r2)
-	case AlgoHash:
-		return HashDivide(r1, r2)
-	case AlgoMergeSort:
-		return MergeSortDivide(r1, r2)
-	case AlgoCount:
-		return CountDivide(r1, r2)
-	default:
-		panic(fmt.Sprintf("division: unknown algorithm %q", algo))
+// HashDivide is Graefe's hash-division over materialized relations:
+// the divisor is loaded into a hash table assigning each tuple a bit
+// position; a single scan of the dividend sets bits in a per-group
+// bitmap; groups with all bits set are quotients. It wraps
+// DivideState and panics on schema violations.
+func HashDivide(r1, r2 *relation.Relation) *relation.Relation {
+	st, err := NewDivideState(r1.Schema(), r2.Schema())
+	if err != nil {
+		panic(err)
 	}
-}
-
-// The registered great-divide algorithms, one per definition of
-// Theorem 1 plus the hash-based physical operator.
-const (
-	GreatAlgoGroupLoop Algorithm = "group-loop" // Definition 4 (set containment division)
-	GreatAlgoDemolombe Algorithm = "demolombe"  // Definition 5 (generalized division)
-	GreatAlgoTodd      Algorithm = "todd"       // Definition 6 (great divide)
-	GreatAlgoHash      Algorithm = "hash"       // counting set-containment division
-	GreatAlgoMerge     Algorithm = "merge-sort" // sort-based set-containment division
-)
-
-// GreatAlgorithms lists the registered great-divide algorithms.
-func GreatAlgorithms() []Algorithm {
-	return []Algorithm{GreatAlgoGroupLoop, GreatAlgoDemolombe, GreatAlgoTodd, GreatAlgoHash, GreatAlgoMerge}
-}
-
-// GreatDivide computes r1 ÷* r2 with the default algorithm (hash).
-// It panics on schema violations.
-func GreatDivide(r1, r2 *relation.Relation) *relation.Relation {
-	return HashGreatDivide(r1, r2)
-}
-
-// GreatDivideWith computes r1 ÷* r2 using the named algorithm.
-func GreatDivideWith(algo Algorithm, r1, r2 *relation.Relation) *relation.Relation {
-	switch algo {
-	case GreatAlgoGroupLoop:
-		return GroupLoopGreatDivide(r1, r2)
-	case GreatAlgoDemolombe:
-		return DemolombeGreatDivide(r1, r2)
-	case GreatAlgoTodd:
-		return ToddGreatDivide(r1, r2)
-	case GreatAlgoHash:
-		return HashGreatDivide(r1, r2)
-	case GreatAlgoMerge:
-		return MergeGreatDivide(r1, r2)
-	default:
-		panic(fmt.Sprintf("division: unknown great-divide algorithm %q", algo))
+	for _, d := range r2.Tuples() {
+		st.AddDivisor(d)
 	}
+	for _, t := range r1.Tuples() {
+		st.AddDividend(t)
+	}
+	return st.Result()
+}
+
+// HashGreatDivide is the counting set-containment division over
+// materialized relations: a pair (a, c) qualifies when a's group
+// covers every distinct B value of divisor group c. It wraps
+// GreatDivideState and panics on schema violations.
+func HashGreatDivide(r1, r2 *relation.Relation) *relation.Relation {
+	st, err := NewGreatDivideState(r1.Schema(), r2.Schema())
+	if err != nil {
+		panic(err)
+	}
+	for _, t := range r2.Tuples() {
+		st.AddDivisor(t)
+	}
+	for _, t := range r1.Tuples() {
+		st.AddDividend(t)
+	}
+	return st.Result()
 }

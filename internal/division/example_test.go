@@ -7,49 +7,13 @@ import (
 	"divlaws/internal/relation"
 )
 
-// ExampleDivide reproduces the paper's Figure 1: which groups of the
-// dividend contain both divisor elements 1 and 3?
-func ExampleDivide() {
-	r1 := relation.Ints([]string{"a", "b"}, [][]int64{
-		{1, 1}, {1, 4},
-		{2, 1}, {2, 2}, {2, 3}, {2, 4},
-		{3, 1}, {3, 3}, {3, 4},
-	})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
-	fmt.Println(division.Divide(r1, r2))
-	// Output:
-	// a
-	// 2
-	// 3
-}
-
-// ExampleGreatDivide reproduces Figure 2: the divisor has two groups
-// keyed by c, and each dividend group is tested against each.
-func ExampleGreatDivide() {
-	r1 := relation.Ints([]string{"a", "b"}, [][]int64{
-		{1, 1}, {1, 4},
-		{2, 1}, {2, 2}, {2, 3}, {2, 4},
-		{3, 1}, {3, 3}, {3, 4},
-	})
-	r2 := relation.Ints([]string{"b", "c"}, [][]int64{
-		{1, 1}, {2, 1}, {4, 1},
-		{1, 2}, {3, 2},
-	})
-	fmt.Println(division.GreatDivide(r1, r2))
-	// Output:
-	// a c
-	// 2 1
-	// 2 2
-	// 3 2
-}
-
-// ExampleDivideWith picks a specific physical algorithm; all six
-// compute the same quotient.
-func ExampleDivideWith() {
+// ExampleHashDivide runs the engine's hash-division over materialized
+// relations; it computes the same quotient as the reference,
+// algebra.Divide.
+func ExampleHashDivide() {
 	r1 := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}, {1, 2}, {2, 1}})
 	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {2}})
-	q := division.DivideWith(division.AlgoMergeSort, r1, r2)
-	fmt.Println(q)
+	fmt.Println(division.HashDivide(r1, r2))
 	// Output:
 	// a
 	// 1

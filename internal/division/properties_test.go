@@ -1,4 +1,4 @@
-package division
+package division_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"divlaws/internal/algebra"
+	"divlaws/internal/division"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
 	"divlaws/internal/value"
@@ -35,7 +36,7 @@ func TestQuotientIsSubsetOfCandidates(t *testing.T) {
 		if r2.Empty() {
 			return true
 		}
-		q := Divide(r1, r2)
+		q := algebra.Divide(r1, r2)
 		candidates := algebra.Project(r1, "a")
 		for _, tp := range q.Tuples() {
 			if !candidates.Contains(tp) {
@@ -57,7 +58,7 @@ func TestQuotientTimesDivisorWithinDividend(t *testing.T) {
 		if r2.Empty() {
 			return true
 		}
-		q := Divide(r1, r2)
+		q := algebra.Divide(r1, r2)
 		back := algebra.Product(q, r2)
 		for _, tp := range back.Tuples() {
 			if !r1.Contains(tp) {
@@ -79,7 +80,7 @@ func TestQuotientIsMaximal(t *testing.T) {
 		if r2.Empty() {
 			return true
 		}
-		q := Divide(r1, r2)
+		q := algebra.Divide(r1, r2)
 		for _, cand := range algebra.Project(r1, "a").Tuples() {
 			if q.Contains(cand) {
 				continue
@@ -110,8 +111,8 @@ func TestDivideAntiMonotoneInDivisor(t *testing.T) {
 		for _, b := range extra {
 			bigger.Insert(relation.Tuple{value.Int(int64(b % 6))})
 		}
-		qSmall := Divide(r1, r2)
-		qBig := Divide(r1, bigger)
+		qSmall := algebra.Divide(r1, r2)
+		qBig := algebra.Divide(r1, bigger)
 		for _, tp := range qBig.Tuples() {
 			if !qSmall.Contains(tp) {
 				return false
@@ -135,8 +136,8 @@ func TestDivideMonotoneInDividend(t *testing.T) {
 				value.Int(int64(extra[i+1] % 6)),
 			})
 		}
-		qSmall := Divide(r1, r2)
-		qBig := Divide(bigger, r2)
+		qSmall := algebra.Divide(r1, r2)
+		qBig := algebra.Divide(bigger, r2)
 		for _, tp := range qSmall.Tuples() {
 			if !qBig.Contains(tp) {
 				return false
@@ -151,15 +152,15 @@ func TestDivideMonotoneInDividend(t *testing.T) {
 
 func TestGreatDivideRestrictionIsSmallDivide(t *testing.T) {
 	// For each divisor group c, σ_{c}(r1 ÷* r2) projected to A equals
-	// r1 ÷ πB(σ_{C=c}(r2)) — Definition 4 itself, verified against
-	// the hash operator.
+	// r1 ÷ πB(σ_{C=c}(r2)) — Definition 4 itself, for the hash kernel
+	// against the reference's small divide.
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
 		r1, r2 := randDatabase(rng, rng.Intn(30), 1+rng.Intn(12), 4, 5, 3)
 		if r2.Empty() {
 			continue
 		}
-		great := HashGreatDivide(r1, r2)
+		great := division.HashGreatDivide(r1, r2)
 		for _, c := range algebra.Project(r2, "c").Tuples() {
 			group := relation.New(schema.New("b"))
 			for _, tp := range r2.Tuples() {
@@ -167,7 +168,7 @@ func TestGreatDivideRestrictionIsSmallDivide(t *testing.T) {
 					group.Insert(tp[:1])
 				}
 			}
-			small := Divide(r1, group)
+			small := algebra.Divide(r1, group)
 			// Collect the great-divide rows for this c.
 			fromGreat := relation.New(schema.New("a"))
 			for _, tp := range great.Tuples() {
@@ -190,7 +191,7 @@ func TestGreatDivideQuotientCountBounds(t *testing.T) {
 		if r1.Empty() || r2.Empty() {
 			continue
 		}
-		q := GreatDivide(r1, r2)
+		q := algebra.GreatDivide(r1, r2)
 		bound := algebra.Project(r1, "a").Len() * algebra.Project(r2, "c").Len()
 		if q.Len() > bound {
 			t.Fatalf("quotient %d exceeds bound %d", q.Len(), bound)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
 	"divlaws/internal/division"
 	"divlaws/internal/plan"
@@ -71,7 +72,7 @@ func TestParallelDivideMatchesSequential(t *testing.T) {
 			Domain: 50, HitRate: 0.3, Seed: int64(workers),
 		}.Generate()
 		got := divide(t, r1, r2, workers)
-		want := division.Divide(r1, r2)
+		want := algebra.Divide(r1, r2)
 		if !got.Equal(want) {
 			t.Errorf("workers=%d: parallel divide diverged (%d vs %d rows)",
 				workers, got.Len(), want.Len())
@@ -87,7 +88,7 @@ func TestParallelGreatDivideMatchesSequential(t *testing.T) {
 			Domain: 50, HitRate: 0.3, Seed: int64(workers),
 		}.Generate()
 		got := divide(t, r1, r2, workers)
-		want := division.GreatDivide(r1, r2)
+		want := algebra.GreatDivide(r1, r2)
 		if !got.EquivalentTo(want) {
 			t.Errorf("workers=%d: parallel great divide diverged (%d vs %d rows)",
 				workers, got.Len(), want.Len())
@@ -109,7 +110,7 @@ func TestParallelRandomizedProperty(t *testing.T) {
 			r2.Insert(relation.Tuple{value.Int(int64(rng.Intn(8)))})
 		}
 		workers := 1 + rng.Intn(6)
-		if !divide(t, r1, r2, workers).Equal(division.Divide(r1, r2)) {
+		if !divide(t, r1, r2, workers).Equal(algebra.Divide(r1, r2)) {
 			t.Fatalf("trial %d (workers=%d): mismatch\nr1:\n%v\nr2:\n%v", trial, workers, r1, r2)
 		}
 		r2g := relation.New(schema.New("b", "c"))
@@ -118,7 +119,7 @@ func TestParallelRandomizedProperty(t *testing.T) {
 				value.Int(int64(rng.Intn(8))), value.Int(int64(rng.Intn(4))),
 			})
 		}
-		if !divide(t, r1, r2g, workers).EquivalentTo(division.GreatDivide(r1, r2g)) {
+		if !divide(t, r1, r2g, workers).EquivalentTo(algebra.GreatDivide(r1, r2g)) {
 			t.Fatalf("trial %d (workers=%d): great mismatch\nr1:\n%v\nr2:\n%v", trial, workers, r1, r2g)
 		}
 	}
@@ -159,7 +160,7 @@ func TestDefaultWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(division.Divide(r1, r2)) {
+	if !got.Equal(algebra.Divide(r1, r2)) {
 		t.Error("workers=0 should use the default and stay correct")
 	}
 	if procs := runtime.GOMAXPROCS(0); procs == 1 && parts != 0 || procs > 1 && (parts < 1 || parts > procs) {
@@ -173,7 +174,7 @@ func TestParallelDivideEmptyDividend(t *testing.T) {
 	r2.Insert(relation.Tuple{value.Int(1)})
 	for _, workers := range []int{1, 4} {
 		got := divide(t, r1, r2, workers)
-		if !got.Equal(division.Divide(r1, r2)) {
+		if !got.Equal(algebra.Divide(r1, r2)) {
 			t.Errorf("workers=%d: empty dividend diverged from sequential", workers)
 		}
 		if !got.Empty() {
@@ -190,7 +191,7 @@ func TestParallelDivideEmptyDivisor(t *testing.T) {
 	r2 := relation.New(schema.New("b"))
 	for _, workers := range []int{1, 4} {
 		got := divide(t, r1, r2, workers)
-		want := division.Divide(r1, r2)
+		want := algebra.Divide(r1, r2)
 		if !got.Equal(want) {
 			t.Errorf("workers=%d: empty divisor diverged (%d vs %d rows)", workers, got.Len(), want.Len())
 		}
@@ -217,7 +218,7 @@ func TestParallelGreatDivideEmptyInputs(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 4} {
 			got := divide(t, tc.r1, tc.r2, workers)
-			want := division.GreatDivide(tc.r1, tc.r2)
+			want := algebra.GreatDivide(tc.r1, tc.r2)
 			if !got.EquivalentTo(want) {
 				t.Errorf("%s workers=%d: diverged (%d vs %d rows)", tc.name, workers, got.Len(), want.Len())
 			}
@@ -238,7 +239,7 @@ func TestWorkersExceedPartitions(t *testing.T) {
 	r2.Insert(relation.Tuple{value.Int(1)})
 	r2.Insert(relation.Tuple{value.Int(3)})
 
-	if got := divide(t, r1, r2, 16); !got.Equal(division.Divide(r1, r2)) {
+	if got := divide(t, r1, r2, 16); !got.Equal(algebra.Divide(r1, r2)) {
 		t.Error("workers=16 over 2 quotient groups diverged")
 	}
 
@@ -247,7 +248,7 @@ func TestWorkersExceedPartitions(t *testing.T) {
 		DivisorGroups: 3, DivisorGroupSize: 3,
 		Domain: 30, HitRate: 0.4, Seed: 4,
 	}.Generate()
-	if got := divide(t, g1, g2, 32); !got.EquivalentTo(division.GreatDivide(g1, g2)) {
+	if got := divide(t, g1, g2, 32); !got.EquivalentTo(algebra.GreatDivide(g1, g2)) {
 		t.Error("great divide with workers=32 over 3 divisor groups diverged")
 	}
 }
@@ -270,8 +271,8 @@ func TestWorkerOneEquivalence(t *testing.T) {
 		r1, r2 *relation.Relation
 		want   *relation.Relation
 	}{
-		{"divide", r1, r2, division.Divide(r1, r2)},
-		{"great", g1, g2, division.GreatDivide(g1, g2)},
+		{"divide", r1, r2, algebra.Divide(r1, r2)},
+		{"great", g1, g2, algebra.GreatDivide(g1, g2)},
 	} {
 		got, parts, err := exchangeRun(context.Background(), tc.r1, tc.r2, 1)
 		if err != nil {
@@ -435,7 +436,7 @@ func TestPartitionedCtxMatchesSequentialWhenUncancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := division.Divide(r1, r2); !got.Equal(want) {
+	if want := algebra.Divide(r1, r2); !got.Equal(want) {
 		t.Errorf("partitioned ctx division diverges: %d vs %d rows", got.Len(), want.Len())
 	}
 }
@@ -468,9 +469,9 @@ func TestExchangeGoroutinesPerPartition(t *testing.T) {
 // r1 ÷* r2 when r2 has attributes outside r1.
 func divideRef(r1, r2 *relation.Relation) *relation.Relation {
 	if r2.Schema().SubsetOf(r1.Schema()) {
-		return division.Divide(r1, r2)
+		return algebra.Divide(r1, r2)
 	}
-	return division.GreatDivide(r1, r2)
+	return algebra.GreatDivide(r1, r2)
 }
 
 // TestBudgetedExchangeSpillsInParallel: under a 64 KiB budget both
@@ -578,7 +579,7 @@ func TestGreatDivideOneGroupFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := division.GreatDivide(r1, r2); !got.EquivalentTo(want) {
+	if want := algebra.GreatDivide(r1, r2); !got.EquivalentTo(want) {
 		t.Errorf("%d rows, want %d", got.Len(), want.Len())
 	}
 	if parts < 2 {

@@ -163,7 +163,7 @@ func TestMergeGroupDividePipelines(t *testing.T) {
 				Algo:     division.AlgoMergeSort,
 			}
 			got := mustRun(t, pl, nil)
-			want := division.Divide(r1, r2)
+			want := algebra.Divide(r1, r2)
 			if !got.Equal(want) {
 				t.Errorf("merge-group divide = %v, want %v", got, want)
 			}

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
@@ -22,7 +22,7 @@ func TestParallelDivideIterMatchesSequential(t *testing.T) {
 		Groups: 200, GroupSize: 5, DivisorSize: 6,
 		Domain: 50, HitRate: 0.3, Seed: 3,
 	}.Generate()
-	want := division.Divide(r1, r2)
+	want := algebra.Divide(r1, r2)
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		node := &plan.ParallelDivide{
 			Dividend: plan.NewScan("r1", r1),
@@ -45,7 +45,7 @@ func TestParallelGreatDivideIterMatchesSequential(t *testing.T) {
 		DivisorGroups: 12, DivisorGroupSize: 4,
 		Domain: 50, HitRate: 0.3, Seed: 3,
 	}.Generate()
-	want := division.GreatDivide(r1, r2)
+	want := algebra.GreatDivide(r1, r2)
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		node := &plan.ParallelGreatDivide{
 			Dividend: plan.NewScan("r1", r1),
@@ -88,7 +88,7 @@ func TestParallelDivideIterProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d (workers=%d): %v", trial, workers, err)
 		}
-		want := division.Divide(r1, r2)
+		want := algebra.Divide(r1, r2)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d (workers=%d): %d vs %d rows\nr1:\n%v\nr2:\n%v",
 				trial, workers, got.Len(), want.Len(), r1, r2)
@@ -162,7 +162,7 @@ func TestSharedStatsAcrossConcurrentIterators(t *testing.T) {
 		Domain: 50, HitRate: 0.3, Seed: 5,
 	}.Generate()
 	stats := NewStats()
-	want := division.Divide(r1, r2)
+	want := algebra.Divide(r1, r2)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := range errs {

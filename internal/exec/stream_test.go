@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/value"
@@ -38,7 +38,7 @@ func streamFixture() (node *plan.ParallelDivide, quotientLen int) {
 		Groups: 2000, GroupSize: 4, DivisorSize: 4,
 		Domain: 40, HitRate: 0.9, Seed: 9,
 	}.Generate()
-	want := division.Divide(r1, r2)
+	want := algebra.Divide(r1, r2)
 	return &plan.ParallelDivide{
 		Dividend: plan.NewScan("r1", r1),
 		Divisor:  plan.NewScan("r2", r2),

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
-	"divlaws/internal/division"
 	"divlaws/internal/plan"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
@@ -110,7 +110,7 @@ func topkFixture(k int64, desc bool) (node *plan.TopK, want []relation.Tuple) {
 		Groups: 2000, GroupSize: 4, DivisorSize: 4,
 		Domain: 40, HitRate: 0.9, Seed: 9,
 	}.Generate()
-	quotient := division.Divide(r1, r2)
+	quotient := algebra.Divide(r1, r2)
 	par := &plan.ParallelDivide{
 		Dividend: plan.NewScan("r1", r1),
 		Divisor:  plan.NewScan("r2", r2),
@@ -205,7 +205,7 @@ func TestTopKGreatDivideExchange(t *testing.T) {
 		DivisorGroups: 16, DivisorGroupSize: 5,
 		Domain: 80, HitRate: 0.3, Seed: 1,
 	}.Generate()
-	quotient := division.GreatDivide(g1, g2)
+	quotient := algebra.GreatDivide(g1, g2)
 	keys := []plan.SortKey{
 		{Attr: quotient.Schema().Attrs()[0]},
 		{Attr: quotient.Schema().Attrs()[1], Desc: true},

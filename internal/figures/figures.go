@@ -1,7 +1,7 @@
 // Package figures regenerates every figure of the paper (Figures
-// 1-11) from the library's operators: the inputs are the figures'
-// example relations and all derived tables are computed, not
-// transcribed. The figures command prints them; the tests compare
+// 1-11) from the library's plans: the inputs are the figures' example
+// relations and every derived table is a plan.Node evaluated by
+// plan.Eval, not transcribed. The figures command prints them; the tests compare
 // each against the values printed in the paper.
 package figures
 
@@ -9,8 +9,7 @@ import (
 	"strings"
 
 	"divlaws/internal/agg"
-	"divlaws/internal/algebra"
-	"divlaws/internal/division"
+	"divlaws/internal/plan"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/texttab"
@@ -69,23 +68,23 @@ func Fig2Divisor() *relation.Relation {
 
 // Figure1 renders the small divide of Figure 1.
 func Figure1() string {
-	r1 := Fig1Dividend()
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
-	r3 := division.Divide(r1, r2)
+	r1 := plan.NewScan("r1", Fig1Dividend())
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{1}, {3}}))
+	r3 := plan.Eval(&plan.Divide{Dividend: r1, Divisor: r2})
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1 (dividend)", Rel: r1},
-		texttab.Item{Caption: "(b) r2 (divisor)", Rel: r2},
+		texttab.Item{Caption: "(a) r1 (dividend)", Rel: r1.Rel},
+		texttab.Item{Caption: "(b) r2 (divisor)", Rel: r2.Rel},
 		texttab.Item{Caption: "(c) r3 (quotient)", Rel: r3},
 	)
 }
 
 // Figure2 renders the generalized division of Figure 2.
 func Figure2() string {
-	r1, r2 := Fig1Dividend(), Fig2Divisor()
-	r3 := division.GreatDivide(r1, r2)
+	r1, r2 := plan.NewScan("r1", Fig1Dividend()), plan.NewScan("r2", Fig2Divisor())
+	r3 := plan.Eval(&plan.GreatDivide{Dividend: r1, Divisor: r2})
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1 (dividend)", Rel: r1},
-		texttab.Item{Caption: "(b) r2 (divisor)", Rel: r2},
+		texttab.Item{Caption: "(a) r1 (dividend)", Rel: r1.Rel},
+		texttab.Item{Caption: "(b) r2 (divisor)", Rel: r2.Rel},
 		texttab.Item{Caption: "(c) r3 (quotient)", Rel: r3},
 	)
 }
@@ -98,9 +97,9 @@ func Figure2() string {
 // join every a, but its c has no divisor tuple for ÷* to see.
 // Figure 3 has no empty set.
 func Figure3() string {
-	r1, r2 := Fig1Dividend(), Fig2Divisor()
-	as, b1 := nest(r1, "a", "b")
-	cs, b2 := nest(r2, "c", "b")
+	r1, r2 := plan.NewScan("r1", Fig1Dividend()), plan.NewScan("r2", Fig2Divisor())
+	as, b1 := nest(r1.Rel, "a", "b")
+	cs, b2 := nest(r2.Rel, "c", "b")
 
 	var b strings.Builder
 	b.WriteString("a  b1\n")
@@ -114,7 +113,8 @@ func Figure3() string {
 	}
 	b.WriteString("(b) r2\n\n")
 	b.WriteString("a  b1  b2  c\n")
-	for _, t := range division.GreatDivide(r1, r2).Reorder([]string{"a", "c"}).Sorted() {
+	quotient := &plan.Project{Input: &plan.GreatDivide{Dividend: r1, Divisor: r2}, Attrs: []string{"a", "c"}}
+	for _, t := range plan.Eval(quotient).Sorted() {
 		a, c := t[0], t[1]
 		b.WriteString(a.String() + "  " + setString(b1[a]) + "  " +
 			setString(b2[c]) + "  " + c.String() + "\n")
@@ -145,174 +145,179 @@ func setString(members []value.Value) string {
 
 // Figure4 renders Law 1's walkthrough with all intermediates.
 func Figure4() string {
-	r1 := relation.Ints([]string{"a", "b"}, [][]int64{
+	r1 := plan.NewScan("r1", relation.Ints([]string{"a", "b"}, [][]int64{
 		{1, 1}, {1, 4},
 		{2, 1}, {2, 2}, {2, 3}, {2, 4},
 		{3, 1}, {3, 3}, {3, 4},
 		{4, 1}, {4, 3},
-	})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}, {4}})
-	r2a := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
-	r2b := relation.Ints([]string{"b"}, [][]int64{{3}, {4}})
-	inner := division.Divide(r1, r2a)
-	mid := algebra.SemiJoin(r1, inner)
-	r3 := division.Divide(mid, r2b)
+	}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{1}, {3}, {4}}))
+	r2a := plan.NewScan("r2'", relation.Ints([]string{"b"}, [][]int64{{1}, {3}}))
+	r2b := plan.NewScan("r2''", relation.Ints([]string{"b"}, [][]int64{{3}, {4}}))
+	inner := &plan.Divide{Dividend: r1, Divisor: r2a}
+	mid := &plan.SemiJoin{Left: r1, Right: inner}
+	r3 := &plan.Divide{Dividend: mid, Divisor: r2b}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1", Rel: r1},
-		texttab.Item{Caption: "(b) r2", Rel: r2},
-		texttab.Item{Caption: "(c) r2'", Rel: r2a},
-		texttab.Item{Caption: "(d) r2''", Rel: r2b},
-		texttab.Item{Caption: "(e) r1 ÷ r2'", Rel: inner},
-		texttab.Item{Caption: "(f) r1 ⋉ (r1 ÷ r2')", Rel: mid},
-		texttab.Item{Caption: "(g) r3", Rel: r3},
+		texttab.Item{Caption: "(a) r1", Rel: r1.Rel},
+		texttab.Item{Caption: "(b) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(c) r2'", Rel: r2a.Rel},
+		texttab.Item{Caption: "(d) r2''", Rel: r2b.Rel},
+		texttab.Item{Caption: "(e) r1 ÷ r2'", Rel: plan.Eval(inner)},
+		texttab.Item{Caption: "(f) r1 ⋉ (r1 ÷ r2')", Rel: plan.Eval(mid)},
+		texttab.Item{Caption: "(g) r3", Rel: plan.Eval(r3)},
 	)
 }
 
 // Figure5 renders the Law 2 precondition counterexample with the
 // conflicting results.
 func Figure5() string {
-	r1a := relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}, {1, 2}, {1, 3}})
-	r1b := relation.Ints([]string{"a", "b"}, [][]int64{{1, 2}, {1, 4}})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {4}})
-	union := division.Divide(algebra.Union(r1a, r1b), r2)
-	distributed := algebra.Union(division.Divide(r1a, r2), division.Divide(r1b, r2))
+	r1a := plan.NewScan("r1'", relation.Ints([]string{"a", "b"}, [][]int64{{1, 1}, {1, 2}, {1, 3}}))
+	r1b := plan.NewScan("r1''", relation.Ints([]string{"a", "b"}, [][]int64{{1, 2}, {1, 4}}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{1}, {4}}))
+	union := &plan.Divide{Dividend: plan.Union(r1a, r1b), Divisor: r2}
+	distributed := plan.Union(&plan.Divide{Dividend: r1a, Divisor: r2}, &plan.Divide{Dividend: r1b, Divisor: r2})
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1'", Rel: r1a},
-		texttab.Item{Caption: "(b) r1''", Rel: r1b},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(r1' ∪ r1'') ÷ r2  [correct]", Rel: union},
-		texttab.Item{Caption: "(r1' ÷ r2) ∪ (r1'' ÷ r2)  [wrong without c1]", Rel: distributed},
+		texttab.Item{Caption: "(a) r1'", Rel: r1a.Rel},
+		texttab.Item{Caption: "(b) r1''", Rel: r1b.Rel},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(r1' ∪ r1'') ÷ r2  [correct]", Rel: plan.Eval(union)},
+		texttab.Item{Caption: "(r1' ÷ r2) ∪ (r1'' ÷ r2)  [wrong without c1]", Rel: plan.Eval(distributed)},
 	)
 }
 
 // Figure6 renders Example 1's intermediates with p ≡ b < 3.
 func Figure6() string {
-	r1 := relation.Ints([]string{"a", "b"}, [][]int64{
+	r1 := plan.NewScan("r1", relation.Ints([]string{"a", "b"}, [][]int64{
 		{1, 1}, {1, 4},
 		{2, 1}, {2, 2}, {2, 3}, {2, 4},
 		{3, 1}, {3, 3}, {3, 4},
 		{4, 1}, {4, 3},
-	})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}, {4}})
+	}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{1}, {3}, {4}}))
 	p := pred.Compare(pred.Attr("b"), pred.Lt, pred.ConstInt(3))
-	selR1 := algebra.Select(r1, p)
-	selR2 := algebra.Select(r2, p)
-	lhs := division.Divide(selR1, r2)
-	positive := division.Divide(selR1, selR2)
-	killSrc := algebra.Product(algebra.Project(r1, "a"), algebra.Select(r2, pred.Negate(p)))
-	kill := algebra.Project(killSrc, "a")
-	rhs := algebra.Diff(positive, kill)
+	selR1 := &plan.Select{Input: r1, Pred: p}
+	selR2 := &plan.Select{Input: r2, Pred: p}
+	lhs := &plan.Divide{Dividend: selR1, Divisor: r2}
+	positive := &plan.Divide{Dividend: selR1, Divisor: selR2}
+	killSrc := &plan.Product{
+		Left:  &plan.Project{Input: r1, Attrs: []string{"a"}},
+		Right: &plan.Select{Input: r2, Pred: pred.Negate(p)},
+	}
+	kill := &plan.Project{Input: killSrc, Attrs: []string{"a"}}
+	rhs := plan.Diff(positive, kill)
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1", Rel: r1},
-		texttab.Item{Caption: "(b) σ(b<3)(r1)", Rel: selR1},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) σ(b<3)(r2)", Rel: selR2},
-		texttab.Item{Caption: "(e) σ(b<3)(r1) ÷ r2", Rel: lhs},
-		texttab.Item{Caption: "(f) σ(b<3)(r1) ÷ σ(b<3)(r2)", Rel: positive},
-		texttab.Item{Caption: "(g) πa(r1) × σ(b>=3)(r2)", Rel: killSrc},
-		texttab.Item{Caption: "(h) πa(πa(r1) × σ(b>=3)(r2))", Rel: kill},
-		texttab.Item{Caption: "(i) (f) − (h)", Rel: rhs},
+		texttab.Item{Caption: "(a) r1", Rel: r1.Rel},
+		texttab.Item{Caption: "(b) σ(b<3)(r1)", Rel: plan.Eval(selR1)},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) σ(b<3)(r2)", Rel: plan.Eval(selR2)},
+		texttab.Item{Caption: "(e) σ(b<3)(r1) ÷ r2", Rel: plan.Eval(lhs)},
+		texttab.Item{Caption: "(f) σ(b<3)(r1) ÷ σ(b<3)(r2)", Rel: plan.Eval(positive)},
+		texttab.Item{Caption: "(g) πa(r1) × σ(b>=3)(r2)", Rel: plan.Eval(killSrc)},
+		texttab.Item{Caption: "(h) πa(πa(r1) × σ(b>=3)(r2))", Rel: plan.Eval(kill)},
+		texttab.Item{Caption: "(i) (f) − (h)", Rel: plan.Eval(rhs)},
 	)
 }
 
 // Figure7 renders Law 8's example.
 func Figure7() string {
-	r1s := relation.Ints([]string{"a1"}, [][]int64{{1}, {2}})
-	r1ss := relation.Ints([]string{"a2", "b"}, [][]int64{
+	r1s := plan.NewScan("r1*", relation.Ints([]string{"a1"}, [][]int64{{1}, {2}}))
+	r1ss := plan.NewScan("r1**", relation.Ints([]string{"a2", "b"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 3}, {3, 2}, {3, 3},
-	})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{2}, {3}})
-	product := algebra.Product(r1s, r1ss)
-	inner := division.Divide(r1ss, r2)
-	r3 := algebra.Product(r1s, inner)
+	}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{2}, {3}}))
+	product := &plan.Product{Left: r1s, Right: r1ss}
+	inner := &plan.Divide{Dividend: r1ss, Divisor: r2}
+	r3 := &plan.Product{Left: r1s, Right: inner}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1*", Rel: r1s},
-		texttab.Item{Caption: "(b) r1**", Rel: r1ss},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) r1* × r1**", Rel: product},
-		texttab.Item{Caption: "(e) r1** ÷ r2", Rel: inner},
-		texttab.Item{Caption: "(f) r3", Rel: r3},
+		texttab.Item{Caption: "(a) r1*", Rel: r1s.Rel},
+		texttab.Item{Caption: "(b) r1**", Rel: r1ss.Rel},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) r1* × r1**", Rel: plan.Eval(product)},
+		texttab.Item{Caption: "(e) r1** ÷ r2", Rel: plan.Eval(inner)},
+		texttab.Item{Caption: "(f) r3", Rel: plan.Eval(r3)},
 	)
 }
 
 // Figure8 renders Law 9's example.
 func Figure8() string {
-	r1s := relation.Ints([]string{"a", "b1"}, [][]int64{
+	r1s := plan.NewScan("r1*", relation.Ints([]string{"a", "b1"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 2}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
-	})
-	r1ss := relation.Ints([]string{"b2"}, [][]int64{{1}, {2}})
-	r2 := relation.Ints([]string{"b1", "b2"}, [][]int64{{1, 2}, {3, 1}, {3, 2}})
-	product := algebra.Product(r1s, r1ss)
-	piB1 := algebra.Project(r2, "b1")
-	piB2 := algebra.Project(r2, "b2")
-	r3 := division.Divide(r1s, piB1)
+	}))
+	r1ss := plan.NewScan("r1**", relation.Ints([]string{"b2"}, [][]int64{{1}, {2}}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b1", "b2"}, [][]int64{{1, 2}, {3, 1}, {3, 2}}))
+	product := &plan.Product{Left: r1s, Right: r1ss}
+	piB1 := &plan.Project{Input: r2, Attrs: []string{"b1"}}
+	piB2 := &plan.Project{Input: r2, Attrs: []string{"b2"}}
+	r3 := &plan.Divide{Dividend: r1s, Divisor: piB1}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1*", Rel: r1s},
-		texttab.Item{Caption: "(b) r1**", Rel: r1ss},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) r1* × r1**", Rel: product},
-		texttab.Item{Caption: "(e) πb1(r2)", Rel: piB1},
-		texttab.Item{Caption: "(f) πb2(r2)", Rel: piB2},
-		texttab.Item{Caption: "(g) r3", Rel: r3},
+		texttab.Item{Caption: "(a) r1*", Rel: r1s.Rel},
+		texttab.Item{Caption: "(b) r1**", Rel: r1ss.Rel},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) r1* × r1**", Rel: plan.Eval(product)},
+		texttab.Item{Caption: "(e) πb1(r2)", Rel: plan.Eval(piB1)},
+		texttab.Item{Caption: "(f) πb2(r2)", Rel: plan.Eval(piB2)},
+		texttab.Item{Caption: "(g) r3", Rel: plan.Eval(r3)},
 	)
 }
 
 // Figure9 renders Example 3's intermediates.
 func Figure9() string {
-	r1s := relation.Ints([]string{"a", "b1"}, [][]int64{
+	r1s := plan.NewScan("r1*", relation.Ints([]string{"a", "b1"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 2}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
-	})
-	r1ss := relation.Ints([]string{"b2"}, [][]int64{{1}, {2}, {4}})
-	r2 := relation.Ints([]string{"b1", "b2"}, [][]int64{{1, 4}, {3, 4}})
+	}))
+	r1ss := plan.NewScan("r1**", relation.Ints([]string{"b2"}, [][]int64{{1}, {2}, {4}}))
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b1", "b2"}, [][]int64{{1, 4}, {3, 4}}))
 	lt := pred.Compare(pred.Attr("b1"), pred.Lt, pred.Attr("b2"))
-	joined := algebra.ThetaJoin(r1s, r1ss, lt)
-	restricted := algebra.Project(algebra.Select(r2, lt), "b1")
-	r3 := division.Divide(joined, r2)
+	joined := &plan.ThetaJoin{Left: r1s, Right: r1ss, Pred: lt}
+	restricted := &plan.Project{Input: &plan.Select{Input: r2, Pred: lt}, Attrs: []string{"b1"}}
+	r3 := &plan.Divide{Dividend: joined, Divisor: r2}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r1*", Rel: r1s},
-		texttab.Item{Caption: "(b) r1**", Rel: r1ss},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) r1* ⋈(b1<b2) r1**", Rel: joined},
-		texttab.Item{Caption: "(e) πb1(σ(b1<b2)(r2))", Rel: restricted},
-		texttab.Item{Caption: "(f) r3", Rel: r3},
+		texttab.Item{Caption: "(a) r1*", Rel: r1s.Rel},
+		texttab.Item{Caption: "(b) r1**", Rel: r1ss.Rel},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) r1* ⋈(b1<b2) r1**", Rel: plan.Eval(joined)},
+		texttab.Item{Caption: "(e) πb1(σ(b1<b2)(r2))", Rel: plan.Eval(restricted)},
+		texttab.Item{Caption: "(f) r3", Rel: plan.Eval(r3)},
 	)
 }
 
 // Figure10 renders Law 11's example: a singleton-group dividend from
 // grouping on a.
 func Figure10() string {
-	r0 := relation.Ints([]string{"a", "x"}, [][]int64{
+	r0 := plan.NewScan("r0", relation.Ints([]string{"a", "x"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
-	})
-	r1 := algebra.Group(r0, []string{"a"}, []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{4}})
-	semi := algebra.SemiJoin(r1, r2)
-	result := algebra.Project(semi, "a")
+	}))
+	r1 := &plan.Group{Input: r0, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "b"}}}
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{4}}))
+	semi := &plan.SemiJoin{Left: r1, Right: r2}
+	result := &plan.Project{Input: semi, Attrs: []string{"a"}}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r0", Rel: r0},
-		texttab.Item{Caption: "(b) r1 = aγsum(x)→b(r0)", Rel: r1},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) r1 ⋉ r2", Rel: semi},
-		texttab.Item{Caption: "(e) πA(r1 ⋉ r2)", Rel: result},
+		texttab.Item{Caption: "(a) r0", Rel: r0.Rel},
+		texttab.Item{Caption: "(b) r1 = aγsum(x)→b(r0)", Rel: plan.Eval(r1)},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) r1 ⋉ r2", Rel: plan.Eval(semi)},
+		texttab.Item{Caption: "(e) πA(r1 ⋉ r2)", Rel: plan.Eval(result)},
 	)
 }
 
 // Figure11 renders Law 12's example: singleton groups per divisor
 // value from grouping on b.
 func Figure11() string {
-	r0 := relation.Ints([]string{"x", "b"}, [][]int64{
+	r0 := plan.NewScan("r0", relation.Ints([]string{"x", "b"}, [][]int64{
 		{1, 1}, {1, 2}, {1, 3}, {2, 1}, {2, 3}, {3, 1}, {3, 3}, {3, 4},
-	})
-	r1 := algebra.Group(r0, []string{"b"}, []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}})
-	r1 = r1.Reorder([]string{"a", "b"})
-	r2 := relation.Ints([]string{"b"}, [][]int64{{1}, {3}})
-	semi := algebra.SemiJoin(r1, r2)
-	result := algebra.Project(semi, "a")
+	}))
+	r1 := &plan.Project{
+		Input: &plan.Group{Input: r0, By: []string{"b"}, Aggs: []agg.AggSpec{{Func: agg.Sum, Attr: "x", As: "a"}}},
+		Attrs: []string{"a", "b"},
+	}
+	r2 := plan.NewScan("r2", relation.Ints([]string{"b"}, [][]int64{{1}, {3}}))
+	semi := &plan.SemiJoin{Left: r1, Right: r2}
+	result := &plan.Project{Input: semi, Attrs: []string{"a"}}
 	return texttab.SideBySide(
-		texttab.Item{Caption: "(a) r0", Rel: r0},
-		texttab.Item{Caption: "(b) r1 = bγsum(x)→a(r0)", Rel: r1},
-		texttab.Item{Caption: "(c) r2", Rel: r2},
-		texttab.Item{Caption: "(d) r1 ⋉ r2", Rel: semi},
-		texttab.Item{Caption: "(e) πA(r1 ⋉ r2)", Rel: result},
+		texttab.Item{Caption: "(a) r0", Rel: r0.Rel},
+		texttab.Item{Caption: "(b) r1 = bγsum(x)→a(r0)", Rel: plan.Eval(r1)},
+		texttab.Item{Caption: "(c) r2", Rel: r2.Rel},
+		texttab.Item{Caption: "(d) r1 ⋉ r2", Rel: plan.Eval(semi)},
+		texttab.Item{Caption: "(e) πA(r1 ⋉ r2)", Rel: plan.Eval(result)},
 	)
 }

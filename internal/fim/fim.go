@@ -5,18 +5,20 @@
 //	quotient = transactions ÷* candidates
 //
 // over vertical (tid, item) / (itemset, item) tables, followed by
-// grouping on itemset and filtering by minimum support. A classical
+// grouping on itemset and filtering by minimum support: one plan the
+// engine (package exec) compiles and runs per level. A classical
 // hash-counting Apriori serves as the baseline comparator.
 package fim
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"divlaws/internal/agg"
-	"divlaws/internal/algebra"
-	"divlaws/internal/division"
+	"divlaws/internal/exec"
+	"divlaws/internal/plan"
 	"divlaws/internal/pred"
 	"divlaws/internal/relation"
 	"divlaws/internal/schema"
@@ -189,14 +191,22 @@ func (DivideMiner) Mine(t *Transactions, minSupport int) []Result {
 			}
 		}
 
-		// quotient = transactions ÷* candidates (schema tid, itemset).
-		quotient := division.GreatDivide(transactions, cand)
-
-		// Support = count of tid per itemset; keep frequent ones.
-		counted := algebra.Group(quotient, []string{"itemset"},
-			[]agg.AggSpec{{Func: agg.Count, As: "support"}})
-		frequent := algebra.Select(counted,
-			pred.Compare(pred.Attr("support"), pred.Ge, pred.ConstInt(int64(minSupport))))
+		// Support = count of tid per itemset of transactions ÷*
+		// candidates (schema tid, itemset); keep the frequent ones.
+		support := &plan.Select{
+			Input: &plan.Group{
+				Input: &plan.GreatDivide{Dividend: plan.NewScan("transactions", transactions), Divisor: plan.NewScan("candidates", cand)},
+				By:    []string{"itemset"},
+				Aggs:  []agg.AggSpec{{Func: agg.Count, As: "support"}},
+			},
+			Pred: pred.Compare(pred.Attr("support"), pred.Ge, pred.ConstInt(int64(minSupport))),
+		}
+		// Unbudgeted over in-memory scans, the plan has no error to
+		// return but a bug's.
+		frequent, err := exec.Run(context.Background(), exec.CompileWith(support, nil, exec.CompileOptions{MemoryLimit: -1}))
+		if err != nil {
+			panic(err)
+		}
 
 		current = current[:0]
 		for _, row := range frequent.Tuples() {

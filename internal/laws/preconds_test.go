@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"divlaws/internal/algebra"
-	"divlaws/internal/division"
 	"divlaws/internal/hashkey"
 	"divlaws/internal/relation"
 )
@@ -206,8 +205,8 @@ func TestC1ExactlyCharacterizesLaw2Property(t *testing.T) {
 		r1a := randRelation(rng, []string{"a", "b"}, rng.Intn(8), 4)
 		r1b := randRelation(rng, []string{"a", "b"}, rng.Intn(8), 4)
 		r2 := randRelation(rng, []string{"b"}, 1+rng.Intn(3), 4)
-		union := division.Divide(algebra.Union(r1a, r1b), r2)
-		distributed := algebra.Union(division.Divide(r1a, r2), division.Divide(r1b, r2))
+		union := algebra.Divide(algebra.Union(r1a, r1b), r2)
+		distributed := algebra.Union(algebra.Divide(r1a, r2), algebra.Divide(r1b, r2))
 		if C1(r1a, r1b, r2) {
 			holds++
 			if !union.Equal(distributed) {

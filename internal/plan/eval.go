@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"divlaws/internal/algebra"
-	"divlaws/internal/division"
 	"divlaws/internal/relation"
 )
 
@@ -42,19 +41,16 @@ func Eval(n Node) *relation.Relation {
 	case *AntiSemiJoin:
 		return algebra.AntiSemiJoin(Eval(t.Left), Eval(t.Right))
 	case *Divide:
-		algo := t.Algo
-		if algo == "" {
-			algo = division.AlgoHash
-		}
-		return division.DivideWith(algo, Eval(t.Dividend), Eval(t.Divisor))
+		// The reference divides by sorting and merging whatever Algo
+		// pins, as it ignores the parallel nodes' workers: the oracle
+		// shares no kernel with the engine it checks.
+		return algebra.Divide(Eval(t.Dividend), Eval(t.Divisor))
 	case *GreatDivide:
-		return division.GreatDivide(Eval(t.Dividend), Eval(t.Divisor))
+		return algebra.GreatDivide(Eval(t.Dividend), Eval(t.Divisor))
 	case *ParallelDivide:
-		// The same relation for any worker count: the oracle runs the
-		// sequential reference algorithm, not the fan-out it checks.
-		return Eval(&Divide{Dividend: t.Dividend, Divisor: t.Divisor})
+		return algebra.Divide(Eval(t.Dividend), Eval(t.Divisor))
 	case *ParallelGreatDivide:
-		return Eval(&GreatDivide{Dividend: t.Dividend, Divisor: t.Divisor})
+		return algebra.GreatDivide(Eval(t.Dividend), Eval(t.Divisor))
 	case *Sort:
 		// Relations are sets, but insertion order is preserved by
 		// Tuples(), so the compat path observes the ordering by

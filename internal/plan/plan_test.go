@@ -71,7 +71,7 @@ func TestDivideSchemaPanicsOnViolation(t *testing.T) {
 func TestEvalMatchesAlgebra(t *testing.T) {
 	r1, r2 := scanR1(), scanR2()
 	div := &Divide{Dividend: r1, Divisor: r2}
-	want := division.Divide(r1.Rel, r2.Rel)
+	want := algebra.Divide(r1.Rel, r2.Rel)
 	if got := Eval(div); !got.Equal(want) {
 		t.Errorf("Eval(Divide) = %v want %v", got, want)
 	}
@@ -135,7 +135,7 @@ func TestEvalGreatDivide(t *testing.T) {
 		{1, 1}, {2, 1}, {4, 1}, {1, 2}, {3, 2},
 	}))
 	got := Eval(&GreatDivide{Dividend: r1, Divisor: r2})
-	want := division.GreatDivide(r1.Rel, r2.Rel)
+	want := algebra.GreatDivide(r1.Rel, r2.Rel)
 	if !got.Equal(want) {
 		t.Errorf("Eval(GreatDivide) = %v want %v", got, want)
 	}
@@ -143,10 +143,12 @@ func TestEvalGreatDivide(t *testing.T) {
 
 func TestEvalPinnedAlgorithms(t *testing.T) {
 	r1, r2 := scanR1(), scanR2()
-	for _, algo := range division.Algorithms() {
+	// The reference ignores a pinned algorithm: every pin is ÷.
+	want := algebra.Divide(r1.Rel, r2.Rel)
+	for _, algo := range []division.Algorithm{"", division.AlgoHash, division.AlgoMergeSort} {
 		n := &Divide{Dividend: r1, Divisor: r2, Algo: algo}
-		if got := Eval(n); !got.Equal(division.DivideWith(algo, r1.Rel, r2.Rel)) {
-			t.Errorf("pinned %s mismatch", algo)
+		if got := Eval(n); !got.Equal(want) {
+			t.Errorf("pinned %q mismatch", algo)
 		}
 	}
 }
@@ -207,9 +209,9 @@ func TestEqual(t *testing.T) {
 
 func TestWithChildren(t *testing.T) {
 	r1, r2 := scanR1(), scanR2()
-	div := &Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoCount}
+	div := &Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoMergeSort}
 	swapped := div.WithChildren([]Node{r1, scanR2()}).(*Divide)
-	if swapped.Algo != division.AlgoCount {
+	if swapped.Algo != division.AlgoMergeSort {
 		t.Error("WithChildren must preserve parameters")
 	}
 	if swapped == div {
@@ -278,7 +280,7 @@ func TestWithChildrenRoundTripAllNodes(t *testing.T) {
 			Pred: pred.Compare(pred.Attr("a"), pred.Lt, pred.Attr("x"))},
 		&SemiJoin{Left: r1, Right: r2},
 		&AntiSemiJoin{Left: r1, Right: r2},
-		&Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoCount},
+		&Divide{Dividend: r1, Divisor: r2, Algo: division.AlgoMergeSort},
 		&GreatDivide{Dividend: r1, Divisor: r2g},
 		&Group{Input: r1, By: []string{"a"}, Aggs: []agg.AggSpec{{Func: agg.Count, As: "c"}}},
 		&Rename{Input: r2, From: "b", To: "x"},

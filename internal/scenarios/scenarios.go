@@ -10,7 +10,6 @@ import (
 	"math/rand"
 
 	"divlaws/internal/agg"
-	"divlaws/internal/algebra"
 	"divlaws/internal/datagen"
 	"divlaws/internal/laws"
 	"divlaws/internal/plan"
@@ -204,7 +203,7 @@ func buildLaw7(scale int, seed int64) plan.Node {
 
 func buildLaw8(scale int, seed int64) plan.Node {
 	r1ss, r2 := standardPair(scale, seed)
-	r1ss = algebra.RenameAll(r1ss, "a2", "b")
+	r1ss = r1ss.WithSchema(schema.New("a2", "b"))
 	r1s := relation.New(schema.New("a1"))
 	for i := 0; i < 8; i++ {
 		r1s.Insert(relation.Tuple{value.Int(int64(i))})
@@ -356,7 +355,7 @@ func buildLaw16(scale int, seed int64) plan.Node {
 
 func buildLaw17(scale int, seed int64) plan.Node {
 	r1ss, r2 := standardGreatPair(scale, seed)
-	r1ss = algebra.RenameAll(r1ss, "a2", "b")
+	r1ss = r1ss.WithSchema(schema.New("a2", "b"))
 	r1s := relation.New(schema.New("a1"))
 	for i := 0; i < 8; i++ {
 		r1s.Insert(relation.Tuple{value.Int(int64(i))})
@@ -378,8 +377,8 @@ func buildExample1(scale int, seed int64) plan.Node {
 
 func buildExample2(scale int, seed int64) plan.Node {
 	r1, r2 := standardPair(scale, seed)
-	r1 = algebra.RenameAll(r1, "a", "b1")
-	r2 = algebra.RenameAll(r2, "b1")
+	r1 = r1.WithSchema(schema.New("a", "b1"))
+	r2 = r2.WithSchema(schema.New("b1"))
 	s := relation.New(schema.New("b2"))
 	for i := 0; i < 4; i++ {
 		s.Insert(relation.Tuple{value.Int(int64(i))})
