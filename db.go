@@ -23,8 +23,8 @@ import (
 // means the query genuinely cannot run under the configured limit.
 var ErrMemoryBudget = spill.ErrBudget
 
-// ErrSpillIO is the sentinel wrapped by spill temp-file read/write
-// failures (disk full, permissions). Match with errors.Is. It
+// ErrSpillIO is the sentinel wrapped by spill-file create, read and
+// write failures (disk full, permissions) and corrupt spilled frames. Match with errors.Is. It
 // surfaces as a query error through Rows.Err, never a panic.
 var ErrSpillIO = spill.ErrIO
 
@@ -73,7 +73,7 @@ func WithBatchSize(n int) Option { return func(c *config) { c.batchSize = n } }
 // WithMemoryLimit bounds, per query, the bytes of input state the
 // blocking operators may hold live in memory. Under pressure the
 // engine degrades to out-of-core execution instead of failing: sorts
-// spill sorted runs to temp files and k-way merge them back, and the
+// spill sorted runs to disk and k-way merge them back, and the
 // hash division and hash join operators grace-hash partition their
 // state to disk and recurse per partition. Results are identical to
 // unlimited execution (including ORDER BY output order). A query
@@ -304,7 +304,7 @@ func (db *DB) queryParsed(ctx context.Context, q *sql.Query, args []any) (*Rows,
 	}
 	// Build the tracker here rather than letting CompileWith own one,
 	// so Rows can report spill counters after the pipeline closes; the
-	// cursor closes it (removing any temp files) on release.
+	// cursor closes it (and its spill file) on release.
 	if lim := opts.EffectiveMemoryLimit(); lim > 0 {
 		opts.Spill = spill.NewTracker(lim)
 	}

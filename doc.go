@@ -163,10 +163,10 @@
 // and aggregate states. Streaming operators hold O(1) and top-k holds
 // O(k); neither is charged. Under pressure the engine
 // degrades to disk instead of failing: a sort past its budget spills
-// sorted runs to temp files and k-way merges them back (tie-broken by
+// sorted runs to disk and k-way merges them back (tie-broken by
 // the engine's canonical tuple order, so ORDER BY output is identical
 // to in-memory execution), and the hash division and join operators
-// grace-hash partition their inputs to temp files and recurse per
+// grace-hash partition their inputs into runs and recurse per
 // partition, re-partitioning any partition that still exceeds the
 // budget on a fresh hash split. A spilled join — semi-join, anti-join,
 // intersection and difference included — joins each partition pair
@@ -188,22 +188,24 @@
 // ErrMemoryBudget: the divisor, a single GROUP BY group, or a single
 // join key whose build rows exceed the budget and which the probe side
 // also holds (a join key absent from the probe side is dropped from
-// the build, since it matches nothing); a temp-file failure while spilling
-// (disk full) surfaces as an error matching ErrSpillIO. Both arrive
+// the build, since it matches nothing); a spill-file failure (disk
+// full) surfaces as an error matching ErrSpillIO. Both arrive
 // through the ordinary error returns (DB.Query, Rows.Err), never as
 // a panic or a killed process. Rows.Stats reports the query's spill
 // ledger — charged peak, bytes spilled, runs written, partition
 // rounds — as QueryStats.Spill.
 //
-// Temp files live under an os.MkdirTemp directory created on first
-// spill and owned by the query: every teardown path (exhaustion,
-// early Close, cancellation, pipeline error) removes the run files,
-// and the directory itself is removed when the cursor releases. The
-// DIVLAWS_FORCE_SPILL environment variable (a byte budget, or any
-// other non-empty value for 64KiB) imposes a budget on every query
-// that does not set one explicitly, which CI uses to run the whole
-// suite out-of-core; WithMemoryLimit(-1) pins a database to unlimited
-// execution, overriding the environment.
+// A query's runs share one temp file, made on its first spilled block
+// and unlinked at once, so no path names it and nothing is left on
+// disk on any exit path, a crash included; each run is a chain of
+// 32 KiB blocks in it, and a closed run's blocks are reused by the
+// next. Every teardown path (exhaustion, early Close, cancellation,
+// pipeline error) closes the runs, and the file's descriptor is
+// closed when the cursor releases. The DIVLAWS_FORCE_SPILL environment
+// variable (a byte budget, or any other non-empty value for 64KiB)
+// imposes a budget on every query that does not set one explicitly,
+// which CI uses to run the whole suite out-of-core; WithMemoryLimit(-1)
+// pins a database to unlimited execution, overriding the environment.
 //
 // # Serving
 //

@@ -169,8 +169,8 @@ func (f *FromBatch) Next() (relation.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// Close tears down the plan first, then removes the owned tracker's
-// spill directory. It is idempotent.
+// Close tears down the plan first, then closes the owned tracker's
+// spill file. It is idempotent.
 func (f *FromBatch) Close() error {
 	f.cur, f.pos = nil, 0
 	err := f.Input.Close()

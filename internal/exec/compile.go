@@ -34,11 +34,11 @@ type CompileOptions struct {
 	// DIVLAWS_FORCE_SPILL environment override (unlimited when that is
 	// unset too); negative is explicitly unlimited, overriding the
 	// environment. Under a limit, sorts spill sorted runs and the hash
-	// division/join operators grace-hash partition to temp files.
+	// division/join operators grace-hash partition into spilled runs.
 	MemoryLimit int64
 	// Spill is the budget tracker shared by the plan's operators.
 	// Usually nil: CompileWith builds one from MemoryLimit and ties its
-	// lifetime (including temp-file cleanup) to the root cursor's
+	// lifetime (including its spill file) to the root cursor's
 	// Close. A caller that needs to read spill counters after the query
 	// passes its own tracker and owns its Close.
 	Spill *spill.Tracker

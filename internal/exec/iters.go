@@ -310,7 +310,7 @@ type HashJoinIter struct {
 	// the spilled runs' reads, in tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the build side: on budget pressure
-	// both sides grace-hash partition to temp files and the partition
+	// both sides grace-hash partition into spill runs and the partition
 	// pairs are joined independently.
 	Spill *spill.Tracker
 	windowBatcher
@@ -803,7 +803,7 @@ type GroupIter struct {
 	// the spilled runs' reads, in tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the table: on budget pressure the rows
-	// of groups outside it grace-hash partition to temp files, which are
+	// of groups outside it grace-hash partition into spill runs, which are
 	// aggregated once the table's groups are emitted.
 	Spill *spill.Tracker
 	windowBatcher
@@ -1023,7 +1023,7 @@ func (g *GroupIter) Schema() schema.Schema {
 //
 // Under a memory budget (Spill != nil) it degrades to an external
 // merge sort: the buffer is charged against the tracker, flushed to a
-// sorted temp-file run whenever it would exceed the budget, and the
+// sorted spill run whenever it would exceed the budget, and the
 // runs are k-way merged on NextBatch. KeyedCompare's canonical tie-break
 // makes the merged order identical to the in-memory sort's.
 type SortIter struct {
@@ -1039,7 +1039,7 @@ type SortIter struct {
 	// tuples; 0 means DefaultCheckEvery.
 	Every int
 	// Spill, when non-nil, bounds the sort buffer: on budget pressure
-	// sorted runs spill to temp files and are merged on emit.
+	// sorted runs spill to disk and are merged on emit.
 	Spill *spill.Tracker
 	// half, set by compile when the input's subtree holds a budgeted
 	// blocking operator, flushes the buffer before it passes half the

@@ -26,7 +26,7 @@ import (
 // enough to force sorts into external merge runs and the hash
 // operators into grace partitioning, and compared with the reference
 // evaluator by the same rules as the unlimited sweep (see
-// equivPlan.diverges). Teardown hygiene (no leaked run files, no
+// equivPlan.diverges). Teardown hygiene (no leaked runs, no
 // leaked goroutines) and fault injection (spill write/read failures
 // surfacing as query errors) ride the same fixtures.
 
@@ -74,7 +74,7 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 						spilledAt4K[c.name] += tr.Snapshot().Spilled
 					}
 					if n := tr.LiveRuns(); n != 0 {
-						t.Errorf("trial %d %s (budget %d): %d run files leaked", trial, c.name, budget, n)
+						t.Errorf("trial %d %s (budget %d): %d runs leaked", trial, c.name, budget, n)
 					}
 					tr.Close()
 					if d := c.diverges(out); d != "" {
@@ -99,13 +99,13 @@ func TestSpillMatchesUnlimited(t *testing.T) {
 // with the hash tables' collision mask off and narrowed. A run may
 // fail only with a typed spill.ErrBudget (one key group, or the ÷
 // divisor, larger than the budget); otherwise it must match
-// plan.Eval. Either way no run file may outlive the query and the
-// tracked peak may not exceed the budget. Under -short or -race it
-// runs two seeds at masks off and 3-bit; the full form runs six seeds
-// and adds a 1-bit mask.
+// plan.Eval. Either way no run may outlive the query and the tracked
+// peak may not exceed the budget. Under -short it runs two seeds at
+// masks off and 3-bit; the full form runs six seeds and adds a 1-bit
+// mask.
 func TestSpillBudgetSweep(t *testing.T) {
 	seeds, masks := 6, []uint64{0, 0x7, 0x1}
-	if testing.Short() || raceEnabled {
+	if testing.Short() {
 		seeds, masks = 2, masks[:2]
 	}
 	var runs, spilled, refused int
@@ -124,7 +124,7 @@ func TestSpillBudgetSweep(t *testing.T) {
 					runs++
 					where := fmt.Sprintf("mask %#x seed %d %s (budget %d)", mask, seed, c.name, budget)
 					if leaked != 0 {
-						t.Errorf("%s: %d run files leaked", where, leaked)
+						t.Errorf("%s: %d runs leaked", where, leaked)
 					}
 					if st.Peak > budget {
 						t.Errorf("%s: tracked peak %d exceeds the budget", where, st.Peak)
@@ -245,9 +245,22 @@ func TestSpillAcceptanceOneMegabyte(t *testing.T) {
 
 // TestSpillTempFileHygiene asserts the leak invariant on every
 // teardown path: after a full drain, an early Close, or a mid-merge
-// cancellation, no run files survive in the spill directory, and
-// closing the tracker removes the directory itself.
+// cancellation, no run is left open, and the temp dir holds no entry
+// while the query spills or after it is torn down — the spill file is
+// unlinked as soon as it is made.
 func TestSpillTempFileHygiene(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	noEntries := func(t *testing.T, when string) {
+		t.Helper()
+		ents, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatalf("temp dir unreadable: %v", err)
+		}
+		if len(ents) != 0 {
+			t.Errorf("%s: %d entries in the temp dir, want none", when, len(ents))
+		}
+	}
 	rng := rand.New(rand.NewSource(71))
 	rel := randRelation(rng, []string{"a", "b"}, 2000, 500)
 	node := &plan.Sort{Input: plan.NewScan("r", rel), Keys: []plan.SortKey{{Attr: "a"}}}
@@ -257,26 +270,13 @@ func TestSpillTempFileHygiene(t *testing.T) {
 	check := func(t *testing.T, tr *spill.Tracker) {
 		t.Helper()
 		if n := tr.LiveRuns(); n != 0 {
-			t.Errorf("%d run files still open", n)
+			t.Errorf("%d runs still open", n)
 		}
-		dir := tr.Dir()
-		if dir != "" {
-			ents, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatalf("spill dir unreadable: %v", err)
-			}
-			if len(ents) != 0 {
-				t.Errorf("%d files left in the spill dir after teardown", len(ents))
-			}
-		}
+		noEntries(t, "after the plan closed")
 		if err := tr.Close(); err != nil {
 			t.Errorf("tracker Close: %v", err)
 		}
-		if dir != "" {
-			if _, err := os.Stat(dir); !os.IsNotExist(err) {
-				t.Errorf("spill dir %s survives tracker Close", dir)
-			}
-		}
+		noEntries(t, "after tracker Close")
 	}
 
 	t.Run("FullDrain", func(t *testing.T) {
@@ -302,6 +302,10 @@ func TestSpillTempFileHygiene(t *testing.T) {
 				t.Fatalf("Next %d = (%t, %v)", i, ok, err)
 			}
 		}
+		if tr.Snapshot().Spilled == 0 {
+			t.Fatal("fixture did not spill")
+		}
+		noEntries(t, "mid-merge")
 		if err := it.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -318,6 +322,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 		if _, ok, err := it.Next(); !ok || err != nil {
 			t.Fatalf("first Next = (%t, %v)", ok, err)
 		}
+		noEntries(t, "mid-merge")
 		cancel()
 		// The merge polls the context every Every tuples; it must stop
 		// with the cancellation error, not run to completion.
@@ -352,6 +357,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 			if tr.Snapshot().Spilled == 0 {
 				t.Fatal("fixture did not spill")
 			}
+			noEntries(t, "mid-spill")
 			if err := it.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -374,6 +380,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 			if tr.Snapshot().Spilled == 0 {
 				t.Fatal("fixture did not spill")
 			}
+			noEntries(t, "mid-spill")
 			cancel()
 			var err error
 			for {
@@ -394,7 +401,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 
 	t.Run("GraceDivideWorkerError", func(t *testing.T) {
 		// A budgeted parallel divide that overflows into the inline
-		// grace fallback, then cancelled mid-output: run files and
+		// grace fallback, then cancelled mid-output: runs and
 		// exchange goroutines must both die.
 		baseline := runtime.NumGoroutine()
 		fixture, _ := streamFixture()
@@ -407,6 +414,7 @@ func TestSpillTempFileHygiene(t *testing.T) {
 		if _, ok, err := it.Next(); !ok || err != nil {
 			t.Fatalf("first Next = (%t, %v)", ok, err)
 		}
+		noEntries(t, "mid-spill")
 		cancel()
 		for {
 			if _, ok, err := it.Next(); err != nil || !ok {
@@ -469,7 +477,7 @@ func TestSpillBudgetedExchangeTeardown(t *testing.T) {
 // TestSpillIOErrorsSurface injects temp-file write and read failures
 // and asserts they surface as query errors wrapping spill.ErrIO — on
 // the operator that spilled, promptly, never as a hang or a panic —
-// and that teardown still leaves no run files behind.
+// and that teardown still leaves no run behind.
 func TestSpillIOErrorsSurface(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	rel := randRelation(rng, []string{"a", "b"}, 2000, 500)
@@ -490,7 +498,7 @@ func TestSpillIOErrorsSurface(t *testing.T) {
 			t.Fatalf("injected spill I/O fault surfaced as %v, want spill.ErrIO", err)
 		}
 		if n := tr.LiveRuns(); n != 0 {
-			t.Errorf("%d run files leaked after the injected failure", n)
+			t.Errorf("%d runs leaked after the injected failure", n)
 		}
 		tr.Close()
 	}
@@ -600,7 +608,7 @@ func TestSpillBudgetErrorTyped(t *testing.T) {
 				t.Errorf("%d partitioning passes before the budget error, want %d", n, c.splits)
 			}
 			if n := tr.LiveRuns(); n != 0 {
-				t.Errorf("%d run files leaked after the budget error", n)
+				t.Errorf("%d runs leaked after the budget error", n)
 			}
 		})
 	}
@@ -674,7 +682,7 @@ func TestSpillOversizedKeyAbsentFromProbe(t *testing.T) {
 				t.Errorf("tracked peak %d exceeds the budget", st.Peak)
 			}
 			if n := tr.LiveRuns(); n != 0 {
-				t.Errorf("%d run files leaked", n)
+				t.Errorf("%d runs leaked", n)
 			}
 		})
 	}

@@ -1,10 +1,12 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"divlaws/internal/hashkey"
 	"divlaws/internal/schema"
 	"divlaws/internal/value"
 )
@@ -92,6 +94,31 @@ func TestInsertSetSemantics(t *testing.T) {
 	}
 	if !r.ContainsKey(tup(1, 2).Key()) {
 		t.Error("ContainsKey wrong")
+	}
+}
+
+// TestInsertEqualFloatsOnce: floats value.Equal equates — ±0, and NaNs
+// of different payloads — are one tuple, whether the hashes tell them
+// apart or (at a 1-bit mask) every tuple collides and Equal decides.
+func TestInsertEqualFloatsOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b float64
+	}{
+		{"zeros", 0, math.Copysign(0, -1)},
+		{"NaN payloads", math.NaN(), math.Float64frombits(0x7ff8000000000abc)},
+	}
+	for _, c := range cases {
+		for _, mask := range []uint64{0, 0x1} {
+			restore := hashkey.SetMaskForTesting(mask)
+			r := New(schema.New("x"))
+			r.Insert(Tuple{value.Float(c.a)})
+			r.Insert(Tuple{value.Float(c.b)})
+			if r.Len() != 1 || !r.Contains(Tuple{value.Float(c.b)}) {
+				t.Errorf("%s, mask %#x: %d tuples, want 1", c.name, mask, r.Len())
+			}
+			restore()
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ const (
 	// per-query memory budget even after spilling — its irreducible
 	// state (the divisor, or one key group) exceeds the limit.
 	CodeMemoryBudget = "memory_budget"
-	// CodeSpillIO: the engine tried to spill but the temp-file I/O
+	// CodeSpillIO: the engine tried to spill but the spill-file I/O
 	// failed (disk full, permissions).
 	CodeSpillIO = "spill_io"
 )

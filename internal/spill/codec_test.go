@@ -34,21 +34,17 @@ func writtenRun(t testing.TB, tr *Tracker, tuples []relation.Tuple) *Run {
 	return run
 }
 
-// rawRun is a run whose file holds data verbatim, rewound for reading:
-// what a reader sees of a corrupt or truncated file.
+// rawRun is a run whose blocks hold data verbatim, rewound for
+// reading: what a reader sees of a corrupt or truncated run.
 func rawRun(t testing.TB, tr *Tracker, data []byte) *Run {
 	t.Helper()
 	run, err := tr.NewRun()
 	if err == nil {
-		err = run.create()
+		err = run.write(data)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	run.size = int64(len(data))
 	if err := run.Rewind(); err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +297,7 @@ func frameOf(payload []byte) []byte {
 func TestCorruptFramesErrorCleanly(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
 	good := relation.Tuple{value.Int(7), value.String("blue")}.AppendKey(binary.AppendUvarint(nil, 2))
+	long := relation.Tuple{value.String(strings.Repeat("x", blockSize))}.AppendKey(binary.AppendUvarint(nil, 1))
 	cases := []struct {
 		name string
 		data []byte
@@ -317,6 +314,8 @@ func TestCorruptFramesErrorCleanly(t *testing.T) {
 		{"unknown value kind", frameOf([]byte{1, 0x2a})},
 		{"truncated int", frameOf([]byte{1, byte(value.KindInt), 0, 0})},
 		{"string length past the frame", frameOf(append([]byte{1, byte(value.KindString)}, huge[:8]...))},
+		{"frame longer than a block, truncated in the second", frameOf(long)[:blockSize+7]},
+		{"frame longer than a block, one byte short", frameOf(long)[:len(frameOf(long))-1]},
 	}
 	tr := NewTracker(1 << 20)
 	defer tr.Close()
@@ -461,5 +460,34 @@ func BenchmarkRunRoundTrip(b *testing.B) {
 			}
 		}
 		run.Close()
+	}
+}
+
+// BenchmarkRunLifecycle is one small run's whole life — NewRun, 16
+// appends, Rewind, a drain and Close — the cost a grace-hash split
+// pays per partition.
+func BenchmarkRunLifecycle(b *testing.B) {
+	tuples := supplierTuples(16)
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run := writtenRun(b, tr, tuples)
+		if err := run.Rewind(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := run.Next(strs); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := run.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -6,11 +6,11 @@
 // the state is dropped. A Charge that would exceed the budget fails
 // with ErrBudget — the operator's cue to degrade out of core: sort
 // spills sorted runs, hash division and hash join grace-hash partition
-// their inputs to temp files and recurse per partition.
+// their inputs into runs and recurse per partition.
 //
-// Runs are the temp files themselves: framed sequences of tuples in
-// the engine's injective key encoding (value.AppendKey /
-// value.DecodeKey), written once and read back one or more times:
+// A run is a framed sequence of tuples in the engine's injective key
+// encoding (value.AppendKey / value.DecodeKey), written once and read
+// back one or more times:
 //
 //	frame   = uvarint(len(payload)) payload
 //	payload = uvarint(arity) value.AppendKey(v0) ... value.AppendKey(vn-1)
@@ -18,16 +18,19 @@
 // The length prefix lets the reader slurp a whole frame before
 // decoding, so a torn write surfaces as a framing error rather than a
 // misparse; a length longer than the run, or an arity larger than the
-// payload has bytes, is refused before it sizes anything. All runs
-// live under a single lazily-created os.MkdirTemp directory that
-// Tracker.Close removes, so a query tears down to an empty temp
-// namespace on every exit path. I/O failures — including
-// test-injected ones via FailWriteAfter/FailReadAfter — and corrupt
-// frames surface as errors wrapping ErrIO, never as hangs, panics or
-// partial results.
+// payload has bytes, is refused before it sizes anything. A query's
+// runs share one file that the Tracker makes on the first block
+// written and unlinks at once, so no path outlives the query on any
+// exit path, a crash included. A run is a chain of blockSize blocks in
+// it, written and read with WriteAt/ReadAt through the run's one block
+// buffer, so concurrent runs share the descriptor; a closed run's
+// blocks go to the tracker's free list for the next. I/O failures —
+// including test-injected ones via FailWriteAfter/FailReadAfter — and
+// corrupt frames surface as errors wrapping ErrIO, never as hangs,
+// panics or partial results.
 //
 // Neither edge of a run costs a heap object per tuple. Append encodes
-// into the run's reusable buffer and issues one Write. Run.Next
+// into the run's frame buffer and copies it to the block. Run.Next
 // returns the tuple borrowed — the run's own scratch slice, valid until
 // the next Next on that run — which is all a consumer needs that
 // copies what it keeps (the division states, repartitioning, the join
@@ -44,12 +47,11 @@
 // strings it pins — sized from the budget and halved until the budget
 // takes it, so a tight or full budget means a small cache or none,
 // never an error — and, by the consumer, its slab's live chunk. Not
-// charged: each open run's 32 KiB bufio buffer, its frame buffer (one
-// frame long) and its one-tuple scratch.
+// charged: one block buffer (32 KiB) per open run that holds data, its
+// frame buffer (one frame long) and its one-tuple scratch.
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -82,8 +84,8 @@ func (e *budgetError) Error() string {
 
 func (e *budgetError) Unwrap() error { return ErrBudget }
 
-// ErrIO wraps every spill-file I/O failure (create, write, read,
-// seek), including injected ones, so callers can classify disk
+// ErrIO wraps every spill-file failure (create, write, read, close,
+// corrupt frame), including injected ones, so callers can classify disk
 // trouble on the spill path separately from query-logic errors.
 var ErrIO = errors.New("spill I/O error")
 
@@ -95,10 +97,10 @@ type Stats struct {
 	Used int64
 	// Peak is the high-water mark of Used over the tracker's life.
 	Peak int64
-	// Spilled is the total bytes written to spill files.
+	// Spilled is the total bytes appended to runs.
 	Spilled int64
-	// Runs is the number of spill files created (sort runs and hash
-	// partitions alike).
+	// Runs is the number of runs that held data (sort runs and hash
+	// partitions alike): a run counts at its first successful Append.
 	Runs int64
 	// Partitions counts grace-hash partitioning passes: each time an
 	// operator splits an over-budget input (or re-splits an
@@ -107,7 +109,7 @@ type Stats struct {
 }
 
 // Tracker enforces one query's memory budget and owns its spill
-// directory. All methods are safe for concurrent use and nil-safe: a
+// file. All methods are safe for concurrent use and nil-safe: a
 // nil *Tracker is the unlimited budget — Charge always succeeds,
 // Release is a no-op — so operators charge unconditionally.
 type Tracker struct {
@@ -124,8 +126,10 @@ type Tracker struct {
 	failWrite atomic.Int64 // countdown to injected write failure; <=0 disabled
 	failRead  atomic.Int64 // countdown to injected read failure; <=0 disabled
 
-	mu     sync.Mutex
-	dir    string
+	mu     sync.Mutex // guards the rest
+	f      *os.File   // the spill file, nil until the first block is written
+	blocks int64      // blocks the file holds
+	free   []int64    // offsets of the blocks closed runs gave back
 	closed bool
 }
 
@@ -211,17 +215,6 @@ func (t *Tracker) LiveRuns() int64 {
 	return t.liveRuns.Load()
 }
 
-// Dir returns the tracker's spill directory path, or "" if no run has
-// been created yet (the directory is made lazily on first spill).
-func (t *Tracker) Dir() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dir
-}
-
 // FailWriteAfter arms fault injection: the n-th subsequent run write
 // (1-based, counted across all runs) fails with an error wrapping
 // ErrIO. n <= 0 disarms.
@@ -253,10 +246,8 @@ func countdown(c *atomic.Int64) bool {
 	}
 }
 
-// Close removes the spill directory and everything under it.
-// Idempotent; safe to call with runs still open (on unix an unlinked
-// file stays readable through its descriptor, so racing readers fail
-// soft at worst). Returns the removal error, if any.
+// Close closes the spill file. Idempotent; safe to call with runs
+// still open: their later reads and writes fail with ErrIO.
 func (t *Tracker) Close() error {
 	if t == nil {
 		return nil
@@ -267,50 +258,65 @@ func (t *Tracker) Close() error {
 		return nil
 	}
 	t.closed = true
-	if t.dir == "" {
+	if t.f == nil {
 		return nil
 	}
-	return os.RemoveAll(t.dir)
+	if err := t.f.Close(); err != nil {
+		return fmt.Errorf("%w: close spill file: %v", ErrIO, err)
+	}
+	return nil
 }
 
-// runDir returns the spill directory, creating it on first use.
-func (t *Tracker) runDir() (string, error) {
+// allocBlock returns the offset of a free block of the spill file,
+// making and unlinking the file on first use.
+func (t *Tracker) allocBlock() (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		return "", fmt.Errorf("%w: tracker closed", ErrIO)
+		return 0, fmt.Errorf("%w: tracker closed", ErrIO)
 	}
-	if t.dir == "" {
-		dir, err := os.MkdirTemp("", "divlaws-spill-*")
+	if n := len(t.free); n > 0 {
+		off := t.free[n-1]
+		t.free = t.free[:n-1]
+		return off, nil
+	}
+	if t.f == nil {
+		f, err := os.CreateTemp("", "divlaws-spill-*")
 		if err != nil {
-			return "", fmt.Errorf("%w: mkdir: %v", ErrIO, err)
+			return 0, fmt.Errorf("%w: create spill file: %v", ErrIO, err)
 		}
-		t.dir = dir
+		if err := os.Remove(f.Name()); err != nil {
+			f.Close()
+			return 0, fmt.Errorf("%w: unlink spill file: %v", ErrIO, err)
+		}
+		t.f = f
 	}
-	return t.dir, nil
+	t.blocks++
+	return (t.blocks - 1) * blockSize, nil
 }
 
-// runBufSize bounds the per-run buffer, keeping a k-way merge's
-// resident footprint modest even with many runs open.
-const runBufSize = 32 << 10
+// blockSize is the unit a run writes and reads, and the size of its
+// one buffer: small enough for a k-way merge to keep many runs open.
+const blockSize = 32 << 10
 
 // maxFrame caps one tuple's frame: Append refuses to write a longer
 // one and the reader refuses to believe one.
 const maxFrame = 1 << 30
 
-// A Run is one spill file: a write-once, read-back sequence of tuples
-// in the injective key encoding. Typical life cycle: NewRun, Append
-// until done, Rewind, Next until io.EOF, Close (which deletes the
-// file). Rewind may be called again to re-read from the top. The file
-// and its buffer are made by the first Append, so a run that stays
-// empty, as most partitions of a deep grace-hash split do, costs no
-// file, descriptor or buffer. A Run is not safe for concurrent use.
+// A Run is a write-once, read-back sequence of tuples in the injective
+// key encoding, a chain of blocks in the tracker's spill file. Typical
+// life cycle: NewRun, Append until done, Rewind, Next until io.EOF,
+// Close (which frees the blocks). Rewind may be called again to re-read
+// from the top. A run that stays empty, as most partitions of a deep
+// grace-hash split do, costs no block and no buffer. A Run is not safe
+// for concurrent use.
 type Run struct {
 	t       *Tracker
-	f       *os.File
-	w       *bufio.Writer
-	r       *bufio.Reader
-	buf     []byte
+	blocks  []int64        // the file offsets of the run's written blocks, in order
+	block   []byte         // writing: the tail being filled; reading: the block loaded
+	pos     int            // reading: the next byte of block
+	next    int            // reading: the index of the next block to load
+	buf     []byte         // one frame, encoded or read
 	scratch relation.Tuple // the borrowed tuple Next returns
 	size    int64          // bytes appended
 	tuples  int64
@@ -318,48 +324,30 @@ type Run struct {
 	closed  bool
 }
 
-// NewRun returns a fresh run in the tracker's directory (see Run). It
+// NewRun returns a fresh run on the tracker's spill file (see Run). It
 // panics on a nil tracker: only budgeted queries spill.
 func (t *Tracker) NewRun() (*Run, error) {
 	if t == nil {
 		panic("spill: NewRun on nil Tracker")
 	}
-	if _, err := t.runDir(); err != nil {
-		return nil, err
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil, fmt.Errorf("%w: tracker closed", ErrIO)
 	}
 	t.liveRuns.Add(1)
 	return &Run{t: t}, nil
 }
 
-// create makes the run's file and its write buffer.
-func (r *Run) create() error {
-	dir, err := r.t.runDir()
-	if err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, "run-*")
-	if err != nil {
-		return fmt.Errorf("%w: create run: %v", ErrIO, err)
-	}
-	r.t.runs.Add(1)
-	r.f, r.w = f, bufio.NewWriterSize(f, runBufSize)
-	return nil
-}
-
 // Append writes one tuple frame (see the package comment). The payload
 // is encoded behind a reserved header into which the length prefix is
-// then written right-aligned, so the frame leaves in one Write.
+// then written right-aligned, so the frame is copied out in one piece.
 func (r *Run) Append(t relation.Tuple) error {
 	if r.closed || r.read {
 		return fmt.Errorf("%w: append to closed or read-mode run", ErrIO)
 	}
 	if countdown(&r.t.failWrite) {
 		return fmt.Errorf("%w: injected write failure", ErrIO)
-	}
-	if r.f == nil {
-		if err := r.create(); err != nil {
-			return err
-		}
 	}
 	const hdr = binary.MaxVarintLen64
 	b := append(r.buf[:0], make([]byte, hdr)...)
@@ -373,42 +361,103 @@ func (r *Run) Append(t relation.Tuple) error {
 	if len(frame) > maxFrame {
 		return fmt.Errorf("%w: %d-byte tuple is too large to spill", ErrIO, len(frame))
 	}
-	if _, err := r.w.Write(frame); err != nil {
+	if err := r.write(frame); err != nil {
+		return err
+	}
+	if r.tuples == 0 {
+		r.t.runs.Add(1)
+	}
+	r.tuples++
+	return nil
+}
+
+// write appends p to the run, writing each block out as it fills.
+func (r *Run) write(p []byte) error {
+	if r.block == nil {
+		r.block = make([]byte, 0, blockSize)
+	}
+	for len(p) > 0 {
+		if len(r.block) == blockSize {
+			if err := r.flush(); err != nil {
+				return err
+			}
+		}
+		n := copy(r.block[len(r.block):blockSize], p)
+		r.block, p = r.block[:len(r.block)+n], p[n:]
+		r.size += int64(n)
+		r.t.spilled.Add(int64(n))
+	}
+	return nil
+}
+
+// flush writes the block buffer out as the run's next block.
+func (r *Run) flush() error {
+	off, err := r.t.allocBlock()
+	if err != nil {
+		return err
+	}
+	r.blocks = append(r.blocks, off)
+	if _, err := r.t.f.WriteAt(r.block, off); err != nil {
 		return fmt.Errorf("%w: write: %v", ErrIO, err)
 	}
-	r.t.spilled.Add(int64(len(frame)))
-	r.size += int64(len(frame))
-	r.tuples++
+	r.block = r.block[:0]
 	return nil
 }
 
 // Len returns the number of tuples appended so far.
 func (r *Run) Len() int64 { return r.tuples }
 
-// Rewind flushes any pending writes and positions the run for reading
+// Rewind writes out the tail block and positions the run for reading
 // from the first tuple. After Rewind, Append is an error.
 func (r *Run) Rewind() error {
 	if r.closed {
 		return fmt.Errorf("%w: rewind closed run", ErrIO)
 	}
-	r.read = true
-	if r.f == nil {
-		return nil // never written: Next reports io.EOF
-	}
-	if r.w != nil {
-		if err := r.w.Flush(); err != nil {
-			return fmt.Errorf("%w: flush: %v", ErrIO, err)
+	if !r.read && len(r.block) > 0 {
+		if err := r.flush(); err != nil {
+			return err
 		}
-		r.w = nil
 	}
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: seek: %v", ErrIO, err)
+	r.read = true
+	r.block, r.pos, r.next = r.block[:0], 0, 0
+	return nil
+}
+
+// ReadByte and Read serve the frame reader from the loaded block,
+// loading the next one as it runs out.
+func (r *Run) ReadByte() (byte, error) {
+	if r.pos == len(r.block) {
+		if err := r.load(); err != nil {
+			return 0, err
+		}
 	}
-	if r.r == nil {
-		r.r = bufio.NewReaderSize(r.f, runBufSize)
-	} else {
-		r.r.Reset(r.f)
+	r.pos++
+	return r.block[r.pos-1], nil
+}
+
+func (r *Run) Read(p []byte) (int, error) {
+	if r.pos == len(r.block) {
+		if err := r.load(); err != nil {
+			return 0, err
+		}
 	}
+	n := copy(p, r.block[r.pos:])
+	r.pos += n
+	return n, nil
+}
+
+// load reads the run's next block into the buffer (the last holds
+// what is left of the run), or returns io.EOF after the last.
+func (r *Run) load() error {
+	if r.next == len(r.blocks) {
+		return io.EOF
+	}
+	n := min(blockSize, r.size-int64(r.next)*blockSize)
+	if _, err := r.t.f.ReadAt(r.block[:n], r.blocks[r.next]); err != nil {
+		// %v, not %w: a short read is a damaged run, not its end.
+		return fmt.Errorf("read block: %v", err)
+	}
+	r.block, r.pos, r.next = r.block[:n], 0, r.next+1
 	return nil
 }
 
@@ -493,10 +542,7 @@ func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
 	if countdown(&r.t.failRead) {
 		return nil, fmt.Errorf("%w: injected read failure", ErrIO)
 	}
-	if r.f == nil {
-		return nil, io.EOF
-	}
-	frameLen, err := binary.ReadUvarint(r.r)
+	frameLen, err := binary.ReadUvarint(r)
 	if err == io.EOF {
 		return nil, io.EOF
 	}
@@ -507,7 +553,7 @@ func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
 		return nil, fmt.Errorf("%w: frame length %d in a run of %d bytes", ErrIO, frameLen, r.size)
 	}
 	r.buf = slices.Grow(r.buf[:0], int(frameLen))[:frameLen]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
+	if _, err := io.ReadFull(r, r.buf); err != nil {
 		return nil, fmt.Errorf("%w: read frame: %v", ErrIO, err)
 	}
 	arity, used := binary.Uvarint(r.buf)
@@ -528,24 +574,16 @@ func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
 	return r.scratch, nil
 }
 
-// Close closes and deletes the run's file. Idempotent.
+// Close gives the run's blocks back to the tracker. Idempotent.
 func (r *Run) Close() error {
 	if r == nil || r.closed {
 		return nil
 	}
 	r.closed = true
-	r.w, r.r = nil, nil
 	r.t.liveRuns.Add(-1)
-	if r.f == nil {
-		return nil
-	}
-	name := r.f.Name()
-	err := r.f.Close()
-	if rmErr := os.Remove(name); err == nil && rmErr != nil && !os.IsNotExist(rmErr) {
-		err = rmErr
-	}
-	if err != nil {
-		return fmt.Errorf("%w: close run: %v", ErrIO, err)
-	}
+	r.t.mu.Lock()
+	r.t.free = append(r.t.free, r.blocks...)
+	r.t.mu.Unlock()
+	r.blocks, r.block = nil, nil
 	return nil
 }

@@ -2,9 +2,12 @@ package spill
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"divlaws/internal/relation"
@@ -54,7 +57,8 @@ func TestNilTrackerIsUnlimited(t *testing.T) {
 }
 
 // roundTripTuples exercises every value kind plus tricky payloads
-// (empty string, NaN, negative ints).
+// (empty string, NaN, negative ints), a frame that straddles the first
+// block boundary and one longer than a block.
 func roundTripTuples() []relation.Tuple {
 	return []relation.Tuple{
 		{value.Int(1), value.String("blue"), value.Bool(true)},
@@ -62,6 +66,10 @@ func roundTripTuples() []relation.Tuple {
 		{value.Null, value.Float(3.5), value.Float(math.NaN())},
 		{},
 		{value.String("a long-ish string payload to cross buffer boundaries")},
+		{value.String(strings.Repeat("h", blockSize/2))},
+		{value.Int(7), value.String(strings.Repeat("s", blockSize/2))},
+		{value.String(strings.Repeat("L", 2*blockSize+5)), value.Int(-1)},
+		{value.Bool(true)},
 	}
 }
 
@@ -107,16 +115,45 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloseRemovesSpillDir(t *testing.T) {
-	tr := NewTracker(1 << 20)
-	run, err := tr.NewRun()
+// spillTempDir points os.TempDir, where the tracker makes its file, at
+// a fresh directory for the test.
+func spillTempDir(t *testing.T) string {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	return dir
+}
+
+// assertNoEntries fails the test if dir holds anything: the spill file
+// is unlinked as soon as it is made.
+func assertNoEntries(t *testing.T, dir, when string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("new run: %v", err)
+		t.Fatal(err)
 	}
-	dir := tr.Dir()
-	if dir == "" {
-		t.Fatal("spill dir not created")
+	if len(ents) != 0 {
+		t.Errorf("%s: %d entries in the temp dir, want none (first %s)", when, len(ents), ents[0].Name())
 	}
+}
+
+// TestCloseRemovesSpillDir: a spilling tracker leaves no name in the
+// temp dir, while its runs are written and read and after teardown.
+func TestCloseRemovesSpillDir(t *testing.T) {
+	dir := spillTempDir(t)
+	tr := NewTracker(1 << 20)
+	run := writtenRun(t, tr, supplierTuples(5000))
+	if err := run.Rewind(); err != nil {
+		t.Fatal(err)
+	}
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	if _, err := run.Next(strs); err != nil {
+		t.Fatal(err)
+	}
+	if tr.f == nil || len(run.blocks) < 2 {
+		t.Fatalf("run holds %d blocks, want the file made and several blocks", len(run.blocks))
+	}
+	assertNoEntries(t, dir, "mid-spill")
 	if tr.LiveRuns() != 1 {
 		t.Fatalf("live runs = %d, want 1", tr.LiveRuns())
 	}
@@ -126,21 +163,137 @@ func TestCloseRemovesSpillDir(t *testing.T) {
 	if tr.LiveRuns() != 0 {
 		t.Fatalf("live runs after close = %d, want 0", tr.LiveRuns())
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("read spill dir: %v", err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("spill dir has %d entries after run close, want 0", len(ents))
-	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("tracker close: %v", err)
 	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("spill dir still exists after Close (stat err %v)", err)
-	}
+	assertNoEntries(t, dir, "after Close")
 	if err := tr.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestOpenRunsShareOneDescriptor: a thousand runs holding data at once
+// cost the process one descriptor, and Tracker.Close gives it back.
+func TestOpenRunsShareOneDescriptor(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	base := fds()
+	tr := NewTracker(1 << 20)
+	runs := make([]*Run, 1000)
+	for i := range runs {
+		runs[i] = writtenRun(t, tr, []relation.Tuple{{value.Int(int64(i))}})
+		if err := runs[i].Rewind(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fds() - base; n > 1 {
+		t.Errorf("%d runs hold %d descriptors, want at most 1", len(runs), n)
+	}
+	for i, run := range runs {
+		if got, err := run.Next(nil); err != nil || !got.Equal(relation.Tuple{value.Int(int64(i))}) {
+			t.Fatalf("run %d read (%v, %v)", i, got, err)
+		}
+		run.Close()
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fds(); n != base {
+		t.Errorf("%d descriptors after Close, want the %d before", n, base)
+	}
+}
+
+// TestClosedRunsBlocksAreReused: writing, closing and rewriting the
+// same volume leaves the file one volume long.
+func TestClosedRunsBlocksAreReused(t *testing.T) {
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	want := supplierTuples(20000)
+	var blocks int64
+	for i := 0; i < 5; i++ {
+		run := writtenRun(t, tr, want)
+		if err := run.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readAll(strs, run.Next, true)
+		if err != nil || len(got) != len(want) || !got[len(got)-1].Equal(want[len(want)-1]) {
+			t.Fatalf("round %d: read %d tuples (%v), want %d", i, len(got), err, len(want))
+		}
+		blocks = max(blocks, int64(len(run.blocks)))
+		run.Close()
+	}
+	st, err := tr.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks < 2 || st.Size() > blocks*blockSize {
+		t.Errorf("five rounds of %d blocks left a %d-byte file, want at most %d", blocks, st.Size(), blocks*blockSize)
+	}
+}
+
+// TestConcurrentRunsShareTheFile: goroutines interleave the blocks of
+// their own runs in one file (run it under -race), and every run
+// reads back what it was given.
+func TestConcurrentRunsShareTheFile(t *testing.T) {
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			strs := tr.NewStringCache()
+			defer strs.Close()
+			for round := 0; round < 3; round++ {
+				var runs [2]*Run
+				var want [2][]relation.Tuple
+				for i := range runs {
+					var err error
+					if runs[i], err = tr.NewRun(); err != nil {
+						t.Error(err)
+						return
+					}
+					defer runs[i].Close() // on an early return; Close is idempotent
+				}
+				for j := 0; j < 3000; j++ {
+					tu := relation.Tuple{value.Int(int64(g)), value.Int(int64(j)), value.String(fmt.Sprintf("r%d", round))}
+					want[j%2] = append(want[j%2], tu)
+					if err := runs[j%2].Append(tu); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for i, run := range runs {
+					if err := run.Rewind(); err != nil {
+						t.Error(err)
+						return
+					}
+					got, err := readAll(strs, run.Next, true)
+					if err != nil || len(got) != len(want[i]) {
+						t.Errorf("goroutine %d run %d: read %d tuples (%v), want %d", g, i, len(got), err, len(want[i]))
+						return
+					}
+					for k := range got {
+						if !got[k].Equal(want[i][k]) {
+							t.Errorf("goroutine %d run %d tuple %d = %v, want %v", g, i, k, got[k], want[i][k])
+							return
+						}
+					}
+					run.Close()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tr.LiveRuns() != 0 {
+		t.Errorf("%d runs live after every goroutine closed its own", tr.LiveRuns())
 	}
 }
 
@@ -214,9 +367,11 @@ func TestNewRunAfterCloseFails(t *testing.T) {
 }
 
 // TestEmptyRunMakesNoFile: a run nothing is appended to reads back
-// empty without ever creating its file, so the empty partitions of a
-// grace-hash split cost no file or descriptor.
+// empty without holding a block, so the empty partitions of a
+// grace-hash split cost no disk; a tracker whose runs stay empty never
+// makes its file.
 func TestEmptyRunMakesNoFile(t *testing.T) {
+	dir := spillTempDir(t)
 	tr := NewTracker(1 << 20)
 	defer tr.Close()
 	run, err := tr.NewRun()
@@ -232,14 +387,15 @@ func TestEmptyRunMakesNoFile(t *testing.T) {
 	if err := run.Append(relation.Tuple{value.Int(1)}); !errors.Is(err, ErrIO) {
 		t.Fatalf("Append after Rewind = %v, want ErrIO", err)
 	}
-	ents, err := os.ReadDir(tr.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tr.Snapshot().Runs; n != 0 || len(ents) != 0 {
-		t.Errorf("%d runs counted and %d files made for an empty run, want none", n, len(ents))
+	assertNoEntries(t, dir, "mid-query")
+	if n := tr.Snapshot().Runs; n != 0 || len(run.blocks) != 0 || tr.f != nil {
+		t.Errorf("%d runs counted, %d blocks held and file %v made for an empty run, want none", n, len(run.blocks), tr.f)
 	}
 	if err := run.Close(); err != nil || tr.LiveRuns() != 0 {
 		t.Errorf("Close = %v with %d live runs, want nil and 0", err, tr.LiveRuns())
 	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertNoEntries(t, dir, "after Close")
 }

@@ -214,8 +214,9 @@ func (v Value) Equal(w Value) bool {
 }
 
 // AppendKey appends an injective binary encoding of v to dst. Two
-// values have identical encodings iff Equal reports true, so the
-// encoding can key hash maps implementing set semantics.
+// values have identical encodings iff Equal reports true (every NaN
+// encodes as one canonical NaN, −0 as +0), so the encoding can key
+// hash maps implementing set semantics.
 func (v Value) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -224,8 +225,11 @@ func (v Value) AppendKey(dst []byte) []byte {
 		dst = appendUint64(dst, uint64(v.i))
 	case KindFloat:
 		f := v.f
-		if math.IsNaN(f) {
+		switch {
+		case math.IsNaN(f):
 			f = math.NaN() // canonical NaN
+		case f == 0:
+			f = 0 // −0 == +0
 		}
 		dst = appendUint64(dst, math.Float64bits(f))
 	case KindString:
@@ -263,8 +267,8 @@ const canonicalNaN = 0x7ff8000000000001
 // payload word (i and the float bits occupy disjoint fields, so their
 // XOR is whichever is set) XORed with the kind's salt. Strings salt h
 // and hand the contents to hashkey.AddString's word-at-a-time kernel,
-// which folds the length itself. Equal values hash alike (NaN is
-// canonicalized first), and HashEncodedKey recomputes the identical
+// which folds the length itself. Equal values hash alike (NaN and −0
+// are canonicalized first), and HashEncodedKey recomputes the identical
 // hash from an AppendKey encoding — the bridge string-keyed callers
 // use.
 func (v Value) HashKey(h uint64) uint64 {
@@ -273,8 +277,11 @@ func (v Value) HashKey(h uint64) uint64 {
 		return hashkey.AddString(h^kindSalt[KindString], v.s)
 	case KindFloat:
 		bits := math.Float64bits(v.f)
-		if v.f != v.f {
+		switch {
+		case v.f != v.f:
 			bits = canonicalNaN
+		case v.f == 0:
+			bits = 0 // −0 == +0
 		}
 		return hashkey.AddUint64(h, bits^kindSalt[KindFloat])
 	default:
@@ -328,9 +335,9 @@ func HashEncodedKey(h uint64, key string) uint64 {
 
 // DecodeKey decodes one value from the front of an AppendKey-produced
 // encoding, returning the value and the remaining bytes. It is the
-// exact inverse of AppendKey (modulo NaN canonicalization, which
+// exact inverse of AppendKey (modulo the NaN and −0 canonicalization
 // AppendKey already applied), which lets spilled tuples round-trip
-// through temp files using the same injective encoding that keys the
+// through spill runs using the same injective encoding that keys the
 // engine's hash maps. A string payload is materialized by str, which
 // must return a string equal to its argument and not retain the bytes
 // — the spill reader's hook for reusing recently decoded strings. A

@@ -283,7 +283,7 @@ func TestCompareTotalOrderProperty(t *testing.T) {
 func TestHashEncodedKeyMatchesHashKey(t *testing.T) {
 	vals := []Value{
 		Null, Bool(true), Bool(false), Int(0), Int(-7), Int(1 << 40),
-		Float(0), Float(-2.5), Float(math.NaN()), Float(math.Inf(1)),
+		Float(0), Float(math.Copysign(0, -1)), Float(-2.5), Float(math.NaN()), Float(math.Inf(1)),
 		String(""), String("ab"), String("a longer string with spaces"),
 	}
 	for _, v := range vals {
@@ -308,6 +308,29 @@ func TestHashEncodedKeyMatchesHashKey(t *testing.T) {
 	for n := 0; n <= len(full); n++ {
 		if HashEncodedKey(hashkey.New(), full[:n]) != HashEncodedKey(hashkey.New(), full[:n]) {
 			t.Errorf("truncated key of length %d hashes nondeterministically", n)
+		}
+	}
+}
+
+// TestEqualFloatsShareKeyAndHash: floats that Equal equates — the two
+// zeros, and NaNs whatever their payload — have one key and one hash,
+// so a hash set cannot keep two of them apart.
+func TestEqualFloatsShareKeyAndHash(t *testing.T) {
+	pairs := [][2]float64{
+		{0, math.Copysign(0, -1)},
+		{math.NaN(), math.Float64frombits(0x7ff8000000000abc)},
+		{math.NaN(), math.Float64frombits(0xfff0000000000001)},
+	}
+	for _, p := range pairs {
+		a, b := Float(p[0]), Float(p[1])
+		if !a.Equal(b) {
+			t.Fatalf("%v.Equal(%v) = false", a, b)
+		}
+		if ka, kb := a.AppendKey(nil), b.AppendKey(nil); !bytes.Equal(ka, kb) {
+			t.Errorf("Equal floats %#x and %#x have keys %x and %x", math.Float64bits(p[0]), math.Float64bits(p[1]), ka, kb)
+		}
+		if ha, hb := a.HashKey(hashkey.New()), b.HashKey(hashkey.New()); ha != hb {
+			t.Errorf("Equal floats %#x and %#x hash to %#x and %#x", math.Float64bits(p[0]), math.Float64bits(p[1]), ha, hb)
 		}
 	}
 }

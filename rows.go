@@ -85,7 +85,7 @@ func (r *Rows) release() {
 		r.err = cerr
 	}
 	// The pipeline is down; close the budget tracker last so its
-	// temp-file directory outlives every spill run the plan held.
+	// spill file outlives every run the plan held.
 	// Counters stay readable after Close for Stats.
 	r.spill.Close()
 }
@@ -250,7 +250,7 @@ type QueryStats struct {
 
 // SpillStats is the memory-budget ledger of one query: how much state
 // the blocking operators held at peak, and how much overflowed to
-// temp-file runs.
+// spilled runs.
 type SpillStats struct {
 	// Limit is the budget the query ran under, in bytes.
 	Limit int64
@@ -258,7 +258,7 @@ type SpillStats struct {
 	PeakBytes int64
 	// SpilledBytes counts bytes written to spill runs.
 	SpilledBytes int64
-	// Runs counts spill run files created.
+	// Runs counts the spill runs that held data.
 	Runs int64
 	// Partitions counts grace-hash partitioning rounds, including
 	// recursive re-partitionings of oversized partitions.
