@@ -158,7 +158,7 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 	keysA := []plan.SortKey{{Attr: "a"}, {Attr: "b", Desc: true}}
 	shapes := append(projectShapes(rng, r1, r2g), borrowShapes(rng, gen, r1, r2, r2g, rc, keysA)...)
 	shapes = append(shapes, groupShapes(gen(rng, []string{"a", "b"}, 0, 6), r1, wide3, keysA)...)
-	return append(shapes, []equivPlan{
+	shapes = append(shapes, []equivPlan{
 		{"scan", r1, false},
 		{"filter", &plan.Select{Input: r1, Pred: p}, false},
 		{"project", &plan.Project{Input: r1, Attrs: []string{"a"}}, false},
@@ -223,6 +223,30 @@ func equivPlansGen(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *rel
 		}, true},
 		{"join-right-join", &plan.Join{Left: r1, Right: &plan.Join{Left: r2g, Right: u}}, false},
 	}...)
+	return append(shapes, sortOwnerShapes(rng, gen, r1, u, keysA)...)
+}
+
+// sortOwnerShapes put a sort under each consumer that keeps its input
+// tuples: ∪, the right side of ×, the ÷* divisor and TopK. Under the
+// spill sweep's budgets the sort merges spilled runs, and a merge that
+// emitted borrowed tuples here would overwrite rows the consumer still
+// holds.
+func sortOwnerShapes(rng *rand.Rand, gen func(*rand.Rand, []string, int, int) *relation.Relation,
+	r1, u plan.Node, keys []plan.SortKey) []equivPlan {
+	left := plan.NewScan("left", gen(rng, []string{"c"}, 1+rng.Intn(4), 6))
+	dividend := plan.NewScan("dividend", gen(rng, []string{"a", "b"}, 5+rng.Intn(20), 6))
+	divisor := plan.NewScan("divisor", gen(rng, []string{"b", "c"}, 2+rng.Intn(6), 6))
+	sorted := &plan.Sort{Input: r1, Keys: keys}
+	return []equivPlan{
+		{"union-of-sort", plan.Union(sorted, u), false},
+		{"product-right-sort", &plan.Product{Left: left, Right: sorted}, false},
+		{"greatdivide-divisor-sort", &plan.GreatDivide{
+			Dividend: dividend, Divisor: &plan.Sort{Input: divisor, Keys: []plan.SortKey{{Attr: "c"}, {Attr: "b"}}},
+		}, false},
+		{"topk-over-sort", &plan.TopK{
+			Input: sorted, Keys: []plan.SortKey{{Attr: "b"}, {Attr: "a", Desc: true}}, K: int64(3 + rng.Intn(10)),
+		}, true},
+	}
 }
 
 // groupShapes is the grouping corner of the matrix: every aggregate
