@@ -199,7 +199,11 @@
 // and unlinked at once, so no path names it and nothing is left on
 // disk on any exit path, a crash included; each run is a chain of
 // 32 KiB blocks in it, and a closed run's blocks are reused by the
-// next. Every teardown path (exhaustion, early Close, cancellation,
+// next. A run's one 32 KiB buffer is not charged; a closed run returns
+// it to a pool that later runs and later queries take from. A spilled
+// sort's merge copies each row it reads from a run, into one chunk per
+// batch that it reuses when the rows' consumer drops them, as the
+// Rows cursor does. Every teardown path (exhaustion, early Close, cancellation,
 // pipeline error) closes the runs, and the file's descriptor is
 // closed when the cursor releases. The DIVLAWS_FORCE_SPILL environment
 // variable (a byte budget, or any other non-empty value for 64KiB)

@@ -81,10 +81,10 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 // compile lowers one plan node and, recursively, its inputs. borrow
 // reports whether the node's consumer drops each tuple before its next
 // NextBatch on the node, so the node may emit borrowed tuples: ones
-// valid only until that next call, which lets the product and hash
-// join emit paths rewind one slab chunk per batch instead of carving a
-// fresh one. Compile decides it from the plan's structure alone, each
-// consumer in one of three categories:
+// valid only until that next call, which lets the product, hash join
+// and spilled sort merge emit paths rewind one slab chunk per batch
+// instead of carving a fresh one. Compile decides it from the plan's
+// structure alone, each consumer in one of three categories:
 //
 //   - Drops its input, so the child may borrow: the root cursor, the
 //     ÷/÷* dividend unbudgeted at one worker (the division states do
@@ -102,8 +102,10 @@ func CompileWith(n plan.Node, stats *Stats, opts CompileOptions) *FromBatch {
 //   - Keeps the child's tuples, so the child is always owned: everything
 //     else — a budgeted or parallel division's buffers, the ÷* divisor,
 //     the right side of the product (a join without common attributes
-//     included), Sort, TopK and Union. An operator not yet
-//     checked by reading its code belongs here.
+//     included), Sort, TopK and Union. A sort keeps its input, but
+//     its own output borrows when its consumer drops it, except the
+//     dividend sort of the merge-group division, which stays owned.
+//     An operator not yet checked by reading its code belongs here.
 func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borrow bool) BatchIterator {
 	switch t := n.(type) {
 	case *plan.Scan:
@@ -147,6 +149,7 @@ func compile(n plan.Node, stats *Stats, label string, opts CompileOptions, borro
 			Spill:         opts.Spill,
 			half:          opts.Spill != nil && holdsBudgeted(t.Input),
 			windowBatcher: windowBatcher{BatchSize: opts.BatchSize},
+			borrowed:      borrow,
 		}
 	case *plan.TopK:
 		pos, desc := resolveSortKeys(t.Input.Schema(), t.Keys)

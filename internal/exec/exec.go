@@ -41,7 +41,8 @@
 // TupleIndex.LookupProj — hash plus walk in one frame — because on
 // its short-key, L1-hot probe loop a separate hash pass costs a
 // write and a re-read per row that the fusion avoids. Emit paths
-// (join, product, theta join) carve output tuples out of a
+// (join, product, theta join, and the spilled sort's merge, which
+// copies the rows it reads from runs) carve output tuples out of a
 // per-iterator relation.Slab instead of calling make per
 // concatenation, and under a memory budget the live chunk is charged
 // against the spill tracker (see relation.Slab for the lifetime and
@@ -51,7 +52,9 @@
 // before its next pull — the root cursor, an unbudgeted division's
 // dividend, a probe side — compile lets the emitter borrow instead,
 // and it rewinds one chunk per batch, so the emit path allocates
-// nothing per tuple (see compile for the rule).
+// nothing per tuple (see compile for the rule). A sort's merge sizes
+// that chunk to one batch of rows, so under the root cursor it
+// allocates per batch, not per row.
 package exec
 
 import (

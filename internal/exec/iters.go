@@ -1025,7 +1025,9 @@ func (g *GroupIter) Schema() schema.Schema {
 // merge sort: the buffer is charged against the tracker, flushed to a
 // sorted spill run whenever it would exceed the budget, and the
 // runs are k-way merged on NextBatch. KeyedCompare's canonical tie-break
-// makes the merged order identical to the in-memory sort's.
+// makes the merged order identical to the in-memory sort's. The merge
+// copies each row it takes from a run into its slab; borrowed output
+// (see compile) rewinds one slab chunk per batch.
 type SortIter struct {
 	Label string
 	Input BatchIterator
@@ -1049,6 +1051,9 @@ type SortIter struct {
 	rows []relation.Tuple
 	pos  int
 	open bool
+	// borrowed: the consumer drops each batch's tuples before the next
+	// NextBatch, so the merge slab is rewound per batch (set by compile).
+	borrowed bool
 
 	charged int64
 	runs    []*spill.Run
@@ -1112,8 +1117,9 @@ func (s *SortIter) Open(ctx context.Context) error {
 	// K-way merge across the spilled runs plus the final in-memory
 	// buffer.
 	s.strs = s.Spill.NewStringCache()
-	// The last buffer may leave the budget nearly full: keep chunks small.
-	s.slab = relation.Slab{Charge: s.Spill.Charge, Release: s.Spill.Release, MaxValues: 128}
+	// The last buffer may leave the budget nearly full: chunks grow to
+	// one batch of rows, which a borrowed merge rewinds every batch.
+	s.slab = relation.Slab{Charge: s.Spill.Charge, Release: s.Spill.Release, MaxValues: s.Schema().Len() * s.batchCap()}
 	srcs := make([]*sortSource, 0, len(s.runs)+1)
 	for _, r := range s.runs {
 		if err := r.Rewind(); err != nil {
@@ -1172,7 +1178,7 @@ func (s *SortIter) mergeNext() (relation.Tuple, bool, error) {
 	src := s.mh.srcs[0]
 	t := src.head
 	if src.run != nil {
-		t = s.slab.Concat(t, nil) // the head is the run's scratch; the consumer keeps t
+		t = s.slab.Concat(t, nil) // the head is the run's scratch, read over by advance
 	}
 	nt, ok, err := src.advance(s.strs)
 	if err != nil {
@@ -1196,6 +1202,9 @@ func (s *SortIter) NextBatch() (*relation.Batch, error) {
 		return nil, errNotOpen("SortIter")
 	}
 	if s.mh != nil {
+		if s.borrowed {
+			s.slab.Rewind()
+		}
 		out := s.outBatch()
 		bound := s.effectiveCap()
 		for out.Len() < bound {

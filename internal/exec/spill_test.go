@@ -887,3 +887,61 @@ func TestSpilledJoinBorrowsEmission(t *testing.T) {
 		t.Errorf("a spilled join costs %.1f heap bytes per extra output row, want at most 16", perRow)
 	}
 }
+
+// TestSpilledSortMergeAllocatesPerBatch: under the root cursor a
+// spilled sort's merge copies the rows it takes from runs into one
+// slab chunk that it rewinds every batch, so once Open has written the
+// runs, draining the merge allocates per batch, not per row, at any
+// arity. An owned merge would carve a fresh chunk for every batch: 32
+// bytes per value.
+func TestSpilledSortMergeAllocatesPerBatch(t *testing.T) {
+	const rows = 20000
+	for _, arity := range []int{2, 4} {
+		attrs := make([]string, arity)
+		for j := range attrs {
+			attrs[j] = fmt.Sprintf("c%d", j)
+		}
+		data := make([][]int64, rows)
+		for i := range data {
+			data[i] = make([]int64, arity)
+			data[i][0] = int64(i * 7919 % rows) // a permutation of 0..rows-1
+			for j := 1; j < arity; j++ {
+				data[i][j] = int64(i % (10 * j))
+			}
+		}
+		node := &plan.Sort{Input: plan.NewScan("r", relation.Ints(attrs, data)), Keys: []plan.SortKey{{Attr: "c0"}}}
+		tr := spill.NewTracker(64 << 10)
+		it := CompileWith(node, nil, CompileOptions{Spill: tr})
+		if err := it.Open(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := 0
+		for {
+			_, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		runtime.ReadMemStats(&after)
+		it.Close()
+		tr.Close()
+		if tr.Snapshot().Runs < 2 {
+			t.Fatalf("arity %d: the sort wrote %d runs, want a merge of several", arity, tr.Snapshot().Runs)
+		}
+		if n != rows {
+			t.Fatalf("arity %d: %d rows emitted, want %d", arity, n, rows)
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+		t.Logf("arity %d: the merge of %d runs allocated %.2f B per row", arity, tr.Snapshot().Runs, perRow)
+		if perRow > 4 {
+			t.Errorf("arity %d: the merge allocated %.2f B per row, want at most 4", arity, perRow)
+		}
+	}
+}

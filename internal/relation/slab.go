@@ -29,8 +29,9 @@ const slabChargeBackoff = 64
 const slabValueBytes = 32
 
 // Slab is a bump allocator for emitted tuples — the join, product,
-// and theta-join emit paths carve each output tuple out of a shared
-// chunk instead of paying one make per Concat.
+// and theta-join emit paths, and the sort merge's copies of spilled
+// rows, carve each output tuple out of a shared chunk instead of
+// paying one make per Concat.
 //
 // Lifetime rule: chunks are append-only and GC-owned. A full chunk is
 // retired by dropping the slab's reference to it, never by resetting
@@ -44,7 +45,8 @@ const slabValueBytes = 32
 // borrowed: its consumer drops each tuple before asking for the next
 // batch, so the owner rewinds at the top of every batch and the live
 // chunk is carved again from offset 0, overwriting the tuples the
-// previous batch was served. Close never overwrites: it only drops
+// previous batch was served. The borrowed product, hash join and
+// spilled sort's merge do this. Close never overwrites: it only drops
 // the chunk, so tuples carved before a Close stay valid.
 //
 // The zero Slab is ready to use and unaccounted. Setting Charge and
@@ -61,9 +63,9 @@ const slabValueBytes = 32
 type Slab struct {
 	Charge  func(int64) error
 	Release func(int64)
-	// MaxValues, when positive, caps chunk growth below the default
-	// 1024 values: for a slab filled while the budget is nearly full,
-	// where a large chunk would be refused for good.
+	// MaxValues, when positive, replaces the default 1024-value cap on
+	// chunk growth: the sort merge, filled while the budget may be
+	// nearly full, caps its chunks at one batch of rows.
 	MaxValues int
 
 	chunk   []value.Value

@@ -53,7 +53,8 @@ func rawRun(t testing.TB, tr *Tracker, data []byte) *Run {
 
 // readModes are the two ways a consumer takes a tuple off a run:
 // borrowed, and owned by copying it into a slab charged to the run's
-// tracker, bounded as the sort merge bounds its own.
+// tracker, bounded as the sort merge bounds its own: one default
+// batch of two-column rows.
 func readModes(run *Run) []func(*StringCache) (relation.Tuple, error) {
 	slab := &relation.Slab{Charge: run.t.Charge, Release: run.t.Release, MaxValues: 128}
 	return []func(*StringCache) (relation.Tuple, error){run.Next, func(c *StringCache) (relation.Tuple, error) {

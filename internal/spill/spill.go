@@ -24,7 +24,9 @@
 // exit path, a crash included. A run is a chain of blockSize blocks in
 // it, written and read with WriteAt/ReadAt through the run's one block
 // buffer, so concurrent runs share the descriptor; a closed run's
-// blocks go to the tracker's free list for the next. I/O failures —
+// blocks go to the tracker's free list for the next, and its buffer to
+// a package-wide pool that the next run to write takes from, in this
+// query or a later one. I/O failures —
 // including test-injected ones via FailWriteAfter/FailReadAfter — and
 // corrupt frames surface as errors wrapping ErrIO, never as hangs,
 // panics or partial results.
@@ -35,10 +37,12 @@
 // the next Next on that run — which is all a consumer needs that
 // copies what it keeps (the division states, repartitioning, the join
 // probe, a sort-merge head while it waits). A consumer that retains
-// the slice (the join build side, the merge when it emits) makes it
-// owned by copying it into its relation.Slab, whose append-only
-// GC-owned chunks keep it intact for as long as anyone holds it,
-// across later reads, Rewind and Close. Either way every string is an
+// the tuple or passes it on (the join build side, the merge when it
+// emits) copies it into its relation.Slab. The slab's append-only GC-owned chunks keep
+// it intact for as long as anyone holds it, across later reads, Rewind
+// and Close, unless the operator's own consumer drops each batch before
+// the next: then the operator rewinds one chunk per batch, as the merge
+// under the root cursor does. Either way every string is an
 // ordinary, individually GC-owned Go string, so a retained value.Value
 // never pins a buffer; repeats are served from the reading operator's
 // StringCache, compared by bytes, so a hit allocates nothing.
@@ -47,8 +51,9 @@
 // strings it pins — sized from the budget and halved until the budget
 // takes it, so a tight or full budget means a small cache or none,
 // never an error — and, by the consumer, its slab's live chunk. Not
-// charged: one block buffer (32 KiB) per open run that holds data, its
-// frame buffer (one frame long) and its one-tuple scratch.
+// charged: one block buffer (32 KiB) per open run that holds data,
+// pooled across queries once the run closes, its frame buffer (one
+// frame long) and its one-tuple scratch.
 package spill
 
 import (
@@ -299,6 +304,11 @@ func (t *Tracker) allocBlock() (int64, error) {
 // one buffer: small enough for a k-way merge to keep many runs open.
 const blockSize = 32 << 10
 
+// blockPool holds the block buffers of closed runs for the next run
+// to write, in this query or a later one: within a query every run of
+// a fan-out or a merge is open at once, so reuse comes across queries.
+var blockPool = sync.Pool{New: func() any { return new([blockSize]byte) }}
+
 // maxFrame caps one tuple's frame: Append refuses to write a longer
 // one and the reader refuses to believe one.
 const maxFrame = 1 << 30
@@ -374,7 +384,7 @@ func (r *Run) Append(t relation.Tuple) error {
 // write appends p to the run, writing each block out as it fills.
 func (r *Run) write(p []byte) error {
 	if r.block == nil {
-		r.block = make([]byte, 0, blockSize)
+		r.block = blockPool.Get().(*[blockSize]byte)[:0]
 	}
 	for len(p) > 0 {
 		if len(r.block) == blockSize {
@@ -574,7 +584,8 @@ func (r *Run) Next(c *StringCache) (relation.Tuple, error) {
 	return r.scratch, nil
 }
 
-// Close gives the run's blocks back to the tracker. Idempotent.
+// Close gives the run's blocks back to the tracker and its buffer back
+// to the pool. Idempotent.
 func (r *Run) Close() error {
 	if r == nil || r.closed {
 		return nil
@@ -584,6 +595,9 @@ func (r *Run) Close() error {
 	r.t.mu.Lock()
 	r.t.free = append(r.t.free, r.blocks...)
 	r.t.mu.Unlock()
+	if r.block != nil {
+		blockPool.Put((*[blockSize]byte)(r.block[:blockSize]))
+	}
 	r.blocks, r.block = nil, nil
 	return nil
 }

@@ -399,3 +399,62 @@ func TestEmptyRunMakesNoFile(t *testing.T) {
 	}
 	assertNoEntries(t, dir, "after Close")
 }
+
+// TestPooledBufferHoldsOnlyItsRun: a run's block buffer comes from a
+// pool that closed runs refill, so a run written after another's Close
+// may start on that run's bytes. It must read back exactly its own
+// frames: a short run after a long one closed unread, and a run after
+// a rewind/read/close cycle. An empty run after a Close takes no
+// buffer.
+func TestPooledBufferHoldsOnlyItsRun(t *testing.T) {
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	long := supplierTuples(5000) // a few blocks
+	short := []relation.Tuple{{value.Int(-1), value.String("short")}, {value.Int(-2), value.String("")}}
+	check := func(run *Run, want []relation.Tuple, where string) {
+		t.Helper()
+		if err := run.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readAll(strs, run.Next, true)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%s: read %d tuples (%v), want %d", where, len(got), err, len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: tuple %d is %v, want %v", where, i, got[i], want[i])
+			}
+		}
+	}
+	reused := 0
+	for round := 0; round < 8; round++ {
+		prev := writtenRun(t, tr, long)
+		if round%2 == 1 {
+			check(prev, long, "the long run")
+		}
+		buf := (*[blockSize]byte)(prev.block[:blockSize])
+		prev.Close()
+		empty, err := tr.NewRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(empty, nil, "an empty run after a Close")
+		if empty.block != nil {
+			t.Fatal("an empty run took a block buffer")
+		}
+		empty.Close()
+		next := writtenRun(t, tr, short)
+		if (*[blockSize]byte)(next.block[:blockSize]) == buf {
+			reused++
+		}
+		check(next, short, fmt.Sprintf("round %d: a short run after a long one", round))
+		next.Close()
+	}
+	// The pool may drop a buffer (the race detector drops a quarter of
+	// them on purpose), but not all of them.
+	if reused == 0 {
+		t.Error("no run took the buffer of the run closed before it")
+	}
+}
