@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -204,6 +205,87 @@ func TestOwnedTuplesOutliveTheRun(t *testing.T) {
 	for i, w := range want {
 		if !owned[i].Equal(w) {
 			t.Fatalf("owned tuple %d = %v after later reads, Rewind and Close; want %v", i, owned[i], w)
+		}
+	}
+}
+
+// distinctStrings returns strings of 5 to 12 bytes, none equal to
+// another or to one with a different prefix, totalling at least n
+// bytes.
+func distinctStrings(prefix string, n int) []string {
+	var out []string
+	for i, size := 0, 0; size < n; i++ {
+		s := fmt.Sprintf("%s%0*d", prefix, 4+i%8, i)
+		out = append(out, s)
+		size += len(s)
+	}
+	return out
+}
+
+// TestInternedStringsOutliveTheirChunk: every string a read hands out
+// stays equal to its source for as long as anyone holds it, through
+// enough distinct strings to retire the cache's chunk several times, a
+// collection, a second set of strings, and the Close of the cache, the
+// run and the tracker.
+func TestInternedStringsOutliveTheirChunk(t *testing.T) {
+	tr := NewTracker(1 << 20)
+	strs := tr.NewStringCache()
+	// A chunk is as long as the slot array; six of them retire it at
+	// least four times.
+	chunk := cacheMaxSlots * 16
+	decode := func(src []string) (*Run, []string) {
+		t.Helper()
+		tuples := make([]relation.Tuple, len(src))
+		for i, s := range src {
+			tuples[i] = relation.Tuple{value.String(s)}
+		}
+		run := writtenRun(t, tr, tuples)
+		if err := run.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+		var kept []string
+		for {
+			tu, err := run.Next(strs)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, tu[0].AsString()) // the tuple is borrowed, its string is not
+		}
+		if len(kept) != len(src) {
+			t.Fatalf("read %d tuples, want %d", len(kept), len(src))
+		}
+		return run, kept
+	}
+	firstSrc := distinctStrings("a", 6*chunk)
+	first, kept := decode(firstSrc)
+	check := func(after string) {
+		t.Helper()
+		runtime.GC()
+		for i, s := range kept {
+			if s != firstSrc[i] {
+				t.Fatalf("after %s: kept string %d reads %q, want %q", after, i, s, firstSrc[i])
+			}
+		}
+	}
+	check("later chunks")
+	secondSrc := distinctStrings("b", 6*chunk)
+	second, again := decode(secondSrc)
+	check("a second set of strings")
+	strs.Close()
+	check("StringCache.Close")
+	first.Close()
+	second.Close()
+	check("Run.Close")
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("Tracker.Close")
+	for i, s := range again {
+		if s != secondSrc[i] {
+			t.Fatalf("second set: string %d reads %q, want %q", i, s, secondSrc[i])
 		}
 	}
 }
