@@ -203,7 +203,10 @@
 // it to a pool that later runs and later queries take from. A spilled
 // sort's merge copies each row it reads from a run, into one chunk per
 // batch that it reuses when the rows' consumer drops them, as the
-// Rows cursor does. Every teardown path (exhaustion, early Close, cancellation,
+// Rows cursor does. Strings read back from runs are cut from a chunk
+// per reading operator; the budget is charged for the operator's cache
+// of recent strings, and a string the query keeps holds its chunk,
+// uncharged, until the string is dropped. Every teardown path (exhaustion, early Close, cancellation,
 // pipeline error) closes the runs, and the file's descriptor is
 // closed when the cursor releases. The DIVLAWS_FORCE_SPILL environment
 // variable (a byte budget, or any other non-empty value for 64KiB)

@@ -893,10 +893,12 @@ func TestSpilledJoinBorrowsEmission(t *testing.T) {
 // slab chunk that it rewinds every batch, so once Open has written the
 // runs, draining the merge allocates per batch, not per row, at any
 // arity. An owned merge would carve a fresh chunk for every batch: 32
-// bytes per value.
+// bytes per value. String rows must make their distinct strings, but
+// the runs' string cache cuts them from shared chunks: far fewer than
+// one heap object per row.
 func TestSpilledSortMergeAllocatesPerBatch(t *testing.T) {
 	const rows = 20000
-	for _, arity := range []int{2, 4} {
+	ints := func(arity int) *relation.Relation {
 		attrs := make([]string, arity)
 		for j := range attrs {
 			attrs[j] = fmt.Sprintf("c%d", j)
@@ -909,9 +911,26 @@ func TestSpilledSortMergeAllocatesPerBatch(t *testing.T) {
 				data[i][j] = int64(i % (10 * j))
 			}
 		}
-		node := &plan.Sort{Input: plan.NewScan("r", relation.Ints(attrs, data)), Keys: []plan.SortKey{{Attr: "c0"}}}
+		return relation.Ints(attrs, data)
+	}
+	strs := make([][]any, rows)
+	for i := range strs {
+		strs[i] = []any{fmt.Sprintf("s%05d", i*7919%rows), fmt.Sprintf("p%d", i%40)}
+	}
+	cases := []struct {
+		name  string
+		input *relation.Relation
+		keys  []plan.SortKey
+		bytes float64 // heap bytes per row drained, at most
+	}{
+		{"ints arity 2", ints(2), []plan.SortKey{{Attr: "c0"}}, 4},
+		{"ints arity 4", ints(4), []plan.SortKey{{Attr: "c0"}}, 4},
+		// Six bytes of every row are a distinct string.
+		{"strings", relation.FromRows(schema.New("c0", "c1"), strs), []plan.SortKey{{Attr: "c1"}, {Attr: "c0"}}, 8},
+	}
+	for _, c := range cases {
 		tr := spill.NewTracker(64 << 10)
-		it := CompileWith(node, nil, CompileOptions{Spill: tr})
+		it := CompileWith(&plan.Sort{Input: plan.NewScan("r", c.input), Keys: c.keys}, nil, CompileOptions{Spill: tr})
 		if err := it.Open(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -933,15 +952,19 @@ func TestSpilledSortMergeAllocatesPerBatch(t *testing.T) {
 		it.Close()
 		tr.Close()
 		if tr.Snapshot().Runs < 2 {
-			t.Fatalf("arity %d: the sort wrote %d runs, want a merge of several", arity, tr.Snapshot().Runs)
+			t.Fatalf("%s: the sort wrote %d runs, want a merge of several", c.name, tr.Snapshot().Runs)
 		}
 		if n != rows {
-			t.Fatalf("arity %d: %d rows emitted, want %d", arity, n, rows)
+			t.Fatalf("%s: %d rows emitted, want %d", c.name, n, rows)
 		}
 		perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
-		t.Logf("arity %d: the merge of %d runs allocated %.2f B per row", arity, tr.Snapshot().Runs, perRow)
-		if perRow > 4 {
-			t.Errorf("arity %d: the merge allocated %.2f B per row, want at most 4", arity, perRow)
+		mallocs := float64(after.Mallocs-before.Mallocs) / rows
+		t.Logf("%s: the merge of %d runs allocated %.2f B and %.4f objects per row", c.name, tr.Snapshot().Runs, perRow, mallocs)
+		if perRow > c.bytes {
+			t.Errorf("%s: the merge allocated %.2f B per row, want at most %.0f", c.name, perRow, c.bytes)
+		}
+		if mallocs > 1.0/64 {
+			t.Errorf("%s: the merge made %.4f heap objects per row, want at most 1/64", c.name, mallocs)
 		}
 	}
 }

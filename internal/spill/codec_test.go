@@ -139,7 +139,7 @@ func TestCodecAllocGates(t *testing.T) {
 		t.Errorf("Append: %.0f allocations per %d tuples, want 0", a, n)
 	}
 
-	drain := func(next func(*StringCache) (relation.Tuple, error)) func() {
+	drain := func(run *Run, next func(*StringCache) (relation.Tuple, error)) func() {
 		return func() {
 			if err := run.Rewind(); err != nil {
 				t.Fatal(err)
@@ -153,13 +153,26 @@ func TestCodecAllocGates(t *testing.T) {
 			}
 		}
 	}
-	drain(run.Next)() // warm the string cache and the scratch
-	if a := testing.AllocsPerRun(5, drain(run.Next)); a != 0 {
+	drain(run, run.Next)() // warm the string cache and the scratch
+	if a := testing.AllocsPerRun(5, drain(run, run.Next)); a != 0 {
 		t.Errorf("borrowed read: %.0f allocations per pass over repeating strings, want 0", a)
 	}
 	perPass := float64(run.Len())
-	if a := testing.AllocsPerRun(5, drain(readModes(run)[1])); a > perPass/32 {
+	if a := testing.AllocsPerRun(5, drain(run, readModes(run)[1])); a > perPass/32 {
 		t.Errorf("owned read: %.0f allocations per %.0f tuples, want at most 1 per 32", a, perPass)
+	}
+
+	// Strings that all miss, two chunks' worth a pass, so that none
+	// is still cached when the next pass reaches it.
+	var misses []relation.Tuple
+	for _, s := range distinctStrings("d", 2*cacheMaxSlots*16) {
+		misses = append(misses, relation.Tuple{value.String(s)})
+	}
+	distinct := writtenRun(t, tr, misses)
+	defer distinct.Close()
+	drain(distinct, distinct.Next)()
+	if a := testing.AllocsPerRun(5, drain(distinct, distinct.Next)); a > float64(len(misses))/64 {
+		t.Errorf("borrowed read: %.0f allocations per pass over %d distinct strings, want at most 1 per 64", a, len(misses))
 	}
 }
 
@@ -323,8 +336,10 @@ func TestStringCacheUnderForcedCollisions(t *testing.T) {
 }
 
 // TestStringCacheScalesWithBudget: the cache takes a small share of any
-// budget, is simply absent when the budget is already full, and gives
-// back exactly what it took.
+// budget — its slots and the bytes of the strings they hold, which a
+// chunk retirement gives back — is simply absent when the budget is
+// already full, and gives back exactly what it took. Empty strings and
+// strings too long for a chunk round-trip without it.
 func TestStringCacheScalesWithBudget(t *testing.T) {
 	want := supplierTuples(200)
 	for _, limit := range []int64{64, 4 << 10, 64 << 10, 1 << 20} {
@@ -356,12 +371,58 @@ func TestStringCacheScalesWithBudget(t *testing.T) {
 					t.Fatalf("limit %d full %t: tuple %d = %v, want %v", limit, full, i, got[i], w)
 				}
 			}
+			if full && (len(strs.slots) != 0 || strs.chunk.Cap() != 0) {
+				t.Errorf("limit %d: a full budget gave the cache %d slots and a %d-byte chunk, want none", limit, len(strs.slots), strs.chunk.Cap())
+			}
+
+			// Four chunks of distinct strings, each beside an empty
+			// string and one longer than 1/8 of a chunk.
+			chunk := len(strs.slots) * 16
+			long := strings.Repeat("l", chunk/8+1)
+			var more []relation.Tuple
+			for _, s := range distinctStrings("r", 4*chunk+1) {
+				more = append(more, relation.Tuple{value.String(s), value.String(""), value.String(long)})
+			}
+			run2 := writtenRun(t, tr, more)
+			if err := run2.Rewind(); err != nil {
+				t.Fatal(err)
+			}
+			retired, last := 0, strs.chunk.Len()
+			for i, w := range more {
+				got, err := run2.Next(strs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(w) {
+					t.Fatalf("limit %d full %t: tuple %d = %v, want %v", limit, full, i, got, w)
+				}
+				if strs.chunk.Len() < last {
+					retired++
+				}
+				last = strs.chunk.Len()
+				if len(strs.slots) > 0 && strs.slots[hashkey.Adjust(hashkey.Sum64([]byte(long)))&uint64(len(strs.slots)-1)] == long {
+					t.Fatalf("limit %d: a %d-byte string was cached from a %d-byte chunk", limit, len(long), chunk)
+				}
+			}
+			run2.Close()
+			if chunk > 0 && retired < 3 {
+				t.Errorf("limit %d: %d chunks retired, want at least 3", limit, retired)
+			}
+			// Retirements give back what the slots pinned: the charge
+			// is the slots and the bytes of the strings they hold.
+			pinned := 0
+			for _, s := range strs.slots {
+				pinned += len(s)
+			}
+			if took := tr.Snapshot().Used - before; took != strs.charged || took != int64(len(strs.slots)*16+pinned) {
+				t.Errorf("limit %d full %t: %d bytes charged after %d chunk retirements (%d by the cache's count), want its %d slots and the %d bytes they pin", limit, full, took, retired, strs.charged, len(strs.slots), pinned)
+			}
 			if st := tr.Snapshot(); st.Peak > limit {
 				t.Errorf("limit %d: charged peak %d", limit, st.Peak)
 			}
 			strs.Close()
-			if used := tr.Snapshot().Used; used != before {
-				t.Errorf("limit %d full %t: %d bytes charged after the cache closed, want %d", limit, full, used, before)
+			if used := tr.Snapshot().Used; used != before || strs.charged != 0 {
+				t.Errorf("limit %d full %t: %d bytes charged after the cache closed (%d its own), want %d", limit, full, used, strs.charged, before)
 			}
 			run.Close()
 			tr.Close()
@@ -571,6 +632,37 @@ func BenchmarkRunLifecycle(b *testing.B) {
 		}
 		if err := run.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunReadDistinctStrings drains a run whose strings all miss
+// the cache: two chunks of distinct strings a pass, so none is still
+// cached when the next pass reaches it. allocs/op counts the chunks a
+// pass retires, not its strings.
+func BenchmarkRunReadDistinctStrings(b *testing.B) {
+	tr := NewTracker(1 << 20)
+	defer tr.Close()
+	var tuples []relation.Tuple
+	for _, s := range distinctStrings("d", 2*cacheMaxSlots*16) {
+		tuples = append(tuples, relation.Tuple{value.String(s)})
+	}
+	run := writtenRun(b, tr, tuples)
+	defer run.Close()
+	strs := tr.NewStringCache()
+	defer strs.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run.Rewind(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := run.Next(strs); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

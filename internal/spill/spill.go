@@ -42,18 +42,25 @@
 // it intact for as long as anyone holds it, across later reads, Rewind
 // and Close, unless the operator's own consumer drops each batch before
 // the next: then the operator rewinds one chunk per batch, as the merge
-// under the root cursor does. Either way every string is an
-// ordinary, individually GC-owned Go string, so a retained value.Value
-// never pins a buffer; repeats are served from the reading operator's
-// StringCache, compared by bytes, so a hit allocates nothing.
+// under the root cursor does. Either way every string comes from the
+// reading operator's StringCache, never from a run's buffers: a repeat
+// is served from it, compared by bytes, so a hit allocates nothing; a
+// miss is cut from the cache's live chunk, so misses cost one
+// allocation per chunk, not per string. A retained string pins the
+// chunk it was cut from, as a retained tuple pins its slab chunk.
 //
 // Charged to the tracker: the cache's slot array and the bytes of the
-// strings it pins — sized from the budget and halved until the budget
-// takes it, so a tight or full budget means a small cache or none,
-// never an error — and, by the consumer, its slab's live chunk. Not
-// charged: one block buffer (32 KiB) per open run that holds data,
+// strings its slots hold — sized from the budget and halved until the
+// budget takes it, so a tight or full budget means a small cache or
+// none, never an error — and, by the consumer, its slab's live chunk.
+// Not charged: one block buffer (32 KiB) per open run that holds data,
 // pooled across queries once the run closes, its frame buffer (one
-// frame long) and its one-tuple scratch.
+// frame long) and its one-tuple scratch; and the string chunks beyond
+// the bytes the slots hold: the live chunk's evicted strings and free
+// tail, and every retired chunk, which a retained string keeps alive
+// beyond what its holder's Footprint charges. Charging the whole live
+// chunk up front instead left a spilled sort's merge no room for its
+// slab when the last sort buffer had nearly filled the budget.
 package spill
 
 import (
@@ -63,6 +70,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -472,18 +480,25 @@ func (r *Run) load() error {
 }
 
 // cacheMaxSlots caps the string cache, whose slot array (16-byte string
-// headers) otherwise takes 1/32 of the budget: 2048 slots hold a
-// partition's distinct keys on the benchmark's data.
+// headers) otherwise takes 1/32 of the budget; its chunk holds as many
+// bytes. On the benchmark's out-of-core data about a third of the
+// strings decoded miss it: a partition's or a merge's distinct values
+// outnumber the slots.
 const cacheMaxSlots = 2048
 
 // A StringCache is a direct-mapped cache of recently decoded strings,
 // owned by one reading operator and shared by the runs it reads, so
-// that a repeated string costs a comparison, not an allocation. It is
-// not safe for concurrent use. See the package comment for what is
-// charged.
+// that a repeated string costs a comparison, not an allocation. A miss
+// copies its bytes into the cache's live chunk and is a substring of
+// it; when the chunk is full the cache starts another, so misses cost
+// an allocation per chunk, not per string. A retired chunk belongs to
+// the strings cut from it: its bytes are never written again, and it
+// lives as long as any of them. It is not safe for concurrent use. See
+// the package comment for what is charged.
 type StringCache struct {
 	tr      *Tracker
-	slots   []string // a power of two long; nil until the first string
+	slots   []string        // a power of two long; nil until the first string
+	chunk   strings.Builder // the live chunk, len(slots)*16 bytes: the slots' strings are cut from it
 	charged int64
 }
 
@@ -496,6 +511,7 @@ func (c *StringCache) Close() {
 	if c != nil {
 		c.tr.Release(c.charged)
 		c.charged, c.slots = 0, []string{}
+		c.chunk.Reset()
 	}
 }
 
@@ -517,26 +533,41 @@ func (c *StringCache) grow() []string {
 }
 
 // intern returns string(b), the cached one when the slot b hashes to
-// holds an equal string. A miss replaces the slot's string and settles
-// the difference in pinned bytes (Charge and Release each ignore a
-// non-positive amount, so one of them acts); if the budget refuses,
-// the string is returned uncached.
+// holds an equal string. A miss cuts the string from the live chunk,
+// retiring the chunk first if the string does not fit (the first miss
+// makes the first chunk that way), replaces the slot's string and
+// settles the difference in pinned bytes (Charge and Release each
+// ignore a non-positive amount, so one of them acts). A string longer
+// than 1/8 of a chunk, any string when the cache has no slots, and a
+// miss the budget refuses are allocated on their own and not cached.
 func (c *StringCache) intern(b []byte) string {
 	if c.slots == nil {
 		c.slots = c.grow()
 	}
-	if len(c.slots) == 0 {
+	if len(b) == 0 || len(b) > len(c.slots)*16/8 {
 		return string(b)
 	}
 	slot := &c.slots[hashkey.Adjust(hashkey.Sum64(b))&uint64(len(c.slots)-1)]
 	if *slot != string(b) {
+		if c.chunk.Len()+len(b) > c.chunk.Cap() {
+			// Retire the chunk to the strings cut from it: empty the
+			// slots, which point into it, and give back what they pinned.
+			pinned := c.charged - int64(len(c.slots)*16)
+			c.tr.Release(pinned)
+			c.charged -= pinned
+			clear(c.slots)
+			c.chunk.Reset()
+			c.chunk.Grow(len(c.slots) * 16)
+		}
 		grow := int64(len(b) - len(*slot))
 		if c.tr.Charge(grow) != nil {
 			return string(b)
 		}
 		c.tr.Release(-grow)
 		c.charged += grow
-		*slot = string(b)
+		c.chunk.Write(b)
+		s := c.chunk.String()
+		*slot = s[len(s)-len(b):]
 	}
 	return *slot
 }
